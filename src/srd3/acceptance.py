@@ -117,8 +117,8 @@ def verify_properties(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> 
     from srd3.atlas import representative
     from srd3.codes import SrdCode, classify
     from srd3.invariants import classify_point, exterior_by_tangents, od0, od4, orbit_of
-    from srd3.pg import Subspace
-    from srd3.veronese import (delta, k_action, mat_mul, pg2_points,
+    from srd3.pg import Subspace, subspace_points
+    from srd3.veronese import (conic_eval, delta, k_action, mat_mul, pg2_points,
                                point_rank, polarity_rho, veronese)
     t0 = time.perf_counter()
     q = F.q
@@ -159,7 +159,7 @@ def verify_properties(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> 
             continue
         d = delta(F, conic)
         for u in pts:
-            on_conic = _eval_conic(F, conic, u) == 0
+            on_conic = conic_eval(F, conic, u) == 0
             if on_conic != incident(F, veronese(F, u), d):
                 ok = False
     results["delta_incidence"] = ok
@@ -186,7 +186,7 @@ def verify_properties(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> 
                 conic_pts = [veronese(F, v) for v in line_points(F, u)]
                 plane = canonicalize(F, conic_pts)
                 img = polarity_rho(F, plane)
-                ranks = [point_rank(F, p) for p in _points(img)]
+                ranks = [point_rank(F, p) for p in subspace_points(img)]
                 ok &= ranks.count(1) == 1 and ranks.count(3) == 0
         results["polarity"] = ok
 
@@ -246,21 +246,6 @@ def _dot(F, u, row):
     for x, c in zip(u, row):
         s = F.add(s, F.mul(x, c))
     return s
-
-
-def _eval_conic(F, c, u):
-    from srd3.veronese import veronese
-    v = veronese(F, u)
-    s = 0
-    for a, x in zip(c, v):
-        if a and x:
-            s = F.add(s, F.mul(a, x))
-    return s
-
-
-def _points(W):
-    from srd3.pg import subspace_points
-    return subspace_points(W)
 
 
 def _rank2_samples(F, limit=None):

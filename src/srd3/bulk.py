@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from srd3.gf import FieldCtx
-from srd3.pg import free_positions, gaussian_binomial, pivot_patterns
+from srd3.pg import free_positions, pivot_patterns
 
 
 class Kit:
@@ -203,10 +203,6 @@ def iter_subspace_blocks(n: int, q: int, projdim: int,
         for start in range(0, total, block):
             stop = min(start + block, total)
             yield pattern, start, pattern_block(q, ncols, k, pattern, start, stop)
-
-
-def subspace_count(n: int, q: int, projdim: int) -> int:
-    return gaussian_binomial(n + 1, projdim + 1, q)
 
 
 def sample_subspaces(kit: Kit, n: int, projdim: int, count: int,

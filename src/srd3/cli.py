@@ -8,7 +8,8 @@ Verbs:
     enumerate      --field Q --dim D [--limit N | --count-only]
 
 Exit codes: 0 all checks pass (sampled/discrepancy rows count as passing),
-1 at least one failed check, 2 usage errors.
+1 at least one failed check, 2 usage or input errors (including a field
+above the supported range), reported on one line.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import sys
 
 from srd3.gf import FieldError, parse_field_spec
+from srd3.pg import BudgetExceeded
 from srd3.report import render
 
 
@@ -109,21 +111,17 @@ def _acceptance(args) -> int:
 
 
 def _enumerate(args) -> int:
-    from srd3.pg import BudgetExceeded, all_subspaces, gaussian_binomial
+    from srd3.pg import all_subspaces, gaussian_binomial
     F = parse_field_spec(args.field)
     n = gaussian_binomial(6, args.dim + 1, F.q)
     if args.count_only:
         _write(json.dumps({"field": F.spec, "projdim": args.dim, "count": n}), args.out)
         return 0
     rows = []
-    try:
-        for i, W in enumerate(all_subspaces(5, F.q, args.dim, budget=args.budget or 10 ** 7, F=F)):
-            if args.limit and i >= args.limit:
-                break
-            rows.append([list(r) for r in W.rows])
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    for i, W in enumerate(all_subspaces(5, F.q, args.dim, budget=args.budget or 10 ** 7, F=F)):
+        if args.limit and i >= args.limit:
+            break
+        rows.append([list(r) for r in W.rows])
     _write(json.dumps({"field": F.spec, "projdim": args.dim, "count": n,
                        "emitted": len(rows), "subspaces": rows}), args.out)
     return 0
@@ -177,12 +175,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _range_error(args) -> str | None:
+    if getattr(args, "jobs", 1) < 1:
+        return f"--jobs must be at least 1, got {args.jobs}"
+    if args.verb == "enumerate" and not 0 <= args.dim <= 4:
+        return f"--dim must be a projective dimension in 0..4, got {args.dim}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    msg = _range_error(args)
+    if msg:
+        print(f"error: {msg}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
-    except FieldError as e:
+    except (FieldError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

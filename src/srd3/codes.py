@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable
 
 from srd3.gf import FieldCtx, parse_field_spec
@@ -43,7 +44,7 @@ class SrdCode:
 
     @classmethod
     def from_matrices(cls, F: FieldCtx, mats: Iterable) -> "SrdCode":
-        mats = tuple(tuple(tuple(int(x) for x in row) for row in M) for M in mats)
+        mats = tuple(_int_matrix(i, M) for i, M in enumerate(mats))
         if not mats:
             raise CodeFormatError("empty basis")
         for i, M in enumerate(mats):
@@ -77,6 +78,23 @@ class SrdCode:
 
     def __repr__(self):
         return f"SrdCode(dim={self.dim}, q={self.F.q})"
+
+
+def _int_matrix(i: int, M) -> tuple[tuple[int, ...], ...]:
+    """Matrix i of a basis as nested int tuples.  Anything that is not a
+    list of lists of integers (a string, a float, a bare number, true/false)
+    raises CodeFormatError rather than being coerced."""
+    if not isinstance(M, (list, tuple)):
+        raise CodeFormatError(f"matrix {i} is not a list of rows")
+    out = []
+    for r, row in enumerate(M):
+        if not isinstance(row, (list, tuple)):
+            raise CodeFormatError(f"matrix {i} row {r} is not a list")
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, Integral):
+                raise CodeFormatError(f"matrix {i} entry {x!r} is not an integer")
+        out.append(tuple(int(x) for x in row))
+    return tuple(out)
 
 
 def min_distance(C: SrdCode) -> int:

@@ -23,7 +23,7 @@ ORDER_CEILING = 4096
 
 
 class FieldError(ValueError):
-    """Invalid field construction or cross-field arithmetic."""
+    """Invalid field construction or an operation the field does not support."""
 
 
 def is_prime(n: int) -> bool:
@@ -411,61 +411,6 @@ def parse_field_spec(spec: str) -> FieldCtx:
 
 
 # ---------------------------------------------------------------------------
-# Element wrapper with ownership checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Fe:
-    """A field element bound to its owning field.
-
-    Raw int codes are used internally everywhere; this wrapper exists for
-    call sites that want arithmetic operators plus hard errors on mixing
-    elements of distinct fields.
-    """
-    field: FieldCtx
-    code: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.field.q:
-            raise FieldError(f"code {self.code} out of range for {self.field}")
-
-    def _check(self, other: "Fe") -> None:
-        if other.field is not self.field:
-            raise FieldError(
-                f"cross-field arithmetic between {self.field} and {other.field}; "
-                "apply an explicit embedding first")
-
-    def __add__(self, other):
-        self._check(other)
-        return Fe(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Fe(self.field, self.field.sub(self.code, other.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Fe(self.field, self.field.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return Fe(self.field, self.field.div(self.code, other.code))
-
-    def __neg__(self):
-        return Fe(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return Fe(self.field, self.field.pow(self.code, e))
-
-    def __repr__(self):
-        return f"Fe({self.field}, {self.code})"
-
-
-def code_of(a) -> int:
-    return a.code if isinstance(a, Fe) else int(a)
-
-
-# ---------------------------------------------------------------------------
 # Square classes, trace, cubic extension
 # ---------------------------------------------------------------------------
 
@@ -474,7 +419,6 @@ def is_square(F: FieldCtx, a) -> bool:
     if F.p == 2:
         raise FieldError("is_square is only defined for odd q (every element "
                          "is a square in characteristic 2)")
-    a = code_of(a)
     if a == 0:
         return True
     return F._log[a] % 2 == 0
@@ -484,7 +428,6 @@ def trace2(F: FieldCtx, a) -> int:
     """Absolute trace GF(2^h) -> GF(2): a + a^2 + ... + a^(2^(h-1))."""
     if F.p != 2:
         raise FieldError("trace2 requires characteristic 2")
-    a = code_of(a)
     t, x = 0, a
     for _ in range(F.h):
         t ^= x
@@ -501,14 +444,13 @@ class CubicExt:
     frob_table: tuple[int, ...]    # ext code -> ext code, x -> x^q
 
     def embed(self, a) -> int:
-        return self.embed_table[code_of(a)]
+        return self.embed_table[a]
 
     def frob(self, a) -> int:
-        return self.frob_table[code_of(a)]
+        return self.frob_table[a]
 
     def rel_trace(self, a) -> int:
         """Trace from GF(q^3) down to GF(q), returned as a base-field code."""
-        a = code_of(a)
         t = self.ext.add(a, self.ext.add(self.frob_table[a],
                                          self.frob_table[self.frob_table[a]]))
         return self.embed_table.index(t)

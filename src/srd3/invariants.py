@@ -262,11 +262,6 @@ def rank_distribution(W: Subspace) -> tuple[int, int, int]:
     return (int((ranks == 1).sum()), int((ranks == 2).sum()), int((ranks == 3).sum()))
 
 
-def minimum_rank(W: Subspace) -> int:
-    r = rank_distribution(W)
-    return next(i + 1 for i, c in enumerate(r) if c)
-
-
 def od0(W: Subspace) -> tuple[int, int, int, int]:
     """[r1, r2a, r2b, r3] with (a,b) = (n,s) for q even, (e,i) for q odd."""
     t = tables(W.F)
@@ -335,39 +330,6 @@ def k_generators(F: FieldCtx) -> list[tuple[tuple[int, ...], ...]]:
     return gens
 
 
-def group_order_bfs(F: FieldCtx, budget: int = 10 ** 6) -> int:
-    """Order of the generated projective group by closure (small q only)."""
-    from srd3.veronese import mat_mul
-    gens = k_generators(F)
-
-    def norm(M):
-        flat = [x for row in M for x in row]
-        lead = next(x for x in flat if x)
-        if lead == 1:
-            return tuple(flat)
-        inv = F.inv(lead)
-        return tuple(F.mul(inv, x) for x in flat)
-
-    def unflat(t):
-        return (t[0:3], t[3:6], t[6:9])
-
-    start = norm(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in gens:
-                img = norm(mat_mul(F, unflat(el), g))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        if len(seen) > budget:
-            raise BudgetExceeded(len(seen), budget)
-        frontier = nxt
-    return len(seen)
-
-
 def orbit_of(W: Subspace, budget: int = 2 * 10 ** 6) -> list[tuple[tuple[int, ...], ...]]:
     """The full orbit of W under the congruence group, as a sorted list of
     canonical RREF row tuples.  BFS with batched transforms."""
@@ -395,10 +357,3 @@ def orbit_of(W: Subspace, budget: int = 2 * 10 ** 6) -> list[tuple[tuple[int, ..
     out = [tuple(tuple(int(x) for x in r) for r in np.frombuffer(key, np.uint8).reshape(k, 6))
            for key in visited]
     return sorted(out)
-
-
-def stabilizer_order(W: Subspace, budget: int = 2 * 10 ** 6) -> int:
-    orbit = orbit_of(W, budget=budget)
-    order = pgl3_order(W.F.q)
-    assert order % len(orbit) == 0
-    return order // len(orbit)

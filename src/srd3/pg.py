@@ -91,10 +91,6 @@ class Subspace:
     def ambient(self) -> int:
         return len(self.rows[0]) - 1
 
-    def num_points(self) -> int:
-        q = self.F.q
-        return (q ** self.k - 1) // (q - 1)
-
     def contains_point(self, v: Iterable[int]) -> bool:
         stacked = self.rows + (tuple(v),)
         return rref(self.F, stacked)[1] == self.k
@@ -120,10 +116,6 @@ def canonicalize(F: FieldCtx, generators: Iterable[Iterable[int]]) -> Subspace:
     if rank == 0:
         raise ValueError("all generators are zero")
     return Subspace(F, rows)
-
-
-def span_of(F: FieldCtx, W: Subspace, extra: Iterable[int]) -> Subspace:
-    return canonicalize(F, W.rows + (tuple(extra),))
 
 
 def coefficient_vectors(q: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -224,17 +216,6 @@ def _prime_power(q: int) -> tuple[int, int]:
         q //= p
         h += 1
     return p, h
-
-
-def hyperplane_duals(n: int, q: int, F: FieldCtx | None = None) -> Iterator[tuple[int, ...]]:
-    """Each hyperplane of PG(n,q) once, as its normalized dual vector.
-
-    A point y lies on the hyperplane with dual d iff sum_i y_i d_i = 0.
-    """
-    from srd3.gf import make_field
-    if F is None:
-        F = make_field(*_prime_power(q))
-    yield from coefficient_vectors(q, n + 1)
 
 
 def incident(F: FieldCtx, point: Iterable[int], dual: Iterable[int]) -> bool:

@@ -14,7 +14,6 @@ schedule and of the number of worker processes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,17 +110,27 @@ def solid_groups(F: FieldCtx, jobs: int = 1):
 
     Returns (groups: {od0 tuple: sorted int64 codes}, total_solids).
     """
-    return _cached(("solid_groups", id(F)), lambda: _solid_groups(F, jobs))
+    return _cached(("solid_groups", id(F)), lambda: _rank1_free_groups(F, 4, jobs))
 
 
-def _solid_groups(F: FieldCtx, jobs: int):
+def plane_sweep(F: FieldCtx, jobs: int = 1):
+    """All planes with no rank-1 point, grouped by point-orbit distribution.
+
+    Returns (groups: {od0 tuple: sorted int64 codes}, total_planes).
+    """
+    return _cached(("plane_sweep", id(F)), lambda: _rank1_free_groups(F, 3, jobs))
+
+
+def _rank1_free_groups(F: FieldCtx, k: int, jobs: int):
+    """The one sweep engine: a chunked od0 pass over every k-dimensional
+    subspace of F^6, keeping those with no rank-1 point grouped by od0."""
     q = F.q
     t = tables(F)
-    chunks = _chunks(q, 4, _block_size(q, 4))
+    chunks = _chunks(q, k, _block_size(q, k))
 
     def work(chunk):
         pattern, start, stop = chunk
-        block = bulk.pattern_block(q, 6, 4, pattern, start, stop)
+        block = bulk.pattern_block(q, 6, k, pattern, start, stop)
         dist = t.od0_batch(block)
         mask = dist[:, 0] == 0
         if not mask.any():
@@ -139,57 +148,49 @@ def _solid_groups(F: FieldCtx, jobs: int):
         for sig, codes in part:
             groups.setdefault(sig, []).append(codes)
     merged = {sig: np.sort(np.concatenate(arrs)) for sig, arrs in groups.items()}
-    return merged, gaussian_binomial(6, 4, q)
+    return merged, gaussian_binomial(6, k, q)
 
 
-@dataclass
-class PlaneSweep:
-    total: int
-    min_rank2: np.ndarray        # int64 codes
-    min_rank3: np.ndarray
-    r1_zero_h2pos: np.ndarray | None   # codes of r1=0 planes whose net has a line pair
+def _codes_where(groups: dict, keep) -> np.ndarray:
+    """Sorted codes of every group whose od0 signature passes keep."""
+    arrs = [codes for sig, codes in groups.items() if keep(sig)]
+    return np.sort(np.concatenate(arrs)) if arrs else np.empty(0, np.int64)
 
 
-def plane_sweep(F: FieldCtx, jobs: int = 1, with_od4: bool = False) -> PlaneSweep:
-    return _cached(("plane_sweep", id(F), with_od4),
-                   lambda: _plane_sweep(F, jobs, with_od4))
+def _has_rank2(sig: tuple) -> bool:
+    return sig[1] + sig[2] > 0
 
 
-def _plane_sweep(F: FieldCtx, jobs: int, with_od4: bool) -> PlaneSweep:
+def _od4_codes(F: FieldCtx, codes: np.ndarray, jobs: int = 1) -> np.ndarray:
+    """Hyperplane-orbit distributions of the planes with the given RREF
+    codes, (N, 4) in the order of codes.
+
+    od4_batch takes one pivot pattern per call, so the planes are split by
+    pattern (the first nonzero column of each row) and each pattern is cut
+    into blocks of at most _block_size(q, 3) planes, which bounds the
+    kernel's memory as the plane sweep does.
+    """
     q = F.q
     t = tables(F)
-    if with_od4:
-        t.hclass_table()  # build before forking
-    chunks = _chunks(q, 3, _block_size(q, 3))
+    t.hclass_table()  # build before forking
+    mats = bulk.decode(codes, q, 18).reshape(-1, 3, 6)
+    piv = np.argmax(mats != 0, axis=2)
+    key = (piv[:, 0] * 6 + piv[:, 1]) * 6 + piv[:, 2]
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    block = _block_size(q, 3)
+    items = [(s, min(s + block, hi))
+             for lo, hi in zip([0, *map(int, cuts)], [*map(int, cuts), len(order)])
+             for s in range(lo, hi, block)]
 
-    def work(chunk):
-        pattern, start, stop = chunk
-        block = bulk.pattern_block(q, 6, 3, pattern, start, stop)
-        dist = t.od0_batch(block)
-        codes = encode_mats(block, q)
-        r1z = dist[:, 0] == 0
-        r2pos = (dist[:, 1] + dist[:, 2]) > 0
-        mr2 = codes[r1z & r2pos]
-        mr3 = codes[r1z & ~r2pos]
-        h2 = None
-        if with_od4 and r1z.any():
-            sub = block[r1z]
-            d4 = t.od4_batch(sub, pattern)
-            h2 = codes[r1z][(d4[:, 1] + d4[:, 2]) > 0]
-        return mr2, mr3, h2
+    def work(item):
+        idx = order[item[0]:item[1]]
+        return t.od4_batch(mats[idx], tuple(int(x) for x in piv[idx[0]]))
 
-    mr2, mr3, h2 = [], [], []
-    for a, b, c in _pmap(work, chunks, jobs):
-        mr2.append(a)
-        mr3.append(b)
-        if c is not None:
-            h2.append(c)
-    return PlaneSweep(
-        total=gaussian_binomial(6, 3, q),
-        min_rank2=np.sort(np.concatenate(mr2)),
-        min_rank3=np.sort(np.concatenate(mr3)),
-        r1_zero_h2pos=np.sort(np.concatenate(h2)) if with_od4 else None,
-    )
+    out = np.empty((len(codes), 4), dtype=np.int64)
+    for (s, e), d4 in zip(items, _pmap(work, items, jobs)):
+        out[order[s:e]] = d4
+    return out
 
 
 def _inner_dual_nullspaces(F: FieldCtx, k: int) -> np.ndarray:
@@ -204,12 +205,32 @@ def min_rank2_coverage(F: FieldCtx, jobs: int = 1) -> np.ndarray:
     """Sorted unique codes of every plane inside a minimum-rank-2 solid."""
     def build():
         groups, _ = solid_groups(F, jobs=jobs)
-        sig_to_id = _min_rank2_solid_sigs(F)
-        arrs = [codes for sig, codes in groups.items() if sig in sig_to_id]
-        if not arrs:
-            return np.empty(0, np.int64)
-        return planes_covered_by_solids(F, np.concatenate(arrs), jobs=jobs)
+        solids = _codes_where(groups, _min_rank2_solid_sigs(F).__contains__)
+        return planes_covered_by_solids(F, solids, jobs=jobs)
     return _cached(("mr2_coverage", id(F)), build)
+
+
+def _complete_planes_by_sig(F: FieldCtx, jobs: int) -> dict[tuple, np.ndarray]:
+    """Complete minimum-rank-2 planes grouped by od0 signature: those of the
+    plane sweep that lie in no minimum-rank-2 solid.  Empty groups are left
+    out."""
+    groups, _ = plane_sweep(F, jobs=jobs)
+    covered = min_rank2_coverage(F, jobs=jobs)
+    out = {}
+    for sig, codes in groups.items():
+        if _has_rank2(sig):
+            left = codes[~np.isin(codes, covered, assume_unique=True)]
+            if len(left):
+                out[sig] = left
+    return out
+
+
+def _line_pair_planes(F: FieldCtx, jobs: int) -> np.ndarray:
+    """Sorted codes of the rank-1-free planes on a line-pair hyperplane
+    (class H2r or H2i)."""
+    codes = _codes_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
+    d4 = _od4_codes(F, codes, jobs)
+    return codes[(d4[:, 1] + d4[:, 2]) > 0]
 
 
 def planes_covered_by_solids(F: FieldCtx, solid_codes: np.ndarray,
@@ -287,35 +308,6 @@ def _line_sweep(F: FieldCtx, jobs: int):
 def _orbit_codes(W: Subspace, budget: int = 2 * 10 ** 6) -> np.ndarray:
     return _cached(("orbit", id(W.F), W.rows),
                    lambda: rows_to_codes(orbit_of(W, budget=budget), W.F.q))
-
-
-def _planes_through_point(F: FieldCtx, P: tuple[int, ...]) -> list[Subspace]:
-    """Planes through a point, via lines of the quotient on a complement.
-
-    The complement basis extends P by standard vectors, so the enumeration
-    is deterministic given P.
-    """
-    from srd3.pg import all_subspaces, canonicalize, rref
-    rows = [tuple(P)]
-    for i in range(6):
-        e = tuple(1 if j == i else 0 for j in range(6))
-        test, rk = rref(F, rows + [e])
-        if rk == len(rows) + 1:
-            rows.append(e)
-    comp = rows[1:]
-    out = []
-    for line in all_subspaces(4, F.q, 1, budget=10 ** 7, F=F):
-        lifted = []
-        for cr in line.rows:
-            v = [0] * 6
-            for c, base in zip(cr, comp):
-                if c:
-                    for j, x in enumerate(base):
-                        if x:
-                            v[j] = F.add(v[j], F.mul(c, x))
-            lifted.append(tuple(v))
-        out.append(canonicalize(F, [tuple(P)] + lifted))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +423,24 @@ def verify_solids(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list
 def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
     """Planes with distributions [0,q+1,0,q^2] and [0,1,0,q^2+q] each form a
     single orbit with hyperplane distributions [q+1,0,0,q^2] / [1,0,0,q^2+q].
-    Full enumeration is restricted to the only candidates: planes meeting
-    the nucleus plane in a line resp. a point."""
+    At q = 4 the check is exhaustive: the plane sweep groups every
+    rank-1-free plane by od0, and each of the two groups must equal the
+    orbit of its representative.  Above q = 4 the representatives and a
+    sample of their images are checked instead."""
     from srd3.atlas import representative
-    from srd3.pg import canonicalize, subspace_points, subspaces_within
+    from srd3.pg import canonicalize
     if F.p != 2 or F.q < 4:
         raise VerifyError("plane-orbit checks need q even, q >= 4")
     q = F.q
     out = []
-    if q > 4:
-        for check_id, rid, d0, d4 in (
-                ("T3.4", "Sigma_16", (0, q + 1, 0, q * q), (q + 1, 0, 0, q * q)),
-                ("T3.8", "Sigma_18", (0, 1, 0, q * q + q), (1, 0, 0, q * q + q))):
-            t0 = time.perf_counter()
-            W = representative(rid, F)
+    for check_id, rid, d0, d4, d0_text, d4_text in (
+            ("T3.4", "Sigma_16", (0, q + 1, 0, q * q), (q + 1, 0, 0, q * q),
+             "[0,q+1,0,q^2]", "[q+1,0,0,q^2]"),
+            ("T3.8", "Sigma_18", (0, 1, 0, q * q + q), (1, 0, 0, q * q + q),
+             "[0,1,0,q^2+q]", "[1,0,0,q^2+q]")):
+        t0 = time.perf_counter()
+        W = representative(rid, F)
+        if q > 4:
             got0, got4 = od0(W), od4(W)
             img_ok = _random_images_keep_od0(W, d0, n=25)
             out.append(make_report(
@@ -454,57 +450,24 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -
                 {"od0": d0, "od4": d4, "images_consistent": True},
                 {"od0": got0, "od4": got4, "images_consistent": img_ok},
                 sampled=True, seconds=time.perf_counter() - t0))
-        return out
-
-    pn = nucleus_plane(F)
-    pn_points = list(subspace_points(pn))
-    all_points = [tuple(v) for v in coefficient_vectors(q, 6)]
-
-    # Sigma_16: candidates are the planes through a line of the nucleus plane
-    t0 = time.perf_counter()
-    cands = set()
-    for line in subspaces_within(pn, 1):
-        for Q in all_points:
-            if line.contains_point(Q):
-                continue
-            cands.add(canonicalize(F, line.rows + (Q,)))
-    want0 = (0, q + 1, 0, q * q)
-    hits = sorted(W.rows for W in cands if od0(W) == want0)
-    orbit = orbit_of(representative("Sigma_16", F))
-    want4 = (q + 1, 0, 0, q * q)
-    od4_all = all(od4(Subspace(F, rows)) == want4 for rows in orbit)
-    excluded = od0(canonicalize(F, ((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0),
-                                    (0, 0, 0, 1, 0, 0))))  # pi_{0,1,0} meets the surface
-    out.append(make_report(
-        "T3.4", F.spec,
-        "planes with point distribution [0,q+1,0,q^2] form one orbit with "
-        "hyperplane distribution [q+1,0,0,q^2]",
-        {"one_orbit": True, "od4_constant": True},
-        {"one_orbit": hits == orbit, "od4_constant": od4_all},
-        seconds=time.perf_counter() - t0,
-        details={"candidates": len(cands), "matching_planes": len(hits),
-                 "orbit_size": len(orbit), "pi_010_od0": list(excluded)}))
-
-    # Sigma_18: candidates are the planes through a point of the nucleus plane
-    t0 = time.perf_counter()
-    cands18 = set()
-    for P in pn_points:
-        for W in _planes_through_point(F, P):
-            cands18.add(W)
-    want0 = (0, 1, 0, q * q + q)
-    hits18 = sorted(W.rows for W in cands18 if od0(W) == want0)
-    orbit18 = orbit_of(representative("Sigma_18", F))
-    want4 = (1, 0, 0, q * q + q)
-    od4_all18 = all(od4(Subspace(F, rows)) == want4 for rows in orbit18)
-    out.append(make_report(
-        "T3.8", F.spec,
-        "planes with point distribution [0,1,0,q^2+q] form one orbit with "
-        "hyperplane distribution [1,0,0,q^2+q]",
-        {"one_orbit": True, "od4_constant": True},
-        {"one_orbit": hits18 == orbit18, "od4_constant": od4_all18},
-        seconds=time.perf_counter() - t0,
-        details={"candidates": len(cands18), "matching_planes": len(hits18),
-                 "orbit_size": len(orbit18)}))
+            continue
+        groups, total = plane_sweep(F, jobs=jobs)
+        hits = groups.get(d0, np.empty(0, np.int64))
+        orbit = _orbit_codes(W)
+        od4_all = bool((_od4_codes(F, orbit) == d4).all())
+        details = {"planes_swept": total, "matching_planes": len(hits),
+                   "orbit_size": len(orbit)}
+        if check_id == "T3.4":
+            # pi_{0,1,0} meets the surface, so it is not in the group
+            details["pi_010_od0"] = list(od0(canonicalize(
+                F, ((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0)))))
+        out.append(make_report(
+            check_id, F.spec,
+            f"planes with point distribution {d0_text} form one orbit with "
+            f"hyperplane distribution {d4_text}",
+            {"one_orbit": True, "od4_constant": True},
+            {"one_orbit": bool(np.array_equal(hits, orbit)), "od4_constant": od4_all},
+            seconds=time.perf_counter() - t0, details=details))
     return out
 
 
@@ -589,13 +552,13 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
     if q > 5:
         raise VerifyError("dichotomy driver runs fully only for q <= 5")
     n_lines, n_complete_lines = line_sweep_completeness(F, jobs=jobs)
-    sweep = plane_sweep(F, jobs=jobs)
-    covered = min_rank2_coverage(F, jobs=jobs)
-    in_cov = np.isin(sweep.min_rank2, covered, assume_unique=True)
-    complete_planes = sweep.min_rank2[~in_cov]
+    by_sig = _complete_planes_by_sig(F, jobs)
+    complete_planes = _codes_where(by_sig, lambda sig: True)
+    groups, _ = plane_sweep(F, jobs=jobs)
+    n_min_rank2 = sum(len(codes) for sig, codes in groups.items() if _has_rank2(sig))
 
-    details = {"min_rank2_lines": n_lines, "min_rank2_planes": len(sweep.min_rank2),
-               "planes_inside_min_rank2_solids": int(in_cov.sum())}
+    details = {"min_rank2_lines": n_lines, "min_rank2_planes": n_min_rank2,
+               "planes_inside_min_rank2_solids": n_min_rank2 - len(complete_planes)}
     flags = _q2_flags(F)
     if F.p == 2:
         # the only complete planes are the nucleus-plane family
@@ -609,7 +572,7 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
             expect_sets = None
         if expect_sets is not None:
             want = np.sort(np.concatenate(expect_sets))
-            comp_eq = bool(np.array_equal(np.sort(complete_planes), want))
+            comp_eq = bool(np.array_equal(complete_planes, want))
             expected = {"complete_lines": 0, "complete_planes_match_family": True}
             computed = {"complete_lines": n_complete_lines,
                         "complete_planes_match_family": comp_eq}
@@ -629,16 +592,11 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
             expected["line_in_solid_example"] = True
             computed["line_in_solid_example"] = bool(ok_line)
         else:
-            by_sig = {}
-            for c in complete_planes:
-                W = Subspace(F, tuple(tuple(int(x) for x in r)
-                                      for r in bulk.decode(np.array([c]), q, 18).reshape(3, 6)))
-                by_sig.setdefault(od0(W), 0)
-                by_sig[od0(W)] += 1
             expected = {"complete_lines": 0, "n_plane_signatures": 3}
             computed = {"complete_lines": n_complete_lines,
                         "n_plane_signatures": len(by_sig)}
-            details["plane_signature_sizes"] = {str(k): v for k, v in sorted(by_sig.items())}
+            details["plane_signature_sizes"] = {str(k): len(v)
+                                                for k, v in sorted(by_sig.items())}
     else:
         expected = {"complete_lines": 0, "complete_planes": 0}
         computed = {"complete_lines": n_complete_lines,
@@ -681,22 +639,10 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
     sig_to_id = _min_rank2_solid_sigs(F)
     solid_sigs = [sig for sig in groups if sig in sig_to_id]
     stray = [sig for sig in groups if sig not in sig_to_id]
-    sweep = plane_sweep(F, jobs=jobs)
-    covered = min_rank2_coverage(F, jobs=jobs)
-    complete_planes = sweep.min_rank2[~np.isin(sweep.min_rank2, covered,
-                                               assume_unique=True)]
+    by_sig = _complete_planes_by_sig(F, jobs)
     n_lines, n_complete_lines = line_sweep_completeness(F, jobs=jobs)
-    d2_classes = len(solid_sigs)
-    plane_sig_count = 0
-    if len(complete_planes):
-        sigs = set()
-        mats = bulk.decode(complete_planes, q, 18).reshape(-1, 3, 6)
-        t = tables(F)
-        dist = t.od0_batch(mats)
-        for s in np.unique(dist, axis=0):
-            sigs.add(tuple(int(x) for x in s))
-        plane_sig_count = len(sigs)
-        d2_classes += plane_sig_count
+    plane_sig_count = len(by_sig)
+    d2_classes = len(solid_sigs) + plane_sig_count
     n_msrd = len(solid_sigs)
     if F.p == 2:
         expected_d2 = 6
@@ -715,7 +661,7 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
         seconds=time.perf_counter() - t0, flags=flags,
         details={"solid_classes": len(solid_sigs),
                  "complete_plane_classes": plane_sig_count,
-                 "complete_planes": len(complete_planes),
+                 "complete_planes": sum(len(v) for v in by_sig.values()),
                  "min_rank2_lines": n_lines}))
 
     # ----- d = 3 ----------------------------------------------------------
@@ -733,7 +679,8 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
     else:
         disjoint = True
     union = np.unique(np.concatenate(orbits))
-    covered_all = bool(np.array_equal(union, sweep.min_rank3))
+    min_rank3 = _codes_where(plane_sweep(F, jobs=jobs)[0], lambda sig: not _has_rank2(sig))
+    covered_all = bool(np.array_equal(union, min_rank3))
     expected_d3 = 1 if F.p == 2 else 2
     expected_ext = [3] if F.p == 2 else [3, 0]
     out.append(make_report(
@@ -745,7 +692,7 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
         {"classes": len(orbits), "orbits_cover_all": covered_all,
          "disjoint": bool(disjoint), "extension_rank1_counts": ext_counts},
         seconds=time.perf_counter() - t1, flags=flags,
-        details={"min_rank3_planes": len(sweep.min_rank3),
+        details={"min_rank3_planes": len(min_rank3),
                  "orbit_sizes": [len(o) for o in orbits]}))
     return out
 
@@ -792,9 +739,9 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
             details={"sampled_planes": SAMPLE_SIZE, "checked": len(h2pos)})
         return [report]
 
-    sweep = plane_sweep(F, jobs=jobs, with_od4=True)
+    _, total = plane_sweep(F, jobs=jobs)
     covered = min_rank2_coverage(F, jobs=jobs)
-    target = sweep.r1_zero_h2pos
+    target = _line_pair_planes(F, jobs)
     ok = np.isin(target, covered, assume_unique=True)
     n_viol = int((~ok).sum())
 
@@ -820,7 +767,7 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
         {"violations": n_viol, "spot": spot_computed},
         seconds=time.perf_counter() - t0, flags=flags,
         details={"planes_r1zero_with_line_pair": len(target),
-                 "total_planes": sweep.total})]
+                 "total_planes": total})]
 
 
 def verify_schmidt(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:

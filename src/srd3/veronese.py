@@ -238,11 +238,3 @@ def polarity_rho(F: FieldCtx, W: Subspace) -> Subspace:
     scaled = tuple(tuple(F.mul(gj, x) for gj, x in zip(g, row)) for row in W.rows)
     basis = nullspace(F, scaled)
     return Subspace(F, rref(F, basis)[0])
-
-
-def rho_point(F: FieldCtx, y: Iterable[int]) -> Vec6:
-    """Dual vector of the polar hyperplane of a point."""
-    if F.p == 2:
-        raise FieldError("the trace-form polarity requires odd q")
-    g = _trace_gram(F)
-    return normalize_vec(F, tuple(F.mul(gj, x) for gj, x in zip(g, y)))

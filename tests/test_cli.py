@@ -106,3 +106,45 @@ def test_byte_identical_reports_across_jobs(capsys):
     two = capsys.readouterr().out
     strip = lambda s: [l for l in s.splitlines() if '"seconds"' not in l]
     assert strip(one) == strip(two)
+
+
+def _one_line_error(capsys) -> str:
+    """The captured stderr, checked to be a single error line with nothing
+    on stdout."""
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1, cap.err
+    assert cap.out == ""
+    return cap.err
+
+
+@pytest.mark.parametrize("basis, what", [
+    ('[[[1,0,0],[0,"a",0],[0,0,1]]]', "'a' is not an integer"),
+    ('[1]', "matrix 0 is not a list"),
+    ('[[[1,0,0],[0,1.5,0],[0,0,1]]]', "1.5 is not an integer"),
+], ids=["string_entry", "bare_number_matrix", "float_entry"])
+def test_classify_rejects_non_integer_json(tmp_path, capsys, basis, what):
+    f = tmp_path / "bad.json"
+    f.write_text('{"field": "3", "basis": %s}' % basis)
+    assert main(["classify", "--input", str(f)]) == 2
+    assert what in _one_line_error(capsys)
+
+
+def test_field_above_table_range_exit_2(tmp_path, capsys):
+    assert main(["verify", "--field", "32", "--theorem", "censuses"]) == 2
+    _one_line_error(capsys)
+    f = tmp_path / "q32.json"
+    f.write_text('{"field": "32", "basis": [[[1,0,0],[0,1,0],[0,0,1]]]}')
+    assert main(["classify", "code", "--input", str(f)]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--field", "3", "--theorem", "censuses", "--jobs", "0"],
+    ["acceptance", "--fields", "3", "--jobs", "-1"],
+    ["enumerate", "--field", "3", "--dim", "7", "--count-only"],
+    ["enumerate", "--field", "3", "--dim", "-1", "--count-only"],
+], ids=["verify_jobs_0", "acceptance_jobs_negative", "enumerate_dim_7",
+        "enumerate_dim_negative"])
+def test_out_of_range_options_exit_2(capsys, argv):
+    assert main(argv) == 2
+    _one_line_error(capsys)

@@ -7,12 +7,12 @@ import pytest
 from srd3.gf import make_field
 from srd3.pg import canonicalize, coefficient_vectors
 from srd3.invariants import (classify_hyperplane, classify_point,
-                             exterior_by_tangents, group_order_bfs,
-                             hyperplane_census, od0, od4,
+                             exterior_by_tangents, hyperplane_census, od0, od4,
                              orbit_of, pgl3_order, point_census,
-                             rank_distribution, minimum_rank,
-                             stabilizer_order, tables)
+                             rank_distribution, tables)
 from srd3.veronese import nucleus_plane, veronese, veronese_points
+
+from oracles import group_order_bfs, stabilizer_order
 
 
 def test_classify_point_examples():
@@ -107,7 +107,8 @@ def test_rank_distribution_and_min_rank():
     rd = rank_distribution(W)
     assert sum(rd) == 4
     assert rd[0] == 2  # the two diagonal rank-1 points
-    assert minimum_rank(W) == 1
+    from srd3.codes import SrdCode, min_distance
+    assert min_distance(SrdCode.from_subspace(W)) == 1
 
 
 def test_group_orders():

@@ -6,9 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from srd3 import bulk
 from srd3.gf import make_field
+from srd3.invariants import tables
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
-from srd3.verify import (VerifyError, line_sweep_completeness,
+from srd3.verify import (VerifyError, _line_pair_planes, encode_mats,
+                         line_sweep_completeness,
                          min_rank2_coverage, plane_sweep, run_checks,
                          solid_groups, verify_censuses, verify_class_counts,
                          verify_completeness_dichotomy, verify_net_corollaries,
@@ -144,11 +147,40 @@ def test_jobs_determinism_q3():
 def test_coverage_cache_consistency():
     F = make_field(3, 1)
     cov = min_rank2_coverage(F)
-    sweep = plane_sweep(F)
+    groups, total = plane_sweep(F)
+    assert total == 33880
+    min_rank2 = [c for sig, c in groups.items() if sig[1] + sig[2] > 0]
+    min_rank3 = [c for sig, c in groups.items() if sig[1] + sig[2] == 0]
+    assert min_rank2 and min_rank3
     # at q odd every minimum-rank-2 plane lies inside a minimum-rank-2 solid
-    assert np.isin(sweep.min_rank2, cov, assume_unique=True).all()
+    assert all(np.isin(c, cov, assume_unique=True).all() for c in min_rank2)
     # and the coverage contains nothing of minimum rank 3
-    assert not np.isin(sweep.min_rank3, cov, assume_unique=True).any()
+    assert not any(np.isin(c, cov, assume_unique=True).any() for c in min_rank3)
+
+
+def test_line_pair_planes_match_chunked_od4_q3():
+    # oracle: od4_batch per sweep chunk over every rank-1-free plane, as the
+    # plane sweep computed it before od4 moved out of the sweep
+    F = make_field(3, 1)
+    t = tables(F)
+    want = []
+    for pattern, _, block in bulk.iter_subspace_blocks(5, 3, 2, block=4096):
+        block = block[t.od0_batch(block)[:, 0] == 0]
+        if len(block):
+            d4 = t.od4_batch(block, pattern)
+            want.append(encode_mats(block[(d4[:, 1] + d4[:, 2]) > 0], 3))
+    want = np.sort(np.concatenate(want))
+    assert np.array_equal(_line_pair_planes(F, jobs=1), want)
+    assert np.array_equal(_line_pair_planes(F, jobs=2), want)
+
+
+def test_each_grassmannian_swept_once_q3():
+    import srd3.verify as V
+    V._sweep_cache.clear()
+    _ok(run_checks(make_field(3, 1)))
+    tags = [key[0] for key in V._sweep_cache]
+    assert tags.count("plane_sweep") == 1
+    assert tags.count("solid_groups") == 1
 
 
 def test_render_formats():

@@ -12,8 +12,10 @@ from srd3.veronese import (as_matrix, conic_plane_of,
                            coords_of_matrix, delta, double_line_dual, h1_duals,
                            in_nucleus_plane, k_action, kernel_point, lift,
                            mat_mul, nucleus_plane, pg2_points, point_rank,
-                           polarity_rho, rho_point, transpose, veronese,
+                           polarity_rho, transpose, veronese,
                            veronese_points)
+
+from oracles import rho_point
 
 
 def test_veronese_examples():

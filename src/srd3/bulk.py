@@ -60,10 +60,16 @@ def kit_for(F: FieldCtx) -> Kit:
 # ---------------------------------------------------------------------------
 
 def encode(vecs: np.ndarray, q: int) -> np.ndarray:
-    """Base-q integer code of each vector, first coordinate most significant."""
-    c = vecs.shape[-1]
-    weights = q ** np.arange(c - 1, -1, -1, dtype=np.int64)
-    return vecs.astype(np.int64) @ weights
+    """Base-q integer code of each vector, first coordinate most significant.
+
+    Horner's rule over the last axis, so the only int64 array is the
+    result: casting the whole point array first would multiply its memory
+    by eight."""
+    out = np.zeros(vecs.shape[:-1], dtype=np.int64)
+    for i in range(vecs.shape[-1]):
+        out *= q
+        out += vecs[..., i]
+    return out
 
 
 def decode(codes: np.ndarray, q: int, c: int) -> np.ndarray:
@@ -82,6 +88,40 @@ def normalize_rows(kit: Kit, vecs: np.ndarray) -> np.ndarray:
     lead = vecs[np.arange(n), lead_idx]
     inv = kit.INV[lead]
     return kit.mul(inv[:, None], vecs)
+
+
+def quotient_codes(kit: Kit, bases: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Images of points in the quotient F^c / W for each subspace W.
+
+    bases: (N, k, c) full-rank RREF bases, pivot patterns may differ;
+    points: (P, c).  Returns (N, P) int64: the base-q code of the image,
+    scaled so its first nonzero coordinate is 1, in the c - k free
+    coordinates of W, and 0 for a point inside W.  The image is
+    v - sum_i v[piv_i] row_i, which vanishes on the pivot columns, so two
+    points have the same code iff they span the same subspace with W.
+    """
+    N, k, c = bases.shape
+    piv = np.argmax(bases != 0, axis=2)                       # (N, k)
+    is_piv = np.zeros((N, c), dtype=bool)
+    is_piv[np.arange(N)[:, None], piv] = True
+    free = np.nonzero(~is_piv)[1].reshape(N, c - k)          # ascending
+    rows = np.take_along_axis(bases, free[:, None, :], axis=2)  # (N, k, c-k)
+    acc = points.T[free].transpose(0, 2, 1)                  # (N, P, c-k)
+    at_piv = points.T[piv]                                   # (N, k, P)
+    for i in range(k):
+        acc = kit.sub(acc, kit.mul(at_piv[:, i, :, None], rows[:, i, None, :]))
+    lead = np.take_along_axis(acc, np.argmax(acc != 0, axis=2)[..., None], axis=2)
+    return encode(kit.mul(kit.INV[lead], acc), kit.q)
+
+
+def covers_quotient(kit: Kit, bases: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """For each subspace W of bases (as in quotient_codes), whether the
+    images of points outside W cover every point of the quotient
+    PG(c-k-1, q): (N,) bool."""
+    N, k, c = bases.shape
+    img = np.sort(quotient_codes(kit, bases, points), axis=1)
+    distinct = 1 + np.count_nonzero(np.diff(img, axis=1), axis=1) - (img[:, 0] == 0)
+    return distinct == (kit.q ** (c - k) - 1) // (kit.q - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ A code is a subspace of the 6-dimensional space of symmetric 3x3 matrices;
 its minimum distance equals the minimum rank over nonzero codewords, which
 equals the minimum point rank of the associated subspace of PG(5,q).
 
-Completeness (no extension preserving the minimum distance) is decided by
-coverage: a candidate extension point Q fails iff the span of the code with
-Q contains a point of rank < d, i.e. iff Q lies in the span of the code
-with some low-rank point v.  Marking those spans over the handful of
-low-rank points is an order of magnitude cheaper than testing every Q
-directly and gives the same answer.
+Completeness (no extension preserving the minimum distance) is decided in
+the quotient.  Let W be the code, k its dimension and d its distance, so W
+has no point of rank < d.  A point Q outside W extends W iff <W, Q> has no
+point v of rank < d, and such a v lies in <W, Q> iff v and Q have the same
+image in F^6/W: the spans <W, v> pairwise meet only in W.  So W is complete
+iff the images of the points of rank < d cover PG(5-k, q), and the
+extension points are the points whose image is not one of theirs.  One
+batched projection (bulk.quotient_codes) decides both.
 
 Classification of complete codes into equivalence classes goes by rank
 distribution signatures, which separate all classes; the d = 3 split into
@@ -25,9 +27,12 @@ from functools import cached_property
 from numbers import Integral
 from typing import Iterable
 
+import numpy as np
+
+from srd3 import bulk
 from srd3.gf import FieldCtx, parse_field_spec
 from srd3.invariants import rank_distribution, tables
-from srd3.pg import Subspace, canonicalize, coefficient_vectors, rref, subspace_points
+from srd3.pg import Subspace, canonicalize, rref
 from srd3.veronese import as_matrix, coords_of_matrix
 
 
@@ -123,54 +128,45 @@ def is_msrd(C: SrdCode) -> bool:
     return C.dim == dim_bound(3, min_distance(C))
 
 
-def _low_rank_points(F: FieldCtx, d: int) -> list[tuple[int, ...]]:
-    t = tables(F)
-    out = []
-    for v in coefficient_vectors(F.q, 6):
-        code = 0
-        for x in v:
-            code = code * F.q + x
-        if 1 <= t.rank_code[code] < d:
-            out.append(v)
-    return out
+_points_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _points_of_rank_below(F: FieldCtx, d: int) -> np.ndarray:
+    """The points of PG(5,q) of rank < d as normalized vectors (P, 6), in
+    lexicographic order; d = 4 gives every point."""
+    key = (id(F), d)
+    pts = _points_cache.get(key)
+    if pts is None:
+        rank = tables(F).rank_code
+        vecs = bulk.decode(np.flatnonzero((rank >= 1) & (rank < d)), F.q, 6)
+        lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+        pts = _points_cache[key] = vecs[lead == 1]
+    return pts
 
 
 def is_complete(C: SrdCode) -> bool:
-    """No point of PG(5,q) extends the code at its minimum distance."""
-    F = C.F
+    """No point of PG(5,q) extends the code at its minimum distance: the
+    images of the points of rank < d cover the quotient PG(5-k, q)."""
     d = min_distance(C)
-    q = F.q
-    total = (q ** 6 - 1) // (q - 1)
-    W = C.subspace
     if d == 1:
-        return W.k == 6
-    if W.k == 6:
-        return True
-    covered: set[tuple[int, ...]] = set()
-    for v in _low_rank_points(F, d):
-        span = canonicalize(F, W.rows + (v,))
-        covered.update(subspace_points(span))
-    # every point outside W must be covered by some low-rank extension
-    return len(covered) >= total  # covered includes the points of W itself
+        return C.dim == 6
+    W = np.array([C.subspace.rows], dtype=np.uint8)
+    return bool(bulk.covers_quotient(bulk.kit_for(C.F), W, _points_of_rank_below(C.F, d))[0])
 
 
 def extension_points(C: SrdCode) -> list[tuple[int, ...]]:
     """Points Q whose adjunction preserves the minimum distance, in
-    lexicographic order."""
-    F = C.F
-    d = min_distance(C)
-    W = C.subspace
-    if d == 1:
-        out = []
-        for v in coefficient_vectors(F.q, 6):
-            if not W.contains_point(v):
-                out.append(v)
-        return out
-    covered: set[tuple[int, ...]] = set(subspace_points(W))
-    for v in _low_rank_points(F, d):
-        span = canonicalize(F, W.rows + (v,))
-        covered.update(subspace_points(span))
-    return [v for v in coefficient_vectors(F.q, 6) if v not in covered]
+    lexicographic order: those outside the code whose image in the
+    quotient is no image of a point of rank < d."""
+    if C.dim == 6:
+        return []
+    kit = bulk.kit_for(C.F)
+    W = np.array([C.subspace.rows], dtype=np.uint8)
+    pts = _points_of_rank_below(C.F, 4)
+    img = bulk.quotient_codes(kit, W, pts)[0]
+    low = bulk.quotient_codes(kit, W, _points_of_rank_below(C.F, min_distance(C)))[0]
+    keep = (img != 0) & ~np.isin(img, low)
+    return [tuple(int(x) for x in v) for v in pts[keep]]
 
 
 def extend_to_complete(C: SrdCode) -> SrdCode:
@@ -203,10 +199,15 @@ def classify(C: SrdCode) -> str:
     d=2 planes (q even) by the same count (0, q^2, q^2+q); d=3 codes by the
     rank-1 count of the scalar extension to GF(q^3).
     """
+    return _label(C, is_complete(C))
+
+
+def _label(C: SrdCode, complete: bool) -> str:
+    """classify(C), given whether C is complete."""
     F = C.F
     q = F.q
     d = min_distance(C)
-    if not is_complete(C):
+    if not complete:
         return "NotComplete"
     if d == 1:
         return "WholeSpace"
@@ -244,6 +245,7 @@ class ClassSignatureError(RuntimeError):
 def describe(C: SrdCode) -> dict:
     """All cached invariants of a code, JSON-ready."""
     d = min_distance(C)
+    complete = is_complete(C)
     return {
         "field": C.F.spec,
         "dim": C.dim,
@@ -251,8 +253,8 @@ def describe(C: SrdCode) -> dict:
         "min_distance": d,
         "rank_distribution": list(code_rank_distribution(C)),
         "is_msrd": is_msrd(C),
-        "is_complete": is_complete(C),
-        "label": classify(C),
+        "is_complete": complete,
+        "label": _label(C, complete),
     }
 
 

@@ -139,7 +139,7 @@ class GeomTables:
 
     def __init__(self, F: FieldCtx):
         if F.q > 16:
-            raise BudgetExceeded(F.q ** 6, 16 ** 6)
+            raise FieldError(f"point tables support q <= 16, got q={F.q}")
         self.F = F
         q = F.q
         self.kit = bulk.kit_for(F)

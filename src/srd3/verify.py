@@ -9,6 +9,13 @@ the command line and the acceptance suite; every report carries one.
 The sweeps are chunked: a chunk is one (pivot pattern, index range) slice
 of the canonical RREF enumeration, so results are independent of the chunk
 schedule and of the number of worker processes.
+
+Completeness is decided in the quotient, never by collecting point sets.
+A subspace W with no rank-1 point is a complete distance-2 code iff the
+images of the q^2+q+1 rank-1 points in F^6/W cover PG(5-k, q): the spans
+<W, v> pairwise meet only in W, so a point Q outside W has a rank-1 point
+in <W, Q> iff its image is one of theirs.  The line count, the plane
+coverage and the sampled C4 check all use this test (_complete_mask).
 """
 
 from __future__ import annotations
@@ -193,26 +200,42 @@ def _od4_codes(F: FieldCtx, codes: np.ndarray, jobs: int = 1) -> np.ndarray:
     return out
 
 
-def _inner_dual_nullspaces(F: FieldCtx, k: int) -> np.ndarray:
-    """For each normalized dual w of F^k, a basis of {x : x.w = 0}: (M, k-1, k)."""
-    out = []
-    for w in coefficient_vectors(F.q, k):
-        out.append(nullspace(F, (w,)))
-    return np.array(out, dtype=np.uint8)
-
-
 def min_rank2_coverage(F: FieldCtx, jobs: int = 1) -> np.ndarray:
-    """Sorted unique codes of every plane inside a minimum-rank-2 solid."""
+    """Sorted codes of the rank-1-free planes that lie inside a rank-1-free
+    solid: those whose rank-1 points' images do not cover the quotient
+    PG(2,q) (see _complete_mask)."""
     def build():
-        groups, _ = solid_groups(F, jobs=jobs)
-        solids = _codes_where(groups, _min_rank2_solid_sigs(F).__contains__)
-        return planes_covered_by_solids(F, solids, jobs=jobs)
+        codes = _codes_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
+        return codes[~_complete_mask(F, codes, 3, jobs)]
     return _cached(("mr2_coverage", id(F)), build)
+
+
+def _complete_mask(F: FieldCtx, codes: np.ndarray, k: int, jobs: int = 1) -> np.ndarray:
+    """Which of the given rank-1-free k-subspaces (RREF codes) are complete
+    as distance-2 codes.
+
+    A point Q outside W extends W iff <W, Q> has no rank-1 point v, and
+    v lies in <W, Q> iff v and Q have the same image in F^6/W, because the
+    spans <W, v> pairwise meet only in W.  So W is complete iff the images
+    of the q^2+q+1 rank-1 points cover all of PG(5-k, q).
+    """
+    q = F.q
+    kit = bulk.kit_for(F)
+    v6 = tables(F).v6
+    block = max(256, (1 << 20) // len(v6))
+    items = [(s, min(s + block, len(codes))) for s in range(0, len(codes), block)]
+
+    def work(item):
+        bases = bulk.decode(codes[item[0]:item[1]], q, 6 * k).reshape(-1, k, 6)
+        return bulk.covers_quotient(kit, bases, v6)
+
+    parts = _pmap(work, items, jobs)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=bool)
 
 
 def _complete_planes_by_sig(F: FieldCtx, jobs: int) -> dict[tuple, np.ndarray]:
     """Complete minimum-rank-2 planes grouped by od0 signature: those of the
-    plane sweep that lie in no minimum-rank-2 solid.  Empty groups are left
+    plane sweep that lie in no rank-1-free solid.  Empty groups are left
     out."""
     groups, _ = plane_sweep(F, jobs=jobs)
     covered = min_rank2_coverage(F, jobs=jobs)
@@ -233,9 +256,21 @@ def _line_pair_planes(F: FieldCtx, jobs: int) -> np.ndarray:
     return codes[(d4[:, 1] + d4[:, 2]) > 0]
 
 
+def _inner_dual_nullspaces(F: FieldCtx, k: int) -> np.ndarray:
+    """For each normalized dual w of F^k, a basis of {x : x.w = 0}: (M, k-1, k)."""
+    out = []
+    for w in coefficient_vectors(F.q, k):
+        out.append(nullspace(F, (w,)))
+    return np.array(out, dtype=np.uint8)
+
+
 def planes_covered_by_solids(F: FieldCtx, solid_codes: np.ndarray,
                              jobs: int = 1) -> np.ndarray:
-    """Sorted unique codes of every plane inside any of the given solids."""
+    """Sorted unique codes of every plane inside any of the given solids.
+
+    The program does not call this: it is the enumerative oracle against
+    which the test suite checks min_rank2_coverage at small q.
+    """
     q = F.q
     kit = bulk.kit_for(F)
     nd = _inner_dual_nullspaces(F, 4)          # (M, 3, 4)
@@ -259,50 +294,16 @@ def planes_covered_by_solids(F: FieldCtx, solid_codes: np.ndarray,
 
 
 def line_sweep_completeness(F: FieldCtx, jobs: int = 1):
-    """All lines of minimum rank 2 with their exact extension-coverage size.
+    """Minimum-rank-2 lines and how many of them are complete.
 
-    Returns (n_min_rank2, n_complete): a line is complete iff the union of
-    its spans with the rank-1 points covers every point, and the exact union
-    size is computed for every line (it is bounded by (q^2+q+1)^2, which is
-    why none can be complete).
+    Returns (n_min_rank2, n_complete).  A line is complete iff the q^2+q+1
+    images of the rank-1 points cover the q^3+q^2+q+1 points of the
+    quotient PG(3,q) (see _complete_mask), which is why none can be.
     """
-    return _cached(("line_sweep", id(F)), lambda: _line_sweep(F, jobs))
-
-
-def _line_sweep(F: FieldCtx, jobs: int):
-    q = F.q
-    t = tables(F)
-    kit = bulk.kit_for(F)
-    total_pts = (q ** 6 - 1) // (q - 1)
-    v_arr = t.v6                                  # (s, 6) rank-1 points
-    s = len(v_arr)
-    coeff3 = t.coeffs(3)
-    chunks = _chunks(q, 2, max(256, (1 << 20) // (s * len(coeff3))))
-
-    def work(chunk):
-        pattern, start, stop = chunk
-        block = bulk.pattern_block(q, 6, 2, pattern, start, stop)
-        dist = t.od0_batch(block)
-        mask = (dist[:, 0] == 0) & ((dist[:, 1] + dist[:, 2]) > 0)
-        if not mask.any():
-            return 0, 0
-        lines = block[mask]
-        n = len(lines)
-        stacked = np.empty((n, s, 3, 6), dtype=np.uint8)
-        stacked[:, :, :2, :] = lines[:, None, :, :]
-        stacked[:, :, 2, :] = v_arr[None, :, :]
-        pts = bulk.combine(kit, coeff3, stacked.reshape(n * s, 3, 6))
-        pts = bulk.normalize_rows(kit, pts.reshape(-1, 6)).reshape(n, -1, 6)
-        codes = bulk.encode(pts, q).reshape(n, -1)
-        codes.sort(axis=1)
-        distinct = 1 + (np.diff(codes, axis=1) != 0).sum(axis=1)
-        return n, int((distinct >= total_pts).sum())
-
-    n_lines = n_complete = 0
-    for a, b in _pmap(work, chunks, jobs):
-        n_lines += a
-        n_complete += b
-    return n_lines, n_complete
+    def build():
+        lines = _codes_where(_rank1_free_groups(F, 2, jobs)[0], _has_rank2)
+        return len(lines), int(_complete_mask(F, lines, 2, jobs).sum())
+    return _cached(("line_sweep", id(F)), build)
 
 
 def _orbit_codes(W: Subspace, budget: int = 2 * 10 ** 6) -> np.ndarray:
@@ -724,10 +725,9 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
             cls = htab[bulk.encode(duals, q)]
             if ((cls == 2) | (cls == 3)).any():
                 h2pos.append(rows)
-        covered = min_rank2_coverage(F, jobs=jobs)
         if h2pos:
             codes = encode_mats(np.array(h2pos, dtype=np.uint8), q)
-            bad = int((~np.isin(codes, covered, assume_unique=False)).sum())
+            bad = int(_complete_mask(F, codes, 3, jobs).sum())
         else:
             bad = 0
         report = make_report(

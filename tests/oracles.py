@@ -2,18 +2,26 @@
 
 Each one recomputes by brute force a fact that the package relies on
 without computing it: that k_generators generate PGL(3,q) (orbit_of walks
-orbits under those generators), orbit-stabiliser counts, and the polar
-hyperplane of a point under the trace form.
+orbits under those generators), orbit-stabiliser counts, the polar
+hyperplane of a point under the trace form, and completeness as the exact
+union of the spans <W, v> over the low-rank points v, which the package
+decides in the quotient F^6/W instead.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
+from srd3 import bulk
+from srd3.codes import SrdCode, min_distance
 from srd3.gf import FieldCtx, FieldError
-from srd3.invariants import k_generators, orbit_of, pgl3_order
-from srd3.pg import BudgetExceeded, Subspace, normalize_vec
+from srd3.invariants import k_generators, orbit_of, pgl3_order, tables
+from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
+                     normalize_vec, subspace_points)
 from srd3.veronese import mat_mul
+from srd3.verify import _chunks, _pmap
 
 
 def group_order_bfs(F: FieldCtx, budget: int = 10 ** 6) -> int:
@@ -66,3 +74,77 @@ def rho_point(F: FieldCtx, y: Iterable[int]) -> tuple[int, ...]:
     two = F.add(1, 1)
     g = (1, two, two, 1, two, 1)
     return normalize_vec(F, tuple(F.mul(gj, x) for gj, x in zip(g, y)))
+
+
+def line_sweep_union(F: FieldCtx, jobs: int = 1) -> tuple[int, int]:
+    """(minimum-rank-2 lines, complete ones), each line's coverage taken as
+    the exact union of the (q^2+q+1)^2 points of its spans with the rank-1
+    points."""
+    q = F.q
+    t = tables(F)
+    kit = bulk.kit_for(F)
+    total_pts = (q ** 6 - 1) // (q - 1)
+    v_arr = t.v6
+    s = len(v_arr)
+    coeff3 = t.coeffs(3)
+    chunks = _chunks(q, 2, max(256, (1 << 20) // (s * len(coeff3))))
+
+    def work(chunk):
+        pattern, start, stop = chunk
+        block = bulk.pattern_block(q, 6, 2, pattern, start, stop)
+        dist = t.od0_batch(block)
+        mask = (dist[:, 0] == 0) & ((dist[:, 1] + dist[:, 2]) > 0)
+        if not mask.any():
+            return 0, 0
+        lines = block[mask]
+        n = len(lines)
+        stacked = np.empty((n, s, 3, 6), dtype=np.uint8)
+        stacked[:, :, :2, :] = lines[:, None, :, :]
+        stacked[:, :, 2, :] = v_arr[None, :, :]
+        pts = bulk.combine(kit, coeff3, stacked.reshape(n * s, 3, 6))
+        pts = bulk.normalize_rows(kit, pts.reshape(-1, 6)).reshape(n, -1, 6)
+        codes = bulk.encode(pts, q).reshape(n, -1)
+        codes.sort(axis=1)
+        distinct = 1 + (np.diff(codes, axis=1) != 0).sum(axis=1)
+        return n, int((distinct >= total_pts).sum())
+
+    n_lines = n_complete = 0
+    for a, b in _pmap(work, chunks, jobs):
+        n_lines += a
+        n_complete += b
+    return n_lines, n_complete
+
+
+def _low_rank_points(F: FieldCtx, d: int) -> list[tuple[int, ...]]:
+    t = tables(F)
+    out = []
+    for v in coefficient_vectors(F.q, 6):
+        code = 0
+        for x in v:
+            code = code * F.q + x
+        if 1 <= t.rank_code[code] < d:
+            out.append(v)
+    return out
+
+
+def _covered(C: SrdCode) -> set[tuple[int, ...]]:
+    """Points of the code and of every span <W, v> with rank(v) < d."""
+    F, W = C.F, C.subspace
+    covered = set(subspace_points(W))
+    for v in _low_rank_points(F, min_distance(C)):
+        covered.update(subspace_points(canonicalize(F, W.rows + (v,))))
+    return covered
+
+
+def is_complete_union(C: SrdCode) -> bool:
+    """codes.is_complete by the point-set union."""
+    if min_distance(C) == 1:
+        return C.dim == 6
+    q = C.F.q
+    return len(_covered(C)) == (q ** 6 - 1) // (q - 1)
+
+
+def extension_points_union(C: SrdCode) -> list[tuple[int, ...]]:
+    """codes.extension_points by the point-set union."""
+    covered = _covered(C)
+    return [v for v in coefficient_vectors(C.F.q, 6) if v not in covered]

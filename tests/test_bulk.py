@@ -27,6 +27,42 @@ def test_rref_batch_matches_scalar(p, h):
         assert tuple(got) == rows
 
 
+def test_encode_matches_weighted_sum():
+    rng = np.random.default_rng(7)
+    vecs = rng.integers(0, 5, size=(4, 9, 18), dtype=np.uint8)
+    weights = 5 ** np.arange(17, -1, -1, dtype=np.int64)
+    assert np.array_equal(bulk.encode(vecs, 5), vecs.astype(np.int64) @ weights)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_quotient_codes_match_spans(p, h):
+    # two points get the same nonzero code iff they span the same subspace
+    # with W, and code 0 iff they lie in W
+    from srd3.pg import canonicalize, coefficient_vectors
+    F = make_field(p, h)
+    kit = bulk.kit_for(F)
+    pts = np.array(list(coefficient_vectors(F.q, 6)), dtype=np.uint8)
+    rng = np.random.default_rng(p * 10 + h)
+    for k in (1, 2, 3, 4, 5):
+        red, rk = bulk.rref_batch(kit, rng.integers(0, F.q, (3, k, 6), dtype=np.uint8))
+        red = red[rk == k]
+        codes = bulk.quotient_codes(kit, red, pts)
+        for W, row in zip(red, codes):
+            rows = tuple(tuple(int(x) for x in r) for r in W)
+            span_of = {}
+            for v, c in zip(pts, row):
+                S = canonicalize(F, rows + (tuple(int(x) for x in v),))
+                span_of.setdefault(int(c), set()).add(S.rows if S.k > k else None)
+            assert span_of.pop(0, {None}) == {None}
+            assert all(len(spans) == 1 and None not in spans for spans in span_of.values())
+            assert len(span_of) == (F.q ** (6 - k) - 1) // (F.q - 1)
+        # all points cover the quotient (those inside W count for nothing),
+        # and one point does not unless the quotient is a single point
+        assert bulk.covers_quotient(kit, red, pts).all()
+        if k < 5:
+            assert not bulk.covers_quotient(kit, red, pts[:1]).any()
+
+
 def test_encode_decode_roundtrip():
     codes = np.arange(3 ** 6)
     vecs = bulk.decode(codes, 3, 6)

@@ -130,12 +130,13 @@ def test_classify_rejects_non_integer_json(tmp_path, capsys, basis, what):
 
 
 def test_field_above_table_range_exit_2(tmp_path, capsys):
+    want = "point tables support q <= 16, got q=32"
     assert main(["verify", "--field", "32", "--theorem", "censuses"]) == 2
-    _one_line_error(capsys)
+    assert want in _one_line_error(capsys)
     f = tmp_path / "q32.json"
     f.write_text('{"field": "32", "basis": [[[1,0,0],[0,1,0],[0,0,1]]]}')
     assert main(["classify", "code", "--input", str(f)]) == 2
-    _one_line_error(capsys)
+    assert want in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("argv", [

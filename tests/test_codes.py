@@ -6,14 +6,18 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srd3.gf import make_field
 from srd3.atlas import representative, sigma18_plane, sigma_gf_plane, sigma_tf_plane
 from srd3.codes import (CodeFormatError, SrdCode, classify, code_from_json,
                         code_rank_distribution, code_to_json, describe,
-                        dim_bound, extend_to_complete, is_complete, is_msrd,
-                        min_distance)
+                        dim_bound, extend_to_complete, extension_points,
+                        is_complete, is_msrd, min_distance)
+from srd3.pg import rref, Subspace
 from srd3.veronese import nucleus_plane
+
+from oracles import extension_points_union, is_complete_union
 
 
 def _code(F, *mats):
@@ -223,3 +227,32 @@ def test_describe_identity_span_f3():
     assert d["dim"] == 1 and d["min_distance"] == 3
     assert d["is_msrd"] is False and d["is_complete"] is False
     assert d["label"] == "NotComplete"
+
+
+@st.composite
+def _random_codes(draw):
+    p, h = draw(st.sampled_from([(2, 1), (3, 1)]))
+    F = make_field(p, h)
+    k = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(st.integers(0, F.q - 1), min_size=6, max_size=6),
+                         min_size=k, max_size=k))
+    rows, rank = rref(F, gens)
+    if rank == 0:
+        rows, rank = ((0, 0, 0, 0, 0, 1),), 1
+    return SrdCode.from_subspace(Subspace(F, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_codes())
+def test_completeness_matches_union_oracle(C):
+    assert is_complete(C) == is_complete_union(C)
+    assert extension_points(C) == extension_points_union(C)
+
+
+@pytest.mark.parametrize("q", [(3, 1), (2, 2)], ids=["q3", "q4"])
+def test_is_complete_matches_union_oracle_on_atlas(q):
+    from srd3.atlas import rep_ids
+    F = make_field(*q)
+    for rid in rep_ids(F):
+        C = SrdCode.from_subspace(representative(rid, F))
+        assert is_complete(C) == is_complete_union(C), rid

@@ -10,13 +10,17 @@ from srd3 import bulk
 from srd3.gf import make_field
 from srd3.invariants import tables
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
-from srd3.verify import (VerifyError, _line_pair_planes, encode_mats,
+from srd3.verify import (VerifyError, _codes_where, _line_pair_planes,
+                         _min_rank2_solid_sigs, encode_mats,
                          line_sweep_completeness,
-                         min_rank2_coverage, plane_sweep, run_checks,
+                         min_rank2_coverage, plane_sweep,
+                         planes_covered_by_solids, run_checks,
                          solid_groups, verify_censuses, verify_class_counts,
                          verify_completeness_dichotomy, verify_net_corollaries,
                          verify_r2n_equals_h1, verify_rank3_od4, verify_schmidt,
                          verify_solids, verify_tables)
+
+from oracles import line_sweep_union
 
 
 def _ok(reports):
@@ -85,6 +89,41 @@ def test_line_sweep_counts_q3():
     # minimum-rank-2 lines: all lines minus those with a rank-1 point minus
     # the constant-rank-3 ones; sanity bound only
     assert 0 < n_lines < 11011
+
+
+def _rebuild(tag, fn, F, jobs):
+    """fn(F, jobs) with the cached entry of its own kind dropped first."""
+    import srd3.verify as V
+    for key in [k for k in V._sweep_cache if k[0] == tag]:
+        del V._sweep_cache[key]
+    return fn(F, jobs=jobs)
+
+
+@pytest.mark.parametrize("p,h,want", [(2, 1, 399), (3, 1, 7644), (2, 2, 65982)],
+                         ids=["q2", "q3", "q4"])
+def test_line_sweep_matches_union_oracle(p, h, want):
+    F = make_field(p, h)
+    assert line_sweep_union(F) == (want, 0)
+    for jobs in (1, 2):
+        assert _rebuild("line_sweep", line_sweep_completeness, F, jobs) == (want, 0)
+
+
+@pytest.mark.parametrize("p,h,complete", [(2, 1, 22), (3, 1, 0), (2, 2, 1324)],
+                         ids=["q2", "q3", "q4"])
+def test_coverage_matches_solid_oracle(p, h, complete):
+    # the oracle covers the planes inside the three minimum-rank-2 solid
+    # signatures; the quotient test covers the planes inside any
+    # rank-1-free solid.  They agree because no stray signature exists.
+    F = make_field(p, h)
+    groups, _ = solid_groups(F)
+    sigs = _min_rank2_solid_sigs(F)
+    assert set(groups) == set(sigs)
+    want = planes_covered_by_solids(F, _codes_where(groups, sigs.__contains__))
+    planes = _codes_where(plane_sweep(F)[0], lambda sig: sig[1] + sig[2] > 0)
+    for jobs in (1, 2):
+        cov = _rebuild("mr2_coverage", min_rank2_coverage, F, jobs)
+        assert np.array_equal(cov, want)
+        assert len(planes) - np.isin(planes, cov).sum() == complete
 
 
 def test_class_counts_q3():

@@ -25,9 +25,12 @@ from __future__ import annotations
 import random
 import time
 
-from srd3.gf import FieldCtx, make_field, parse_field_spec
+from srd3 import bulk
+from srd3.codes import points_of_rank_below
+from srd3.gf import FieldCtx, parse_field_spec
+from srd3.invariants import tables
 from srd3.report import CheckReport, make_report
-from srd3.verify import run_checks, verify_r2n_equals_h1
+from srd3.verify import run_checks
 
 # criterion -> list of (field spec, check ids)
 PLAN: list[tuple[int, str, list[str]]] = [
@@ -45,6 +48,7 @@ PLAN: list[tuple[int, str, list[str]]] = [
     (9, "2", ["Y03q"]), (9, "3", ["Y03q"]), (9, "4", ["Y03q"]), (9, "5", ["Y03q"]),
     (10, "3", ["CR3-OD4"]), (10, "4", ["CR3-OD4"]),
     (11, "3", ["properties"]), (11, "4", ["properties"]), (11, "5", ["properties"]),
+    (5, "8", ["T3.7"]),
 ]
 
 
@@ -53,8 +57,8 @@ def run_acceptance(fields: list[str] | None = None, jobs: int = 1,
                    echo=None) -> list[CheckReport]:
     """Run the acceptance plan restricted to the given field specs.
 
-    Extra rows not in the plan for a requested field (e.g. running at q = 8
-    alone) fall back to the sampled drivers via run_checks.
+    A requested field with no selected row in the plan (e.g. q = 7) runs
+    every check that applies to it via run_checks, as criterion 0.
     """
     wanted_fields = None if fields is None else {str(f) for f in fields}
     reports: list[CheckReport] = []
@@ -71,18 +75,8 @@ def run_acceptance(fields: list[str] | None = None, jobs: int = 1,
             reports.append(r)
             if echo:
                 echo(_line(crit, r))
-    # criterion 5 also wants the quick sampled run
-    if (wanted_fields is None or "8" in wanted_fields) and \
-            (criteria is None or 5 in criteria):
-        F8 = make_field(2, 3)
-        for r in verify_r2n_equals_h1(F8, sample=100_000):
-            r.details["criterion"] = 5
-            reports.append(r)
-            if echo:
-                echo(_line(5, r))
-    # any requested field not in the plan at all: run everything applicable
     if wanted_fields:
-        for fspec in sorted(wanted_fields - seen_any - {"8"}):
+        for fspec in sorted(wanted_fields - seen_any):
             F = parse_field_spec(fspec)
             for r in run_checks(F, jobs=jobs):
                 r.details["criterion"] = 0
@@ -116,10 +110,10 @@ def _run_ids(F: FieldCtx, ids: list[str], jobs: int) -> list[CheckReport]:
 def verify_properties(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
     from srd3.atlas import representative
     from srd3.codes import SrdCode, classify
-    from srd3.invariants import classify_point, exterior_by_tangents, od0, od4, orbit_of
+    from srd3.invariants import exterior_by_tangents, od0, od4, orbit_of
     from srd3.pg import Subspace, subspace_points
     from srd3.veronese import (conic_eval, delta, k_action, mat_mul, pg2_points,
-                               point_rank, polarity_rho, veronese)
+                               point_rank, polarity_rho, transpose, veronese)
     t0 = time.perf_counter()
     q = F.q
     rng = random.Random(q * 1009)
@@ -142,7 +136,7 @@ def verify_properties(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> 
         lhs = k_action(F, mat_mul(F, A, B), y)
         rhs = k_action(F, A, k_action(F, B, y))
         u = (1, rng.randrange(q), rng.randrange(q))
-        uat = tuple(_dot(F, u, row) for row in A)
+        uat = mat_mul(F, (u,), transpose(A))[0]
         ok &= lhs == rhs
         ok &= point_rank(F, lhs) == point_rank(F, y)
         ok &= k_action(F, A, veronese(F, u)) == veronese(F, uat)
@@ -190,12 +184,17 @@ def verify_properties(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> 
                 ok &= ranks.count(1) == 1 and ranks.count(3) == 0
         results["polarity"] = ok
 
-        # exterior/interior: algebraic test vs tangent counting, all rank-2
-        ok = True
-        for y in _rank2_samples(F, limit=None if q <= 5 else 400):
-            alg = classify_point(F, y) == "P2e"
-            ok &= alg == exterior_by_tangents(F, y)
-        results["exterior_interior_agree"] = ok
+        # exterior/interior: the class table's algebraic test vs tangent
+        # counting, on every rank-2 point (the first 400 above q = 5)
+        t = tables(F)
+        pts = points_of_rank_below(F, 3)
+        pts = pts[t.rank_code[bulk.encode(pts, q)] == 2]
+        if q > 5:
+            pts = pts[:400]
+        ext = t.class_code[bulk.encode(pts, q)] == 2        # P2e
+        results["exterior_interior_agree"] = all(
+            bool(e) == exterior_by_tangents(F, tuple(int(x) for x in y))
+            for e, y in zip(ext, pts))
 
     # distributions constant along an orbit
     rid = "o13_1" if F.p != 2 else "o12_3"
@@ -240,25 +239,3 @@ def verify_properties(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> 
         "extension monotonicity, classification invariance",
         expected, results, seconds=time.perf_counter() - t0)]
 
-
-def _dot(F, u, row):
-    s = 0
-    for x, c in zip(u, row):
-        s = F.add(s, F.mul(x, c))
-    return s
-
-
-def _rank2_samples(F, limit=None):
-    from srd3.invariants import tables
-    from srd3.pg import coefficient_vectors
-    t = tables(F)
-    n = 0
-    for y in coefficient_vectors(F.q, 6):
-        code = 0
-        for x in y:
-            code = code * F.q + x
-        if t.rank_code[code] == 2:
-            yield y
-            n += 1
-            if limit and n >= limit:
-                return

@@ -81,15 +81,6 @@ def decode(codes: np.ndarray, q: int, c: int) -> np.ndarray:
     return out
 
 
-def normalize_rows(kit: Kit, vecs: np.ndarray) -> np.ndarray:
-    """Scale each nonzero row so its first nonzero coordinate is 1."""
-    n = len(vecs)
-    lead_idx = np.argmax(vecs != 0, axis=1)
-    lead = vecs[np.arange(n), lead_idx]
-    inv = kit.INV[lead]
-    return kit.mul(inv[:, None], vecs)
-
-
 def quotient_codes(kit: Kit, bases: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Images of points in the quotient F^c / W for each subspace W.
 

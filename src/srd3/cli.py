@@ -102,8 +102,13 @@ def _verify(args) -> int:
 
 def _acceptance(args) -> int:
     from srd3.acceptance import run_acceptance
+    from srd3.verify import VerifyError
     qs = [s.strip() for s in args.fields.split(",") if s.strip()]
-    reports = run_acceptance(qs, jobs=args.jobs)
+    try:
+        reports = run_acceptance(qs, jobs=args.jobs)
+    except VerifyError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     _write(render(reports, args.format), args.out)
     n_bad = sum(not r.ok for r in reports)
     print(f"{len(reports) - n_bad}/{len(reports)} checks passed", file=sys.stderr)

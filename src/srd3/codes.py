@@ -131,7 +131,7 @@ def is_msrd(C: SrdCode) -> bool:
 _points_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _points_of_rank_below(F: FieldCtx, d: int) -> np.ndarray:
+def points_of_rank_below(F: FieldCtx, d: int) -> np.ndarray:
     """The points of PG(5,q) of rank < d as normalized vectors (P, 6), in
     lexicographic order; d = 4 gives every point."""
     key = (id(F), d)
@@ -151,7 +151,7 @@ def is_complete(C: SrdCode) -> bool:
     if d == 1:
         return C.dim == 6
     W = np.array([C.subspace.rows], dtype=np.uint8)
-    return bool(bulk.covers_quotient(bulk.kit_for(C.F), W, _points_of_rank_below(C.F, d))[0])
+    return bool(bulk.covers_quotient(bulk.kit_for(C.F), W, points_of_rank_below(C.F, d))[0])
 
 
 def extension_points(C: SrdCode) -> list[tuple[int, ...]]:
@@ -162,9 +162,9 @@ def extension_points(C: SrdCode) -> list[tuple[int, ...]]:
         return []
     kit = bulk.kit_for(C.F)
     W = np.array([C.subspace.rows], dtype=np.uint8)
-    pts = _points_of_rank_below(C.F, 4)
+    pts = points_of_rank_below(C.F, 4)
     img = bulk.quotient_codes(kit, W, pts)[0]
-    low = bulk.quotient_codes(kit, W, _points_of_rank_below(C.F, min_distance(C)))[0]
+    low = bulk.quotient_codes(kit, W, points_of_rank_below(C.F, min_distance(C)))[0]
     keep = (img != 0) & ~np.isin(img, low)
     return [tuple(int(x) for x in v) for v in pts[keep]]
 

@@ -18,9 +18,13 @@ always exists when q is odd.  The geometric tangent-count oracle lives in
 exterior_by_tangents and the test suite checks the two agree.
 
 Hyperplanes fall into four classes H1/H2r/H2i/H3 according to the conic
-they correspond to (double line, real pair, imaginary pair, nonsingular),
-detected through the size and collinearity of the conic's zero set in
-PG(2,q).
+with the same coefficient vector (double line, real pair, imaginary pair,
+nonsingular).  One rule decides the class, from the number of zeros of the
+conic in PG(2,q), i.e. the number of Veronese points on the hyperplane:
+1 zero is H2i, 2q+1 zeros is H2r, and q+1 zeros is H1 when the dual is a
+double-line dual (veronese.h1_duals) and H3 otherwise.  The rule runs once
+per field, vectorised, to build GeomTables.hclass_table; the censuses, od4,
+od4_batch and the C4 checks all read that table.
 
 A per-field cache (tables) holds dense code-indexed class tables so the
 enumeration drivers can classify millions of points via numpy gathers.
@@ -31,11 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from srd3 import bulk
-from srd3.gf import FieldCtx, FieldError, is_square
-from srd3.pg import (BudgetExceeded, Subspace, duals_through, matrix_rank,
-                     normalize_vec, rref)
-from srd3.veronese import (conic_plane_of, h1_duals, in_nucleus_plane,
-                           lift, pg2_points, point_rank, veronese)
+from srd3.gf import FieldCtx, FieldError
+from srd3.pg import BudgetExceeded, Subspace, normalize_vec, rref
+from srd3.veronese import conic_plane_of, h1_duals, lift, pg2_points, veronese
 
 POINT_CLASSES_EVEN = ("P1", "P2n", "P2s", "P3")
 POINT_CLASSES_ODD = ("P1", "P2e", "P2i", "P3")
@@ -51,29 +53,8 @@ def point_classes(F: FieldCtx) -> tuple[str, str, str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar classification
+# Geometric oracle
 # ---------------------------------------------------------------------------
-
-def _adj_diagonal(F: FieldCtx, y) -> tuple[int, int, int]:
-    m, s = F.mul, F.sub
-    y0, y1, y2, y3, y4, y5 = y
-    return (s(m(y3, y5), m(y4, y4)),
-            s(m(y0, y5), m(y2, y2)),
-            s(m(y0, y3), m(y1, y1)))
-
-
-def classify_point(F: FieldCtx, y) -> str:
-    """Class of a nonzero point of PG(5,q); scale-invariant."""
-    r = point_rank(F, y)
-    if r == 1:
-        return "P1"
-    if r == 3:
-        return "P3"
-    if F.p == 2:
-        return "P2n" if in_nucleus_plane(y) else "P2s"
-    d = next(v for v in _adj_diagonal(F, y) if v)
-    return "P2e" if is_square(F, F.neg(d)) else "P2i"
-
 
 def exterior_by_tangents(F: FieldCtx, y) -> bool:
     """Geometric oracle: a rank-2 point (q odd) is exterior iff exactly two
@@ -98,33 +79,6 @@ def exterior_by_tangents(F: FieldCtx, y) -> bool:
     return tangents == 2
 
 
-def classify_hyperplane(F: FieldCtx, dual) -> str:
-    """Class of the hyperplane with the given dual vector.
-
-    Works through the conic with the same coefficient vector: its zero set
-    S in PG(2,q) has size 1 (imaginary pair), 2q+1 (real pair) or q+1
-    (double line when collinear, nonsingular conic otherwise).
-    """
-    dual = normalize_vec(F, tuple(dual))
-    zeros = []
-    for u in pg2_points(F):
-        v = veronese(F, u)
-        s = 0
-        for a, x in zip(dual, v):
-            if a and x:
-                s = F.add(s, F.mul(a, x))
-        if s == 0:
-            zeros.append(u)
-    n = len(zeros)
-    if n == 1:
-        return "H2i"
-    if n == 2 * F.q + 1:
-        return "H2r"
-    if n == F.q + 1:
-        return "H1" if matrix_rank(F, zeros) == 2 else "H3"
-    raise ClassificationError(f"conic zero set of size {n} for dual {dual}")
-
-
 # ---------------------------------------------------------------------------
 # Per-field dense tables
 # ---------------------------------------------------------------------------
@@ -147,11 +101,9 @@ class GeomTables:
         mats = vecs[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
         self.rank_code = bulk.rank_batch(self.kit, mats).astype(np.uint8)
         self.class_code = self._build_classes(vecs)
-        self.pg2 = pg2_points(F)
-        self.v6 = np.array([veronese(F, u) for u in self.pg2], dtype=np.uint8)
+        self.v6 = np.array([veronese(F, u) for u in pg2_points(F)], dtype=np.uint8)
         self.h1 = np.array(h1_duals(F), dtype=np.uint8)
         self._coeffs: dict[int, np.ndarray] = {}
-        self._hclass: dict[tuple, str] = {}
 
     def _build_classes(self, vecs: np.ndarray) -> np.ndarray:
         kit, F = self.kit, self.F
@@ -197,33 +149,30 @@ class GeomTables:
             out[:, i] = (cls == i + 1).sum(axis=1)
         return out
 
-    def hclass(self, dual) -> str:
-        dual = normalize_vec(self.F, tuple(dual))
-        got = self._hclass.get(dual)
-        if got is None:
-            got = self._hclass[dual] = classify_hyperplane(self.F, dual)
-        return got
-
     def hclass_table(self) -> np.ndarray:
         """Dense dual-code -> hyperplane class (1..4 as in
         HYPERPLANE_CLASSES, 0 for the zero vector), all scalar multiples
-        filled so lookups skip normalization."""
+        filled so lookups skip normalization.  Built on first use by the
+        zero-count rule of the module docstring."""
         t = getattr(self, "_hclass_arr", None)
         if t is not None:
             return t
-        from srd3.pg import coefficient_vectors
-        F, q = self.F, self.F.q
+        kit, q = self.kit, self.F.q
         t = np.zeros(q ** 6, dtype=np.uint8)
-        vecs = []
-        vals = []
-        for dual in coefficient_vectors(q, 6):
-            vecs.append(dual)
-            vals.append(HYPERPLANE_CLASSES.index(self.hclass(dual)) + 1)
-        vecs = np.array(vecs, dtype=np.uint8)
-        vals = np.array(vals, dtype=np.uint8)
-        for c in range(1, q):
-            scaled = self.kit.MUL[np.uint8(c), vecs]
-            t[bulk.encode(scaled, q)] = vals
+        multiples = np.arange(1, q, dtype=np.uint8)[:, None, None]
+        for _, _, block in bulk.iter_subspace_blocks(5, q, 0, block=1 << 14):
+            duals = block[:, 0, :]
+            dots = np.zeros((len(duals), len(self.v6)), dtype=np.uint8)
+            for i in range(6):
+                dots = kit.add(dots, kit.mul(duals[:, i, None], self.v6[None, :, i]))
+            zeros = (dots == 0).sum(axis=1)
+            # q+1 zeros: H3 here, the double lines are overwritten below
+            cls = np.select([zeros == 1, zeros == 2 * q + 1, zeros == q + 1],
+                            [3, 2, 4], 0).astype(np.uint8)
+            if not cls.all():
+                raise ClassificationError(f"a conic has {zeros[cls == 0][0]} zeros")
+            t[bulk.encode(kit.mul(multiples, duals[None]), q)] = cls
+        t[bulk.encode(kit.mul(multiples, self.h1[None]), q)] = 1
         self._hclass_arr = t
         return t
 
@@ -272,10 +221,9 @@ def od0(W: Subspace) -> tuple[int, int, int, int]:
 def od4(W: Subspace) -> tuple[int, int, int, int]:
     """[h1, h2r, h2i, h3] over the hyperplanes containing W."""
     t = tables(W.F)
-    counts = dict.fromkeys(HYPERPLANE_CLASSES, 0)
-    for dual in duals_through(W):
-        counts[t.hclass(dual)] += 1
-    return tuple(counts[c] for c in HYPERPLANE_CLASSES)
+    bases = np.array([W.rows], dtype=np.uint8)
+    pattern = tuple(int(j) for j in np.argmax(bases[0] != 0, axis=1))
+    return tuple(int(x) for x in t.od4_batch(bases, pattern)[0])
 
 
 def point_census(F: FieldCtx) -> dict[str, int]:
@@ -289,26 +237,9 @@ def point_census(F: FieldCtx) -> dict[str, int]:
 
 def hyperplane_census(F: FieldCtx) -> dict[str, int]:
     """Counts of the hyperplane classes over all of PG(5,q)."""
-    t = tables(F)
-    kit = t.kit
-    counts = dict.fromkeys(HYPERPLANE_CLASSES, 0)
-    q = F.q
-    total = (q ** 6 - 1) // (q - 1)
-    for _, _, block in bulk.iter_subspace_blocks(5, q, 0, block=1 << 14):
-        duals = block[:, 0, :]
-        dots = np.zeros((len(duals), len(t.v6)), dtype=np.uint8)
-        for i in range(6):
-            dots = kit.add(dots, kit.mul(duals[:, i][:, None], t.v6[:, i][None, :]))
-        nz = (dots == 0).sum(axis=1)
-        counts["H2i"] += int((nz == 1).sum())
-        counts["H2r"] += int((nz == 2 * q + 1).sum())
-        amb = np.nonzero(nz == q + 1)[0]
-        for j in amb:
-            zeros = [t.pg2[i] for i in np.nonzero(dots[j] == 0)[0]]
-            cl = "H1" if matrix_rank(F, zeros) == 2 else "H3"
-            counts[cl] += 1
-    assert sum(counts.values()) == total
-    return counts
+    counts = np.bincount(tables(F).hclass_table(), minlength=5)
+    # as in point_census, each hyperplane has q-1 nonzero dual codes
+    return {HYPERPLANE_CLASSES[i]: int(counts[i + 1]) // (F.q - 1) for i in range(4)}
 
 
 # ---------------------------------------------------------------------------

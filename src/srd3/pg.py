@@ -250,16 +250,6 @@ def nullspace(F: FieldCtx, rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ..
     return rref(F, basis)[0]
 
 
-def duals_through(W: Subspace) -> Iterator[tuple[int, ...]]:
-    """Normalized dual vectors of all hyperplanes containing W."""
-    F = W.F
-    basis = nullspace(F, W.rows)
-    if not basis:
-        return
-    dual_space = Subspace(F, basis)
-    yield from subspace_points(dual_space)
-
-
 def subspaces_within(W: Subspace, projdim: int) -> Iterator[Subspace]:
     """All subspaces of the given projective dimension contained in W."""
     F = W.F

@@ -248,10 +248,11 @@ def _complete_planes_by_sig(F: FieldCtx, jobs: int) -> dict[tuple, np.ndarray]:
     return out
 
 
-def _line_pair_planes(F: FieldCtx, jobs: int) -> np.ndarray:
-    """Sorted codes of the rank-1-free planes on a line-pair hyperplane
-    (class H2r or H2i)."""
-    codes = _codes_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
+def _line_pair_planes(F: FieldCtx, jobs: int, codes: np.ndarray | None = None) -> np.ndarray:
+    """The planes of codes (default: every rank-1-free plane, sorted) that
+    lie on a line-pair hyperplane (class H2r or H2i)."""
+    if codes is None:
+        codes = _codes_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
     d4 = _od4_codes(F, codes, jobs)
     return codes[(d4[:, 1] + d4[:, 2]) > 0]
 
@@ -488,8 +489,8 @@ def _random_images_keep_od0(W: Subspace, want, n: int = 25) -> bool:
     return True
 
 
-def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1, budget: int | None = None,
-                         sample: int | None = None) -> list[CheckReport]:
+def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1,
+                         budget: int | None = None) -> list[CheckReport]:
     """For every plane, the rank-2 points inside the nucleus plane are as
     many as the double-line hyperplanes through it (q even >= 4)."""
     if F.p != 2 or F.q < 4:
@@ -501,8 +502,7 @@ def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1, budget: int | None = None,
     h1 = t.h1
     pts_of_dim = np.array([0, 1, q + 1, q * q + q + 1], dtype=np.int64)
     total = gaussian_binomial(6, 3, q)
-    if sample is None and (q > 4 or (budget and total > budget)):
-        sample = SAMPLE_SIZE
+    sample = SAMPLE_SIZE if q > 4 or (budget and total > budget) else None
 
     def check_block(block):
         sub = block[:, :, [0, 3, 5]]
@@ -550,8 +550,6 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
     from srd3.atlas import rep_params, rep_spec, representative
     t0 = time.perf_counter()
     q = F.q
-    if q > 5:
-        raise VerifyError("dichotomy driver runs fully only for q <= 5")
     n_lines, n_complete_lines = line_sweep_completeness(F, jobs=jobs)
     by_sig = _complete_planes_by_sig(F, jobs)
     complete_planes = _codes_where(by_sig, lambda sig: True)
@@ -630,8 +628,6 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
                             sigma_gf_plane, sigma_tf_plane)
     t0 = time.perf_counter()
     q = F.q
-    if q > 5:
-        raise VerifyError("class-count driver runs fully only for q <= 5")
     flags = _q2_flags(F)
     out = []
 
@@ -710,33 +706,17 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
     flags = _q2_flags(F)
     if sampled:
         kit = bulk.kit_for(F)
-        t = tables(F)
-        htab = t.hclass_table()
         planes = bulk.sample_subspaces(kit, 5, 2, SAMPLE_SIZE, seed=_SEED)
-        dist = t.od0_batch(planes)
-        sel = planes[dist[:, 0] == 0]
-        # duals of each sampled plane (mixed pivot patterns, scalar nullspace)
-        h2pos = []
-        coeff3 = t.coeffs(3)
-        for rows in sel:
-            basis = np.array(nullspace(F, [tuple(int(x) for x in r) for r in rows]),
-                             dtype=np.uint8)
-            duals = bulk.combine(kit, coeff3, basis[None])[0]
-            cls = htab[bulk.encode(duals, q)]
-            if ((cls == 2) | (cls == 3)).any():
-                h2pos.append(rows)
-        if h2pos:
-            codes = encode_mats(np.array(h2pos, dtype=np.uint8), q)
-            bad = int(_complete_mask(F, codes, 3, jobs).sum())
-        else:
-            bad = 0
+        free = planes[tables(F).od0_batch(planes)[:, 0] == 0]
+        target = _line_pair_planes(F, jobs, encode_mats(free, q))
+        bad = int(_complete_mask(F, target, 3, jobs).sum())
         report = make_report(
             "C4", F.spec,
             "planes with no rank-1 point and a line-pair hyperplane lie in a "
             "minimum-rank-2 solid",
             {"violations": 0}, {"violations": bad}, sampled=True,
             seconds=time.perf_counter() - t0,
-            details={"sampled_planes": SAMPLE_SIZE, "checked": len(h2pos)})
+            details={"sampled_planes": SAMPLE_SIZE, "checked": len(target)})
         return [report]
 
     _, total = plane_sweep(F, jobs=jobs)
@@ -826,21 +806,24 @@ def _q2_flags(F: FieldCtx) -> list[str]:
 # Registry
 # ---------------------------------------------------------------------------
 
+# check id -> (driver, (parity, largest q it runs at or None)).  The
+# ceilings are the one definition of each driver's range: the exhaustive
+# sweeps behind T3.10/T3.12/T3.14/T3.21 have no sampled path.
 DRIVERS = {
-    "censuses": (verify_censuses, "any"),
-    "tables": (verify_tables, "any"),
-    "T3.2": (verify_solids, "odd"),
-    "T3.3": (verify_solids, "even"),
-    "T3.4": (verify_plane_orbits, "even4"),
-    "T3.8": (verify_plane_orbits, "even4"),
-    "T3.7": (verify_r2n_equals_h1, "even4"),
-    "T3.10": (verify_completeness_dichotomy, "any"),
-    "T3.12": (verify_class_counts, "odd"),
-    "T3.14": (verify_class_counts, "even"),
-    "T3.21": (verify_class_counts, "any"),
-    "C4": (verify_net_corollaries, "min3"),
-    "Y03q": (verify_schmidt, "any"),
-    "CR3-OD4": (verify_rank3_od4, "any"),
+    "censuses": (verify_censuses, ("any", None)),
+    "tables": (verify_tables, ("any", None)),
+    "T3.2": (verify_solids, ("odd", None)),
+    "T3.3": (verify_solids, ("even", None)),
+    "T3.4": (verify_plane_orbits, ("even4", None)),
+    "T3.8": (verify_plane_orbits, ("even4", None)),
+    "T3.7": (verify_r2n_equals_h1, ("even4", None)),
+    "T3.10": (verify_completeness_dichotomy, ("any", 5)),
+    "T3.12": (verify_class_counts, ("odd", 5)),
+    "T3.14": (verify_class_counts, ("even", 5)),
+    "T3.21": (verify_class_counts, ("any", 5)),
+    "C4": (verify_net_corollaries, ("min3", None)),
+    "Y03q": (verify_schmidt, ("any", None)),
+    "CR3-OD4": (verify_rank3_od4, ("any", None)),
 }
 
 
@@ -868,10 +851,14 @@ def run_checks(F: FieldCtx, ids: list[str] | None = None, jobs: int = 1,
     seen_drivers = set()
     reports: list[CheckReport] = []
     for cid in wanted:
-        fn, parity = DRIVERS[cid]
+        fn, (parity, max_q) = DRIVERS[cid]
         if not _applies(parity, F):
             if ids is not None:
                 raise VerifyError(f"check {cid} does not apply to q={F.q}")
+            continue
+        if max_q is not None and F.q > max_q:
+            if ids is not None:
+                raise VerifyError(f"check {cid} runs only for q <= {max_q}, got q={F.q}")
             continue
         if fn in seen_drivers:
             continue

@@ -60,10 +60,6 @@ def point_rank(F: FieldCtx, y: Iterable[int]) -> int:
     return matrix_rank(F, as_matrix(y))
 
 
-def veronese_points(F: FieldCtx) -> list[Vec6]:
-    return [veronese(F, u) for u in pg2_points(F)]
-
-
 def kernel_point(F: FieldCtx, y: Iterable[int]) -> tuple[int, int, int]:
     """The radical of a rank-2 symmetric matrix, as a normalized PG(2,q) point."""
     ns = nullspace(F, as_matrix(y))

@@ -3,9 +3,11 @@
 Each one recomputes by brute force a fact that the package relies on
 without computing it: that k_generators generate PGL(3,q) (orbit_of walks
 orbits under those generators), orbit-stabiliser counts, the polar
-hyperplane of a point under the trace form, and completeness as the exact
+hyperplane of a point under the trace form, completeness as the exact
 union of the spans <W, v> over the low-rank points v, which the package
-decides in the quotient F^6/W instead.
+decides in the quotient F^6/W instead, and the point and hyperplane
+classes one vector at a time, which the package reads from the dense
+tables of invariants.GeomTables.
 """
 
 from __future__ import annotations
@@ -16,12 +18,86 @@ import numpy as np
 
 from srd3 import bulk
 from srd3.codes import SrdCode, min_distance
-from srd3.gf import FieldCtx, FieldError
-from srd3.invariants import k_generators, orbit_of, pgl3_order, tables
+from srd3.gf import FieldCtx, FieldError, is_square
+from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, k_generators,
+                             orbit_of, pgl3_order, tables)
 from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
-                     normalize_vec, subspace_points)
-from srd3.veronese import mat_mul
+                     matrix_rank, normalize_vec, nullspace, subspace_points)
+from srd3.veronese import (in_nucleus_plane, mat_mul, pg2_points, point_rank,
+                           veronese)
 from srd3.verify import _chunks, _pmap
+
+
+def veronese_points(F: FieldCtx) -> list[tuple[int, ...]]:
+    """The q^2+q+1 points of the Veronese surface, in the order of pg2_points."""
+    return [veronese(F, u) for u in pg2_points(F)]
+
+
+def normalize_rows(kit: bulk.Kit, vecs: np.ndarray) -> np.ndarray:
+    """Scale each nonzero row so its first nonzero coordinate is 1."""
+    n = len(vecs)
+    lead = vecs[np.arange(n), np.argmax(vecs != 0, axis=1)]
+    return kit.mul(kit.INV[lead][:, None], vecs)
+
+
+def _adj_diagonal(F: FieldCtx, y) -> tuple[int, int, int]:
+    m, s = F.mul, F.sub
+    y0, y1, y2, y3, y4, y5 = y
+    return (s(m(y3, y5), m(y4, y4)),
+            s(m(y0, y5), m(y2, y2)),
+            s(m(y0, y3), m(y1, y1)))
+
+
+def classify_point(F: FieldCtx, y) -> str:
+    """Class of a nonzero point of PG(5,q); scale-invariant.  A rank-2 point
+    (q odd) is exterior iff -D is a nonzero square, D the first nonzero
+    diagonal entry of adj(M)."""
+    r = point_rank(F, y)
+    if r == 1:
+        return "P1"
+    if r == 3:
+        return "P3"
+    if F.p == 2:
+        return "P2n" if in_nucleus_plane(y) else "P2s"
+    d = next(v for v in _adj_diagonal(F, y) if v)
+    return "P2e" if is_square(F, F.neg(d)) else "P2i"
+
+
+def classify_hyperplane(F: FieldCtx, dual) -> str:
+    """Class of the hyperplane with the given dual vector, from the zero set
+    S in PG(2,q) of the conic with the same coefficient vector: size 1
+    (imaginary pair), 2q+1 (real pair) or q+1 (double line when collinear,
+    nonsingular conic otherwise)."""
+    dual = normalize_vec(F, tuple(dual))
+    zeros = []
+    for u in pg2_points(F):
+        s = 0
+        for a, x in zip(dual, veronese(F, u)):
+            s = F.add(s, F.mul(a, x))
+        if s == 0:
+            zeros.append(u)
+    n = len(zeros)
+    if n == 1:
+        return "H2i"
+    if n == 2 * F.q + 1:
+        return "H2r"
+    if n == F.q + 1:
+        return "H1" if matrix_rank(F, zeros) == 2 else "H3"
+    raise ClassificationError(f"conic zero set of size {n} for dual {dual}")
+
+
+def duals_through(W: Subspace) -> list[tuple[int, ...]]:
+    """Normalized dual vectors of all hyperplanes containing W."""
+    basis = nullspace(W.F, W.rows)
+    return list(subspace_points(Subspace(W.F, basis))) if basis else []
+
+
+def od4_scalar(W: Subspace) -> tuple[int, int, int, int]:
+    """invariants.od4 by classifying each hyperplane through W."""
+    counts = dict.fromkeys(HYPERPLANE_CLASSES, 0)
+    for dual in duals_through(W):
+        counts[classify_hyperplane(W.F, dual)] += 1
+    return tuple(counts[c] for c in HYPERPLANE_CLASSES)
 
 
 def group_order_bfs(F: FieldCtx, budget: int = 10 ** 6) -> int:
@@ -102,7 +178,7 @@ def line_sweep_union(F: FieldCtx, jobs: int = 1) -> tuple[int, int]:
         stacked[:, :, :2, :] = lines[:, None, :, :]
         stacked[:, :, 2, :] = v_arr[None, :, :]
         pts = bulk.combine(kit, coeff3, stacked.reshape(n * s, 3, 6))
-        pts = bulk.normalize_rows(kit, pts.reshape(-1, 6)).reshape(n, -1, 6)
+        pts = normalize_rows(kit, pts.reshape(-1, 6)).reshape(n, -1, 6)
         codes = bulk.encode(pts, q).reshape(n, -1)
         codes.sort(axis=1)
         distinct = 1 + (np.diff(codes, axis=1) != 0).sum(axis=1)

@@ -145,7 +145,7 @@ def test_sigma11_avoids_double_line_hyperplane():
     assert od0(W) == (1, 1, 3, 16)
     pts = [p for p in subspace_points(W)
            if in_nucleus_plane(p) and W.F is F]
-    from srd3.invariants import classify_point
+    from oracles import classify_point
     q2 = [p for p in pts if classify_point(F, p) == "P2n"]
     assert len(q2) == 1
     dual = double_line_dual(F, kernel_point(F, q2[0]))

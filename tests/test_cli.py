@@ -149,3 +149,49 @@ def test_field_above_table_range_exit_2(tmp_path, capsys):
 def test_out_of_range_options_exit_2(capsys, argv):
     assert main(argv) == 2
     _one_line_error(capsys)
+
+
+def _stub_drivers(monkeypatch, calls, fail=None):
+    """Replace every verify driver by a stub that records its name and
+    returns one passing report, or raises VerifyError if its name is fail."""
+    import srd3.verify as V
+    from srd3.report import make_report
+    stubs = {}
+    for cid, (fn, scope) in list(V.DRIVERS.items()):
+        if fn not in stubs:
+            def stub(F, jobs=1, budget=None, name=fn.__name__):
+                calls.append(name)
+                if name == fail:
+                    raise V.VerifyError(f"{name} refused q={F.q}")
+                return [make_report(name, F.spec, "stub", 0, 0)]
+            stubs[fn] = stub
+        monkeypatch.setitem(V.DRIVERS, cid, (stubs[fn], scope))
+
+
+def test_default_checks_skip_drivers_above_their_ceiling(monkeypatch, capsys):
+    calls = []
+    _stub_drivers(monkeypatch, calls)
+    assert main(["verify", "--field", "7", "--format", "json"]) == 0
+    ran = {r["check_id"] for r in json.loads(capsys.readouterr().out)}
+    assert ran == {"verify_censuses", "verify_tables", "verify_solids",
+                   "verify_net_corollaries", "verify_schmidt", "verify_rank3_od4"}
+    calls.clear()
+    assert main(["acceptance", "--fields", "7", "--format", "json"]) == 0
+    # no verify_completeness_dichotomy, no verify_class_counts
+    assert set(calls) == ran
+
+
+def test_explicit_check_above_its_ceiling_exit_2(monkeypatch, capsys):
+    calls = []
+    _stub_drivers(monkeypatch, calls)
+    assert main(["verify", "--field", "7", "--theorem", "T3.10"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "q <= 5" in err
+    assert calls == []
+
+
+def test_acceptance_verify_error_exit_2(monkeypatch, capsys):
+    _stub_drivers(monkeypatch, [], fail="verify_tables")
+    assert main(["acceptance", "--fields", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

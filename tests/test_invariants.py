@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from srd3.gf import make_field
+from srd3.gf import make_field, parse_field_spec
 from srd3.pg import canonicalize, coefficient_vectors
-from srd3.invariants import (classify_hyperplane, classify_point,
-                             exterior_by_tangents, hyperplane_census, od0, od4,
+from srd3.invariants import (HYPERPLANE_CLASSES, exterior_by_tangents,
+                             hyperplane_census, od0, od4,
                              orbit_of, pgl3_order, point_census,
                              rank_distribution, tables)
-from srd3.veronese import nucleus_plane, veronese, veronese_points
+from srd3.veronese import nucleus_plane, veronese
 
-from oracles import group_order_bfs, stabilizer_order
+from oracles import (classify_hyperplane, classify_point, group_order_bfs,
+                     od4_scalar, stabilizer_order, veronese_points)
 
 
 def test_classify_point_examples():
@@ -68,6 +70,37 @@ def test_classify_hyperplane_examples():
     assert classify_hyperplane(F, (0, 0, 2, 1, 0, 0)) == "H3"
     F4 = make_field(2, 2)
     assert classify_hyperplane(F4, (1, 0, 0, 0, 0, 0)) == "H1"
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)],
+                         ids=["q2", "q3", "q4", "q5"])
+def test_hclass_table_matches_oracle(p, h):
+    # every normalized dual, and every scalar multiple of it
+    F = make_field(p, h)
+    table = tables(F).hclass_table()
+    assert table[0] == 0
+    for dual in coefficient_vectors(F.q, 6):
+        want = HYPERPLANE_CLASSES.index(classify_hyperplane(F, dual)) + 1
+        for c in F.nonzero():
+            assert table[_code([F.mul(c, x) for x in dual], F.q)] == want, dual
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 7), min_size=6, max_size=6).filter(any))
+def test_hclass_table_matches_oracle_other_modulus(dual):
+    # GF(8) built on x^3+x^2+1 instead of the default modulus
+    F = parse_field_spec("2^3/101")
+    want = HYPERPLANE_CLASSES.index(classify_hyperplane(F, dual)) + 1
+    assert tables(F).hclass_table()[_code(dual, 8)] == want
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "8"])
+def test_od4_matches_oracle_on_atlas(spec):
+    from srd3.atlas import rep_ids, representative
+    F = parse_field_spec(spec)
+    for rid in rep_ids(F):
+        W = representative(rid, F)
+        assert od4(W) == od4_scalar(W), rid
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)])

@@ -60,8 +60,9 @@ def test_r2n_h1_full_q4_and_sampled():
     r, = _ok(verify_r2n_equals_h1(F))
     assert r.status == PASS
     assert r.computed == {"mismatches": 0, "planes": 376805}
-    s, = _ok(verify_r2n_equals_h1(F, sample=5000))
+    s, = _ok(verify_r2n_equals_h1(F, budget=376804))
     assert s.status == SAMPLED
+    assert s.details["planes_checked"] == 100000
 
 
 def test_r2n_h1_rejects_odd():
@@ -144,6 +145,13 @@ def test_nets_q3():
     r, = _ok(verify_net_corollaries(make_field(3, 1)))
     assert r.computed["violations"] == 0
     assert r.computed["spot"]["o8_2"] == (0, 14, 2, 24)
+
+
+def test_sampled_c4_golden_q5():
+    r, = _ok(verify_net_corollaries(make_field(5, 1)))
+    assert r.status == SAMPLED
+    assert r.computed == {"violations": 0}
+    assert r.details == {"sampled_planes": 100000, "checked": 77681}
 
 
 def test_schmidt_all_small_q():

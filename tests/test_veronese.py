@@ -12,10 +12,9 @@ from srd3.veronese import (as_matrix, conic_plane_of,
                            coords_of_matrix, delta, double_line_dual, h1_duals,
                            in_nucleus_plane, k_action, kernel_point, lift,
                            mat_mul, nucleus_plane, pg2_points, point_rank,
-                           polarity_rho, transpose, veronese,
-                           veronese_points)
+                           polarity_rho, transpose, veronese)
 
-from oracles import rho_point
+from oracles import rho_point, veronese_points
 
 
 def test_veronese_examples():

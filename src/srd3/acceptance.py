@@ -201,9 +201,9 @@ def verify_properties(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> 
     W = representative(rid, F)
     base0, base4 = od0(W), od4(W)
     orbit = orbit_of(W)
-    step = max(1, len(orbit) // 40)
-    ok = all(od0(Subspace(F, rows)) == base0 and od4(Subspace(F, rows)) == base4
-             for rows in orbit[::step])
+    sample = bulk.subspace_bases(F.q, W.k, orbit[::max(1, len(orbit) // 40)]).tolist()
+    members = [Subspace(F, tuple(map(tuple, rows))) for rows in sample]
+    ok = all(od0(V) == base0 and od4(V) == base4 for V in members)
     results["od_invariant_on_orbit"] = ok
 
     # extension is monotone and idempotent

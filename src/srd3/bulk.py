@@ -5,15 +5,21 @@ the scalar routines in :mod:`srd3.pg`; the test suite cross-checks the two.
 The kernels exist because the verification drivers sweep millions of
 subspaces (all 376805 planes of PG(5,4), half a million solids of PG(5,5)),
 which is not viable point-by-point in Python.
+
+A subspace of F^6 is named everywhere by one int64 id, its index in the
+canonical RREF order (see "Subspace ids" below); this module alone knows
+the pivot-pattern offsets behind it.  A sweep chunk is an id range from
+id_chunks, subspace_bases turns ids into RREF bases and subspace_ids turns
+bases back into ids.  encode/decode remain for vector (point) codes.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import lru_cache
 
 import numpy as np
 
-from srd3.gf import FieldCtx
+from srd3.gf import FieldCtx, FieldError
 from srd3.pg import free_positions, pivot_patterns
 
 
@@ -81,6 +87,16 @@ def decode(codes: np.ndarray, q: int, c: int) -> np.ndarray:
     return out
 
 
+def _pivots(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivot columns (N, k), pivot-column mask (N, c) and free columns in
+    ascending order (N, c - k) of full-rank RREF bases (N, k, c)."""
+    N, k, c = bases.shape
+    piv = np.argmax(bases != 0, axis=2)
+    is_piv = np.zeros((N, c), dtype=bool)
+    is_piv[np.arange(N)[:, None], piv] = True
+    return piv, is_piv, np.nonzero(~is_piv)[1].reshape(N, c - k)
+
+
 def quotient_codes(kit: Kit, bases: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Images of points in the quotient F^c / W for each subspace W.
 
@@ -91,11 +107,8 @@ def quotient_codes(kit: Kit, bases: np.ndarray, points: np.ndarray) -> np.ndarra
     v - sum_i v[piv_i] row_i, which vanishes on the pivot columns, so two
     points have the same code iff they span the same subspace with W.
     """
-    N, k, c = bases.shape
-    piv = np.argmax(bases != 0, axis=2)                       # (N, k)
-    is_piv = np.zeros((N, c), dtype=bool)
-    is_piv[np.arange(N)[:, None], piv] = True
-    free = np.nonzero(~is_piv)[1].reshape(N, c - k)          # ascending
+    k = bases.shape[1]
+    piv, _, free = _pivots(bases)
     rows = np.take_along_axis(bases, free[:, None, :], axis=2)  # (N, k, c-k)
     acc = points.T[free].transpose(0, 2, 1)                  # (N, P, c-k)
     at_piv = points.T[piv]                                   # (N, k, P)
@@ -182,58 +195,96 @@ def transform(kit: Kit, bases: np.ndarray, lift: np.ndarray) -> np.ndarray:
     return acc
 
 
-def nullspace_fixed(kit: Kit, mats: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
-    """Right-nullspace bases for RREF matrices sharing one pivot pattern.
-
-    mats: (N, k, c) in RREF with pivots exactly at `pattern`.  Returns
-    (N, c-k, c) where each slice is a basis of {d : M d = 0}.
-    """
+def nullspace_batch(kit: Kit, mats: np.ndarray) -> np.ndarray:
+    """Right-nullspace bases of full-rank RREF matrices (N, k, c), pivot
+    patterns may differ.  Returns (N, c-k, c): slice t is the solution of
+    M d = 0 with d = 1 at the t-th free column and 0 at the others."""
     N, k, c = mats.shape
-    free = [j for j in range(c) if j not in set(pattern)]
-    out = np.zeros((N, len(free), c), dtype=mats.dtype)
-    for t, f in enumerate(free):
-        out[:, t, f] = 1
-        for i, p in enumerate(pattern):
-            out[:, t, p] = kit.NEG[mats[:, i, f]]
+    ar = np.arange(N)
+    piv, _, free = _pivots(mats)
+    out = np.zeros((N, c - k, c), dtype=mats.dtype)
+    for t in range(c - k):
+        out[ar, t, free[:, t]] = 1
+        for i in range(k):
+            out[ar, t, piv[:, i]] = kit.NEG[mats[ar, i, free[:, t]]]
     return out
 
 
 # ---------------------------------------------------------------------------
-# Canonical enumeration of subspaces, in blocks
+# Subspace ids
 # ---------------------------------------------------------------------------
+#
+# A k-subspace of F^6 is named by its index in the canonical RREF order of
+# pg.all_subspaces: pivot patterns in lexicographic order, and within one
+# pattern the free slots read as base-q digits, most significant digit in
+# the first (row-major) free slot.  The id is the pattern's offset plus that
+# digit index.  Ids are int64, and the largest Grassmannian (k = 3, about
+# q^9 subspaces) stays below 2^63 exactly for q <= MAX_ID_Q.
 
-def pattern_block(q: int, ncols: int, k: int, pattern: tuple[int, ...],
-                  start: int, stop: int) -> np.ndarray:
-    """RREF matrices number start..stop-1 for one pivot pattern.
+MAX_ID_Q = 127
 
-    Free slots are filled with the base-q digits of the block index, most
-    significant digit in the first (row-major) free slot; this matches the
-    order of pg.all_subspaces exactly.
-    """
-    free = free_positions(pattern, ncols)
+
+@lru_cache(maxsize=None)
+def _layout(q: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Pivot patterns of the k-subspaces of F^6 in canonical order, the id
+    offset of each pattern (with the Grassmannian's size appended), and
+    the offset by pivot bitmask."""
+    if q > MAX_ID_Q:
+        raise FieldError(f"subspace ids support q <= {MAX_ID_Q}, got q={q}")
+    patterns = list(pivot_patterns(6, k))
+    sizes = [q ** len(free_positions(p, 6)) for p in patterns]
+    offsets = np.cumsum([0] + sizes, dtype=np.int64)
+    by_mask = np.full(1 << 6, -1, dtype=np.int64)
+    for p, off in zip(patterns, offsets):
+        by_mask[sum(1 << j for j in p)] = off
+    return patterns, offsets, by_mask
+
+
+def id_chunks(q: int, k: int, block: int) -> list[tuple[int, int]]:
+    """Every id of the k-Grassmannian once, as ascending id ranges [lo, hi)
+    of at most block ids that never cross a pivot pattern."""
+    offsets = _layout(q, k)[1]
+    return [(s, min(s + block, int(hi)))
+            for lo, hi in zip(offsets[:-1], offsets[1:])
+            for s in range(int(lo), int(hi), block)]
+
+
+def pattern_block(q: int, k: int, pattern: tuple[int, ...],
+                  index: np.ndarray) -> np.ndarray:
+    """RREF matrices with the given pivot pattern whose free-digit indices
+    (ids minus the pattern's offset) are index: (N, k, 6)."""
+    free = free_positions(pattern, 6)
     nf = len(free)
-    count = stop - start
-    A = np.zeros((count, k, ncols), dtype=np.uint8)
+    A = np.zeros((len(index), k, 6), dtype=np.uint8)
     for i, p in enumerate(pattern):
         A[:, i, p] = 1
-    if nf == 0 or count == 0:
-        return A
-    m = np.arange(start, stop, dtype=np.int64)
     for slot, (i, c) in enumerate(free):
-        div = q ** (nf - 1 - slot)
-        A[:, i, c] = ((m // div) % q).astype(np.uint8)
+        A[:, i, c] = (index // q ** (nf - 1 - slot)) % q
     return A
 
 
-def iter_subspace_blocks(n: int, q: int, projdim: int,
-                         block: int = 1 << 15) -> Iterator[tuple[tuple[int, ...], int, np.ndarray]]:
-    """Yield (pattern, start, mats) blocks covering every subspace once."""
-    k, ncols = projdim + 1, n + 1
-    for pattern in pivot_patterns(ncols, k):
-        total = q ** len(free_positions(pattern, ncols))
-        for start in range(0, total, block):
-            stop = min(start + block, total)
-            yield pattern, start, pattern_block(q, ncols, k, pattern, start, stop)
+def subspace_bases(q: int, k: int, ids: np.ndarray) -> np.ndarray:
+    """RREF bases of the subspaces with the given ids: (N, k, 6), one
+    pattern_block fill per pivot pattern."""
+    patterns, offsets, _ = _layout(q, k)
+    which = np.searchsorted(offsets, ids, side="right") - 1
+    out = np.empty((len(ids), k, 6), dtype=np.uint8)
+    for j in np.flatnonzero(np.bincount(which, minlength=len(patterns))):
+        sel = which == j
+        out[sel] = pattern_block(q, k, patterns[j], ids[sel] - offsets[j])
+    return out
+
+
+def subspace_ids(q: int, bases: np.ndarray) -> np.ndarray:
+    """Ids of full-rank RREF bases (N, k, 6), pivot patterns may differ."""
+    N, k, c = bases.shape
+    piv, is_piv, _ = _pivots(bases)
+    index = np.zeros(N, dtype=np.int64)
+    for i in range(k):
+        for col in range(c):
+            free = (col > piv[:, i]) & ~is_piv[:, col]
+            index = np.where(free, index * q + bases[:, i, col], index)
+    return _layout(q, k)[2][is_piv @ (1 << np.arange(c))] + index
 
 
 def sample_subspaces(kit: Kit, n: int, projdim: int, count: int,

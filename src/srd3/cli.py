@@ -116,19 +116,22 @@ def _acceptance(args) -> int:
 
 
 def _enumerate(args) -> int:
-    from srd3.pg import all_subspaces, gaussian_binomial
+    import numpy as np
+    from srd3 import bulk
+    from srd3.pg import gaussian_binomial
     F = parse_field_spec(args.field)
-    n = gaussian_binomial(6, args.dim + 1, F.q)
+    k = args.dim + 1
+    n = gaussian_binomial(6, k, F.q)
     if args.count_only:
         _write(json.dumps({"field": F.spec, "projdim": args.dim, "count": n}), args.out)
         return 0
-    rows = []
-    for i, W in enumerate(all_subspaces(5, F.q, args.dim, budget=args.budget or 10 ** 7, F=F)):
-        if args.limit and i >= args.limit:
-            break
-        rows.append([list(r) for r in W.rows])
+    emit = min(args.limit, n) if args.limit else n
+    budget = args.budget or 10 ** 7
+    if emit > budget:
+        raise BudgetExceeded(emit, budget)
+    bases = bulk.subspace_bases(F.q, k, np.arange(emit))
     _write(json.dumps({"field": F.spec, "projdim": args.dim, "count": n,
-                       "emitted": len(rows), "subspaces": rows}), args.out)
+                       "emitted": emit, "subspaces": bases.tolist()}), args.out)
     return 0
 
 
@@ -185,6 +188,8 @@ def _range_error(args) -> str | None:
         return f"--jobs must be at least 1, got {args.jobs}"
     if args.verb == "enumerate" and not 0 <= args.dim <= 4:
         return f"--dim must be a projective dimension in 0..4, got {args.dim}"
+    if args.verb == "enumerate" and args.limit < 0:
+        return f"--limit must be at least 0, got {args.limit}"
     return None
 
 

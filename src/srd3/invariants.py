@@ -160,8 +160,8 @@ class GeomTables:
         kit, q = self.kit, self.F.q
         t = np.zeros(q ** 6, dtype=np.uint8)
         multiples = np.arange(1, q, dtype=np.uint8)[:, None, None]
-        for _, _, block in bulk.iter_subspace_blocks(5, q, 0, block=1 << 14):
-            duals = block[:, 0, :]
+        for lo, hi in bulk.id_chunks(q, 1, 1 << 14):
+            duals = bulk.subspace_bases(q, 1, np.arange(lo, hi))[:, 0, :]
             dots = np.zeros((len(duals), len(self.v6)), dtype=np.uint8)
             for i in range(6):
                 dots = kit.add(dots, kit.mul(duals[:, i, None], self.v6[None, :, i]))
@@ -176,10 +176,10 @@ class GeomTables:
         self._hclass_arr = t
         return t
 
-    def od4_batch(self, bases: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
-        """Hyperplane-orbit distributions for RREF bases sharing one pivot
-        pattern: (N,k,6) -> (N,4)."""
-        duals = bulk.nullspace_fixed(self.kit, bases, pattern)
+    def od4_batch(self, bases: np.ndarray) -> np.ndarray:
+        """Hyperplane-orbit distributions of a batch of RREF bases:
+        (N,k,6) -> (N,4)."""
+        duals = bulk.nullspace_batch(self.kit, bases)
         combos = bulk.combine(self.kit, self.coeffs(duals.shape[1]), duals)
         cls = self.hclass_table()[bulk.encode(combos, self.F.q)]
         out = np.empty((len(bases), 4), dtype=np.int64)
@@ -220,10 +220,8 @@ def od0(W: Subspace) -> tuple[int, int, int, int]:
 
 def od4(W: Subspace) -> tuple[int, int, int, int]:
     """[h1, h2r, h2i, h3] over the hyperplanes containing W."""
-    t = tables(W.F)
-    bases = np.array([W.rows], dtype=np.uint8)
-    pattern = tuple(int(j) for j in np.argmax(bases[0] != 0, axis=1))
-    return tuple(int(x) for x in t.od4_batch(bases, pattern)[0])
+    out = tables(W.F).od4_batch(np.array([W.rows], dtype=np.uint8))[0]
+    return tuple(int(x) for x in out)
 
 
 def point_census(F: FieldCtx) -> dict[str, int]:
@@ -261,30 +259,24 @@ def k_generators(F: FieldCtx) -> list[tuple[tuple[int, ...], ...]]:
     return gens
 
 
-def orbit_of(W: Subspace, budget: int = 2 * 10 ** 6) -> list[tuple[tuple[int, ...], ...]]:
-    """The full orbit of W under the congruence group, as a sorted list of
-    canonical RREF row tuples.  BFS with batched transforms."""
+def orbit_of(W: Subspace, budget: int = 2 * 10 ** 6) -> np.ndarray:
+    """The full orbit of W under the congruence group, as the sorted int64
+    bulk ids of its members.  BFS with batched transforms, one np.unique
+    per level."""
     F = W.F
-    t = tables(F)
-    kit = t.kit
+    q, k = F.q, W.k
+    kit = tables(F).kit
     lifts = [np.array(lift(F, A), dtype=np.uint8) for A in k_generators(F)]
-    k = W.k
-    start = np.array([W.rows], dtype=np.uint8)
-    visited = {start[0].tobytes()}
-    frontier = start
+    frontier = np.array([W.rows], dtype=np.uint8)
+    seen = bulk.subspace_ids(q, frontier)
     while len(frontier):
         images = np.concatenate([bulk.transform(kit, frontier, L) for L in lifts])
         red, rk = bulk.rref_batch(kit, images)
         assert int(rk.min()) == k
-        fresh = []
-        for row in red:
-            key = row.tobytes()
-            if key not in visited:
-                visited.add(key)
-                fresh.append(row)
-        if len(visited) > budget:
-            raise BudgetExceeded(len(visited), budget)
-        frontier = np.array(fresh, dtype=np.uint8) if fresh else np.empty((0, k, 6), np.uint8)
-    out = [tuple(tuple(int(x) for x in r) for r in np.frombuffer(key, np.uint8).reshape(k, 6))
-           for key in visited]
-    return sorted(out)
+        ids, first = np.unique(bulk.subspace_ids(q, red), return_index=True)
+        fresh = ~np.isin(ids, seen, assume_unique=True)
+        seen = np.union1d(seen, ids[fresh])
+        if len(seen) > budget:
+            raise BudgetExceeded(len(seen), budget)
+        frontier = red[first[fresh]]
+    return seen

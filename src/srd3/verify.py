@@ -6,9 +6,11 @@ exact integer invariants, and compares them against closed-form claims.
 Claim ids (T3.2, T3.4, ..., C4, Y03q) are the stable identifiers used by
 the command line and the acceptance suite; every report carries one.
 
-The sweeps are chunked: a chunk is one (pivot pattern, index range) slice
-of the canonical RREF enumeration, so results are independent of the chunk
-schedule and of the number of worker processes.
+A subspace is named by its bulk id, its index in the canonical RREF order.
+The sweeps are chunked: a chunk is one id range of bulk.id_chunks, so
+results are independent of the chunk schedule and of the number of worker
+processes, and every sweep and orbit returns its subspaces as sorted int64
+ids.
 
 Completeness is decided in the quotient, never by collecting point sets.
 A subspace W with no rank-1 point is a complete distance-2 code iff the
@@ -26,7 +28,7 @@ import numpy as np
 
 from srd3 import bulk
 from srd3.gf import FieldCtx
-from srd3.pg import Subspace, gaussian_binomial, nullspace, coefficient_vectors
+from srd3.pg import Subspace, gaussian_binomial
 from srd3.invariants import (od0, od4, orbit_of, tables)
 from srd3.report import CheckReport, make_report
 from srd3.veronese import nucleus_plane
@@ -67,33 +69,9 @@ def _pmap(fn, items, jobs: int):
         _ACTIVE_WORK = None
 
 
-def _chunks(q: int, k: int, block: int) -> list[tuple[tuple[int, ...], int, int]]:
-    from srd3.pg import free_positions, pivot_patterns
-    out = []
-    for pattern in pivot_patterns(6, k):
-        total = q ** len(free_positions(pattern, 6))
-        for start in range(0, total, block):
-            out.append((pattern, start, min(start + block, total)))
-    return out
-
-
 def _block_size(q: int, k: int) -> int:
     m = (q ** k - 1) // (q - 1)
     return max(256, (1 << 22) // m)
-
-
-def encode_mats(arr: np.ndarray, q: int) -> np.ndarray:
-    n = arr.shape[0]
-    flat = arr.reshape(n, -1)
-    assert q ** flat.shape[1] < 2 ** 63
-    return bulk.encode(flat, q)
-
-
-def rows_to_codes(rows_list, q: int) -> np.ndarray:
-    if not rows_list:
-        return np.empty(0, dtype=np.int64)
-    arr = np.array(rows_list, dtype=np.uint8)
-    return np.sort(encode_mats(arr, q))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +93,7 @@ def _cached(key: tuple, build):
 def solid_groups(F: FieldCtx, jobs: int = 1):
     """All solids with no rank-1 point, grouped by point-orbit distribution.
 
-    Returns (groups: {od0 tuple: sorted int64 codes}, total_solids).
+    Returns (groups: {od0 tuple: sorted ids}, total_solids).
     """
     return _cached(("solid_groups", id(F)), lambda: _rank1_free_groups(F, 4, jobs))
 
@@ -123,44 +101,37 @@ def solid_groups(F: FieldCtx, jobs: int = 1):
 def plane_sweep(F: FieldCtx, jobs: int = 1):
     """All planes with no rank-1 point, grouped by point-orbit distribution.
 
-    Returns (groups: {od0 tuple: sorted int64 codes}, total_planes).
+    Returns (groups: {od0 tuple: sorted ids}, total_planes).
     """
     return _cached(("plane_sweep", id(F)), lambda: _rank1_free_groups(F, 3, jobs))
 
 
 def _rank1_free_groups(F: FieldCtx, k: int, jobs: int):
     """The one sweep engine: a chunked od0 pass over every k-dimensional
-    subspace of F^6, keeping those with no rank-1 point grouped by od0."""
+    subspace of F^6, keeping those with no rank-1 point grouped by od0.
+    Chunks come back in id order, so each group is sorted as it is joined."""
     q = F.q
     t = tables(F)
-    chunks = _chunks(q, k, _block_size(q, k))
 
     def work(chunk):
-        pattern, start, stop = chunk
-        block = bulk.pattern_block(q, 6, k, pattern, start, stop)
-        dist = t.od0_batch(block)
-        mask = dist[:, 0] == 0
-        if not mask.any():
-            return []
-        sel = block[mask]
-        seld = dist[mask]
-        out = []
-        for sig in np.unique(seld, axis=0):
-            m = (seld == sig).all(axis=1)
-            out.append((tuple(int(x) for x in sig), encode_mats(sel[m], q)))
-        return out
+        lo, hi = chunk
+        dist = t.od0_batch(bulk.subspace_bases(q, k, np.arange(lo, hi)))
+        keep = np.flatnonzero(dist[:, 0] == 0)
+        seld = dist[keep]
+        return [(tuple(int(x) for x in sig), lo + keep[(seld == sig).all(axis=1)])
+                for sig in np.unique(seld, axis=0)]
 
     groups: dict[tuple, list] = {}
-    for part in _pmap(work, chunks, jobs):
-        for sig, codes in part:
-            groups.setdefault(sig, []).append(codes)
-    merged = {sig: np.sort(np.concatenate(arrs)) for sig, arrs in groups.items()}
+    for part in _pmap(work, bulk.id_chunks(q, k, _block_size(q, k)), jobs):
+        for sig, ids in part:
+            groups.setdefault(sig, []).append(ids)
+    merged = {sig: np.concatenate(arrs) for sig, arrs in groups.items()}
     return merged, gaussian_binomial(6, k, q)
 
 
-def _codes_where(groups: dict, keep) -> np.ndarray:
-    """Sorted codes of every group whose od0 signature passes keep."""
-    arrs = [codes for sig, codes in groups.items() if keep(sig)]
+def _ids_where(groups: dict, keep) -> np.ndarray:
+    """Sorted ids of every group whose od0 signature passes keep."""
+    arrs = [ids for sig, ids in groups.items() if keep(sig)]
     return np.sort(np.concatenate(arrs)) if arrs else np.empty(0, np.int64)
 
 
@@ -168,51 +139,36 @@ def _has_rank2(sig: tuple) -> bool:
     return sig[1] + sig[2] > 0
 
 
-def _od4_codes(F: FieldCtx, codes: np.ndarray, jobs: int = 1) -> np.ndarray:
-    """Hyperplane-orbit distributions of the planes with the given RREF
-    codes, (N, 4) in the order of codes.
-
-    od4_batch takes one pivot pattern per call, so the planes are split by
-    pattern (the first nonzero column of each row) and each pattern is cut
-    into blocks of at most _block_size(q, 3) planes, which bounds the
-    kernel's memory as the plane sweep does.
-    """
+def _od4_of(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:
+    """Hyperplane-orbit distributions of the planes with the given ids,
+    (N, 4) in the order of ids, in blocks of at most _block_size(q, 3)
+    planes, which bounds the kernel's memory as the plane sweep does."""
     q = F.q
     t = tables(F)
     t.hclass_table()  # build before forking
-    mats = bulk.decode(codes, q, 18).reshape(-1, 3, 6)
-    piv = np.argmax(mats != 0, axis=2)
-    key = (piv[:, 0] * 6 + piv[:, 1]) * 6 + piv[:, 2]
-    order = np.argsort(key, kind="stable")
-    cuts = np.flatnonzero(np.diff(key[order])) + 1
     block = _block_size(q, 3)
-    items = [(s, min(s + block, hi))
-             for lo, hi in zip([0, *map(int, cuts)], [*map(int, cuts), len(order)])
-             for s in range(lo, hi, block)]
+    items = [(s, min(s + block, len(ids))) for s in range(0, len(ids), block)]
 
     def work(item):
-        idx = order[item[0]:item[1]]
-        return t.od4_batch(mats[idx], tuple(int(x) for x in piv[idx[0]]))
+        return t.od4_batch(bulk.subspace_bases(q, 3, ids[item[0]:item[1]]))
 
-    out = np.empty((len(codes), 4), dtype=np.int64)
-    for (s, e), d4 in zip(items, _pmap(work, items, jobs)):
-        out[order[s:e]] = d4
-    return out
+    parts = _pmap(work, items, jobs)
+    return np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64)
 
 
 def min_rank2_coverage(F: FieldCtx, jobs: int = 1) -> np.ndarray:
-    """Sorted codes of the rank-1-free planes that lie inside a rank-1-free
+    """Sorted ids of the rank-1-free planes that lie inside a rank-1-free
     solid: those whose rank-1 points' images do not cover the quotient
     PG(2,q) (see _complete_mask)."""
     def build():
-        codes = _codes_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
-        return codes[~_complete_mask(F, codes, 3, jobs)]
+        ids = _ids_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
+        return ids[~_complete_mask(F, ids, 3, jobs)]
     return _cached(("mr2_coverage", id(F)), build)
 
 
-def _complete_mask(F: FieldCtx, codes: np.ndarray, k: int, jobs: int = 1) -> np.ndarray:
-    """Which of the given rank-1-free k-subspaces (RREF codes) are complete
-    as distance-2 codes.
+def _complete_mask(F: FieldCtx, ids: np.ndarray, k: int, jobs: int = 1) -> np.ndarray:
+    """Which of the given rank-1-free k-subspaces (ids) are complete as
+    distance-2 codes.
 
     A point Q outside W extends W iff <W, Q> has no rank-1 point v, and
     v lies in <W, Q> iff v and Q have the same image in F^6/W, because the
@@ -223,10 +179,10 @@ def _complete_mask(F: FieldCtx, codes: np.ndarray, k: int, jobs: int = 1) -> np.
     kit = bulk.kit_for(F)
     v6 = tables(F).v6
     block = max(256, (1 << 20) // len(v6))
-    items = [(s, min(s + block, len(codes))) for s in range(0, len(codes), block)]
+    items = [(s, min(s + block, len(ids))) for s in range(0, len(ids), block)]
 
     def work(item):
-        bases = bulk.decode(codes[item[0]:item[1]], q, 6 * k).reshape(-1, k, 6)
+        bases = bulk.subspace_bases(q, k, ids[item[0]:item[1]])
         return bulk.covers_quotient(kit, bases, v6)
 
     parts = _pmap(work, items, jobs)
@@ -240,47 +196,40 @@ def _complete_planes_by_sig(F: FieldCtx, jobs: int) -> dict[tuple, np.ndarray]:
     groups, _ = plane_sweep(F, jobs=jobs)
     covered = min_rank2_coverage(F, jobs=jobs)
     out = {}
-    for sig, codes in groups.items():
+    for sig, ids in groups.items():
         if _has_rank2(sig):
-            left = codes[~np.isin(codes, covered, assume_unique=True)]
+            left = ids[~np.isin(ids, covered, assume_unique=True)]
             if len(left):
                 out[sig] = left
     return out
 
 
-def _line_pair_planes(F: FieldCtx, jobs: int, codes: np.ndarray | None = None) -> np.ndarray:
-    """The planes of codes (default: every rank-1-free plane, sorted) that
+def _line_pair_planes(F: FieldCtx, jobs: int, ids: np.ndarray | None = None) -> np.ndarray:
+    """The planes of the sorted ids (default: every rank-1-free plane) that
     lie on a line-pair hyperplane (class H2r or H2i)."""
-    if codes is None:
-        codes = _codes_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
-    d4 = _od4_codes(F, codes, jobs)
-    return codes[(d4[:, 1] + d4[:, 2]) > 0]
+    if ids is None:
+        ids = _ids_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
+    d4 = _od4_of(F, ids, jobs)
+    return ids[(d4[:, 1] + d4[:, 2]) > 0]
 
 
-def _inner_dual_nullspaces(F: FieldCtx, k: int) -> np.ndarray:
-    """For each normalized dual w of F^k, a basis of {x : x.w = 0}: (M, k-1, k)."""
-    out = []
-    for w in coefficient_vectors(F.q, k):
-        out.append(nullspace(F, (w,)))
-    return np.array(out, dtype=np.uint8)
-
-
-def planes_covered_by_solids(F: FieldCtx, solid_codes: np.ndarray,
+def planes_covered_by_solids(F: FieldCtx, solid_ids: np.ndarray,
                              jobs: int = 1) -> np.ndarray:
-    """Sorted unique codes of every plane inside any of the given solids.
+    """Sorted unique ids of every plane inside any of the given solids.
 
     The program does not call this: it is the enumerative oracle against
     which the test suite checks min_rank2_coverage at small q.
     """
     q = F.q
     kit = bulk.kit_for(F)
-    nd = _inner_dual_nullspaces(F, 4)          # (M, 3, 4)
+    # for each normalized dual w of F^4, a basis of {x : x.w = 0}: (M, 3, 4)
+    nd = bulk.nullspace_batch(kit, tables(F).coeffs(4)[:, None, :])
     m = len(nd)
     block = max(64, (1 << 21) // (m * 18))
-    chunks = [solid_codes[i:i + block] for i in range(0, len(solid_codes), block)]
+    chunks = [solid_ids[i:i + block] for i in range(0, len(solid_ids), block)]
 
-    def work(codes):
-        bases = bulk.decode(codes, q, 24).reshape(-1, 4, 6)
+    def work(ids):
+        bases = bulk.subspace_bases(q, 4, ids)
         n = len(bases)
         acc = np.zeros((n, m, 3, 6), dtype=np.uint8)
         for j in range(4):
@@ -288,7 +237,7 @@ def planes_covered_by_solids(F: FieldCtx, solid_codes: np.ndarray,
             acc = kit.add(acc, term)
         red, rk = bulk.rref_batch(kit, acc.reshape(n * m, 3, 6))
         assert int(rk.min()) == 3
-        return np.unique(encode_mats(red, q))
+        return np.unique(bulk.subspace_ids(q, red))
 
     parts = _pmap(work, chunks, jobs)
     return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
@@ -302,14 +251,13 @@ def line_sweep_completeness(F: FieldCtx, jobs: int = 1):
     quotient PG(3,q) (see _complete_mask), which is why none can be.
     """
     def build():
-        lines = _codes_where(_rank1_free_groups(F, 2, jobs)[0], _has_rank2)
+        lines = _ids_where(_rank1_free_groups(F, 2, jobs)[0], _has_rank2)
         return len(lines), int(_complete_mask(F, lines, 2, jobs).sum())
     return _cached(("line_sweep", id(F)), build)
 
 
-def _orbit_codes(W: Subspace, budget: int = 2 * 10 ** 6) -> np.ndarray:
-    return _cached(("orbit", id(W.F), W.rows),
-                   lambda: rows_to_codes(orbit_of(W, budget=budget), W.F.q))
+def _orbit_ids(W: Subspace) -> np.ndarray:
+    return _cached(("orbit", id(W.F), W.rows), lambda: orbit_of(W))
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +352,13 @@ def verify_solids(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list
     groups, _ = solid_groups(F, jobs=jobs)
     orbit_match = {}
     sizes = {}
-    for sig, codes in sorted(groups.items()):
+    for sig, ids in sorted(groups.items()):
         rid = sig_to_id.get(sig)
-        sizes[str(sig)] = len(codes)
+        sizes[str(sig)] = len(ids)
         if rid is None:
             orbit_match[str(sig)] = "unexpected-signature"
             continue
-        oc = _orbit_codes(representative(rid, F))
-        orbit_match[rid] = bool(len(oc) == len(codes) and np.array_equal(oc, codes))
+        orbit_match[rid] = bool(np.array_equal(_orbit_ids(representative(rid, F)), ids))
     expected = {"n_groups": 3, "signatures": sorted(sig_to_id),
                 "orbit_match": {rid: True for rid in sig_to_id.values()}}
     computed = {"n_groups": len(groups), "signatures": sorted(groups),
@@ -455,8 +402,8 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -
             continue
         groups, total = plane_sweep(F, jobs=jobs)
         hits = groups.get(d0, np.empty(0, np.int64))
-        orbit = _orbit_codes(W)
-        od4_all = bool((_od4_codes(F, orbit) == d4).all())
+        orbit = _orbit_ids(W)
+        od4_all = bool((_od4_of(F, orbit) == d4).all())
         details = {"planes_swept": total, "matching_planes": len(hits),
                    "orbit_size": len(orbit)}
         if check_id == "T3.4":
@@ -524,15 +471,12 @@ def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1,
             details={"planes_checked": int(sample),
                      "intersection_dim_histogram": [int(x) for x in hist]})]
 
-    chunks = _chunks(q, 3, _block_size(q, 3))
-
     def work(chunk):
-        pattern, start, stop = chunk
-        return check_block(bulk.pattern_block(q, 6, 3, pattern, start, stop))
+        return check_block(bulk.subspace_bases(q, 3, np.arange(*chunk)))
 
     mism = 0
     hist = np.zeros(4, dtype=np.int64)
-    for m, h in _pmap(work, chunks, jobs):
+    for m, h in _pmap(work, bulk.id_chunks(q, 3, _block_size(q, 3)), jobs):
         mism += m
         hist += h
     return [make_report(
@@ -552,19 +496,19 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
     q = F.q
     n_lines, n_complete_lines = line_sweep_completeness(F, jobs=jobs)
     by_sig = _complete_planes_by_sig(F, jobs)
-    complete_planes = _codes_where(by_sig, lambda sig: True)
+    complete_planes = _ids_where(by_sig, lambda sig: True)
     groups, _ = plane_sweep(F, jobs=jobs)
-    n_min_rank2 = sum(len(codes) for sig, codes in groups.items() if _has_rank2(sig))
+    n_min_rank2 = sum(len(ids) for sig, ids in groups.items() if _has_rank2(sig))
 
     details = {"min_rank2_lines": n_lines, "min_rank2_planes": n_min_rank2,
                "planes_inside_min_rank2_solids": n_min_rank2 - len(complete_planes)}
     flags = _q2_flags(F)
     if F.p == 2:
         # the only complete planes are the nucleus-plane family
-        expect_sets = [rows_to_codes([nucleus_plane(F).rows], q)]
+        expect_sets = [bulk.subspace_ids(q, np.array([nucleus_plane(F).rows], np.uint8))]
         if q >= 4:
-            expect_sets.append(_orbit_codes(representative("Sigma_16", F)))
-            expect_sets.append(_orbit_codes(representative("Sigma_18", F)))
+            expect_sets.append(_orbit_ids(representative("Sigma_16", F)))
+            expect_sets.append(_orbit_ids(representative("Sigma_18", F)))
         else:
             # q = 2: below the q >= 4 range of the named plane families;
             # the maximal planes are grouped by signature instead
@@ -664,19 +608,19 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
     # ----- d = 3 ----------------------------------------------------------
     t1 = time.perf_counter()
     gf = sigma_gf_plane(F)
-    gf_codes = _orbit_codes(gf)
-    orbits = [gf_codes]
+    gf_ids = _orbit_ids(gf)
+    orbits = [gf_ids]
     ext_counts = [rank1_points_over_cubic_extension(F, gf)]
     if F.p != 2:
         tf = sigma_tf_plane(F)
-        tf_codes = _orbit_codes(tf)
-        orbits.append(tf_codes)
+        tf_ids = _orbit_ids(tf)
+        orbits.append(tf_ids)
         ext_counts.append(rank1_points_over_cubic_extension(F, tf))
-        disjoint = not np.isin(gf_codes, tf_codes).any()
+        disjoint = not np.isin(gf_ids, tf_ids).any()
     else:
         disjoint = True
     union = np.unique(np.concatenate(orbits))
-    min_rank3 = _codes_where(plane_sweep(F, jobs=jobs)[0], lambda sig: not _has_rank2(sig))
+    min_rank3 = _ids_where(plane_sweep(F, jobs=jobs)[0], lambda sig: not _has_rank2(sig))
     covered_all = bool(np.array_equal(union, min_rank3))
     expected_d3 = 1 if F.p == 2 else 2
     expected_ext = [3] if F.p == 2 else [3, 0]
@@ -708,7 +652,7 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
         kit = bulk.kit_for(F)
         planes = bulk.sample_subspaces(kit, 5, 2, SAMPLE_SIZE, seed=_SEED)
         free = planes[tables(F).od0_batch(planes)[:, 0] == 0]
-        target = _line_pair_planes(F, jobs, encode_mats(free, q))
+        target = _line_pair_planes(F, jobs, np.sort(bulk.subspace_ids(q, free)))
         bad = int(_complete_mask(F, target, 3, jobs).sum())
         report = make_report(
             "C4", F.spec,

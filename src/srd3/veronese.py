@@ -104,11 +104,6 @@ def nucleus_plane(F: FieldCtx) -> Subspace:
     return Subspace(F, ((0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)))
 
 
-def in_nucleus_plane(y: Iterable[int]) -> bool:
-    y = tuple(y)
-    return y[0] == 0 and y[3] == 0 and y[5] == 0
-
-
 def delta(F: FieldCtx, conic: Iterable[int]) -> Vec6:
     """Dual vector of the hyperplane cut out by a conic.
 

@@ -2,7 +2,8 @@
 
 Each one recomputes by brute force a fact that the package relies on
 without computing it: that k_generators generate PGL(3,q) (orbit_of walks
-orbits under those generators), orbit-stabiliser counts, the polar
+orbits under those generators), orbits as sets of RREF row tuples, stabilisers
+counted over every group element, orbit-stabiliser counts, the polar
 hyperplane of a point under the trace form, completeness as the exact
 union of the spans <W, v> over the low-rank points v, which the package
 decides in the quotient F^6/W instead, and the point and hyperplane
@@ -23,9 +24,14 @@ from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, k_generato
                              orbit_of, pgl3_order, tables)
 from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
                      matrix_rank, normalize_vec, nullspace, subspace_points)
-from srd3.veronese import (in_nucleus_plane, mat_mul, pg2_points, point_rank,
-                           veronese)
-from srd3.verify import _chunks, _pmap
+from srd3.veronese import (as_matrix, lift, mat_mul, pg2_points,
+                           point_rank, veronese)
+from srd3.verify import _pmap
+
+
+def in_nucleus_plane(y: Iterable[int]) -> bool:
+    y = tuple(y)
+    return y[0] == 0 and y[3] == 0 and y[5] == 0
 
 
 def veronese_points(F: FieldCtx) -> list[tuple[int, ...]]:
@@ -141,6 +147,83 @@ def stabilizer_order(W: Subspace, budget: int = 2 * 10 ** 6) -> int:
     return order // len(orbit)
 
 
+def orbit_rows(W: Subspace, budget: int = 2 * 10 ** 6) -> list[tuple[tuple[int, ...], ...]]:
+    """invariants.orbit_of as a sorted list of canonical RREF row tuples,
+    by a BFS that keys each subspace by the bytes of its RREF basis."""
+    F = W.F
+    t = tables(F)
+    kit = t.kit
+    lifts = [np.array(lift(F, A), dtype=np.uint8) for A in k_generators(F)]
+    k = W.k
+    start = np.array([W.rows], dtype=np.uint8)
+    visited = {start[0].tobytes()}
+    frontier = start
+    while len(frontier):
+        images = np.concatenate([bulk.transform(kit, frontier, L) for L in lifts])
+        red, rk = bulk.rref_batch(kit, images)
+        assert int(rk.min()) == k
+        fresh = []
+        for row in red:
+            key = row.tobytes()
+            if key not in visited:
+                visited.add(key)
+                fresh.append(row)
+        if len(visited) > budget:
+            raise BudgetExceeded(len(visited), budget)
+        frontier = np.array(fresh, dtype=np.uint8) if fresh else np.empty((0, k, 6), np.uint8)
+    out = [tuple(tuple(int(x) for x in r) for r in np.frombuffer(key, np.uint8).reshape(k, 6))
+           for key in visited]
+    return sorted(out)
+
+
+_pgl3: dict[int, np.ndarray] = {}
+
+
+def pgl3_elements(F: FieldCtx) -> np.ndarray:
+    """Every element of PGL(3,q) once, as the 3x3 matrix whose first
+    nonzero entry is 1: (|PGL(3,q)|, 3, 3).  Small q only."""
+    got = _pgl3.get(id(F))
+    if got is not None:
+        return got
+    kit, q = bulk.kit_for(F), F.q
+    flat = bulk.decode(np.arange(q ** 9), q, 9)
+    A = flat[flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)] == 1].reshape(-1, 3, 3)
+    m, s = kit.mul, kit.sub
+
+    def minor(r, c, r2, c2):
+        return s(m(A[:, r, c], A[:, r2, c2]), m(A[:, r, c2], A[:, r2, c]))
+
+    det = kit.add(s(m(A[:, 0, 0], minor(1, 1, 2, 2)), m(A[:, 0, 1], minor(1, 0, 2, 2))),
+                  m(A[:, 0, 2], minor(1, 0, 2, 1)))
+    got = _pgl3[id(F)] = A[det != 0]
+    return got
+
+
+def stabilizer_by_group(W: Subspace) -> int:
+    """Order of the stabiliser of W, counted over every element A of
+    PGL(3,q): A fixes W iff each image A M A^T of a basis row of W is
+    orthogonal to every dual vector of W."""
+    F = W.F
+    kit = bulk.kit_for(F)
+    G = pgl3_elements(F)
+    duals = np.array(nullspace(F, W.rows), dtype=np.uint8)
+    fixed = np.ones(len(G), dtype=bool)
+    for y in W.rows:
+        M = np.array(as_matrix(y), dtype=np.uint8)
+        AM = np.zeros(G.shape, dtype=np.uint8)
+        AMAt = np.zeros(G.shape, dtype=np.uint8)
+        for j in range(3):
+            AM = kit.add(AM, kit.mul(G[:, :, j, None], M[None, None, j, :]))
+        for j in range(3):
+            AMAt = kit.add(AMAt, kit.mul(AM[:, :, None, j], G[:, None, :, j]))
+        image = AMAt[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]]
+        dots = np.zeros((len(G), len(duals)), dtype=np.uint8)
+        for i in range(6):
+            dots = kit.add(dots, kit.mul(image[:, i, None], duals[None, :, i]))
+        fixed &= (dots == 0).all(axis=1)
+    return int(fixed.sum())
+
+
 def rho_point(F: FieldCtx, y: Iterable[int]) -> tuple[int, ...]:
     """Dual vector of the polar hyperplane of a point under the trace form
     <A, B> = trace(A B), whose Gram diagonal on the coordinates
@@ -163,11 +246,10 @@ def line_sweep_union(F: FieldCtx, jobs: int = 1) -> tuple[int, int]:
     v_arr = t.v6
     s = len(v_arr)
     coeff3 = t.coeffs(3)
-    chunks = _chunks(q, 2, max(256, (1 << 20) // (s * len(coeff3))))
+    chunks = bulk.id_chunks(q, 2, max(256, (1 << 20) // (s * len(coeff3))))
 
     def work(chunk):
-        pattern, start, stop = chunk
-        block = bulk.pattern_block(q, 6, 2, pattern, start, stop)
+        block = bulk.subspace_bases(q, 2, np.arange(*chunk))
         dist = t.od0_batch(block)
         mask = (dist[:, 0] == 0) & ((dist[:, 1] + dist[:, 2]) > 0)
         if not mask.any():

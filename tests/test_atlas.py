@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from srd3 import bulk
 from srd3.gf import make_field, trace2
 from srd3.atlas import (AtlasError, atlas_entry, emit_atlas, find_params,
                         rep_ids, representative,
@@ -127,10 +129,11 @@ def test_sigma_tf_q3():
 
 def test_sigma_gf_and_tf_disjoint_orbits_q3():
     F = make_field(3, 1)
-    gf_orbit = set(orbit_of(sigma_gf_plane(F)))
-    tf_orbit = set(orbit_of(sigma_tf_plane(F)))
-    assert sigma_tf_plane(F).rows not in gf_orbit
-    assert not (gf_orbit & tf_orbit)
+    gf_orbit = orbit_of(sigma_gf_plane(F))
+    tf_orbit = orbit_of(sigma_tf_plane(F))
+    tf_id = bulk.subspace_ids(F.q, np.array([sigma_tf_plane(F).rows], dtype=np.uint8))
+    assert not np.isin(tf_id, gf_orbit).any()
+    assert not np.isin(gf_orbit, tf_orbit).any()
     # both are constant-rank-3 orbits of equal size
     assert len(gf_orbit) == len(tf_orbit)
 
@@ -139,13 +142,13 @@ def test_sigma11_avoids_double_line_hyperplane():
     # the Sigma_11 plane is not inside the double-line hyperplane of its
     # nucleus-plane point
     from srd3.pg import incident, subspace_points
-    from srd3.veronese import double_line_dual, in_nucleus_plane, kernel_point
+    from srd3.veronese import double_line_dual, kernel_point
+    from oracles import classify_point, in_nucleus_plane
     F = make_field(2, 2)
     W = representative("Sigma_11", F)
     assert od0(W) == (1, 1, 3, 16)
     pts = [p for p in subspace_points(W)
            if in_nucleus_plane(p) and W.F is F]
-    from oracles import classify_point
     q2 = [p for p in pts if classify_point(F, p) == "P2n"]
     assert len(q2) == 1
     dual = double_line_dual(F, kernel_point(F, q2[0]))
@@ -184,9 +187,9 @@ def test_orbit_membership_independent_of_parameters_q3():
     spec = rep_spec("Omega8_2", F)
     reps = [_basis_from_entries(F, spec.entries, 4, {"d": d})
             for d in F.nonzero() if not is_square(F, d)]
-    orbit = set(orbit_of(reps[0]))
+    orbit = orbit_of(reps[0])
     for W in reps[1:]:
-        assert W.rows in orbit
+        assert np.isin(bulk.subspace_ids(F.q, np.array([W.rows], dtype=np.uint8)), orbit).all()
 
 
 def test_odd_pairs_on_extension_field_q9():

@@ -6,9 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srd3 import bulk
-from srd3.gf import make_field
+from srd3.gf import FieldError, make_field, parse_field_spec
 from srd3.pg import all_subspaces, gaussian_binomial, nullspace, rref
 
 from oracles import normalize_rows
@@ -71,16 +72,47 @@ def test_encode_decode_roundtrip():
     assert (bulk.encode(vecs, 3) == codes).all()
 
 
+@pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 4, 5) for k in (1, 2, 3, 4, 5)])
+def test_subspace_ids_round_trip(q, k):
+    # ids 0..N-1 decode to pg.all_subspaces in its order, and back
+    n = gaussian_binomial(6, k, q)
+    scalar = np.fromiter((x for W in all_subspaces(5, q, k - 1, budget=10 ** 7)
+                          for row in W.rows for x in row),
+                         dtype=np.uint8, count=n * k * 6).reshape(n, k, 6)
+    bases = bulk.subspace_bases(q, k, np.arange(n))
+    assert np.array_equal(bases, scalar)
+    assert np.array_equal(bulk.subspace_ids(q, bases), np.arange(n))
+
+
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (4, 3), (5, 4)])
-def test_iter_subspace_blocks_covers_everything(q, k):
-    seen = set()
-    for pattern, start, block in bulk.iter_subspace_blocks(5, q, k - 1, block=997):
-        for row in block:
-            seen.add(row.tobytes())
-    assert len(seen) == gaussian_binomial(6, k, q)
-    scalar = {np.array(W.rows, dtype=np.uint8).tobytes()
-              for W in all_subspaces(5, q, k - 1, budget=10 ** 7)}
-    assert seen == scalar
+def test_id_chunks_cover_every_id_once(q, k):
+    chunks = bulk.id_chunks(q, k, 997)
+    assert chunks[0][0] == 0 and chunks[-1][1] == gaussian_binomial(6, k, q)
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    for lo, hi in chunks:
+        piv = np.argmax(bulk.subspace_bases(q, k, np.array([lo, hi - 1])) != 0, axis=2)
+        assert 0 < hi - lo <= 997 and (piv[0] == piv[1]).all()
+
+
+def test_id_range_stated_once():
+    # k = 3 is the largest Grassmannian of F^6; q = 128 is the next prime power
+    assert gaussian_binomial(6, 3, bulk.MAX_ID_Q) < 2 ** 63 <= gaussian_binomial(6, 3, 128)
+    with pytest.raises(FieldError):
+        bulk.id_chunks(128, 3, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["7", "13", "16", "2^3/101"]), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_subspace_ids_round_trip_random(spec, k, seed):
+    F = parse_field_spec(spec)
+    kit = bulk.kit_for(F)
+    raw = np.random.default_rng(seed).integers(0, F.q, (50, k, 6), dtype=np.uint8)
+    red, rk = bulk.rref_batch(kit, raw)
+    red = red[rk == k]
+    ids = bulk.subspace_ids(F.q, red)
+    assert ((0 <= ids) & (ids < gaussian_binomial(6, k, F.q))).all()
+    assert np.array_equal(bulk.subspace_bases(F.q, k, ids), red)
 
 
 def test_combine_matches_scalar():
@@ -97,13 +129,13 @@ def test_combine_matches_scalar():
 
 
 def test_nullspace_fixed_matches_scalar():
+    # nullspace_batch, on planes of every pivot pattern in one batch
     F = make_field(3, 1)
     kit = bulk.kit_for(F)
-    pattern = (0, 2, 3)
-    blocks = list(bulk.iter_subspace_blocks(5, 3, 2, block=10 ** 6))
-    arr = next(b for pat, _, b in blocks if pat == pattern)
-    ns = bulk.nullspace_fixed(kit, arr[:50], pattern)
-    for i in range(50):
+    arr = bulk.subspace_bases(3, 3, np.array([lo for lo, _ in bulk.id_chunks(3, 3, 97)]))
+    assert len({tuple(np.argmax(m != 0, axis=1)) for m in arr}) == 20
+    ns = bulk.nullspace_batch(kit, arr)
+    for i in range(len(arr)):
         rows = tuple(tuple(int(x) for x in r) for r in arr[i])
         want = set(nullspace(F, rows))
         got_rows = tuple(tuple(int(x) for x in r) for r in ns[i])

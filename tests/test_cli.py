@@ -89,6 +89,25 @@ def test_enumerate_budget_exceeded(capsys):
                  "--budget", "1000"]) == 2
 
 
+def test_enumerate_limit_bounds_the_budget(capsys):
+    # PG(5,7) has 48 177 200 planes, but two are asked for
+    assert main(["enumerate", "--field", "7", "--dim", "2", "--limit", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["count"] == 48177200 and out["emitted"] == 2
+    assert out["subspaces"] == [[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+                                [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1]]]
+    assert main(["enumerate", "--field", "5", "--dim", "2", "--limit", "1001",
+                 "--budget", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: enumeration needs 1001 objects, budget is 1000\n"
+
+
+def test_enumerate_above_id_range_exit_2(capsys):
+    assert main(["enumerate", "--field", "128", "--dim", "2", "--limit", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: subspace ids support q <= 127")
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
@@ -144,8 +163,9 @@ def test_field_above_table_range_exit_2(tmp_path, capsys):
     ["acceptance", "--fields", "3", "--jobs", "-1"],
     ["enumerate", "--field", "3", "--dim", "7", "--count-only"],
     ["enumerate", "--field", "3", "--dim", "-1", "--count-only"],
+    ["enumerate", "--field", "3", "--dim", "2", "--limit", "-1"],
 ], ids=["verify_jobs_0", "acceptance_jobs_negative", "enumerate_dim_7",
-        "enumerate_dim_negative"])
+        "enumerate_dim_negative", "enumerate_limit_negative"])
 def test_out_of_range_options_exit_2(capsys, argv):
     assert main(argv) == 2
     _one_line_error(capsys)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srd3 import bulk
 from srd3.gf import make_field, parse_field_spec
-from srd3.pg import canonicalize, coefficient_vectors
+from srd3.pg import Subspace, canonicalize, coefficient_vectors
 from srd3.invariants import (HYPERPLANE_CLASSES, exterior_by_tangents,
                              hyperplane_census, od0, od4,
                              orbit_of, pgl3_order, point_census,
@@ -14,7 +16,13 @@ from srd3.invariants import (HYPERPLANE_CLASSES, exterior_by_tangents,
 from srd3.veronese import nucleus_plane, veronese
 
 from oracles import (classify_hyperplane, classify_point, group_order_bfs,
-                     od4_scalar, stabilizer_order, veronese_points)
+                     od4_scalar, orbit_rows, stabilizer_by_group, stabilizer_order,
+                     veronese_points)
+
+
+def _members(W, ids):
+    return [Subspace(W.F, tuple(map(tuple, b)))
+            for b in bulk.subspace_bases(W.F.q, W.k, ids).tolist()]
 
 
 def test_classify_point_examples():
@@ -193,14 +201,11 @@ def test_orbit_conic_plane_q3():
 
 
 def test_od_constant_on_orbit():
-    from srd3.pg import Subspace
     F = make_field(3, 1)
     W = canonicalize(F, [(1, 0, 0, 0, 2, 0), (0, 1, 0, 1, 0, 0)])
     base0, base4 = od0(W), od4(W)
     orbit = orbit_of(W)
-    sample = orbit[:: max(1, len(orbit) // 25)]
-    for rows in sample:
-        V = Subspace(F, rows)
+    for V in _members(W, orbit[:: max(1, len(orbit) // 25)]):
         assert od0(V) == base0
         assert od4(V) == base4
 
@@ -210,5 +215,20 @@ def test_veronese_image_is_single_orbit():
     P = canonicalize(F, [veronese(F, (1, 0, 0))])
     orbit = orbit_of(P)
     assert len(orbit) == 7
-    members = {rows[0] for rows in orbit}
+    members = {V.rows[0] for V in _members(P, orbit)}
     assert members == set(veronese_points(F))
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
+def test_orbit_ids_match_row_oracle_on_atlas(p, h):
+    # the id BFS against the row-tuple BFS it replaced, and its size
+    # against the stabiliser counted over every element of PGL(3,q)
+    from srd3.atlas import rep_ids, representative
+    F = make_field(p, h)
+    for rid in rep_ids(F):
+        W = representative(rid, F)
+        orbit = orbit_of(W)
+        assert orbit.dtype == np.int64 and (np.diff(orbit) > 0).all(), rid
+        rows = np.array(orbit_rows(W), dtype=np.uint8)
+        assert np.array_equal(orbit, np.sort(bulk.subspace_ids(F.q, rows))), rid
+        assert len(orbit) * stabilizer_by_group(W) == pgl3_order(F.q), rid

@@ -10,9 +10,8 @@ from srd3 import bulk
 from srd3.gf import make_field
 from srd3.invariants import tables
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
-from srd3.verify import (VerifyError, _codes_where, _line_pair_planes,
-                         _min_rank2_solid_sigs, encode_mats,
-                         line_sweep_completeness,
+from srd3.verify import (VerifyError, _ids_where, _line_pair_planes,
+                         _min_rank2_solid_sigs, line_sweep_completeness,
                          min_rank2_coverage, plane_sweep,
                          planes_covered_by_solids, run_checks,
                          solid_groups, verify_censuses, verify_class_counts,
@@ -119,8 +118,8 @@ def test_coverage_matches_solid_oracle(p, h, complete):
     groups, _ = solid_groups(F)
     sigs = _min_rank2_solid_sigs(F)
     assert set(groups) == set(sigs)
-    want = planes_covered_by_solids(F, _codes_where(groups, sigs.__contains__))
-    planes = _codes_where(plane_sweep(F)[0], lambda sig: sig[1] + sig[2] > 0)
+    want = planes_covered_by_solids(F, _ids_where(groups, sigs.__contains__))
+    planes = _ids_where(plane_sweep(F)[0], lambda sig: sig[1] + sig[2] > 0)
     for jobs in (1, 2):
         cov = _rebuild("mr2_coverage", min_rank2_coverage, F, jobs)
         assert np.array_equal(cov, want)
@@ -152,6 +151,17 @@ def test_sampled_c4_golden_q5():
     assert r.status == SAMPLED
     assert r.computed == {"violations": 0}
     assert r.details == {"sampled_planes": 100000, "checked": 77681}
+
+
+def test_sampled_c4_q13(monkeypatch):
+    # 13^18 > 2^63: a plane written as 18 base-q digits does not fit int64,
+    # its id does
+    import srd3.verify as V
+    monkeypatch.setattr(V, "SAMPLE_SIZE", 3000)
+    r, = _ok(verify_net_corollaries(make_field(13, 1)))
+    assert r.status == SAMPLED
+    assert r.details["sampled_planes"] == 3000
+    assert 0 < r.details["checked"] < 3000
 
 
 def test_schmidt_all_small_q():
@@ -211,12 +221,13 @@ def test_line_pair_planes_match_chunked_od4_q3():
     F = make_field(3, 1)
     t = tables(F)
     want = []
-    for pattern, _, block in bulk.iter_subspace_blocks(5, 3, 2, block=4096):
-        block = block[t.od0_batch(block)[:, 0] == 0]
-        if len(block):
-            d4 = t.od4_batch(block, pattern)
-            want.append(encode_mats(block[(d4[:, 1] + d4[:, 2]) > 0], 3))
-    want = np.sort(np.concatenate(want))
+    for lo, hi in bulk.id_chunks(3, 3, 4096):
+        block = bulk.subspace_bases(3, 3, np.arange(lo, hi))
+        keep = np.flatnonzero(t.od0_batch(block)[:, 0] == 0)
+        if len(keep):
+            d4 = t.od4_batch(block[keep])
+            want.append(lo + keep[(d4[:, 1] + d4[:, 2]) > 0])
+    want = np.concatenate(want)
     assert np.array_equal(_line_pair_planes(F, jobs=1), want)
     assert np.array_equal(_line_pair_planes(F, jobs=2), want)
 

@@ -12,7 +12,7 @@ Criteria (all exact integer comparisons, no tolerances):
      7  completeness dichotomy for lines and planes (q = 3, 4)
      8  equivalence class counts for d = 2 and d = 3 (q = 3, 4, 5)
      9  the trace-form plane matches the optimal distance-3 construction
-        (q = 2, 3, 4, 5)
+        (q = 2, 3, 4, 5, 8)
     10  constant-rank-3 hyperplane distribution discrepancy is flagged
         (q = 3, 4)
     11  property suites: action functoriality, conic/hyperplane incidence,
@@ -46,6 +46,7 @@ PLAN: list[tuple[int, str, list[str]]] = [
     (8, "3", ["T3.12", "T3.21"]), (8, "4", ["T3.14", "T3.21"]),
     (8, "5", ["T3.12", "T3.21"]),
     (9, "2", ["Y03q"]), (9, "3", ["Y03q"]), (9, "4", ["Y03q"]), (9, "5", ["Y03q"]),
+    (9, "8", ["Y03q"]),
     (10, "3", ["CR3-OD4"]), (10, "4", ["CR3-OD4"]),
     (11, "3", ["properties"]), (11, "4", ["properties"]), (11, "5", ["properties"]),
     (5, "8", ["T3.7"]),

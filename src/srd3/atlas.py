@@ -15,15 +15,24 @@ is reproducible bit for bit; see find_params.
 Expected point- and hyperplane-orbit distributions are stored as closed
 formulas in q next to each representative and are what the verification
 drivers check the computed distributions against.
+
+The two constant-rank-3 planes (q odd) are told apart by the rank-1 points
+of their scalar extension to GF(q^3): 3 for the trace-form plane Sigma_GF,
+0 for its polar image Sigma_TF.  rank1_points_over_cubic_extension counts
+them as the common zeros in PG(2, q^3) of the dual net of conics, one
+numpy block of points at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from srd3.gf import FieldCtx, is_square, trace2
+import numpy as np
+
+from srd3.gf import FieldCtx, cubic_extension, is_square, trace2
 from srd3.invariants import od0, od4, tables
-from srd3.pg import Subspace, canonicalize, rref, subspace_points, subspaces_within
+from srd3.pg import (Subspace, canonicalize, nullspace, rref, subspace_points,
+                     subspaces_within)
 from srd3.veronese import (double_line_dual, kernel_point, nucleus_plane,
                            polarity_rho)
 
@@ -493,7 +502,6 @@ def sigma18_plane(F: FieldCtx) -> Subspace:
     P = next(iter(subspace_points(pn)))
     k = kernel_point(F, P)
     dual = double_line_dual(F, k)
-    from srd3.pg import nullspace
     H = Subspace(F, rref(F, nullspace(F, (dual,)))[0])
     t = tables(F)
     q = F.q
@@ -523,7 +531,6 @@ def sigma_gf_plane(F: FieldCtx) -> Subspace:
     Every nonzero c gives a nondegenerate form, so every point of the plane
     has rank 3.
     """
-    from srd3.gf import cubic_extension
     ext = cubic_extension(F)
     E = ext.ext
     basis = _ext_basis(ext)
@@ -578,23 +585,62 @@ def sigma_tf_plane(F: FieldCtx) -> Subspace:
 
 
 def rank1_points_over_cubic_extension(F: FieldCtx, W: Subspace) -> int:
-    """Number of rank-1 points of the scalar extension of W to GF(q^3)."""
-    from srd3.gf import cubic_extension
-    from srd3.pg import coefficient_vectors
+    """Number of rank-1 points of the scalar extension of W to GF(q^3).
+
+    The rank-1 points of PG(5, q^3) are the Veronese images nu(u) of the
+    points u of PG(2, q^3), and nu(u) lies in W (x) GF(q^3) iff it lies on
+    every hyperplane through W.  So the count is the number of common
+    zeros in PG(2, q^3) of the conics c . nu(u), c running over a basis of
+    W's dual: the affine chart (1, x, y) in blocks of x, then the line
+    (0, 1, y), then the point (0, 0, 1).
+    """
     ext = cubic_extension(F)
-    E = ext.ext
-    rows = [tuple(ext.embed(x) for x in row) for row in W.rows]
+    Q = ext.ext.q
+    duals = nullspace(F, W.rows)
+    if not duals:
+        return Q * Q + Q + 1
+    # the embedded conics, with a zero coefficient appended at index 6
+    C = np.zeros((len(duals), 7), dtype=np.int64)
+    C[:, :6] = np.array(ext.embed_table)[np.array(duals)]
+    every, zero = np.arange(Q), np.zeros(1, dtype=np.int64)
+    return (_chart_zeros(ext.ext, C[:, :6], every, every)
+            + _chart_zeros(ext.ext, C[:, [3, 6, 4, 6, 6, 5]], zero, every)
+            + _chart_zeros(ext.ext, C[:, [5, 6, 6, 6, 6, 6]], zero, zero))
+
+
+# points of one (x-chunk, y) block of _chart_zeros
+CHART_BLOCK = 1 << 16
+
+
+def _chart_zeros(E: FieldCtx, C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int:
+    """Number of (x, y) in xs * ys at which every conic
+    c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2 of C (m, 6) vanishes.  The
+    first conic is evaluated on blocks of CHART_BLOCK points, the others
+    only at its zeros; products go through E's log/exp tables."""
+    LOG, EXP = E.np_table('log'), E.np_table('exp')
+    ADD = None if E.p == 2 else E.np_table('add')
+
+    def add(a, b):
+        return a ^ b if ADD is None else ADD[a, b]
+
+    def mul(a, b):
+        return EXP[LOG[a] + LOG[b]]
+
+    def value(c, x, y):
+        const = add(add(c[0], mul(c[1], x)), mul(c[3], mul(x, x)))
+        slope = add(c[2], mul(c[4], x))
+        return add(add(const, mul(slope, y)), mul(c[5], mul(y, y)))
+
+    rows = max(1, CHART_BLOCK // len(ys))
     count = 0
-    for coeffs in coefficient_vectors(E.q, len(rows)):
-        v = [0] * 6
-        for c, row in zip(coeffs, rows):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] = E.add(v[j], E.mul(c, x))
-        from srd3.veronese import point_rank
-        if point_rank(E, v) == 1:
-            count += 1
+    for s in range(0, len(xs), rows):
+        x = xs[s:s + rows, None]
+        i, j = np.nonzero(value(C[0], x, ys[None, :]) == 0)
+        x, y = x[i, 0], ys[j]
+        for c in C[1:]:
+            keep = value(c, x, y) == 0
+            x, y = x[keep], y[keep]
+        count += len(x)
     return count
 
 

@@ -16,7 +16,10 @@ batched projection (bulk.quotient_codes) decides both.
 Classification of complete codes into equivalence classes goes by rank
 distribution signatures, which separate all classes; the d = 3 split into
 field-type and twisted-type is decided by counting rank-1 points after
-scalar extension to GF(q^3) (3 for field type, 0 for twisted type).
+scalar extension to GF(q^3) (3 for field type, 0 for twisted type).  That
+count is the number of common zeros in PG(2, q^3) of the conics of the
+code's dual (atlas.rank1_points_over_cubic_extension), so it needs no
+point tables and no walk over the extended code.
 """
 
 from __future__ import annotations

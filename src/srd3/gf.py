@@ -291,7 +291,10 @@ class FieldCtx:
         """Dense lookup tables for vectorised kernels.
 
         kind: 'add' and 'mul' are q x q grids; 'neg' and 'inv' are length-q
-        vectors (inv[0] is 0 as a sentinel, never valid input).
+        vectors (inv[0] is 0 as a sentinel, never valid input).  'log' and
+        'exp' multiply without a q x q grid: exp[log[a] + log[b]] = a*b for
+        all a, b, because log[0] = 2(q-1) lies beyond every sum of two
+        nonzero logs and exp is 0 from there on.
         """
         t = self._np_cache.get(kind)
         if t is not None:
@@ -305,15 +308,23 @@ class FieldCtx:
             t = np.zeros((q, q), dtype=dt)
             t[1:, 1:] = exp[s].astype(dt)
         elif kind == 'add':
-            idx = np.arange(q, dtype=np.int64)
-            acc = np.zeros((q, q), dtype=np.int64)
+            # digit by digit in uint16, where every intermediate (below 2q)
+            # fits, so no int64 grid is built
+            idx = np.arange(q, dtype=np.uint16)
+            acc = np.zeros((q, q), dtype=np.uint16)
             a, b, mult = idx.copy(), idx.copy(), 1
             for _ in range(self.h):
                 acc += ((a[:, None] + b[None, :]) % self.p) * mult
                 a //= self.p
                 b //= self.p
                 mult *= self.p
-            t = acc.astype(dt)
+            t = acc.astype(dt, copy=False)
+        elif kind == 'log':
+            t = np.array(self._log, dtype=np.int64)
+            t[0] = 2 * (q - 1)
+        elif kind == 'exp':
+            t = np.zeros(4 * (q - 1) + 1, dtype=dt)
+            t[:2 * (q - 1)] = np.tile(np.array(self._exp, dtype=dt), 2)
         elif kind == 'neg':
             t = np.array(self._neg, dtype=dt)
         elif kind == 'inv':

@@ -83,12 +83,17 @@ def exterior_by_tangents(F: FieldCtx, y) -> bool:
 # Per-field dense tables
 # ---------------------------------------------------------------------------
 
+# vector codes decoded and classified at a time while GeomTables is built;
+# every q <= 9 fits in one block
+TABLE_BLOCK = 1 << 20
+
+
 class GeomTables:
     """Code-indexed classification tables for one field (q <= 16).
 
     point codes run over all of F_q^6 (not just normalized vectors); both
     rank and class are scale invariant so no normalization is needed at
-    lookup time.
+    lookup time.  The tables are filled TABLE_BLOCK codes at a time.
     """
 
     def __init__(self, F: FieldCtx):
@@ -97,20 +102,25 @@ class GeomTables:
         self.F = F
         q = F.q
         self.kit = bulk.kit_for(F)
-        vecs = bulk.decode(np.arange(q ** 6, dtype=np.int64), q, 6)
-        mats = vecs[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
-        self.rank_code = bulk.rank_batch(self.kit, mats).astype(np.uint8)
-        self.class_code = self._build_classes(vecs)
+        self.rank_code = np.empty(q ** 6, dtype=np.uint8)
+        self.class_code = np.empty(q ** 6, dtype=np.uint8)
+        for lo in range(0, q ** 6, TABLE_BLOCK):
+            hi = min(lo + TABLE_BLOCK, q ** 6)
+            vecs = bulk.decode(np.arange(lo, hi, dtype=np.int64), q, 6)
+            mats = vecs[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+            rank = bulk.rank_batch(self.kit, mats)
+            self.rank_code[lo:hi] = rank
+            self.class_code[lo:hi] = self._build_classes(vecs, rank)
         self.v6 = np.array([veronese(F, u) for u in pg2_points(F)], dtype=np.uint8)
         self.h1 = np.array(h1_duals(F), dtype=np.uint8)
         self._coeffs: dict[int, np.ndarray] = {}
 
-    def _build_classes(self, vecs: np.ndarray) -> np.ndarray:
+    def _build_classes(self, vecs: np.ndarray, rank: np.ndarray) -> np.ndarray:
         kit, F = self.kit, self.F
         cls = np.zeros(len(vecs), dtype=np.uint8)
-        cls[self.rank_code == 1] = 1
-        cls[self.rank_code == 3] = 4
-        r2 = self.rank_code == 2
+        cls[rank == 1] = 1
+        cls[rank == 3] = 4
+        r2 = rank == 2
         if F.p == 2:
             diag0 = (vecs[:, 0] == 0) & (vecs[:, 3] == 0) & (vecs[:, 5] == 0)
             cls[r2 & diag0] = 2

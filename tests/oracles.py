@@ -8,7 +8,9 @@ hyperplane of a point under the trace form, completeness as the exact
 union of the spans <W, v> over the low-rank points v, which the package
 decides in the quotient F^6/W instead, and the point and hyperplane
 classes one vector at a time, which the package reads from the dense
-tables of invariants.GeomTables.
+tables of invariants.GeomTables, and the rank-1 points over GF(q^3) by
+walking the scalar extension, which the package counts as common zeros of
+the dual conics.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from srd3 import bulk
 from srd3.codes import SrdCode, min_distance
-from srd3.gf import FieldCtx, FieldError, is_square
+from srd3.gf import FieldCtx, FieldError, cubic_extension, is_square
 from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, k_generators,
                              orbit_of, pgl3_order, tables)
 from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
@@ -306,3 +308,22 @@ def extension_points_union(C: SrdCode) -> list[tuple[int, ...]]:
     """codes.extension_points by the point-set union."""
     covered = _covered(C)
     return [v for v in coefficient_vectors(C.F.q, 6) if v not in covered]
+
+
+def rank1_points_over_cubic_extension_scalar(F: FieldCtx, W: Subspace) -> int:
+    """atlas.rank1_points_over_cubic_extension by walking every point of
+    W (x) GF(q^3) and computing its rank."""
+    ext = cubic_extension(F)
+    E = ext.ext
+    rows = [tuple(ext.embed(x) for x in row) for row in W.rows]
+    count = 0
+    for coeffs in coefficient_vectors(E.q, len(rows)):
+        v = [0] * 6
+        for c, row in zip(coeffs, rows):
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        v[j] = E.add(v[j], E.mul(c, x))
+        if point_rank(E, v) == 1:
+            count += 1
+    return count

@@ -73,5 +73,9 @@ def test_exact_statuses(matrix):
     assert "2^3" in sampled_fields  # the q = 8 rows never claim "pass"
     assert any(r.status == "paper-discrepancy" and r.check_id == "CR3-OD4"
                for r in all_rows)
-    q8_rows = [r for r in all_rows if r.field == "2^3" and r.check_id != "tables"]
+    # tables and Y03q are exact at every q; the other q = 8 rows are sampled
+    q8_rows = [r for r in all_rows
+               if r.field == "2^3" and r.check_id not in ("tables", "Y03q")]
     assert q8_rows and all(r.status != "pass" for r in q8_rows)
+    assert [r.status for r in all_rows
+            if r.field == "2^3" and r.check_id == "Y03q"] == ["pass"]

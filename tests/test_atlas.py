@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from srd3 import bulk
-from srd3.gf import make_field, trace2
+from srd3 import bulk, invariants
+from srd3.gf import make_field, parse_field_spec, trace2
 from srd3.atlas import (AtlasError, atlas_entry, emit_atlas, find_params,
                         rep_ids, representative,
                         rank1_points_over_cubic_extension, sigma18_plane,
                         sigma_gf_plane, sigma_tf_plane)
-from srd3.invariants import od0, od4, orbit_of
+from srd3.invariants import od0, od4, orbit_of, rank_distribution
+from srd3.pg import canonicalize, gaussian_binomial, nullspace
+from srd3.veronese import veronese
+
+from oracles import rank1_points_over_cubic_extension_scalar
 
 
 def test_find_params_delta_q3():
@@ -180,13 +185,16 @@ def test_distinct_parameter_choices_same_distributions():
         assert list(od4(W)) == base["od4"]
 
 
-def test_orbit_membership_independent_of_parameters_q3():
+@pytest.mark.parametrize("q", [5, 7])
+def test_orbit_membership_independent_of_parameters(q):
+    # GF(5) and GF(7) have 2 and 3 non-squares, so reps[1:] is not empty
     from srd3.gf import is_square
     from srd3.atlas import _basis_from_entries, rep_spec
-    F = make_field(3, 1)
+    F = make_field(q, 1)
     spec = rep_spec("Omega8_2", F)
     reps = [_basis_from_entries(F, spec.entries, 4, {"d": d})
             for d in F.nonzero() if not is_square(F, d)]
+    assert len(reps) == (q - 1) // 2
     orbit = orbit_of(reps[0])
     for W in reps[1:]:
         assert np.isin(bulk.subspace_ids(F.q, np.array([W.rows], dtype=np.uint8)), orbit).all()
@@ -215,3 +223,82 @@ def test_emit_atlas_counts():
     entries4 = emit_atlas(F4)
     # 15 lines, 15 solids, Sigma_N/11/16/18 and the trace-form plane
     assert len(entries4) == 35
+
+
+# ---------------------------------------------------------------------------
+# Rank-1 points over GF(q^3)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _subspaces(draw, specs, dims):
+    """A random subspace of PG(5,q) as (F, W).  Each spanning row is a
+    random vector or the Veronese image of a random point, so rank-1 and
+    rank-2 points turn up as well as constant-rank-3 ones."""
+    spec, k = draw(st.sampled_from([(s, k) for s in specs for k in dims(s)]))
+    F = parse_field_spec(spec)
+    elem = st.integers(0, F.q - 1)
+    rows = []
+    while len(rows) < k:
+        if draw(st.booleans()):
+            u = draw(st.tuples(elem, elem, elem).filter(any))
+            v = veronese(F, u)
+        else:
+            v = draw(st.tuples(*[elem] * 6).filter(any))
+        if canonicalize(F, rows + [v]).k == len(rows) + 1:
+            rows.append(v)
+    return F, canonicalize(F, rows)
+
+
+def _walkable(spec):
+    # subspace dimensions whose extension to GF(q^3) the scalar walk covers
+    # in well under a second: (q^(3k) - 1) / (q^3 - 1) <= 5000 points
+    q = parse_field_spec(spec).q
+    return [k for k in range(1, 6) if (q ** (3 * k) - 1) // (q ** 3 - 1) <= 5000]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_subspaces(["2", "3", "4"], _walkable))
+def test_cubic_extension_count_matches_scalar_walk(case):
+    F, W = case
+    assert (rank1_points_over_cubic_extension(F, W)
+            == rank1_points_over_cubic_extension_scalar(F, W))
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "7", "8"])
+def test_cubic_extension_count_of_hyperplanes(spec):
+    # a hyperplane's conic keeps its type over GF(q^3), an odd-degree
+    # extension: a double line or a nonsingular conic has Q + 1 points, a
+    # real line pair 2Q + 1 and an imaginary pair only its vertex
+    F = parse_field_spec(spec)
+    Q = F.q ** 3
+    want = {1: Q + 1, 2: 2 * Q + 1, 3: 1, 4: Q + 1}
+    duals = bulk.subspace_bases(F.q, 1, np.arange(gaussian_binomial(6, 1, F.q)))
+    hclass = invariants.tables(F).hclass_table()[bulk.encode(duals[:, 0], F.q)]
+    for c in range(1, 5):
+        dual = duals[hclass == c][0]
+        W = canonicalize(F, nullspace(F, dual.tolist()))
+        assert rank1_points_over_cubic_extension(F, W) == want[c]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_subspaces(["7", "8", "9", "2^3/101"], lambda spec: range(1, 6)))
+def test_cubic_extension_count_frobenius(case):
+    # x -> x^q permutes the common zeros, fixing exactly the GF(q)-rational
+    # ones (the rank-1 points of W) and moving the others in 3-cycles
+    F, W = case
+    r1 = rank_distribution(W)[0]
+    n = rank1_points_over_cubic_extension(F, W)
+    assert n >= r1 and (n - r1) % 3 == 0
+
+
+@pytest.mark.parametrize("spec", ["7", "8", "9", "11", "13", "16"])
+def test_cubic_extension_splits_constant_rank3_planes(spec, monkeypatch):
+    # the count needs no point tables, so none is built, even at q = 16
+    def no_tables(F):
+        raise AssertionError(f"point tables built for q={F.q}")
+    monkeypatch.setattr(invariants, "GeomTables", no_tables)
+    monkeypatch.setattr(invariants, "_tables", {})
+    F = parse_field_spec(spec)
+    assert rank1_points_over_cubic_extension(F, sigma_gf_plane(F)) == 3
+    if F.p != 2:
+        assert rank1_points_over_cubic_extension(F, sigma_tf_plane(F)) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srd3 import bulk
+from srd3 import bulk, invariants
 from srd3.gf import make_field, parse_field_spec
 from srd3.pg import Subspace, canonicalize, coefficient_vectors
 from srd3.invariants import (HYPERPLANE_CLASSES, exterior_by_tangents,
@@ -68,6 +68,18 @@ def test_classify_point_table_agrees_with_scalar():
         names[3] = "P2s" if p == 2 else "P2i"
         for y in coefficient_vectors(F.q, 6):
             assert names[int(t.class_code[_code(y, F.q)])] == classify_point(F, y)
+
+
+@pytest.mark.parametrize("spec", ["3", "4", "2^3/101"])
+def test_tables_built_in_blocks_match_one_block(spec, monkeypatch):
+    F = parse_field_spec(spec)
+    whole = invariants.GeomTables(F)
+    assert invariants.TABLE_BLOCK >= F.q ** 6
+    # uneven blocks: the last one is short
+    monkeypatch.setattr(invariants, "TABLE_BLOCK", F.q ** 6 // 5 + 1)
+    blocked = invariants.GeomTables(F)
+    assert np.array_equal(blocked.rank_code, whole.rank_code)
+    assert np.array_equal(blocked.class_code, whole.class_code)
 
 
 def test_classify_hyperplane_examples():

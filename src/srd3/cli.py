@@ -9,7 +9,8 @@ Verbs:
 
 Exit codes: 0 all checks pass (sampled/discrepancy rows count as passing),
 1 at least one failed check, 2 usage or input errors (including a field
-above the supported range), reported on one line.
+above the supported range), reported on one line, 3 an internal error,
+reported on one line (--debug shows the traceback instead).
 """
 
 from __future__ import annotations
@@ -138,23 +139,27 @@ def _enumerate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="srd3", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--debug", action="store_true",
+                        help="raise internal errors with their traceback")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    pa = sub.add_parser("atlas", help="emit orbit representatives")
+    pa = sub.add_parser("atlas", help="emit orbit representatives", parents=[common])
     pa.add_argument("action", nargs="?", default="emit", choices=["emit"])
     pa.add_argument("--field", required=True)
     pa.add_argument("--format", default="json", choices=["json", "md", "csv"])
     pa.add_argument("--out")
     pa.set_defaults(fn=_atlas)
 
-    pc = sub.add_parser("classify", help="classify a code from a JSON file")
+    pc = sub.add_parser("classify", help="classify a code from a JSON file",
+                        parents=[common])
     pc.add_argument("what", nargs="?", default="code", choices=["code"])
     pc.add_argument("--input", required=True)
     pc.add_argument("--format", default="text", choices=["json", "text"])
     pc.add_argument("--out")
     pc.set_defaults(fn=_classify)
 
-    pv = sub.add_parser("verify", help="run verification drivers")
+    pv = sub.add_parser("verify", help="run verification drivers", parents=[common])
     pv.add_argument("--field", required=True)
     pv.add_argument("--theorem", action="append",
                     help="check id (repeatable); default: all applicable")
@@ -164,14 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out")
     pv.set_defaults(fn=_verify)
 
-    pt = sub.add_parser("acceptance", help="run the acceptance matrix")
+    pt = sub.add_parser("acceptance", help="run the acceptance matrix", parents=[common])
     pt.add_argument("--fields", default="2,3,4,5")
     pt.add_argument("--jobs", type=int, default=1)
     pt.add_argument("--format", default="md", choices=["json", "md", "csv"])
     pt.add_argument("--out")
     pt.set_defaults(fn=_acceptance)
 
-    pe = sub.add_parser("enumerate", help="enumerate subspaces of PG(5,q)")
+    pe = sub.add_parser("enumerate", help="enumerate subspaces of PG(5,q)",
+                        parents=[common])
     pe.add_argument("--field", required=True)
     pe.add_argument("--dim", type=int, required=True,
                     help="projective dimension (0..4)")
@@ -205,6 +211,12 @@ def main(argv: list[str] | None = None) -> int:
     except (FieldError, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        if args.debug:
+            raise
+        print(f"internal error: {type(e).__name__}: {e} "
+              "(rerun with --debug for the traceback)", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -28,6 +28,13 @@ od4_batch and the C4 checks all read that table.
 
 A per-field cache (tables) holds dense code-indexed class tables so the
 enumeration drivers can classify millions of points via numpy gathers.
+
+A subspace has a rank-1 point iff some Veronese point is orthogonal to
+every vector of its dual, i.e. iff the conics of the dual (a pencil for a
+solid, a net for a plane) have a common zero in PG(2,q).
+GeomTables.rank1_free_batch evaluates the 6-k dual vectors at the
+q^2+q+1 Veronese points, which for a solid is far less work than
+classifying its q^3+q^2+q+1 points with od0_batch.
 """
 
 from __future__ import annotations
@@ -158,6 +165,23 @@ class GeomTables:
         for i in range(4):
             out[:, i] = (cls == i + 1).sum(axis=1)
         return out
+
+    def rank1_free_batch(self, bases: np.ndarray) -> np.ndarray:
+        """Which subspaces of a batch of RREF bases have no rank-1 point:
+        (N,k,6) -> (N,) bool.  The Veronese point v(u) lies in W iff it is
+        orthogonal to each of the 6-k dual vectors of W, i.e. iff u is a
+        base point of the conics of W's dual (a pencil for a solid)."""
+        kit = self.kit
+        duals = bulk.nullspace_batch(kit, bases)
+        # v6_times[i][a] = a * v6[:, i], so each product is a row gather
+        v6_times = [kit.MUL[:, self.v6[:, i]] for i in range(6)]
+        on = np.ones((len(bases), len(self.v6)), dtype=bool)
+        for d in range(duals.shape[1]):
+            dots = v6_times[0][duals[:, d, 0]]
+            for i in range(1, 6):
+                dots = kit.add(dots, v6_times[i][duals[:, d, i]])
+            on &= dots == 0
+        return ~on.any(axis=1)
 
     def hclass_table(self) -> np.ndarray:
         """Dense dual-code -> hyperplane class (1..4 as in

@@ -10,7 +10,9 @@ decides in the quotient F^6/W instead, and the point and hyperplane
 classes one vector at a time, which the package reads from the dense
 tables of invariants.GeomTables, and the rank-1 points over GF(q^3) by
 walking the scalar extension, which the package counts as common zeros of
-the dual conics.
+the dual conics, and the rank-1-free sweep with od0_batch over every
+subspace, which the package runs only on the solids whose pencil of dual
+conics has no base point.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from srd3.gf import FieldCtx, FieldError, cubic_extension, is_square
 from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, k_generators,
                              orbit_of, pgl3_order, tables)
 from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
-                     matrix_rank, normalize_vec, nullspace, subspace_points)
+                     gaussian_binomial, matrix_rank, normalize_vec, nullspace,
+                     subspace_points)
 from srd3.veronese import (as_matrix, lift, mat_mul, pg2_points,
                            point_rank, veronese)
-from srd3.verify import _pmap
+from srd3.verify import _block_size, _pmap
 
 
 def in_nucleus_plane(y: Iterable[int]) -> bool:
@@ -235,6 +238,28 @@ def rho_point(F: FieldCtx, y: Iterable[int]) -> tuple[int, ...]:
     two = F.add(1, 1)
     g = (1, two, two, 1, two, 1)
     return normalize_vec(F, tuple(F.mul(gj, x) for gj, x in zip(g, y)))
+
+
+def rank1_free_groups_unfiltered(F: FieldCtx, k: int, jobs: int = 1):
+    """verify._rank1_free_groups with od0_batch over every k-subspace and no
+    pencil filter: ({od0 tuple: sorted ids}, number of k-subspaces)."""
+    q = F.q
+    t = tables(F)
+
+    def work(chunk):
+        lo, hi = chunk
+        dist = t.od0_batch(bulk.subspace_bases(q, k, np.arange(lo, hi)))
+        keep = np.flatnonzero(dist[:, 0] == 0)
+        seld = dist[keep]
+        return [(tuple(int(x) for x in sig), lo + keep[(seld == sig).all(axis=1)])
+                for sig in np.unique(seld, axis=0)]
+
+    groups: dict[tuple, list] = {}
+    for part in _pmap(work, bulk.id_chunks(q, k, _block_size(q, k)), jobs):
+        for sig, ids in part:
+            groups.setdefault(sig, []).append(ids)
+    merged = {sig: np.concatenate(arrs) for sig, arrs in groups.items()}
+    return merged, gaussian_binomial(6, k, q)
 
 
 def line_sweep_union(F: FieldCtx, jobs: int = 1) -> tuple[int, int]:

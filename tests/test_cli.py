@@ -215,3 +215,17 @@ def test_acceptance_verify_error_exit_2(monkeypatch, capsys):
     assert main(["acceptance", "--fields", "7"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    import srd3.verify as V
+
+    def broken(F, jobs=1, budget=None):
+        raise RuntimeError("kernel fault")
+    monkeypatch.setitem(V.DRIVERS, "censuses", (broken, ("any", None)))
+    assert main(["verify", "--field", "3", "--theorem", "censuses"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "RuntimeError: kernel fault" in err and "--debug" in err
+    with pytest.raises(RuntimeError, match="kernel fault"):
+        main(["verify", "--field", "3", "--theorem", "censuses", "--debug"])

@@ -244,3 +244,21 @@ def test_orbit_ids_match_row_oracle_on_atlas(p, h):
         rows = np.array(orbit_rows(W), dtype=np.uint8)
         assert np.array_equal(orbit, np.sort(bulk.subspace_ids(F.q, rows))), rid
         assert len(orbit) * stabilizer_by_group(W) == pgl3_order(F.q), rid
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["2^3/101", "3^2/1,2", "7", "8"]), st.sampled_from([3, 4]),
+       st.integers(0, 2 ** 32 - 1))
+def test_rank1_free_batch_matches_od0(spec, k, seed):
+    # random solids and planes, half of them forced through a random
+    # Veronese point, so both outcomes occur in every batch
+    F = parse_field_spec(spec)
+    t = tables(F)
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, F.q, size=(200, k, 6), dtype=np.uint8)
+    forced = rng.random(200) < 0.5
+    raw[forced, 0] = t.v6[rng.integers(0, len(t.v6), size=forced.sum())]
+    red, rk = bulk.rref_batch(t.kit, raw)
+    bases = red[rk == k]
+    want = t.od0_batch(bases)[:, 0] == 0
+    assert np.array_equal(t.rank1_free_batch(bases), want)

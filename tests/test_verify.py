@@ -19,7 +19,7 @@ from srd3.verify import (VerifyError, _ids_where, _line_pair_planes,
                          verify_r2n_equals_h1, verify_rank3_od4, verify_schmidt,
                          verify_solids, verify_tables)
 
-from oracles import line_sweep_union
+from oracles import line_sweep_union, rank1_free_groups_unfiltered
 
 
 def _ok(reports):
@@ -70,10 +70,12 @@ def test_r2n_h1_rejects_odd():
 
 
 def test_solids_sampled_q7():
+    # the sample runs in blocks of _block_size(7, 4) = 5242 solids, the last
+    # one partial; the figures are those of one od0_batch over all of it
     r, = _ok(verify_solids(make_field(7, 1)))
     assert r.status == SAMPLED
-    assert r.computed["unexpected_signatures"] == []
-    assert r.details["sampled_solids"] == 100000
+    assert r.computed == {"unexpected_signatures": [], "reps_in_signatures": True}
+    assert r.details == {"sampled_solids": 100000, "r1_zero_in_sample": 31655}
 
 
 def test_dichotomy_q3():
@@ -106,6 +108,18 @@ def test_line_sweep_matches_union_oracle(p, h, want):
     assert line_sweep_union(F) == (want, 0)
     for jobs in (1, 2):
         assert _rebuild("line_sweep", line_sweep_completeness, F, jobs) == (want, 0)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
+def test_solid_groups_match_unfiltered_oracle(p, h):
+    F = make_field(p, h)
+    want, total = rank1_free_groups_unfiltered(F, 4)
+    for jobs in (1, 2):
+        groups, n = _rebuild("solid_groups", solid_groups, F, jobs)
+        assert n == total
+        assert groups.keys() == want.keys()
+        for sig in want:
+            assert np.array_equal(groups[sig], want[sig])
 
 
 @pytest.mark.parametrize("p,h,complete", [(2, 1, 22), (3, 1, 0), (2, 2, 1324)],

@@ -11,6 +11,29 @@ canonical RREF order (see "Subspace ids" below); this module alone knows
 the pivot-pattern offsets behind it.  A sweep chunk is an id range from
 id_chunks, subspace_bases turns ids into RREF bases and subspace_ids turns
 bases back into ids.  encode/decode remain for vector (point) codes.
+
+Linear combinations.  combine(kit, A, B) is the one kernel for sums
+a_1 v_1 + ... + a_k v_k over GF(q): with np.matmul broadcasting,
+(..., m, k) x (..., k, c), it returns the base-q codes of the rows of A B,
+int32 when q^c < 2^31 and int64 otherwise (code_dtype).  The points of
+subspaces are combine(coefficients, bases), a transform is
+decode(combine(bases, lift)), and the values of dual vectors at points are
+combine(points, duals^T).  Two implementations, chosen by characteristic:
+
+  p odd: write each element of A as its h base-p digits and each element
+      b of B as the h x h matrix of x -> x b over GF(p); then one integer
+      matmul (for prime q plainly A @ B), one % p and a Horner over the
+      c*h base-p digits give the codes.  The accumulator is uint8, uint16
+      or uint32, whichever holds k*h*(p-1)^2.
+  p = 2: the code of a sum is the XOR of the codes of its terms, so the
+      codes of a * (row t of B) are built for every a, one scalar at a
+      time: a 1-D MUL gather for a = x^i, the XOR of two earlier ones for
+      the others.  A row's code is then the XOR of k gathers from them.
+      The digit matmul would need h*h products per field product and
+      measured slower than the XOR at q = 8 and 16.
+
+rref_batch, nullspace_batch and quotient_codes eliminate row by row and
+keep the MUL/ADD table gathers of Kit.
 """
 
 from __future__ import annotations
@@ -31,11 +54,20 @@ class Kit:
             raise ValueError(f"bulk kernels support q <= 256, got q={F.q}")
         self.F = F
         self.q = F.q
+        self.p = F.p
+        self.h = F.h
         self.char2 = F.p == 2
         self.MUL = F.np_table('mul')
         self.NEG = F.np_table('neg')
         self.INV = F.np_table('inv')
         self.ADD = None if self.char2 else F.np_table('add')
+        if not self.char2:
+            # DIG[a]: the h base-p digits of a, constant term first;
+            # MAT[b][i]: the digits of x^i * b, leading digit first; so the
+            # digits of a * b, leading digit first, are DIG[a] @ MAT[b] mod p
+            q, p, h = F.q, F.p, F.h
+            self.DIG = decode(np.arange(q), p, h)[:, ::-1].copy()
+            self.MAT = decode(self.MUL[p ** np.arange(h)].T, p, h)
 
     def add(self, a, b):
         if self.char2:
@@ -65,13 +97,19 @@ def kit_for(F: FieldCtx) -> Kit:
 # Encoding
 # ---------------------------------------------------------------------------
 
+def code_dtype(q: int, c: int):
+    """int32 when every base-q code of a c-vector fits (q^c < 2^31), which
+    covers every field with point tables; int64 otherwise."""
+    return np.int32 if q ** c < 2 ** 31 else np.int64
+
+
 def encode(vecs: np.ndarray, q: int) -> np.ndarray:
     """Base-q integer code of each vector, first coordinate most significant.
 
-    Horner's rule over the last axis, so the only int64 array is the
+    Horner's rule over the last axis, so the only wide array is the
     result: casting the whole point array first would multiply its memory
-    by eight."""
-    out = np.zeros(vecs.shape[:-1], dtype=np.int64)
+    by four or eight."""
+    out = np.zeros(vecs.shape[:-1], dtype=code_dtype(q, vecs.shape[-1]))
     for i in range(vecs.shape[-1]):
         out *= q
         out += vecs[..., i]
@@ -101,9 +139,9 @@ def quotient_codes(kit: Kit, bases: np.ndarray, points: np.ndarray) -> np.ndarra
     """Images of points in the quotient F^c / W for each subspace W.
 
     bases: (N, k, c) full-rank RREF bases, pivot patterns may differ;
-    points: (P, c).  Returns (N, P) int64: the base-q code of the image,
-    scaled so its first nonzero coordinate is 1, in the c - k free
-    coordinates of W, and 0 for a point inside W.  The image is
+    points: (P, c).  Returns (N, P) codes as from encode: the base-q code
+    of the image, scaled so its first nonzero coordinate is 1, in the
+    c - k free coordinates of W, and 0 for a point inside W.  The image is
     v - sum_i v[piv_i] row_i, which vanishes on the pivot columns, so two
     points have the same code iff they span the same subspace with W.
     """
@@ -174,25 +212,67 @@ def rank_batch(kit: Kit, mats: np.ndarray) -> np.ndarray:
     return rref_batch(kit, mats)[1]
 
 
-def combine(kit: Kit, coeffs: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """All coefficient combinations of basis rows: (m,k) x (N,k,c) -> (N,m,c)."""
-    N, k, c = bases.shape
-    m = len(coeffs)
-    acc = np.zeros((N, m, c), dtype=bases.dtype)
-    for j in range(k):
-        term = kit.mul(coeffs[None, :, j, None], bases[:, j, :][:, None, :])
-        acc = kit.add(acc, term)
-    return acc
+def combine(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Base-q codes of the rows of A B over GF(q), with np.matmul
+    broadcasting: (..., m, k) x (..., k, c) -> (...) + (m,), dtype
+    code_dtype(q, c).  See "Linear combinations" in the module docstring."""
+    if kit.char2:
+        return _combine_xor(kit, A, B)
+    return _combine_digits(kit, A, B)
+
+
+def _combine_digits(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    k, c = B.shape[-2:]
+    p, h = kit.p, kit.h
+    bound = k * h * (p - 1) ** 2
+    dt = np.uint8 if bound < 1 << 8 else np.uint16 if bound < 1 << 16 else np.uint32
+    if h == 1:
+        prod = np.matmul(A.astype(dt, copy=False), B.astype(dt, copy=False))
+    else:
+        Ad = kit.DIG[A].reshape(A.shape[:-1] + (k * h,)).astype(dt, copy=False)
+        Bm = kit.MAT[B].swapaxes(-3, -2).reshape(B.shape[:-2] + (k * h, c * h))
+        prod = np.matmul(Ad, Bm.astype(dt, copy=False))
+    np.remainder(prod, p, out=prod)
+    out = np.zeros(prod.shape[:-1], dtype=code_dtype(kit.q, c))
+    for j in range(c * h):
+        out *= p
+        out += prod[..., j]
+    return out
+
+
+def _combine_xor(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    q, k = kit.q, B.shape[-2]
+    # codes[t][..., a]: the code of a * (row t of B).  a -> a * row is
+    # additive, so only a = x^i takes a MUL gather; every other a is the
+    # XOR of the powers of x in its bits
+    rows = np.moveaxis(B, -2, 0)
+    codes = np.zeros(rows.shape[:-1] + (q,), dtype=code_dtype(q, B.shape[-1]))
+    for a in range(1, q):
+        low = a & -a
+        codes[..., a] = (encode(kit.MUL[a][rows], q) if a == low
+                         else codes[..., low] ^ codes[..., a ^ low])
+    out = None
+    for t in range(k):
+        table, idx = codes[t], A[..., t]
+        if B.ndim == 2:
+            term = table[idx]
+        elif A.ndim == 2:
+            term = table[..., idx]
+        else:
+            shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+            table = np.broadcast_to(table[..., None, :], shape + (1, q))
+            where = np.broadcast_to(idx[..., None], shape + idx.shape[-1:] + (1,))
+            term = np.take_along_axis(table, where, axis=-1)[..., 0]
+        if out is None:
+            out = term
+        else:
+            out ^= term
+    return out
 
 
 def transform(kit: Kit, bases: np.ndarray, lift: np.ndarray) -> np.ndarray:
     """Right-multiply each basis row by the 6x6 lift matrix: y -> y L."""
-    N, k, c = bases.shape
-    acc = np.zeros((N, k, c), dtype=bases.dtype)
-    for i in range(c):
-        term = kit.mul(bases[:, :, i][:, :, None], lift[i][None, None, :])
-        acc = kit.add(acc, term)
-    return acc
+    return decode(combine(kit, bases, lift), kit.q, lift.shape[1])
 
 
 def nullspace_batch(kit: Kit, mats: np.ndarray) -> np.ndarray:

@@ -157,10 +157,7 @@ class GeomTables:
 
     def od0_batch(self, bases: np.ndarray) -> np.ndarray:
         """Point-orbit distributions of a batch of subspaces: (N,k,6) -> (N,4)."""
-        k = bases.shape[1]
-        pts = bulk.combine(self.kit, self.coeffs(k), bases)
-        codes = bulk.encode(pts, self.F.q)
-        cls = self.class_code[codes]
+        cls = self.class_code[bulk.combine(self.kit, self.coeffs(bases.shape[1]), bases)]
         out = np.empty((len(bases), 4), dtype=np.int64)
         for i in range(4):
             out[:, i] = (cls == i + 1).sum(axis=1)
@@ -171,16 +168,9 @@ class GeomTables:
         (N,k,6) -> (N,) bool.  The Veronese point v(u) lies in W iff it is
         orthogonal to each of the 6-k dual vectors of W, i.e. iff u is a
         base point of the conics of W's dual (a pencil for a solid)."""
-        kit = self.kit
-        duals = bulk.nullspace_batch(kit, bases)
-        # v6_times[i][a] = a * v6[:, i], so each product is a row gather
-        v6_times = [kit.MUL[:, self.v6[:, i]] for i in range(6)]
-        on = np.ones((len(bases), len(self.v6)), dtype=bool)
-        for d in range(duals.shape[1]):
-            dots = v6_times[0][duals[:, d, 0]]
-            for i in range(1, 6):
-                dots = kit.add(dots, v6_times[i][duals[:, d, i]])
-            on &= dots == 0
+        duals = bulk.nullspace_batch(self.kit, bases)
+        # code 0: every dual vector vanishes at the Veronese point
+        on = bulk.combine(self.kit, self.v6, duals.transpose(0, 2, 1)) == 0
         return ~on.any(axis=1)
 
     def hclass_table(self) -> np.ndarray:
@@ -193,20 +183,18 @@ class GeomTables:
             return t
         kit, q = self.kit, self.F.q
         t = np.zeros(q ** 6, dtype=np.uint8)
-        multiples = np.arange(1, q, dtype=np.uint8)[:, None, None]
+        multiples = np.arange(1, q, dtype=np.uint8)[:, None]
         for lo, hi in bulk.id_chunks(q, 1, 1 << 14):
-            duals = bulk.subspace_bases(q, 1, np.arange(lo, hi))[:, 0, :]
-            dots = np.zeros((len(duals), len(self.v6)), dtype=np.uint8)
-            for i in range(6):
-                dots = kit.add(dots, kit.mul(duals[:, i, None], self.v6[None, :, i]))
-            zeros = (dots == 0).sum(axis=1)
+            duals = bulk.subspace_bases(q, 1, np.arange(lo, hi))
+            # the value of each conic at each Veronese point: (M, q^2+q+1)
+            zeros = (bulk.combine(kit, self.v6, duals.transpose(0, 2, 1)) == 0).sum(axis=1)
             # q+1 zeros: H3 here, the double lines are overwritten below
             cls = np.select([zeros == 1, zeros == 2 * q + 1, zeros == q + 1],
                             [3, 2, 4], 0).astype(np.uint8)
             if not cls.all():
                 raise ClassificationError(f"a conic has {zeros[cls == 0][0]} zeros")
-            t[bulk.encode(kit.mul(multiples, duals[None]), q)] = cls
-        t[bulk.encode(kit.mul(multiples, self.h1[None]), q)] = 1
+            t[bulk.combine(kit, multiples, duals)] = cls[:, None]
+        t[bulk.combine(kit, multiples, self.h1[:, None, :])] = 1
         self._hclass_arr = t
         return t
 
@@ -214,8 +202,7 @@ class GeomTables:
         """Hyperplane-orbit distributions of a batch of RREF bases:
         (N,k,6) -> (N,4)."""
         duals = bulk.nullspace_batch(self.kit, bases)
-        combos = bulk.combine(self.kit, self.coeffs(duals.shape[1]), duals)
-        cls = self.hclass_table()[bulk.encode(combos, self.F.q)]
+        cls = self.hclass_table()[bulk.combine(self.kit, self.coeffs(duals.shape[1]), duals)]
         out = np.empty((len(bases), 4), dtype=np.int64)
         for i in range(4):
             out[:, i] = (cls == i + 1).sum(axis=1)
@@ -240,8 +227,7 @@ def rank_distribution(W: Subspace) -> tuple[int, int, int]:
     """[r1, r2, r3] over the points of W."""
     t = tables(W.F)
     bases = np.array([W.rows], dtype=np.uint8)
-    pts = bulk.combine(t.kit, t.coeffs(W.k), bases)
-    ranks = t.rank_code[bulk.encode(pts, W.F.q)][0]
+    ranks = t.rank_code[bulk.combine(t.kit, t.coeffs(W.k), bases)][0]
     return (int((ranks == 1).sum()), int((ranks == 2).sum()), int((ranks == 3).sum()))
 
 

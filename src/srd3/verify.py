@@ -79,9 +79,11 @@ def _pmap(fn, items, jobs: int):
 
 
 def _block_size(q: int, k: int) -> int:
-    """Subspaces per sweep block: about 2^21 points in all, so a block's
-    combined point array stays near 12 MB as uint8 and its codes near
-    16 MB as int64."""
+    """Subspaces per sweep block: about 2^21 points in all.  bulk.combine
+    then holds, at odd q, the accumulator of 6h base-p digits per point
+    (12 MB as uint8 at q = 3, 5, 7; 24 MB at q = 9, or as uint16 at
+    q = 11, 13) and 8 MB of int32 codes; at even q, two int32 code arrays,
+    16 MB."""
     m = (q ** k - 1) // (q - 1)
     return max(256, (1 << 21) // m)
 
@@ -95,15 +97,23 @@ def _pencil_filter_pays(q: int, k: int) -> bool:
 
 def _rank1_free_od0(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions in bases of the subspaces with no rank-1 point, and their
-    od0 rows.  Where the pencil filter pays, od0_batch sees only the
-    subspaces it passes; od0 still confirms r1 = 0 for every one kept."""
-    cand = np.arange(len(bases))
-    if _pencil_filter_pays(t.F.q, bases.shape[1]):
-        cand = np.flatnonzero(t.rank1_free_batch(bases))
-        bases = bases[cand]
-    dist = t.od0_batch(bases)
-    keep = dist[:, 0] == 0
-    return cand[keep], dist[keep]
+    od0 rows, taken _block_size subspaces at a time so that a sample of
+    any size runs in bounded memory.  Where the pencil filter pays,
+    od0_batch sees only the subspaces it passes; od0 still confirms r1 = 0
+    for every one kept."""
+    q, k = t.F.q, bases.shape[1]
+    block = _block_size(q, k)
+    keep, dist = [], []
+    for s in range(0, len(bases), block):
+        part = bases[s:s + block]
+        cand = np.arange(len(part))
+        if _pencil_filter_pays(q, k):
+            cand = np.flatnonzero(t.rank1_free_batch(part))
+        d = t.od0_batch(part[cand])
+        free = d[:, 0] == 0
+        keep.append(s + cand[free])
+        dist.append(d[free])
+    return np.concatenate(keep), np.concatenate(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +271,8 @@ def planes_covered_by_solids(F: FieldCtx, solid_ids: np.ndarray,
 
     def work(ids):
         bases = bulk.subspace_bases(q, 4, ids)
-        n = len(bases)
-        acc = np.zeros((n, m, 3, 6), dtype=np.uint8)
-        for j in range(4):
-            term = kit.mul(nd[None, :, :, j, None], bases[:, None, j, :][:, :, None, :])
-            acc = kit.add(acc, term)
-        red, rk = bulk.rref_batch(kit, acc.reshape(n * m, 3, 6))
+        planes = bulk.decode(bulk.combine(kit, nd, bases[:, None]), q, 6)
+        red, rk = bulk.rref_batch(kit, planes.reshape(-1, 3, 6))
         assert int(rk.min()) == 3
         return np.unique(bulk.subspace_ids(q, red))
 
@@ -366,10 +372,7 @@ def verify_solids(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list
     if total > budget or q > 5:
         kit = bulk.kit_for(F)
         sample = bulk.sample_subspaces(kit, 5, 3, SAMPLE_SIZE, seed=_SEED)
-        t = tables(F)
-        block = _block_size(q, 4)
-        dist = np.concatenate([_rank1_free_od0(t, sample[s:s + block])[1]
-                               for s in range(0, len(sample), block)])
+        dist = _rank1_free_od0(tables(F), sample)[1]
         bad = [tuple(int(x) for x in s) for s in np.unique(dist, axis=0)
                if tuple(int(x) for x in s) not in sig_to_id]
         reps_ok = all(od0(representative(rid, F)) == sig
@@ -487,30 +490,30 @@ def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1,
         sub = block[:, :, [0, 3, 5]]
         rank = bulk.rank_batch(kit, sub)
         r2n = pts_of_dim[3 - rank]
-        acc = np.zeros((len(block), 3, len(h1)), dtype=np.uint8)
-        for i in range(6):
-            acc = kit.add(acc, kit.mul(block[:, :, i][:, :, None], h1[:, i][None, None, :]))
-        h1count = (acc == 0).all(axis=1).sum(axis=1)
+        # code 0: the double-line dual vanishes on all three basis rows
+        h1count = (bulk.combine(kit, h1, block.transpose(0, 2, 1)) == 0).sum(axis=1)
         return int((h1count != r2n).sum()), np.bincount(3 - rank, minlength=4)
 
+    def work(chunk):
+        return check_block(bulk.subspace_bases(q, 3, np.arange(*chunk)))
+
+    # the sample, like the sweep, in _block_size blocks, which bounds the
+    # kernel's memory
+    block = _block_size(q, 3)
     if sample:
         planes = bulk.sample_subspaces(kit, 5, 2, sample, seed=_SEED)
-        mism, hist = check_block(planes)
+        parts = [check_block(planes[s:s + block]) for s in range(0, sample, block)]
+    else:
+        parts = _pmap(work, bulk.id_chunks(q, 3, block), jobs)
+    mism = sum(m for m, _ in parts)
+    hist = np.sum([h for _, h in parts], axis=0)
+    if sample:
         return [make_report(
             "T3.7", F.spec, "r2n(plane) = h1(plane) for every plane",
             {"mismatches": 0}, {"mismatches": mism}, sampled=True,
             seconds=time.perf_counter() - t0,
             details={"planes_checked": int(sample),
                      "intersection_dim_histogram": [int(x) for x in hist]})]
-
-    def work(chunk):
-        return check_block(bulk.subspace_bases(q, 3, np.arange(*chunk)))
-
-    mism = 0
-    hist = np.zeros(4, dtype=np.int64)
-    for m, h in _pmap(work, bulk.id_chunks(q, 3, _block_size(q, 3)), jobs):
-        mism += m
-        hist += h
     return [make_report(
         "T3.7", F.spec, "r2n(plane) = h1(plane) for every plane",
         {"mismatches": 0, "planes": total},
@@ -683,7 +686,7 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
     if sampled:
         kit = bulk.kit_for(F)
         planes = bulk.sample_subspaces(kit, 5, 2, SAMPLE_SIZE, seed=_SEED)
-        free = planes[tables(F).od0_batch(planes)[:, 0] == 0]
+        free = planes[_rank1_free_od0(tables(F), planes)[0]]
         target = _line_pair_planes(F, jobs, np.sort(bulk.subspace_ids(q, free)))
         bad = int(_complete_mask(F, target, 3, jobs).sum())
         report = make_report(

@@ -8,11 +8,13 @@ hyperplane of a point under the trace form, completeness as the exact
 union of the spans <W, v> over the low-rank points v, which the package
 decides in the quotient F^6/W instead, and the point and hyperplane
 classes one vector at a time, which the package reads from the dense
-tables of invariants.GeomTables, and the rank-1 points over GF(q^3) by
-walking the scalar extension, which the package counts as common zeros of
-the dual conics, and the rank-1-free sweep with od0_batch over every
-subspace, which the package runs only on the solids whose pencil of dual
-conics has no base point.
+tables of invariants.GeomTables, linear combinations over GF(q) by
+MUL/ADD table gathers, which bulk.combine computes as codes by a digit
+matmul or XOR, the rank-1 points over GF(q^3) by walking the scalar
+extension, which the package counts as common zeros of the dual conics,
+and the rank-1-free sweep with od0_batch over every subspace, which the
+package runs only on the solids whose pencil of dual conics has no base
+point.
 """
 
 from __future__ import annotations
@@ -42,6 +44,18 @@ def in_nucleus_plane(y: Iterable[int]) -> bool:
 def veronese_points(F: FieldCtx) -> list[tuple[int, ...]]:
     """The q^2+q+1 points of the Veronese surface, in the order of pg2_points."""
     return [veronese(F, u) for u in pg2_points(F)]
+
+
+def combine_vectors(kit: bulk.Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """bulk.combine as vectors, by one MUL and one ADD table gather per
+    term: the rows of A B, (..., m, k) x (..., k, c) -> (..., m, c).  With
+    A the (m, k) coefficient vectors it lists the points of the subspaces
+    B; with B a 6x6 lift it is bulk.transform."""
+    acc = None
+    for j in range(A.shape[-1]):
+        term = kit.mul(A[..., :, j, None], B[..., j, None, :])
+        acc = term if acc is None else kit.add(acc, term)
+    return acc
 
 
 def normalize_rows(kit: bulk.Kit, vecs: np.ndarray) -> np.ndarray:
@@ -286,7 +300,7 @@ def line_sweep_union(F: FieldCtx, jobs: int = 1) -> tuple[int, int]:
         stacked = np.empty((n, s, 3, 6), dtype=np.uint8)
         stacked[:, :, :2, :] = lines[:, None, :, :]
         stacked[:, :, 2, :] = v_arr[None, :, :]
-        pts = bulk.combine(kit, coeff3, stacked.reshape(n * s, 3, 6))
+        pts = combine_vectors(kit, coeff3, stacked.reshape(n * s, 3, 6))
         pts = normalize_rows(kit, pts.reshape(-1, 6)).reshape(n, -1, 6)
         codes = bulk.encode(pts, q).reshape(n, -1)
         codes.sort(axis=1)

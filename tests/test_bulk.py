@@ -12,7 +12,7 @@ from srd3 import bulk
 from srd3.gf import FieldError, make_field, parse_field_spec
 from srd3.pg import all_subspaces, gaussian_binomial, nullspace, rref
 
-from oracles import normalize_rows
+from oracles import combine_vectors, normalize_rows
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
@@ -120,12 +120,40 @@ def test_combine_matches_scalar():
     kit = bulk.kit_for(F)
     coeffs = np.array([[1, 2], [0, 1], [1, 0]], dtype=np.uint8)
     bases = np.array([[[1, 0, 3], [0, 1, 2]]], dtype=np.uint8)
-    out = bulk.combine(kit, coeffs, bases)
+    out = bulk.decode(bulk.combine(kit, coeffs, bases), F.q, 3)
     for ci, c in enumerate(coeffs):
         for j in range(3):
             want = F.add(F.mul(int(c[0]), int(bases[0, 0, j])),
                          F.mul(int(c[1]), int(bases[0, 1, j])))
             assert out[0, ci, j] == want
+
+
+# XOR path (p = 2) and digit-matmul path (odd p); between them the odd
+# fields reach the uint8, uint16 and uint32 accumulators, and 251 and 256
+# the int64 codes
+KERNEL_FIELDS = ["2", "4", "8", "16", "2^3/101", "256",
+                 "3", "5", "7", "9", "3^2/1,2", "11", "13", "49", "251"]
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(1, 6), c=st.integers(1, 6),
+       kind=st.sampled_from(["combine", "transform", "batched"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_combine_matches_gather_oracle(spec, k, c, kind, seed):
+    F = parse_field_spec(spec)
+    kit = bulk.kit_for(F)
+    rng = np.random.default_rng(seed)
+    shapes = {"combine": ((9, k), (7, k, c)),     # coefficients x bases
+              "transform": ((7, k, 6), (6, 6)),   # bases x lift
+              "batched": ((3, 1, 4, k), (5, k, c))}[kind]
+    A, B = (rng.integers(0, F.q, s).astype(np.uint8) for s in shapes)
+    got = bulk.combine(kit, A, B)
+    cols = B.shape[-1]
+    assert got.dtype == (np.int32 if F.q ** cols < 2 ** 31 else np.int64)
+    want = bulk.encode(combine_vectors(kit, A, B), F.q)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_nullspace_fixed_matches_scalar():

@@ -61,7 +61,11 @@ def test_r2n_h1_full_q4_and_sampled():
     assert r.computed == {"mismatches": 0, "planes": 376805}
     s, = _ok(verify_r2n_equals_h1(F, budget=376804))
     assert s.status == SAMPLED
-    assert s.details["planes_checked"] == 100000
+    # the sample runs in two _block_size(4, 3) blocks; the figures are
+    # those of the earlier one-batch run
+    assert s.computed == {"mismatches": 0}
+    assert s.details == {"planes_checked": 100000,
+                         "intersection_dim_histogram": [69505, 30016, 478, 1]}
 
 
 def test_r2n_h1_rejects_odd():
@@ -165,6 +169,14 @@ def test_sampled_c4_golden_q5():
     assert r.status == SAMPLED
     assert r.computed == {"violations": 0}
     assert r.details == {"sampled_planes": 100000, "checked": 77681}
+
+
+def test_sampled_c4_golden_q8():
+    # 100000 sampled planes are four _block_size(8, 3) blocks
+    r, = _ok(verify_net_corollaries(make_field(2, 3)))
+    assert r.status == SAMPLED
+    assert r.computed == {"violations": 0}
+    assert r.details == {"sampled_planes": 100000, "checked": 86708}
 
 
 def test_sampled_c4_q13(monkeypatch):

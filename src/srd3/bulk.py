@@ -32,8 +32,9 @@ combine(points, duals^T).  Two implementations, chosen by characteristic:
       The digit matmul would need h*h products per field product and
       measured slower than the XOR at q = 8 and 16.
 
-rref_batch, nullspace_batch and quotient_codes eliminate row by row and
-keep the MUL/ADD table gathers of Kit.
+rref_batch and nullspace_batch eliminate row by row and keep the MUL/ADD
+table gathers of Kit.  quotient_codes is one combine of the points with
+the dual vectors of each subspace, then one lookup in normal_codes.
 """
 
 from __future__ import annotations
@@ -139,31 +140,34 @@ def quotient_codes(kit: Kit, bases: np.ndarray, points: np.ndarray) -> np.ndarra
     """Images of points in the quotient F^c / W for each subspace W.
 
     bases: (N, k, c) full-rank RREF bases, pivot patterns may differ;
-    points: (P, c).  Returns (N, P) codes as from encode: the base-q code
-    of the image, scaled so its first nonzero coordinate is 1, in the
-    c - k free coordinates of W, and 0 for a point inside W.  The image is
-    v - sum_i v[piv_i] row_i, which vanishes on the pivot columns, so two
-    points have the same code iff they span the same subspace with W.
+    points: (P, c).  Returns (N, P) codes of the images scaled to a leading
+    1, and 0 for a point inside W.  The image of v is its values v.d_t at
+    the c - k dual vectors of W (nullspace_batch): v -> (v.d_t)_t is linear
+    with kernel W, so it maps F^c / W onto F^(c-k), and two points span the
+    same subspace with W iff their images are proportional.  With d_t = 1 at
+    the t-th free column and 0 at the others, it is v - sum_i v[piv_i]
+    row_i read on the free columns.
     """
-    k = bases.shape[1]
-    piv, _, free = _pivots(bases)
-    rows = np.take_along_axis(bases, free[:, None, :], axis=2)  # (N, k, c-k)
-    acc = points.T[free].transpose(0, 2, 1)                  # (N, P, c-k)
-    at_piv = points.T[piv]                                   # (N, k, P)
-    for i in range(k):
-        acc = kit.sub(acc, kit.mul(at_piv[:, i, :, None], rows[:, i, None, :]))
-    lead = np.take_along_axis(acc, np.argmax(acc != 0, axis=2)[..., None], axis=2)
-    return encode(kit.mul(kit.INV[lead], acc), kit.q)
+    duals = nullspace_batch(kit, bases)
+    return normal_codes(kit, duals.shape[1])[combine(kit, points, duals.transpose(0, 2, 1))]
 
 
-def covers_quotient(kit: Kit, bases: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """For each subspace W of bases (as in quotient_codes), whether the
-    images of points outside W cover every point of the quotient
-    PG(c-k-1, q): (N,) bool."""
-    N, k, c = bases.shape
-    img = np.sort(quotient_codes(kit, bases, points), axis=1)
-    distinct = 1 + np.count_nonzero(np.diff(img, axis=1), axis=1) - (img[:, 0] == 0)
-    return distinct == (kit.q ** (c - k) - 1) // (kit.q - 1)
+@lru_cache(maxsize=None)
+def normal_codes(kit: Kit, m: int) -> np.ndarray:
+    """Code of a vector of F^m -> code of its multiple with leading 1
+    (0 -> 0).  Its callers need the point tables, so q <= 16 and it holds
+    at most 16^5 int32 codes (4 MB)."""
+    vecs = decode(np.arange(kit.q ** m), kit.q, m)
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    return encode(kit.mul(kit.INV[lead][:, None], vecs), kit.q)
+
+
+def covers_quotient(q: int, m: int, images: np.ndarray) -> np.ndarray:
+    """For each row of quotient_codes images in F^m, whether the nonzero
+    ones cover every point of PG(m-1, q): (N,) bool."""
+    img = np.sort(images, axis=1)
+    distinct = np.count_nonzero(np.diff(img, axis=1), axis=1) + (img[:, 0] != 0)
+    return distinct == (q ** m - 1) // (q - 1)
 
 
 # ---------------------------------------------------------------------------

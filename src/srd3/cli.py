@@ -192,6 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _range_error(args) -> str | None:
     if getattr(args, "jobs", 1) < 1:
         return f"--jobs must be at least 1, got {args.jobs}"
+    if getattr(args, "budget", None) is not None and args.budget < 1:
+        return f"--budget must be at least 1, got {args.budget}"
     if args.verb == "enumerate" and not 0 <= args.dim <= 4:
         return f"--dim must be a projective dimension in 0..4, got {args.dim}"
     if args.verb == "enumerate" and args.limit < 0:

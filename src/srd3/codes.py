@@ -10,8 +10,9 @@ has no point of rank < d.  A point Q outside W extends W iff <W, Q> has no
 point v of rank < d, and such a v lies in <W, Q> iff v and Q have the same
 image in F^6/W: the spans <W, v> pairwise meet only in W.  So W is complete
 iff the images of the points of rank < d cover PG(5-k, q), and the
-extension points are the points whose image is not one of theirs.  One
-batched projection (bulk.quotient_codes) decides both.
+extension points are the points whose image is not one of theirs.  The
+image of a point is the vector of its values at the 6-k dual vectors of
+W (bulk.quotient_codes), one combine over all the points at once.
 
 Classification of complete codes into equivalence classes goes by rank
 distribution signatures, which separate all classes; the d = 3 split into
@@ -154,7 +155,8 @@ def is_complete(C: SrdCode) -> bool:
     if d == 1:
         return C.dim == 6
     W = np.array([C.subspace.rows], dtype=np.uint8)
-    return bool(bulk.covers_quotient(bulk.kit_for(C.F), W, points_of_rank_below(C.F, d))[0])
+    img = bulk.quotient_codes(bulk.kit_for(C.F), W, points_of_rank_below(C.F, d))
+    return bool(bulk.covers_quotient(C.F.q, 6 - C.dim, img)[0])
 
 
 def extension_points(C: SrdCode) -> list[tuple[int, ...]]:

@@ -31,10 +31,11 @@ enumeration drivers can classify millions of points via numpy gathers.
 
 A subspace has a rank-1 point iff some Veronese point is orthogonal to
 every vector of its dual, i.e. iff the conics of the dual (a pencil for a
-solid, a net for a plane) have a common zero in PG(2,q).
-GeomTables.rank1_free_batch evaluates the 6-k dual vectors at the
-q^2+q+1 Veronese points, which for a solid is far less work than
-classifying its q^3+q^2+q+1 points with od0_batch.
+solid, a net for a plane) have a common zero in PG(2,q).  That is a
+Veronese point whose quotient image (bulk.quotient_codes, the values of
+the dual vectors) is 0; for a solid, evaluating its 2 dual vectors at the
+q^2+q+1 Veronese points is far less work than classifying its
+q^3+q^2+q+1 points with od0_batch.
 """
 
 from __future__ import annotations
@@ -162,16 +163,6 @@ class GeomTables:
         for i in range(4):
             out[:, i] = (cls == i + 1).sum(axis=1)
         return out
-
-    def rank1_free_batch(self, bases: np.ndarray) -> np.ndarray:
-        """Which subspaces of a batch of RREF bases have no rank-1 point:
-        (N,k,6) -> (N,) bool.  The Veronese point v(u) lies in W iff it is
-        orthogonal to each of the 6-k dual vectors of W, i.e. iff u is a
-        base point of the conics of W's dual (a pencil for a solid)."""
-        duals = bulk.nullspace_batch(self.kit, bases)
-        # code 0: every dual vector vanishes at the Veronese point
-        on = bulk.combine(self.kit, self.v6, duals.transpose(0, 2, 1)) == 0
-        return ~on.any(axis=1)
 
     def hclass_table(self) -> np.ndarray:
         """Dense dual-code -> hyperplane class (1..4 as in

@@ -12,21 +12,25 @@ results are independent of the chunk schedule and of the number of worker
 processes, and every sweep and orbit returns its subspaces as sorted int64
 ids.
 
-Solids are swept from the conic side.  The dual of a solid is a pencil of
-conics, and the solid has no rank-1 point iff the pencil has no base point
-in PG(2,q); GeomTables.rank1_free_batch tests that with 2(q^2+q+1)
-evaluations of a dual vector at a Veronese point, and od0_batch then runs
-only on the solids it passes (about 29% at q=5).  The filter is used
-wherever (6-k)(q^2+q+1) < (q^k-1)/(q-1), the number of points od0_batch
-would combine; among the swept dimensions that is solids only, so lines
-and planes go straight to od0_batch (_rank1_free_od0).
-
 Completeness is decided in the quotient, never by collecting point sets.
 A subspace W with no rank-1 point is a complete distance-2 code iff the
 images of the q^2+q+1 rank-1 points in F^6/W cover PG(5-k, q): the spans
 <W, v> pairwise meet only in W, so a point Q outside W has a rank-1 point
-in <W, Q> iff its image is one of theirs.  The line count, the plane
-coverage and the sampled C4 check all use this test (_complete_mask).
+in <W, Q> iff its image is one of theirs.  The image of a Veronese point
+is the vector of values of W's dual vectors there (bulk.quotient_codes),
+0 iff the point lies in W, so one array of images decides both whether W
+has a rank-1 point and whether it is complete.  Each sweep takes it once
+per subspace and caches the completeness flag next to each id; the line
+count, the plane coverage, the complete planes and both arms of C4 read it.
+
+Solids are swept from the conic side.  The dual of a solid is a pencil of
+conics, and the solid has no rank-1 point iff the pencil has no base point
+in PG(2,q), i.e. iff no Veronese image is 0.  The images take 2(q^2+q+1)
+evaluations of a dual vector, so od0_batch runs only on the solids that
+pass (about 29% at q=5).  Images come first wherever (6-k)(q^2+q+1) <
+(q^k-1)/(q-1), the number of points od0_batch would combine; among the
+swept dimensions that is solids only, so lines and planes go to od0_batch
+first and take images of the rank-1-free ones (_rank1_free_od0).
 """
 
 from __future__ import annotations
@@ -79,12 +83,12 @@ def _pmap(fn, items, jobs: int):
 
 
 def _block_size(q: int, k: int) -> int:
-    """Subspaces per sweep block: about 2^21 points in all.  bulk.combine
-    then holds, at odd q, the accumulator of 6h base-p digits per point
-    (12 MB as uint8 at q = 3, 5, 7; 24 MB at q = 9, or as uint16 at
-    q = 11, 13) and 8 MB of int32 codes; at even q, two int32 code arrays,
-    16 MB."""
-    m = (q ** k - 1) // (q - 1)
+    """Subspaces per sweep block: about 2^21 points, or Veronese images
+    for lines, in all.  bulk.combine then holds, at odd q, the accumulator
+    of 6h base-p digits per point (12 MB as uint8 at q = 3, 5, 7; 24 MB at
+    q = 9, or as uint16 at q = 11, 13) and 8 MB of int32 codes; at even q,
+    two int32 code arrays, 16 MB."""
+    m = max((q ** k - 1) // (q - 1), q * q + q + 1)
     return max(256, (1 << 21) // m)
 
 
@@ -95,31 +99,41 @@ def _pencil_filter_pays(q: int, k: int) -> bool:
     return (6 - k) * (q * q + q + 1) < (q ** k - 1) // (q - 1)
 
 
-def _rank1_free_od0(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in bases of the subspaces with no rank-1 point, and their
-    od0 rows, taken _block_size subspaces at a time so that a sample of
-    any size runs in bounded memory.  Where the pencil filter pays,
-    od0_batch sees only the subspaces it passes; od0 still confirms r1 = 0
-    for every one kept."""
+def _rank1_free_od0(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions in bases of the subspaces with no rank-1 point, their od0
+    rows, and whether each is a complete distance-2 code, taken _block_size
+    subspaces at a time so that a sample of any size runs in bounded
+    memory.  A block's Veronese images are never held while od0_batch
+    runs; od0 confirms r1 = 0 for every subspace kept."""
     q, k = t.F.q, bases.shape[1]
     block = _block_size(q, k)
-    keep, dist = [], []
+    keep, dist, complete = [], [], []
     for s in range(0, len(bases), block):
         part = bases[s:s + block]
-        cand = np.arange(len(part))
         if _pencil_filter_pays(q, k):
-            cand = np.flatnonzero(t.rank1_free_batch(part))
-        d = t.od0_batch(part[cand])
-        free = d[:, 0] == 0
-        keep.append(s + cand[free])
+            img = bulk.quotient_codes(t.kit, part, t.v6)
+            cand = np.flatnonzero((img != 0).all(axis=1))
+            full = bulk.covers_quotient(q, 6 - k, img[cand])
+            del img
+            d = t.od0_batch(part[cand])
+            free = d[:, 0] == 0
+            cand, full = cand[free], full[free]
+        else:
+            d = t.od0_batch(part)
+            free = d[:, 0] == 0
+            cand = np.flatnonzero(free)
+            full = bulk.covers_quotient(
+                q, 6 - k, bulk.quotient_codes(t.kit, part[cand], t.v6))
+        keep.append(s + cand)
         dist.append(d[free])
-    return np.concatenate(keep), np.concatenate(dist)
+        complete.append(full)
+    return np.concatenate(keep), np.concatenate(dist), np.concatenate(complete)
 
 
 # ---------------------------------------------------------------------------
-# Sweep engines.  The heavy sweeps are cached per field: several drivers
-# need the same solid groups / plane filters / coverage sets, and at q = 5
-# each of those costs tens of seconds.
+# Sweep engines.  The line, plane and solid sweeps are cached per field:
+# several drivers need the same groups and completeness flags, and at q = 5
+# each sweep costs seconds.
 # ---------------------------------------------------------------------------
 
 _sweep_cache: dict[tuple, object] = {}
@@ -132,12 +146,48 @@ def _cached(key: tuple, build):
     return got
 
 
+_SWEEP_TAGS = {2: "line_sweep", 3: "plane_sweep", 4: "solid_groups"}
+
+
+def _sweep(F: FieldCtx, k: int, jobs: int = 1):
+    """The one sweep engine, cached per field: a chunked pass over every
+    k-dimensional subspace of F^6, keeping those with no rank-1 point (see
+    _rank1_free_od0).  Returns ({od0 tuple: sorted ids}, {od0 tuple:
+    completeness flags aligned with the ids}, number of k-subspaces).
+    Chunks come back in id order, so each group is sorted as it is joined."""
+    q = F.q
+    t = tables(F)
+
+    def work(chunk):
+        lo, hi = chunk
+        keep, dist, full = _rank1_free_od0(t, bulk.subspace_bases(q, k, np.arange(lo, hi)))
+        # od0 rows as base-(points + 1) numbers, which sort as the rows do
+        key = dist @ (gaussian_binomial(k, 1, q) + 1) ** np.arange(3, -1, -1)
+        _, first, which = np.unique(key, return_index=True, return_inverse=True)
+        return [(tuple(int(x) for x in dist[i]), lo + keep[which == j], full[which == j])
+                for j, i in enumerate(first)]
+
+    def build():
+        groups: dict[tuple, list] = {}
+        flags: dict[tuple, list] = {}
+        for part in _pmap(work, bulk.id_chunks(q, k, _block_size(q, k)), jobs):
+            for sig, ids, full in part:
+                groups.setdefault(sig, []).append(ids)
+                flags.setdefault(sig, []).append(full)
+        return ({sig: np.concatenate(arrs) for sig, arrs in groups.items()},
+                {sig: np.concatenate(arrs) for sig, arrs in flags.items()},
+                gaussian_binomial(6, k, q))
+
+    return _cached((_SWEEP_TAGS[k], id(F)), build)
+
+
 def solid_groups(F: FieldCtx, jobs: int = 1):
     """All solids with no rank-1 point, grouped by point-orbit distribution.
 
     Returns (groups: {od0 tuple: sorted ids}, total_solids).
     """
-    return _cached(("solid_groups", id(F)), lambda: _rank1_free_groups(F, 4, jobs))
+    groups, _, total = _sweep(F, 4, jobs)
+    return groups, total
 
 
 def plane_sweep(F: FieldCtx, jobs: int = 1):
@@ -145,29 +195,8 @@ def plane_sweep(F: FieldCtx, jobs: int = 1):
 
     Returns (groups: {od0 tuple: sorted ids}, total_planes).
     """
-    return _cached(("plane_sweep", id(F)), lambda: _rank1_free_groups(F, 3, jobs))
-
-
-def _rank1_free_groups(F: FieldCtx, k: int, jobs: int):
-    """The one sweep engine: a chunked pass over every k-dimensional
-    subspace of F^6, keeping those with no rank-1 point grouped by od0
-    (see _rank1_free_od0).  Chunks come back in id order, so each group is
-    sorted as it is joined."""
-    q = F.q
-    t = tables(F)
-
-    def work(chunk):
-        lo, hi = chunk
-        keep, dist = _rank1_free_od0(t, bulk.subspace_bases(q, k, np.arange(lo, hi)))
-        return [(tuple(int(x) for x in sig), lo + keep[(dist == sig).all(axis=1)])
-                for sig in np.unique(dist, axis=0)]
-
-    groups: dict[tuple, list] = {}
-    for part in _pmap(work, bulk.id_chunks(q, k, _block_size(q, k)), jobs):
-        for sig, ids in part:
-            groups.setdefault(sig, []).append(ids)
-    merged = {sig: np.concatenate(arrs) for sig, arrs in groups.items()}
-    return merged, gaussian_binomial(6, k, q)
+    groups, _, total = _sweep(F, 3, jobs)
+    return groups, total
 
 
 def _ids_where(groups: dict, keep) -> np.ndarray:
@@ -199,59 +228,26 @@ def _od4_of(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:
 
 def min_rank2_coverage(F: FieldCtx, jobs: int = 1) -> np.ndarray:
     """Sorted ids of the rank-1-free planes that lie inside a rank-1-free
-    solid: those whose rank-1 points' images do not cover the quotient
-    PG(2,q) (see _complete_mask)."""
-    def build():
-        ids = _ids_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
-        return ids[~_complete_mask(F, ids, 3, jobs)]
-    return _cached(("mr2_coverage", id(F)), build)
-
-
-def _complete_mask(F: FieldCtx, ids: np.ndarray, k: int, jobs: int = 1) -> np.ndarray:
-    """Which of the given rank-1-free k-subspaces (ids) are complete as
-    distance-2 codes.
-
-    A point Q outside W extends W iff <W, Q> has no rank-1 point v, and
-    v lies in <W, Q> iff v and Q have the same image in F^6/W, because the
-    spans <W, v> pairwise meet only in W.  So W is complete iff the images
-    of the q^2+q+1 rank-1 points cover all of PG(5-k, q).
-    """
-    q = F.q
-    kit = bulk.kit_for(F)
-    v6 = tables(F).v6
-    block = max(256, (1 << 20) // len(v6))
-    items = [(s, min(s + block, len(ids))) for s in range(0, len(ids), block)]
-
-    def work(item):
-        bases = bulk.subspace_bases(q, k, ids[item[0]:item[1]])
-        return bulk.covers_quotient(kit, bases, v6)
-
-    parts = _pmap(work, items, jobs)
-    return np.concatenate(parts) if parts else np.empty(0, dtype=bool)
+    solid: those the plane sweep flags as not complete."""
+    groups, complete, _ = _sweep(F, 3, jobs)
+    return _ids_where({sig: ids[~complete[sig]] for sig, ids in groups.items()},
+                      lambda sig: True)
 
 
 def _complete_planes_by_sig(F: FieldCtx, jobs: int) -> dict[tuple, np.ndarray]:
-    """Complete minimum-rank-2 planes grouped by od0 signature: those of the
-    plane sweep that lie in no rank-1-free solid.  Empty groups are left
-    out."""
-    groups, _ = plane_sweep(F, jobs=jobs)
-    covered = min_rank2_coverage(F, jobs=jobs)
-    out = {}
-    for sig, ids in groups.items():
-        if _has_rank2(sig):
-            left = ids[~np.isin(ids, covered, assume_unique=True)]
-            if len(left):
-                out[sig] = left
-    return out
+    """Complete minimum-rank-2 planes grouped by od0 signature: those the
+    plane sweep flags as complete, which lie in no rank-1-free solid.
+    Empty groups are left out."""
+    groups, complete, _ = _sweep(F, 3, jobs)
+    return {sig: ids[complete[sig]] for sig, ids in groups.items()
+            if _has_rank2(sig) and complete[sig].any()}
 
 
-def _line_pair_planes(F: FieldCtx, jobs: int, ids: np.ndarray | None = None) -> np.ndarray:
-    """The planes of the sorted ids (default: every rank-1-free plane) that
-    lie on a line-pair hyperplane (class H2r or H2i)."""
-    if ids is None:
-        ids = _ids_where(plane_sweep(F, jobs=jobs)[0], lambda sig: True)
+def _on_line_pair(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:
+    """Which of the planes with the given ids lie on a line-pair hyperplane
+    (class H2r or H2i): (N,) bool in the order of ids."""
     d4 = _od4_of(F, ids, jobs)
-    return ids[(d4[:, 1] + d4[:, 2]) > 0]
+    return (d4[:, 1] + d4[:, 2]) > 0
 
 
 def planes_covered_by_solids(F: FieldCtx, solid_ids: np.ndarray,
@@ -283,14 +279,15 @@ def planes_covered_by_solids(F: FieldCtx, solid_ids: np.ndarray,
 def line_sweep_completeness(F: FieldCtx, jobs: int = 1):
     """Minimum-rank-2 lines and how many of them are complete.
 
-    Returns (n_min_rank2, n_complete).  A line is complete iff the q^2+q+1
-    images of the rank-1 points cover the q^3+q^2+q+1 points of the
-    quotient PG(3,q) (see _complete_mask), which is why none can be.
+    Returns (n_min_rank2, n_complete), read from the line sweep's
+    completeness flags.  A line is complete iff the q^2+q+1 images of the
+    rank-1 points cover the q^3+q^2+q+1 points of the quotient PG(3,q),
+    which is why none can be.
     """
-    def build():
-        lines = _ids_where(_rank1_free_groups(F, 2, jobs)[0], _has_rank2)
-        return len(lines), int(_complete_mask(F, lines, 2, jobs).sum())
-    return _cached(("line_sweep", id(F)), build)
+    groups, complete, _ = _sweep(F, 2, jobs)
+    rank2 = [sig for sig in groups if _has_rank2(sig)]
+    return (sum(len(groups[sig]) for sig in rank2),
+            sum(int(complete[sig].sum()) for sig in rank2))
 
 
 def _orbit_ids(W: Subspace) -> np.ndarray:
@@ -686,23 +683,21 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
     if sampled:
         kit = bulk.kit_for(F)
         planes = bulk.sample_subspaces(kit, 5, 2, SAMPLE_SIZE, seed=_SEED)
-        free = planes[_rank1_free_od0(tables(F), planes)[0]]
-        target = _line_pair_planes(F, jobs, np.sort(bulk.subspace_ids(q, free)))
-        bad = int(_complete_mask(F, target, 3, jobs).sum())
+        keep, _, complete = _rank1_free_od0(tables(F), planes)
+        target = _on_line_pair(F, bulk.subspace_ids(q, planes[keep]), jobs)
+        bad = int((target & complete).sum())
         report = make_report(
             "C4", F.spec,
             "planes with no rank-1 point and a line-pair hyperplane lie in a "
             "minimum-rank-2 solid",
             {"violations": 0}, {"violations": bad}, sampled=True,
             seconds=time.perf_counter() - t0,
-            details={"sampled_planes": SAMPLE_SIZE, "checked": len(target)})
+            details={"sampled_planes": SAMPLE_SIZE, "checked": int(target.sum())})
         return [report]
 
-    _, total = plane_sweep(F, jobs=jobs)
-    covered = min_rank2_coverage(F, jobs=jobs)
-    target = _line_pair_planes(F, jobs)
-    ok = np.isin(target, covered, assume_unique=True)
-    n_viol = int((~ok).sum())
+    groups, complete, total = _sweep(F, 3, jobs)
+    target = _on_line_pair(F, np.concatenate(list(groups.values())), jobs)
+    n_viol = int((target & np.concatenate([complete[sig] for sig in groups])).sum())
 
     spot_expected = {}
     spot_computed = {}
@@ -725,7 +720,7 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
         {"violations": 0, "spot": spot_expected},
         {"violations": n_viol, "spot": spot_computed},
         seconds=time.perf_counter() - t0, flags=flags,
-        details={"planes_r1zero_with_line_pair": len(target),
+        details={"planes_r1zero_with_line_pair": int(target.sum()),
                  "total_planes": total})]
 
 

@@ -12,7 +12,8 @@ tables of invariants.GeomTables, linear combinations over GF(q) by
 MUL/ADD table gathers, which bulk.combine computes as codes by a digit
 matmul or XOR, the rank-1 points over GF(q^3) by walking the scalar
 extension, which the package counts as common zeros of the dual conics,
-and the rank-1-free sweep with od0_batch over every subspace, which the
+quotient images by row elimination, which bulk.quotient_codes reads as
+the values of the dual vectors, and the rank-1-free sweep with od0_batch over every subspace, which the
 package runs only on the solids whose pencil of dual conics has no base
 point.
 """
@@ -56,6 +57,26 @@ def combine_vectors(kit: bulk.Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         term = kit.mul(A[..., :, j, None], B[..., j, None, :])
         acc = term if acc is None else kit.add(acc, term)
     return acc
+
+
+def quotient_codes_eliminate(kit: bulk.Kit, bases: np.ndarray,
+                             points: np.ndarray) -> np.ndarray:
+    """bulk.quotient_codes by elimination: the image of v in F^c / W is
+    v - sum_i v[piv_i] row_i on the c - k free columns of W, by one MUL
+    and one ADD table gather per row of W, then scaled to a leading 1 and
+    encoded."""
+    N, k, c = bases.shape
+    piv = np.argmax(bases != 0, axis=2)
+    is_piv = np.zeros((N, c), dtype=bool)
+    is_piv[np.arange(N)[:, None], piv] = True
+    free = np.nonzero(~is_piv)[1].reshape(N, c - k)
+    rows = np.take_along_axis(bases, free[:, None, :], axis=2)  # (N, k, c-k)
+    acc = points.T[free].transpose(0, 2, 1)                  # (N, P, c-k)
+    at_piv = points.T[piv]                                   # (N, k, P)
+    for i in range(k):
+        acc = kit.sub(acc, kit.mul(at_piv[:, i, :, None], rows[:, i, None, :]))
+    lead = np.take_along_axis(acc, np.argmax(acc != 0, axis=2)[..., None], axis=2)
+    return bulk.encode(kit.mul(kit.INV[lead], acc), kit.q)
 
 
 def normalize_rows(kit: bulk.Kit, vecs: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from srd3 import bulk
 from srd3.gf import FieldError, make_field, parse_field_spec
 from srd3.pg import all_subspaces, gaussian_binomial, nullspace, rref
 
-from oracles import combine_vectors, normalize_rows
+from oracles import combine_vectors, normalize_rows, quotient_codes_eliminate
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
@@ -61,9 +61,38 @@ def test_quotient_codes_match_spans(p, h):
             assert len(span_of) == (F.q ** (6 - k) - 1) // (F.q - 1)
         # all points cover the quotient (those inside W count for nothing),
         # and one point does not unless the quotient is a single point
-        assert bulk.covers_quotient(kit, red, pts).all()
+        assert bulk.covers_quotient(F.q, 6 - k, codes).all()
         if k < 5:
-            assert not bulk.covers_quotient(kit, red, pts[:1]).any()
+            assert not bulk.covers_quotient(F.q, 6 - k, codes[:, :1]).any()
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "7", "8", "9", "2^3/101", "3^2/1,2"])
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(1, 5), n_in=st.integers(0, 8), n_ver=st.integers(0, 8),
+       n_any=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_quotient_codes_match_elimination_oracle(spec, k, n_in, n_ver, n_any, seed):
+    # points inside W (code 0, the zero vector among them when the random
+    # coefficients vanish), Veronese points, any points, and often none at
+    # all, as extension_points passes at d = 1
+    from srd3.invariants import tables
+    F = parse_field_spec(spec)
+    t = tables(F)
+    rng = np.random.default_rng(seed)
+    red, rk = bulk.rref_batch(t.kit, rng.integers(0, F.q, (6, k, 6), dtype=np.uint8))
+    red = red[rk == k]
+    inside = combine_vectors(t.kit, rng.integers(0, F.q, (n_in, k), dtype=np.uint8), red[:1])[0] \
+        if len(red) else np.empty((0, 6), np.uint8)
+    pts = np.concatenate([inside, t.v6[rng.integers(0, len(t.v6), n_ver)],
+                          rng.integers(0, F.q, (n_any, 6), dtype=np.uint8)]).astype(np.uint8)
+    got = bulk.quotient_codes(t.kit, red, pts)
+    want = quotient_codes_eliminate(t.kit, red, pts)
+    assert got.shape == want.shape == (len(red), len(pts))
+    assert np.array_equal(got, want)
+    if len(red):
+        assert (got[0, :len(inside)] == 0).all()
+    none = pts[:0]
+    assert np.array_equal(bulk.quotient_codes(t.kit, red, none),
+                          quotient_codes_eliminate(t.kit, red, none))
 
 
 def test_encode_decode_roundtrip():

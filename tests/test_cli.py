@@ -164,8 +164,13 @@ def test_field_above_table_range_exit_2(tmp_path, capsys):
     ["enumerate", "--field", "3", "--dim", "7", "--count-only"],
     ["enumerate", "--field", "3", "--dim", "-1", "--count-only"],
     ["enumerate", "--field", "3", "--dim", "2", "--limit", "-1"],
+    ["verify", "--field", "4", "--theorem", "T3.7", "--budget", "0"],
+    ["verify", "--field", "4", "--theorem", "T3.7", "--budget", "-1"],
+    ["enumerate", "--field", "3", "--dim", "2", "--budget", "0"],
+    ["enumerate", "--field", "3", "--dim", "2", "--limit", "2", "--budget", "-5"],
 ], ids=["verify_jobs_0", "acceptance_jobs_negative", "enumerate_dim_7",
-        "enumerate_dim_negative", "enumerate_limit_negative"])
+        "enumerate_dim_negative", "enumerate_limit_negative", "verify_budget_0",
+        "verify_budget_negative", "enumerate_budget_0", "enumerate_budget_negative"])
 def test_out_of_range_options_exit_2(capsys, argv):
     assert main(argv) == 2
     _one_line_error(capsys)

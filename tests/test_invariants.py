@@ -261,4 +261,6 @@ def test_rank1_free_batch_matches_od0(spec, k, seed):
     red, rk = bulk.rref_batch(t.kit, raw)
     bases = red[rk == k]
     want = t.od0_batch(bases)[:, 0] == 0
-    assert np.array_equal(t.rank1_free_batch(bases), want)
+    # a Veronese point lies in W iff its quotient image is 0
+    on = bulk.quotient_codes(t.kit, bases, t.v6) == 0
+    assert np.array_equal(~on.any(axis=1), want)

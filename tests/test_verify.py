@@ -10,8 +10,8 @@ from srd3 import bulk
 from srd3.gf import make_field
 from srd3.invariants import tables
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
-from srd3.verify import (VerifyError, _ids_where, _line_pair_planes,
-                         _min_rank2_solid_sigs, line_sweep_completeness,
+from srd3.verify import (VerifyError, _ids_where, _min_rank2_solid_sigs,
+                         _on_line_pair, _sweep, line_sweep_completeness,
                          min_rank2_coverage, plane_sweep,
                          planes_covered_by_solids, run_checks,
                          solid_groups, verify_censuses, verify_class_counts,
@@ -98,11 +98,13 @@ def test_line_sweep_counts_q3():
 
 
 def _rebuild(tag, fn, F, jobs):
-    """fn(F, jobs) with the cached entry of its own kind dropped first."""
+    """fn(F, jobs) after dropping the sweep it reads, the cache entry
+    (tag, id(F)), so that the sweep really runs again with these jobs."""
     import srd3.verify as V
-    for key in [k for k in V._sweep_cache if k[0] == tag]:
-        del V._sweep_cache[key]
-    return fn(F, jobs=jobs)
+    old = V._sweep_cache.pop((tag, id(F)), None)
+    out = fn(F, jobs=jobs)
+    assert V._sweep_cache[(tag, id(F))] is not old
+    return out
 
 
 @pytest.mark.parametrize("p,h,want", [(2, 1, 399), (3, 1, 7644), (2, 2, 65982)],
@@ -139,9 +141,31 @@ def test_coverage_matches_solid_oracle(p, h, complete):
     want = planes_covered_by_solids(F, _ids_where(groups, sigs.__contains__))
     planes = _ids_where(plane_sweep(F)[0], lambda sig: sig[1] + sig[2] > 0)
     for jobs in (1, 2):
-        cov = _rebuild("mr2_coverage", min_rank2_coverage, F, jobs)
+        cov = _rebuild("plane_sweep", min_rank2_coverage, F, jobs)
         assert np.array_equal(cov, want)
         assert len(planes) - np.isin(planes, cov).sum() == complete
+
+
+@pytest.mark.parametrize("p,h,complete", [(2, 1, 30), (3, 1, 288), (2, 2, 2284)],
+                         ids=["q2", "q3", "q4"])
+def test_cached_completeness_flags(p, h, complete):
+    # a rank-1-free solid meets the d = 2 dimension bound, so it is an MSRD
+    # code and complete; a rank-1-free plane is complete iff it has no
+    # point of the secant class, P2e (od0 column 1) for odd q and P2s
+    # (column 2) for even q: the q^2+q+1 Veronese images cover the
+    # q^2+q+1 quotient points iff no two collide, i.e. iff no secant line
+    # of the Veronese surface meets the plane
+    F = make_field(p, h)
+    groups, flags, _ = _sweep(F, 4)
+    assert groups.keys() == flags.keys()
+    assert all(flags[sig].all() and len(flags[sig]) == len(groups[sig]) for sig in groups)
+    secant = 2 if F.p == 2 else 1
+    groups, flags, _ = _sweep(F, 3)
+    assert groups.keys() == flags.keys()
+    for sig in groups:
+        assert len(flags[sig]) == len(groups[sig])
+        assert (flags[sig] == (sig[secant] == 0)).all(), sig
+    assert sum(int(f.sum()) for f in flags.values()) == complete
 
 
 def test_class_counts_q3():
@@ -254,8 +278,9 @@ def test_line_pair_planes_match_chunked_od4_q3():
             d4 = t.od4_batch(block[keep])
             want.append(lo + keep[(d4[:, 1] + d4[:, 2]) > 0])
     want = np.concatenate(want)
-    assert np.array_equal(_line_pair_planes(F, jobs=1), want)
-    assert np.array_equal(_line_pair_planes(F, jobs=2), want)
+    ids = _ids_where(plane_sweep(F)[0], lambda sig: True)
+    assert np.array_equal(ids[_on_line_pair(F, ids, jobs=1)], want)
+    assert np.array_equal(ids[_on_line_pair(F, ids, jobs=2)], want)
 
 
 def test_each_grassmannian_swept_once_q3():

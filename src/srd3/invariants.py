@@ -122,6 +122,8 @@ class GeomTables:
         self.v6 = np.array([veronese(F, u) for u in pg2_points(F)], dtype=np.uint8)
         self.h1 = np.array(h1_duals(F), dtype=np.uint8)
         self._coeffs: dict[int, np.ndarray] = {}
+        # point class -> PointClass, filled by point_class on first use
+        self.point_class_data: dict[int, "PointClass"] = {}
 
     def _build_classes(self, vecs: np.ndarray, rank: np.ndarray) -> np.ndarray:
         kit, F = self.kit, self.F
@@ -253,6 +255,20 @@ def hyperplane_census(F: FieldCtx) -> dict[str, int]:
 
 # ---------------------------------------------------------------------------
 # The group and its orbits
+#
+# G = PGL(3,q) acts on PG(5,q) by M -> A M A^T.  The orbit of a subspace W
+# has |G| / |Stab(W)| members (orbit-stabiliser), so a family of subspaces
+# that G maps to itself is the orbit of W iff it holds W and has that many
+# members.  The families the verify drivers compare are invariant because
+# they are cut out by invariants: od0 (each point class is an orbit), the
+# absence of rank-1 points, completeness, constant rank.
+#
+# stabilizer_order counts Stab(W) through one point class at a time: the
+# class-c points form one orbit, so every element of G that moves a
+# class-c point x of W to a class-c point y of W is h_y s h_x^-1 with s in
+# Stab(x_c), and only those s_c |G| / N_c elements need testing.
+# orbit_of walks the whole orbit instead; the acceptance suite and the
+# tests use it.
 # ---------------------------------------------------------------------------
 
 def pgl3_order(q: int) -> int:
@@ -268,6 +284,179 @@ def k_generators(F: FieldCtx) -> list[tuple[tuple[int, ...], ...]]:
         g = F.generator
         gens.append(((g, 0, 0), (0, 1, 0), (0, 0, 1)))
     return gens
+
+
+def _normalized(kit: bulk.Kit, rows: np.ndarray) -> np.ndarray:
+    """Each row of (N, m) scaled so that its first nonzero entry is 1."""
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    return kit.mul(kit.INV[lead][:, None], rows)
+
+
+def _element_codes(kit: bulk.Kit, mats: np.ndarray) -> np.ndarray:
+    """Codes of the elements of PGL(3,q) given by 3x3 matrices (N, 3, 3),
+    one code per projective element."""
+    return bulk.encode(_normalized(kit, mats.reshape(-1, 9)), kit.q)
+
+
+def _mat_mul(kit: bulk.Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B over GF(q) for 3x3 matrices, with np.matmul broadcasting."""
+    return bulk.decode(bulk.combine(kit, A, B), kit.q, 3)
+
+
+# adj(A)[i, j] = A[j+1, i+1] A[j+2, i+2] - A[j+1, i+2] A[j+2, i+1], indices mod 3
+_I3, _J3 = np.indices((3, 3))
+_I1, _I2, _J1, _J2 = (_I3 + 1) % 3, (_I3 + 2) % 3, (_J3 + 1) % 3, (_J3 + 2) % 3
+
+
+def _adjugate(kit: bulk.Kit, A: np.ndarray) -> np.ndarray:
+    """adj(A) of 3x3 matrices (..., 3, 3): the inverse in PGL(3,q)."""
+    return kit.sub(kit.mul(A[..., _J1, _I1], A[..., _J2, _I2]),
+                   kit.mul(A[..., _J1, _I2], A[..., _J2, _I1]))
+
+
+# lift row i is the basis matrix with ones at (a, b) and (b, a), lift
+# column t the entry (j, k) of the image, both in the order y0..y5
+_SYM = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
+_RA, _RB = _SYM[:, 0, None], _SYM[:, 1, None]
+_CJ, _CK = _SYM[None, :, 0], _SYM[None, :, 1]
+
+
+def _moved(kit: bulk.Kit, pts: np.ndarray, lifts: np.ndarray) -> np.ndarray:
+    """The images y L of the points (n, 6) under each lift (g, 6, 6), as
+    (g n, 6) vectors, lift-major."""
+    return bulk.decode(bulk.combine(kit, pts, lifts), kit.q, 6).reshape(-1, 6)
+
+
+def lift_batch(kit: bulk.Kit, A: np.ndarray) -> np.ndarray:
+    """veronese.lift of each 3x3 matrix in (N, 3, 3): (N, 6, 6).  Entry
+    (i, t) is (A S_i A^T)[j, k] = A[j, a] A[k, b] + A[j, b] A[k, a], the
+    second term only for a != b."""
+    L = kit.mul(A[:, _CJ, _RA], A[:, _CK, _RB])
+    cross = kit.mul(A[:, _CJ, _RB], A[:, _CK, _RA])
+    cross[:, _SYM[:, 0] == _SYM[:, 1]] = 0
+    return kit.add(L, cross)
+
+
+class PointClass:
+    """One point class c, as the group sees it: the class-c point codes
+    (normalized, ascending), an element h_y with h_y x_c = y for each point
+    y (aligned with the codes), and the lifts (veronese.lift) of every
+    element of Stab(x_c), where x_c is the class-c point of smallest code.
+
+    The h_y come from a Schreier tree: a breadth-first walk from x_c under
+    k_generators.  It must reach every class-c point of point_census, i.e.
+    the class is one orbit.  The stabiliser is generated by the Schreier
+    generators h_{g y}^-1 g h_y: each one not yet in the group is added and
+    the group closed under right multiplication, until it has
+    |PGL(3,q)| / N_c elements."""
+
+    def __init__(self, t: GeomTables, c: int):
+        F, kit, q = t.F, t.kit, t.F.q
+        size = point_census(F)[point_classes(F)[c - 1]]
+        gens = np.array(k_generators(F), dtype=np.uint8)
+        lifts = lift_batch(kit, gens)
+        pts = bulk.decode(np.array([np.argmax(t.class_code == c)]), q, 6)
+        mats = np.eye(3, dtype=np.uint8)[None]
+        seen = bulk.encode(pts, q)
+        all_codes, all_mats = [seen], [mats]
+        while len(pts):
+            # images of every frontier point under every generator, and the
+            # elements that carry x_c there: g h
+            img = _moved(kit, pts, lifts)
+            img_mats = _mat_mul(kit, gens[:, None], mats).reshape(-1, 3, 3)
+            codes, first = np.unique(bulk.encode(_normalized(kit, img), q),
+                                     return_index=True)
+            fresh = ~np.isin(codes, seen, assume_unique=True)
+            seen = np.union1d(seen, codes[fresh])
+            pts, mats = img[first[fresh]], img_mats[first[fresh]]
+            all_codes.append(codes[fresh])
+            all_mats.append(mats)
+        codes = np.concatenate(all_codes)
+        assert len(codes) == size, (c, len(codes), size)
+        order = np.argsort(codes)
+        self.codes = codes[order]
+        self.transversal = np.concatenate(all_mats)[order]
+        self.stabilizer = self._stabilizer(kit, gens, lifts, pgl3_order(q) // size)
+
+    def _stabilizer(self, kit, gens, lifts, order: int) -> np.ndarray:
+        q = kit.q
+        img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(self.codes, q, 6), lifts)), q)
+        h_img = self.transversal[np.searchsorted(self.codes, img)]
+        g_h = _mat_mul(kit, gens[:, None], self.transversal).reshape(-1, 3, 3)
+        schreier = _mat_mul(kit, _adjugate(kit, h_img), g_h)
+        gen_codes, first = np.unique(_element_codes(kit, schreier), return_index=True)
+        schreier = schreier[first]
+        elems = np.eye(3, dtype=np.uint8)[None]
+        seen = _element_codes(kit, elems)
+        used: list[np.ndarray] = []
+        while len(seen) < order:
+            new = np.flatnonzero(~np.isin(gen_codes, seen, assume_unique=True))
+            assert len(new), "the Schreier generators fall short of the stabiliser"
+            used.append(schreier[new[0]])
+            frontier, step = elems, used[-1:]
+            while len(frontier):
+                img = np.concatenate([_mat_mul(kit, frontier, g) for g in step])
+                img_codes, first = np.unique(_element_codes(kit, img), return_index=True)
+                fresh = ~np.isin(img_codes, seen, assume_unique=True)
+                seen = np.union1d(seen, img_codes[fresh])
+                frontier = img[first[fresh]]
+                elems = np.concatenate([elems, frontier])
+                step = used
+        assert len(seen) == order
+        return lift_batch(kit, elems)
+
+
+def point_class(F: FieldCtx, c: int) -> PointClass:
+    """The transversal and point stabiliser of class c (1..4, as in
+    point_classes), built on first use and cached with the field's
+    tables."""
+    t = tables(F)
+    got = t.point_class_data.get(c)
+    if got is None:
+        got = t.point_class_data[c] = PointClass(t, c)
+    return got
+
+
+# image rows tested per block in stabilizer_order
+STAB_BLOCK = 1 << 18
+
+
+def stabilizer_order(W: Subspace) -> int:
+    """|Stab(W)| in PGL(3,q), without walking the orbit of W.
+
+    Let c be the class of W's points that gives the fewest candidates, s_c
+    its number of points in W and x one of them.  An element g fixing W
+    sends x to some y of W in class c, so g = h_y s h_x^-1 for exactly one
+    y in W and one s in Stab(x_c) (see PointClass).  That is s_c |G| / N_c
+    candidates, far fewer than |G|.  g fixes W iff s maps W_x = h_x^-1 W
+    onto W_y = h_y^-1 W, i.e. iff the images under s of W_x's basis rows
+    are orthogonal to W_y's dual vectors, which are L(h_y) applied to W's:
+    one set of images for all y, and one product per y."""
+    F = W.F
+    t = tables(F)
+    kit, q = t.kit, F.q
+    basis = np.array([W.rows], dtype=np.uint8)
+    # W's basis is in RREF and the coefficients lead with 1, so the point
+    # codes are normalized
+    pts = bulk.combine(kit, t.coeffs(W.k), basis)[0]
+    cls = t.class_code[pts]
+    order = pgl3_order(q)
+    census = point_census(F)
+    count = np.bincount(cls, minlength=5)
+    c = min((int(count[c]) * order // census[name], c)
+            for c, name in enumerate(point_classes(F), start=1) if count[c])[1]
+    pc = point_class(F, c)
+    h = pc.transversal[np.searchsorted(pc.codes, pts[cls == c])]
+    w_x = bulk.decode(bulk.combine(kit, basis[0], lift_batch(kit, _adjugate(kit, h[:1]))), q, 6)
+    img = bulk.decode(bulk.combine(kit, w_x[0], pc.stabilizer), q, 6).reshape(-1, 6)
+    duals_t = bulk.nullspace_batch(kit, basis)[0].T
+    duals_y = bulk.decode(bulk.combine(kit, lift_batch(kit, h), duals_t), q, duals_t.shape[1])
+    step = max(1, STAB_BLOCK // len(img))
+    fixed = 0
+    for s in range(0, len(h), step):
+        vals = bulk.combine(kit, img, duals_y[s:s + step])
+        fixed += int((vals.reshape(len(vals), -1, W.k) == 0).all(axis=2).sum())
+    return fixed
 
 
 def orbit_of(W: Subspace, budget: int = 2 * 10 ** 6) -> np.ndarray:

@@ -9,8 +9,16 @@ the command line and the acceptance suite; every report carries one.
 A subspace is named by its bulk id, its index in the canonical RREF order.
 The sweeps are chunked: a chunk is one id range of bulk.id_chunks, so
 results are independent of the chunk schedule and of the number of worker
-processes, and every sweep and orbit returns its subspaces as sorted int64
-ids.
+processes, and every sweep returns its subspaces as sorted int64 ids.
+
+Orbits are never walked.  Each "one orbit" claim is about a family of
+subspaces that PGL(3,q) maps to itself: the rank-1-free subspaces of one
+od0 signature (od0 and the absence of rank-1 points are invariants), or
+the complete planes or the constant-rank-3 planes of one signature
+(completeness and rank are invariants too).  Such a family holds the
+orbit of each of its members, so it is the orbit of W iff it holds W and
+has |PGL(3,q)| / |Stab(W)| members (orbit-stabiliser);
+invariants.stabilizer_order counts Stab(W) without the orbit.
 
 Completeness is decided in the quotient, never by collecting point sets.
 A subspace W with no rank-1 point is a complete distance-2 code iff the
@@ -42,7 +50,7 @@ import numpy as np
 from srd3 import bulk
 from srd3.gf import FieldCtx
 from srd3.pg import Subspace, gaussian_binomial
-from srd3.invariants import (od0, od4, orbit_of, tables)
+from srd3.invariants import od0, od4, pgl3_order, stabilizer_order, tables
 from srd3.report import CheckReport, make_report
 from srd3.veronese import nucleus_plane
 
@@ -290,8 +298,25 @@ def line_sweep_completeness(F: FieldCtx, jobs: int = 1):
             sum(int(complete[sig].sum()) for sig in rank2))
 
 
-def _orbit_ids(W: Subspace) -> np.ndarray:
-    return _cached(("orbit", id(W.F), W.rows), lambda: orbit_of(W))
+def _contains(ids: np.ndarray, W: Subspace) -> bool:
+    """Whether the sorted ids include W's."""
+    i = bulk.subspace_ids(W.F.q, np.array([W.rows], dtype=np.uint8))[0]
+    pos = np.searchsorted(ids, i)
+    return bool(pos < len(ids) and ids[pos] == i)
+
+
+def _orbit_size(W: Subspace) -> int:
+    """|PGL(3,q)| / |Stab(W)|, cached: T3.4 and T3.10 share representatives."""
+    return _cached(("orbit_size", id(W.F), W.rows),
+                   lambda: pgl3_order(W.F.q) // stabilizer_order(W))
+
+
+def _is_orbit(ids: np.ndarray, W: Subspace) -> bool:
+    """Whether a family that PGL(3,q) maps to itself, as sorted ids, is the
+    orbit of W: it holds W and has the orbit's size (see the module
+    docstring).  The rule needs the family to be invariant; on any other
+    set of ids it proves nothing."""
+    return _contains(ids, W) and len(ids) == _orbit_size(W)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +415,7 @@ def verify_solids(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list
         if rid is None:
             orbit_match[str(sig)] = "unexpected-signature"
             continue
-        orbit_match[rid] = bool(np.array_equal(_orbit_ids(representative(rid, F)), ids))
+        orbit_match[rid] = _is_orbit(ids, representative(rid, F))
     expected = {"n_groups": 3, "signatures": sorted(sig_to_id),
                 "orbit_match": {rid: True for rid in sig_to_id.values()}}
     computed = {"n_groups": len(groups), "signatures": sorted(groups),
@@ -405,9 +430,10 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -
     """Planes with distributions [0,q+1,0,q^2] and [0,1,0,q^2+q] each form a
     single orbit with hyperplane distributions [q+1,0,0,q^2] / [1,0,0,q^2+q].
     At q = 4 the check is exhaustive: the plane sweep groups every
-    rank-1-free plane by od0, and each of the two groups must equal the
-    orbit of its representative.  Above q = 4 the representatives and a
-    sample of their images are checked instead."""
+    rank-1-free plane by od0, and each of the two groups must hold its
+    representative and have its orbit's size, |PGL(3,q)| / |Stab|.  Above
+    q = 4 the representatives and a sample of their images are checked
+    instead."""
     from srd3.atlas import representative
     from srd3.pg import canonicalize
     if F.p != 2 or F.q < 4:
@@ -434,10 +460,9 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -
             continue
         groups, total = plane_sweep(F, jobs=jobs)
         hits = groups.get(d0, np.empty(0, np.int64))
-        orbit = _orbit_ids(W)
-        od4_all = bool((_od4_of(F, orbit) == d4).all())
+        od4_all = bool((_od4_of(F, hits) == d4).all())
         details = {"planes_swept": total, "matching_planes": len(hits),
-                   "orbit_size": len(orbit)}
+                   "orbit_size": _orbit_size(W)}
         if check_id == "T3.4":
             # pi_{0,1,0} meets the surface, so it is not in the group
             details["pi_010_od0"] = list(od0(canonicalize(
@@ -447,7 +472,7 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -
             f"planes with point distribution {d0_text} form one orbit with "
             f"hyperplane distribution {d4_text}",
             {"one_orbit": True, "od4_constant": True},
-            {"one_orbit": bool(np.array_equal(hits, orbit)), "od4_constant": od4_all},
+            {"one_orbit": _is_orbit(hits, W), "od4_constant": od4_all},
             seconds=time.perf_counter() - t0, details=details))
     return out
 
@@ -536,23 +561,21 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
                "planes_inside_min_rank2_solids": n_min_rank2 - len(complete_planes)}
     flags = _q2_flags(F)
     if F.p == 2:
-        # the only complete planes are the nucleus-plane family
-        expect_sets = [bulk.subspace_ids(q, np.array([nucleus_plane(F).rows], np.uint8))]
         if q >= 4:
-            expect_sets.append(_orbit_ids(representative("Sigma_16", F)))
-            expect_sets.append(_orbit_ids(representative("Sigma_18", F)))
-        else:
-            # q = 2: below the q >= 4 range of the named plane families;
-            # the maximal planes are grouped by signature instead
-            expect_sets = None
-        if expect_sets is not None:
-            want = np.sort(np.concatenate(expect_sets))
-            comp_eq = bool(np.array_equal(complete_planes, want))
+            # the only complete planes are the nucleus-plane family: the
+            # complete planes of each signature are one orbit, and the
+            # signatures are those of the nucleus plane, Sigma_16 and
+            # Sigma_18, all three distinct
+            family = [nucleus_plane(F), representative("Sigma_16", F),
+                      representative("Sigma_18", F)]
+            sigs = [od0(W) for W in family]
+            comp_eq = (len(set(sigs)) == 3 and sorted(by_sig) == sorted(sigs)
+                       and all(_is_orbit(by_sig[sig], W) for sig, W in zip(sigs, family)))
             expected = {"complete_lines": 0, "complete_planes_match_family": True}
             computed = {"complete_lines": n_complete_lines,
                         "complete_planes_match_family": comp_eq}
             details["complete_planes"] = len(complete_planes)
-            details["family_size"] = len(want)
+            details["family_size"] = sum(_orbit_size(W) for W in family)
             # the standard extension example: the [0,1,0,q] line inside the
             # q^3-q solid representative (it extends by construction)
             spec7 = rep_spec("Omega7", F)
@@ -567,6 +590,8 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
             expected["line_in_solid_example"] = True
             computed["line_in_solid_example"] = bool(ok_line)
         else:
+            # q = 2: below the q >= 4 range of the named plane families;
+            # the maximal planes are grouped by signature instead
             expected = {"complete_lines": 0, "n_plane_signatures": 3}
             computed = {"complete_lines": n_complete_lines,
                         "n_plane_signatures": len(by_sig)}
@@ -639,21 +664,17 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
 
     # ----- d = 3 ----------------------------------------------------------
     t1 = time.perf_counter()
-    gf = sigma_gf_plane(F)
-    gf_ids = _orbit_ids(gf)
-    orbits = [gf_ids]
-    ext_counts = [rank1_points_over_cubic_extension(F, gf)]
-    if F.p != 2:
-        tf = sigma_tf_plane(F)
-        tf_ids = _orbit_ids(tf)
-        orbits.append(tf_ids)
-        ext_counts.append(rank1_points_over_cubic_extension(F, tf))
-        disjoint = not np.isin(gf_ids, tf_ids).any()
-    else:
-        disjoint = True
-    union = np.unique(np.concatenate(orbits))
+    reps = [sigma_gf_plane(F)] if F.p == 2 else [sigma_gf_plane(F), sigma_tf_plane(F)]
+    ext_counts = [rank1_points_over_cubic_extension(F, W) for W in reps]
+    sizes = [_orbit_size(W) for W in reps]
+    # the rank-1 count over GF(q^3) is an invariant, so different counts put
+    # the representatives in different orbits; equal counts show nothing
+    disjoint = len(set(ext_counts)) == len(reps)
     min_rank3 = _ids_where(plane_sweep(F, jobs=jobs)[0], lambda sig: not _has_rank2(sig))
-    covered_all = bool(np.array_equal(union, min_rank3))
+    # disjoint orbits inside the constant-rank-3 planes, an invariant family,
+    # cover it iff their sizes add up to it
+    covered_all = (disjoint and all(_contains(min_rank3, W) for W in reps)
+                   and sum(sizes) == len(min_rank3))
     expected_d3 = 1 if F.p == 2 else 2
     expected_ext = [3] if F.p == 2 else [3, 0]
     out.append(make_report(
@@ -662,11 +683,11 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
         "(q odd) separated by the rank-1 count after cubic scalar extension",
         {"classes": expected_d3, "orbits_cover_all": True, "disjoint": True,
          "extension_rank1_counts": expected_ext},
-        {"classes": len(orbits), "orbits_cover_all": covered_all,
+        {"classes": len(reps), "orbits_cover_all": covered_all,
          "disjoint": bool(disjoint), "extension_rank1_counts": ext_counts},
         seconds=time.perf_counter() - t1, flags=flags,
         details={"min_rank3_planes": len(min_rank3),
-                 "orbit_sizes": [len(o) for o in orbits]}))
+                 "orbit_sizes": sizes}))
     return out
 
 

@@ -179,8 +179,9 @@ def group_order_bfs(F: FieldCtx, budget: int = 10 ** 6) -> int:
     return len(seen)
 
 
-def stabilizer_order(W: Subspace, budget: int = 2 * 10 ** 6) -> int:
-    """|PGL(3,q)| / |orbit of W|."""
+def stabilizer_order_by_orbit(W: Subspace, budget: int = 2 * 10 ** 6) -> int:
+    """invariants.stabilizer_order as |PGL(3,q)| / |orbit of W|, walking
+    the orbit."""
     orbit = orbit_of(W, budget=budget)
     order = pgl3_order(W.F.q)
     assert order % len(orbit) == 0

@@ -11,12 +11,13 @@ from srd3.gf import make_field, parse_field_spec
 from srd3.pg import Subspace, canonicalize, coefficient_vectors
 from srd3.invariants import (HYPERPLANE_CLASSES, exterior_by_tangents,
                              hyperplane_census, od0, od4,
-                             orbit_of, pgl3_order, point_census,
-                             rank_distribution, tables)
+                             orbit_of, pgl3_order, point_census, point_class,
+                             point_classes, rank_distribution, stabilizer_order,
+                             tables)
 from srd3.veronese import nucleus_plane, veronese
 
 from oracles import (classify_hyperplane, classify_point, group_order_bfs,
-                     od4_scalar, orbit_rows, stabilizer_by_group, stabilizer_order,
+                     od4_scalar, orbit_rows, stabilizer_by_group, stabilizer_order_by_orbit,
                      veronese_points)
 
 
@@ -195,13 +196,15 @@ def test_orbit_of_nucleus_point():
     P = canonicalize(F, [(0, 1, 0, 0, 0, 0)])
     orbit = orbit_of(P)
     assert len(orbit) == 21
-    assert stabilizer_order(P) == 2880  # q^2 * |GL(2,q)|
+    assert stabilizer_order_by_orbit(P) == 2880  # q^2 * |GL(2,q)|
+    assert stabilizer_order(P) == 2880
 
 
 def test_orbit_of_nucleus_point_q2():
     F = make_field(2, 1)
     P = canonicalize(F, [(0, 1, 0, 0, 0, 0)])
-    assert stabilizer_order(P) == 24  # 168 / 7
+    assert stabilizer_order_by_orbit(P) == 24  # 168 / 7
+    assert stabilizer_order(P) == 24
 
 
 def test_orbit_conic_plane_q3():
@@ -233,17 +236,23 @@ def test_veronese_image_is_single_orbit():
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
 def test_orbit_ids_match_row_oracle_on_atlas(p, h):
-    # the id BFS against the row-tuple BFS it replaced, and its size
-    # against the stabiliser counted over every element of PGL(3,q)
+    # the id BFS against the row-tuple BFS it replaced, and its size and
+    # stabilizer_order against the stabiliser counted over every element of
+    # PGL(3,q); the representatives include some with rank-1 points
     from srd3.atlas import rep_ids, representative
     F = make_field(p, h)
+    with_rank1 = 0
     for rid in rep_ids(F):
         W = representative(rid, F)
         orbit = orbit_of(W)
         assert orbit.dtype == np.int64 and (np.diff(orbit) > 0).all(), rid
         rows = np.array(orbit_rows(W), dtype=np.uint8)
         assert np.array_equal(orbit, np.sort(bulk.subspace_ids(F.q, rows))), rid
-        assert len(orbit) * stabilizer_by_group(W) == pgl3_order(F.q), rid
+        stab = stabilizer_by_group(W)
+        assert len(orbit) * stab == pgl3_order(F.q), rid
+        assert stabilizer_order(W) == stab, rid
+        with_rank1 += od0(W)[0] > 0
+    assert with_rank1 > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,3 +273,61 @@ def test_rank1_free_batch_matches_od0(spec, k, seed):
     # a Veronese point lies in W iff its quotient image is 0
     on = bulk.quotient_codes(t.kit, bases, t.v6) == 0
     assert np.array_equal(~on.any(axis=1), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("2", 5), ("3", 5), ("4", 5), ("5", 2)]), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_stabilizer_order_times_orbit_is_group_order(field, k, seed):
+    # random k-subspaces; at q = 5 only k <= 2, where the orbits are small
+    # enough to walk
+    spec, max_k = field
+    F = parse_field_spec(spec)
+    k = min(k, max_k)
+    kit = tables(F).kit
+    rng = np.random.default_rng(seed)
+    while True:
+        red, rk = bulk.rref_batch(kit, rng.integers(0, F.q, size=(1, k, 6), dtype=np.uint8))
+        if rk[0] == k:
+            break
+    W = Subspace(F, tuple(map(tuple, red[0].tolist())))
+    assert stabilizer_order(W) * len(orbit_of(W)) == pgl3_order(F.q)
+
+
+def test_stabilizer_order_golden_q7():
+    # walking the three solid orbits at q = 7 takes about 40 s and 360 MB;
+    # the values give the T3.2 group sizes 58653, 703836, 1407672 and
+    # T3.21's 2 |G| / 171 constant-rank-3 planes
+    from srd3.atlas import representative
+    F = make_field(7, 1)
+    want = {"Omega8_2": 96, "Omega14_2": 8, "Omega15_2": 4, "Sigma_GF": 171, "Sigma_TF": 171}
+    assert {rid: stabilizer_order(representative(rid, F)) for rid in want} == want
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "7", "8"])
+def test_point_classes_are_orbits(spec):
+    # the Schreier tree of each class reaches every point of the census,
+    # and the point stabiliser has the orbit-stabiliser order
+    F = parse_field_spec(spec)
+    census = point_census(F)
+    t = tables(F)
+    for c, name in enumerate(point_classes(F), start=1):
+        pc = point_class(F, c)
+        assert len(pc.codes) == census[name], name
+        assert (np.diff(pc.codes) > 0).all() and (t.class_code[pc.codes] == c).all()
+        assert len(pc.stabilizer) * census[name] == pgl3_order(F.q), name
+    # built on first use, never with the tables
+    assert not invariants.GeomTables(F).point_class_data
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["2", "3", "4", "5", "2^3/101", "3^2/1,2"]), st.integers(0, 2 ** 32 - 1))
+def test_lift_batch_matches_lift(spec, seed):
+    from srd3.veronese import lift, mat_det3
+    F = parse_field_spec(spec)
+    kit = tables(F).kit
+    A = np.random.default_rng(seed).integers(0, F.q, size=(30, 3, 3), dtype=np.uint8)
+    A = A[[mat_det3(F, a.tolist()) != 0 for a in A]]
+    L = invariants.lift_batch(kit, A)
+    for a, l in zip(A, L):
+        assert l.tolist() == [list(r) for r in lift(F, a.tolist())]

@@ -8,9 +8,9 @@ import pytest
 
 from srd3 import bulk
 from srd3.gf import make_field
-from srd3.invariants import tables
+from srd3.invariants import pgl3_order, stabilizer_order, tables
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
-from srd3.verify import (VerifyError, _ids_where, _min_rank2_solid_sigs,
+from srd3.verify import (VerifyError, _ids_where, _is_orbit, _min_rank2_solid_sigs,
                          _on_line_pair, _sweep, line_sweep_completeness,
                          min_rank2_coverage, plane_sweep,
                          planes_covered_by_solids, run_checks,
@@ -46,12 +46,45 @@ def test_solids_q2_q3():
 
 
 def test_solid_groups_match_orbit_sizes_q3():
+    from srd3.atlas import representative
     F = make_field(3, 1)
     groups, total = solid_groups(F)
     assert total == 11011
-    from srd3.invariants import pgl3_order
-    for sig, codes in groups.items():
-        assert pgl3_order(3) % len(codes) == 0
+    sig_to_id = _min_rank2_solid_sigs(F)
+    assert sorted(groups) == sorted(sig_to_id)
+    for sig, ids in groups.items():
+        W = representative(sig_to_id[sig], F)
+        assert len(ids) == pgl3_order(3) // stabilizer_order(W), sig
+
+
+def test_one_orbit_rule_fails_when_it_should_q3():
+    # the rule holds on each solid group and fails on the group with one
+    # id dropped, with one id of another group added, or without the
+    # representative
+    from srd3.atlas import representative
+    F = make_field(3, 1)
+    groups, _ = solid_groups(F)
+    sig_to_id = _min_rank2_solid_sigs(F)
+    for sig, ids in groups.items():
+        W = representative(sig_to_id[sig], F)
+        own = bulk.subspace_ids(3, np.array([W.rows], dtype=np.uint8))[0]
+        other = next(o for s, o in groups.items() if s != sig)[0]
+        dropped = ids[-1] if ids[-1] != own else ids[0]
+        assert _is_orbit(ids, W)
+        assert not _is_orbit(ids[ids != dropped], W)
+        assert not _is_orbit(np.sort(np.append(ids, other)), W)
+        assert not _is_orbit(ids[ids != own], W)
+
+
+def test_t321_disjoint_needs_different_extension_counts(monkeypatch):
+    # equal rank-1 counts over GF(q^3) do not separate the two orbits, so
+    # neither disjointness nor the cover is claimed
+    import srd3.atlas
+    monkeypatch.setattr(srd3.atlas, "rank1_points_over_cubic_extension", lambda F, W: 3)
+    _, d3 = verify_class_counts(make_field(3, 1))
+    assert d3.computed["disjoint"] is False
+    assert d3.computed["orbits_cover_all"] is False
+    assert not d3.ok
 
 
 def test_r2n_h1_full_q4_and_sampled():

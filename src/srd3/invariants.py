@@ -267,8 +267,8 @@ def hyperplane_census(F: FieldCtx) -> dict[str, int]:
 # class-c points form one orbit, so every element of G that moves a
 # class-c point x of W to a class-c point y of W is h_y s h_x^-1 with s in
 # Stab(x_c), and only those s_c |G| / N_c elements need testing.
-# orbit_of walks the whole orbit instead; the acceptance suite and the
-# tests use it.
+# orbit_of walks the whole orbit instead; only the tests and the
+# benchmark's span recorder use it.
 # ---------------------------------------------------------------------------
 
 def pgl3_order(q: int) -> int:

@@ -1,24 +1,52 @@
-"""Brute-force verification drivers.
+"""Verification drivers.
 
-Each driver enumerates a family of subspaces of PG(5,q) exhaustively (or by
-a deterministic seeded sample where the family is out of budget), computes
+Each driver counts a family of subspaces of PG(5,q) exactly (or checks a
+deterministic seeded sample where the family is out of budget), computes
 exact integer invariants, and compares them against closed-form claims.
 Claim ids (T3.2, T3.4, ..., C4, Y03q) are the stable identifiers used by
 the command line and the acceptance suite; every report carries one.
 
-A subspace is named by its bulk id, its index in the canonical RREF order.
-The sweeps are chunked: a chunk is one id range of bulk.id_chunks, so
-results are independent of the chunk schedule and of the number of worker
-processes, and every sweep returns its subspaces as sorted int64 ids.
+Counting through one point per class.  Every exhaustive claim is about a
+family of k-subspaces that G = PGL(3,q) maps to itself, cut out by a key
+row (_keys) that G preserves:
 
-Orbits are never walked.  Each "one orbit" claim is about a family of
-subspaces that PGL(3,q) maps to itself: the rank-1-free subspaces of one
-od0 signature (od0 and the absence of rank-1 points are invariants), or
-the complete planes or the constant-rank-3 planes of one signature
-(completeness and rank are invariants too).  Such a family holds the
-orbit of each of its members, so it is the orbit of W iff it holds W and
-has |PGL(3,q)| / |Stab(W)| members (orbit-stabiliser);
-invariants.stabilizer_order counts Stab(W) without the orbit.
+  od0          each point class is an orbit, so g maps the class-c points
+               of W onto those of gW;
+  complete     g is linear and preserves rank, so it maps the spans <W, v>
+               with v of rank 1 onto those of gW;
+  od4          the conic type of a hyperplane is a projective invariant,
+               so each hyperplane class is preserved; the line-pair flag
+               (H2r or H2i) is read from it;
+  T3.7 pair    for planes at even q, the dimension of W meet N and whether
+               r2n = h1: the nucleus plane N is spanned by the P2n points
+               and the double-line hyperplanes are the class H1, so both
+               are preserved.
+
+Each point class c is one orbit of N_c points.  That is the prerequisite:
+invariants.PointClass asserts it when its Schreier tree reaches every
+class-c point.  So every class-c point lies on the same number n_c(k) of
+subspaces with key row k, and counting the pairs (x, W), x a class-c
+point of W, gives
+
+    #{W with key row k} = N_c n_c(k) / s_c(k),
+
+s_c(k) the od0 column of class c, for every class with s_c(k) > 0.  A pass
+(_through) counts the k-subspaces through x_c, the class-c point of
+smallest code: they are span(x_c, U) for the (k-1)-subspaces U of a
+coordinate hyperplane x_j = 0 that misses x_c, [5 choose k-1]_q of them
+instead of the [6 choose k]_q of the whole Grassmannian.  _counts adds up
+each key row in the pass of the first class it meets in the order P3, the
+two rank-2 classes, P1, so every subspace is counted once; that N_c n_c(k)
+is divisible by s_c(k) is checked, and a remainder is an internal error.
+Only T3.7, which counts every plane, takes the P1 pass: the other families
+have no rank-1 point.  The passes run in _block_size blocks through _pmap,
+so the counts are sums and do not depend on the number of workers.
+
+Orbits are never walked.  A family that G maps to itself holds the orbit
+of each of its members, so it is the orbit of W iff W is a member and the
+family has |G| / |Stab(W)| members (orbit-stabiliser);
+invariants.stabilizer_order counts Stab(W) without the orbit, and _is_orbit
+computes W's own key row with the kernel that made the counts.
 
 Completeness is decided in the quotient, never by collecting point sets.
 A subspace W with no rank-1 point is a complete distance-2 code iff the
@@ -27,18 +55,22 @@ images of the q^2+q+1 rank-1 points in F^6/W cover PG(5-k, q): the spans
 in <W, Q> iff its image is one of theirs.  The image of a Veronese point
 is the vector of values of W's dual vectors there (bulk.quotient_codes),
 0 iff the point lies in W, so one array of images decides both whether W
-has a rank-1 point and whether it is complete.  Each sweep takes it once
-per subspace and caches the completeness flag next to each id; the line
-count, the plane coverage, the complete planes and both arms of C4 read it.
+has a rank-1 point and whether it is complete.
 
-Solids are swept from the conic side.  The dual of a solid is a pencil of
+Solids are taken from the conic side.  The dual of a solid is a pencil of
 conics, and the solid has no rank-1 point iff the pencil has no base point
 in PG(2,q), i.e. iff no Veronese image is 0.  The images take 2(q^2+q+1)
 evaluations of a dual vector, so od0_batch runs only on the solids that
 pass (about 29% at q=5).  Images come first wherever (6-k)(q^2+q+1) <
 (q^k-1)/(q-1), the number of points od0_batch would combine; among the
-swept dimensions that is solids only, so lines and planes go to od0_batch
-first and take images of the rank-1-free ones (_rank1_free_od0).
+counted dimensions that is solids only, so lines and planes go to od0_batch
+first and take images of the rank-1-free ones.
+
+No driver sweeps a whole Grassmannian.  _sweep, and solid_groups,
+plane_sweep, line_sweep_completeness, min_rank2_coverage and
+planes_covered_by_solids on top of it, list every rank-1-free k-subspace by
+id: the tests compare the counts with them at q <= 4, and the benchmark's
+span recorder (perfbench/spans.py) wraps them by name.
 """
 
 from __future__ import annotations
@@ -50,7 +82,7 @@ import numpy as np
 from srd3 import bulk
 from srd3.gf import FieldCtx
 from srd3.pg import Subspace, gaussian_binomial
-from srd3.invariants import od0, od4, pgl3_order, stabilizer_order, tables
+from srd3.invariants import od0, od4, pgl3_order, point_class, stabilizer_order, tables
 from srd3.report import CheckReport, make_report
 from srd3.veronese import nucleus_plane
 
@@ -139,9 +171,8 @@ def _rank1_free_od0(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 # ---------------------------------------------------------------------------
-# Sweep engines.  The line, plane and solid sweeps are cached per field:
-# several drivers need the same groups and completeness flags, and at q = 5
-# each sweep costs seconds.
+# The counting engine.  Each pass is cached per field and dimension: several
+# drivers read the same counts.
 # ---------------------------------------------------------------------------
 
 _sweep_cache: dict[tuple, object] = {}
@@ -153,6 +184,162 @@ def _cached(key: tuple, build):
         got = _sweep_cache[key] = build()
     return got
 
+
+def _nucleus_meet(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For planes (N, 3, 6) at even q: the dimension of W meet N, N the
+    nucleus plane (the kernel of the diagonal y0, y3, y5), and whether r2n,
+    its number of points, equals h1, the number of double-line hyperplanes
+    through W."""
+    q = t.F.q
+    dim = 3 - bulk.rank_batch(t.kit, bases[:, :, [0, 3, 5]])
+    # code 0: the double-line dual vanishes on all three basis rows
+    h1 = (bulk.combine(t.kit, t.h1, bases.transpose(0, 2, 1)) == 0).sum(axis=1)
+    return dim, h1 == (q ** dim - 1) // (q - 1)
+
+
+# columns of a key row: the od0 row, then
+_COMPLETE = 4           # complete distance-2 code (0 with a rank-1 point)
+_OD4 = slice(5, 9)      # planes: od4 (zeros with a rank-1 point)
+_NUCLEUS_DIM = 9        # planes at even q: dim(W meet N)
+_R2N_IS_H1 = 10         # planes at even q: r2n == h1
+
+
+def _keys(t, bases: np.ndarray) -> np.ndarray:
+    """Key rows (see the module docstring) of a block of RREF bases, one per
+    subspace counted: every line and plane, and the solids with no rank-1
+    point, which the pencil filter keeps."""
+    q, k = t.F.q, bases.shape[1]
+    if _pencil_filter_pays(q, k):
+        _, dist, full = _rank1_free_od0(t, bases)
+        return np.column_stack([dist, full])
+    dist = t.od0_batch(bases)
+    free = np.flatnonzero(dist[:, 0] == 0)
+    cols = [dist, np.zeros((len(bases), 1), dtype=np.int64)]
+    cols[1][free, 0] = bulk.covers_quotient(
+        q, 6 - k, bulk.quotient_codes(t.kit, bases[free], t.v6))
+    if k == 3:
+        d4 = np.zeros((len(bases), 4), dtype=np.int64)
+        d4[free] = t.od4_batch(bases[free])
+        cols.append(d4)
+        if t.F.p == 2:
+            dim, match = _nucleus_meet(t, bases)
+            cols.append(np.column_stack([dim, match]))
+    return np.concatenate(cols, axis=1)
+
+
+def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
+    """The k-subspaces through x_c, the class-c point of smallest code
+    (PointClass's point): {key row: how many}.
+
+    They are span(x_c, U), U a (k-1)-subspace of x_j = 0, j the leading
+    coordinate of x_c.  With columns 0 and j swapped those U are the
+    (k-1)-subspaces whose pivots avoid column 0, the tail of the
+    (k-1)-Grassmannian's ids.  Each block is reduced to RREF, which
+    quotient_codes and od4_batch need."""
+    q = F.q
+    t = tables(F)
+    if k == 3:
+        t.hclass_table()  # build before forking
+    # PointClass asserts that x_c's class is one orbit, the prerequisite of
+    # the counting
+    x = bulk.decode(point_class(F, c).codes[:1], q, 6)
+    j = int(np.argmax(x[0] != 0))
+    cols = np.arange(6)
+    cols[[0, j]] = cols[[j, 0]]
+    end = gaussian_binomial(6, k - 1, q)
+    # half blocks: the passes run back to back, and with full blocks the
+    # heap they leave behind raised the peak RSS of the three q=5 solid
+    # passes by about 5 MB, for no gain in speed
+    block = _block_size(q, k) // 2
+    chunks = [(s, min(s + block, end))
+              for s in range(end - gaussian_binomial(5, k - 1, q), end, block)]
+
+    def work(chunk):
+        U = bulk.subspace_bases(q, k - 1, np.arange(*chunk))[:, :, cols]
+        bases = bulk.rref_batch(t.kit, np.concatenate(
+            [np.broadcast_to(x, (len(U), 1, 6)), U], axis=1))[0]
+        rows, n = np.unique(_keys(t, bases), axis=0, return_counts=True)
+        return [(tuple(int(v) for v in row), int(m)) for row, m in zip(rows, n)]
+
+    out: dict[tuple, int] = {}
+    for part in _pmap(work, chunks, jobs):
+        for key, n in part:
+            out[key] = out.get(key, 0) + n
+    return dict(sorted(out.items()))
+
+
+# point classes (GeomTables.class_code) in the order a subspace is counted
+# in: P3, the two rank-2 classes, P1
+_CLASS_ORDER = (4, 2, 3, 1)
+
+
+def _counts(F: FieldCtx, k: int, jobs: int = 1,
+            classes: tuple[int, ...] = _CLASS_ORDER[:3]) -> dict[tuple, int]:
+    """How many k-subspaces have each key row, counted through one point of
+    each class (see the module docstring); the passes are cached per field.
+    The default classes count every subspace that has a point outside P1."""
+    out = {}
+    for c in classes:
+        got = _cached(("through", k, c, id(F)), lambda: _through(F, k, c, jobs))
+        size = len(point_class(F, c).codes)
+        for key, n in got.items():
+            if next(d for d in _CLASS_ORDER if key[d - 1]) != c:
+                continue
+            if size * n % key[c - 1]:
+                raise RuntimeError(f"{size} * {n} subspaces through a point of class "
+                                   f"{c} with key {key} is not a multiple of {key[c - 1]}")
+            out[key] = out.get(key, 0) + size * n // key[c - 1]
+    return out
+
+
+def _tally(counts: dict[tuple, int], keep) -> dict[tuple, int]:
+    """Total count by od0 row of the key rows that pass keep."""
+    out: dict[tuple, int] = {}
+    for key, n in counts.items():
+        if keep(key):
+            out[key[:4]] = out.get(key[:4], 0) + n
+    return out
+
+
+def _count(counts: dict[tuple, int], keep) -> int:
+    """Total count of the key rows that pass keep."""
+    return sum(n for key, n in counts.items() if keep(key))
+
+
+def _has_rank2(sig: tuple) -> bool:
+    return sig[1] + sig[2] > 0
+
+
+def _rank1_free(key: tuple) -> bool:
+    return key[0] == 0
+
+
+def _min_rank2(key: tuple) -> bool:
+    return key[0] == 0 and _has_rank2(key)
+
+
+def _complete_min_rank2(key: tuple) -> bool:
+    return _min_rank2(key) and key[_COMPLETE] == 1
+
+
+def _min_rank2_lines(F: FieldCtx, jobs: int) -> tuple[int, int]:
+    """Minimum-rank-2 lines and how many of them are complete.  A line is
+    complete iff the q^2+q+1 images of the rank-1 points cover the
+    q^3+q^2+q+1 points of the quotient PG(3,q), which is why none can be."""
+    lines = _counts(F, 2, jobs)
+    return _count(lines, _min_rank2), _count(lines, _complete_min_rank2)
+
+
+def _complete_planes_by_sig(F: FieldCtx, jobs: int) -> dict[tuple, int]:
+    """How many complete minimum-rank-2 planes have each od0 row; rows with
+    none are left out."""
+    return _tally(_counts(F, 3, jobs), _complete_min_rank2)
+
+
+# ---------------------------------------------------------------------------
+# Grassmannian-wide sweeps, which no driver calls: the tests' reference for
+# the counts, and names the benchmark's span recorder wraps.
+# ---------------------------------------------------------------------------
 
 _SWEEP_TAGS = {2: "line_sweep", 3: "plane_sweep", 4: "solid_groups"}
 
@@ -213,10 +400,6 @@ def _ids_where(groups: dict, keep) -> np.ndarray:
     return np.sort(np.concatenate(arrs)) if arrs else np.empty(0, np.int64)
 
 
-def _has_rank2(sig: tuple) -> bool:
-    return sig[1] + sig[2] > 0
-
-
 def _od4_of(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:
     """Hyperplane-orbit distributions of the planes with the given ids,
     (N, 4) in the order of ids, in blocks of at most _block_size(q, 3)
@@ -240,15 +423,6 @@ def min_rank2_coverage(F: FieldCtx, jobs: int = 1) -> np.ndarray:
     groups, complete, _ = _sweep(F, 3, jobs)
     return _ids_where({sig: ids[~complete[sig]] for sig, ids in groups.items()},
                       lambda sig: True)
-
-
-def _complete_planes_by_sig(F: FieldCtx, jobs: int) -> dict[tuple, np.ndarray]:
-    """Complete minimum-rank-2 planes grouped by od0 signature: those the
-    plane sweep flags as complete, which lie in no rank-1-free solid.
-    Empty groups are left out."""
-    groups, complete, _ = _sweep(F, 3, jobs)
-    return {sig: ids[complete[sig]] for sig, ids in groups.items()
-            if _has_rank2(sig) and complete[sig].any()}
 
 
 def _on_line_pair(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:
@@ -298,25 +472,21 @@ def line_sweep_completeness(F: FieldCtx, jobs: int = 1):
             sum(int(complete[sig].sum()) for sig in rank2))
 
 
-def _contains(ids: np.ndarray, W: Subspace) -> bool:
-    """Whether the sorted ids include W's."""
-    i = bulk.subspace_ids(W.F.q, np.array([W.rows], dtype=np.uint8))[0]
-    pos = np.searchsorted(ids, i)
-    return bool(pos < len(ids) and ids[pos] == i)
-
-
 def _orbit_size(W: Subspace) -> int:
     """|PGL(3,q)| / |Stab(W)|, cached: T3.4 and T3.10 share representatives."""
     return _cached(("orbit_size", id(W.F), W.rows),
                    lambda: pgl3_order(W.F.q) // stabilizer_order(W))
 
 
-def _is_orbit(ids: np.ndarray, W: Subspace) -> bool:
-    """Whether a family that PGL(3,q) maps to itself, as sorted ids, is the
-    orbit of W: it holds W and has the orbit's size (see the module
-    docstring).  The rule needs the family to be invariant; on any other
-    set of ids it proves nothing."""
-    return _contains(ids, W) and len(ids) == _orbit_size(W)
+def _is_orbit(key: tuple, count: int, W: Subspace) -> bool:
+    """Whether the family of subspaces whose key rows start with key, an
+    od0 row with or without the completeness flag after it, and which has
+    count members, is the orbit of W: W's own key row, computed on W,
+    starts with key, and count is the orbit's size (see the module
+    docstring).  The family is invariant because its key is."""
+    own = _keys(tables(W.F), np.array([W.rows], dtype=np.uint8))
+    return (len(own) == 1 and tuple(int(v) for v in own[0, :len(key)]) == tuple(key)
+            and count == _orbit_size(W))
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +576,16 @@ def verify_solids(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list
             sampled=True, seconds=time.perf_counter() - t0,
             details={"sampled_solids": len(sample),
                      "r1_zero_in_sample": len(dist)})]
-    groups, _ = solid_groups(F, jobs=jobs)
+    groups = _tally(_counts(F, 4, jobs), _rank1_free)
     orbit_match = {}
     sizes = {}
-    for sig, ids in sorted(groups.items()):
+    for sig, n in sorted(groups.items()):
         rid = sig_to_id.get(sig)
-        sizes[str(sig)] = len(ids)
+        sizes[str(sig)] = n
         if rid is None:
             orbit_match[str(sig)] = "unexpected-signature"
             continue
-        orbit_match[rid] = _is_orbit(ids, representative(rid, F))
+        orbit_match[rid] = _is_orbit(sig, n, representative(rid, F))
     expected = {"n_groups": 3, "signatures": sorted(sig_to_id),
                 "orbit_match": {rid: True for rid in sig_to_id.values()}}
     computed = {"n_groups": len(groups), "signatures": sorted(groups),
@@ -429,11 +599,11 @@ def verify_solids(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list
 def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
     """Planes with distributions [0,q+1,0,q^2] and [0,1,0,q^2+q] each form a
     single orbit with hyperplane distributions [q+1,0,0,q^2] / [1,0,0,q^2+q].
-    At q = 4 the check is exhaustive: the plane sweep groups every
-    rank-1-free plane by od0, and each of the two groups must hold its
-    representative and have its orbit's size, |PGL(3,q)| / |Stab|.  Above
-    q = 4 the representatives and a sample of their images are checked
-    instead."""
+    At q = 4 the check is exhaustive: the planes with each of the two od0
+    rows are counted, and each family must hold its representative and
+    have its orbit's size, |PGL(3,q)| / |Stab|; od4 is read on the members
+    through x_c, which every member is equivalent to.  Above q = 4 the
+    representatives and a sample of their images are checked instead."""
     from srd3.atlas import representative
     from srd3.pg import canonicalize
     if F.p != 2 or F.q < 4:
@@ -458,10 +628,10 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -
                 {"od0": got0, "od4": got4, "images_consistent": img_ok},
                 sampled=True, seconds=time.perf_counter() - t0))
             continue
-        groups, total = plane_sweep(F, jobs=jobs)
-        hits = groups.get(d0, np.empty(0, np.int64))
-        od4_all = bool((_od4_of(F, hits) == d4).all())
-        details = {"planes_swept": total, "matching_planes": len(hits),
+        members = {key: n for key, n in _counts(F, 3, jobs).items() if key[:4] == d0}
+        hits = sum(members.values())
+        od4_all = all(key[_OD4] == d4 for key in members)
+        details = {"planes_swept": gaussian_binomial(6, 3, q), "matching_planes": hits,
                    "orbit_size": _orbit_size(W)}
         if check_id == "T3.4":
             # pi_{0,1,0} meets the surface, so it is not in the group
@@ -472,7 +642,7 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -
             f"planes with point distribution {d0_text} form one orbit with "
             f"hyperplane distribution {d4_text}",
             {"one_orbit": True, "od4_constant": True},
-            {"one_orbit": _is_orbit(hits, W), "od4_constant": od4_all},
+            {"one_orbit": _is_orbit(d0, hits, W), "od4_constant": od4_all},
             seconds=time.perf_counter() - t0, details=details))
     return out
 
@@ -501,47 +671,35 @@ def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1,
         raise VerifyError("r2n = h1 needs q even, q >= 4")
     t0 = time.perf_counter()
     q = F.q
-    t = tables(F)
-    kit = bulk.kit_for(F)
-    h1 = t.h1
-    pts_of_dim = np.array([0, 1, q + 1, q * q + q + 1], dtype=np.int64)
     total = gaussian_binomial(6, 3, q)
-    sample = SAMPLE_SIZE if q > 4 or (budget and total > budget) else None
-
-    def check_block(block):
-        sub = block[:, :, [0, 3, 5]]
-        rank = bulk.rank_batch(kit, sub)
-        r2n = pts_of_dim[3 - rank]
-        # code 0: the double-line dual vanishes on all three basis rows
-        h1count = (bulk.combine(kit, h1, block.transpose(0, 2, 1)) == 0).sum(axis=1)
-        return int((h1count != r2n).sum()), np.bincount(3 - rank, minlength=4)
-
-    def work(chunk):
-        return check_block(bulk.subspace_bases(q, 3, np.arange(*chunk)))
-
-    # the sample, like the sweep, in _block_size blocks, which bounds the
-    # kernel's memory
-    block = _block_size(q, 3)
-    if sample:
-        planes = bulk.sample_subspaces(kit, 5, 2, sample, seed=_SEED)
-        parts = [check_block(planes[s:s + block]) for s in range(0, sample, block)]
-    else:
-        parts = _pmap(work, bulk.id_chunks(q, 3, block), jobs)
-    mism = sum(m for m, _ in parts)
-    hist = np.sum([h for _, h in parts], axis=0)
-    if sample:
+    if q > 4 or (budget and total > budget):
+        t = tables(F)
+        planes = bulk.sample_subspaces(t.kit, 5, 2, SAMPLE_SIZE, seed=_SEED)
+        # in _block_size blocks, which bounds the kernel's memory
+        block = _block_size(q, 3)
+        parts = [_nucleus_meet(t, planes[s:s + block]) for s in range(0, SAMPLE_SIZE, block)]
+        dim = np.concatenate([d for d, _ in parts])
+        match = np.concatenate([m for _, m in parts])
         return [make_report(
             "T3.7", F.spec, "r2n(plane) = h1(plane) for every plane",
-            {"mismatches": 0}, {"mismatches": mism}, sampled=True,
+            {"mismatches": 0}, {"mismatches": int((~match).sum())}, sampled=True,
             seconds=time.perf_counter() - t0,
-            details={"planes_checked": int(sample),
-                     "intersection_dim_histogram": [int(x) for x in hist]})]
+            details={"planes_checked": SAMPLE_SIZE,
+                     "intersection_dim_histogram":
+                         [int(x) for x in np.bincount(dim, minlength=4)]})]
+    # every plane, so through all four classes; the counts must add up to
+    # the Grassmannian
+    hist = [0] * 4
+    mism = 0
+    for key, n in _counts(F, 3, jobs, _CLASS_ORDER).items():
+        hist[key[_NUCLEUS_DIM]] += n
+        mism += n * (1 - key[_R2N_IS_H1])
     return [make_report(
         "T3.7", F.spec, "r2n(plane) = h1(plane) for every plane",
         {"mismatches": 0, "planes": total},
-        {"mismatches": mism, "planes": int(hist.sum())},
+        {"mismatches": mism, "planes": sum(hist)},
         seconds=time.perf_counter() - t0,
-        details={"intersection_dim_histogram": [int(x) for x in hist]})]
+        details={"intersection_dim_histogram": hist})]
 
 
 def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
@@ -551,14 +709,13 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
     from srd3.atlas import rep_params, rep_spec, representative
     t0 = time.perf_counter()
     q = F.q
-    n_lines, n_complete_lines = line_sweep_completeness(F, jobs=jobs)
+    n_lines, n_complete_lines = _min_rank2_lines(F, jobs)
     by_sig = _complete_planes_by_sig(F, jobs)
-    complete_planes = _ids_where(by_sig, lambda sig: True)
-    groups, _ = plane_sweep(F, jobs=jobs)
-    n_min_rank2 = sum(len(ids) for sig, ids in groups.items() if _has_rank2(sig))
+    complete_planes = sum(by_sig.values())
+    n_min_rank2 = _count(_counts(F, 3, jobs), _min_rank2)
 
     details = {"min_rank2_lines": n_lines, "min_rank2_planes": n_min_rank2,
-               "planes_inside_min_rank2_solids": n_min_rank2 - len(complete_planes)}
+               "planes_inside_min_rank2_solids": n_min_rank2 - complete_planes}
     flags = _q2_flags(F)
     if F.p == 2:
         if q >= 4:
@@ -570,11 +727,12 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
                       representative("Sigma_18", F)]
             sigs = [od0(W) for W in family]
             comp_eq = (len(set(sigs)) == 3 and sorted(by_sig) == sorted(sigs)
-                       and all(_is_orbit(by_sig[sig], W) for sig, W in zip(sigs, family)))
+                       and all(_is_orbit(sig + (1,), by_sig[sig], W)
+                               for sig, W in zip(sigs, family)))
             expected = {"complete_lines": 0, "complete_planes_match_family": True}
             computed = {"complete_lines": n_complete_lines,
                         "complete_planes_match_family": comp_eq}
-            details["complete_planes"] = len(complete_planes)
+            details["complete_planes"] = complete_planes
             details["family_size"] = sum(_orbit_size(W) for W in family)
             # the standard extension example: the [0,1,0,q] line inside the
             # q^3-q solid representative (it extends by construction)
@@ -595,12 +753,12 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
             expected = {"complete_lines": 0, "n_plane_signatures": 3}
             computed = {"complete_lines": n_complete_lines,
                         "n_plane_signatures": len(by_sig)}
-            details["plane_signature_sizes"] = {str(k): len(v)
+            details["plane_signature_sizes"] = {str(k): v
                                                 for k, v in sorted(by_sig.items())}
     else:
         expected = {"complete_lines": 0, "complete_planes": 0}
         computed = {"complete_lines": n_complete_lines,
-                    "complete_planes": len(complete_planes)}
+                    "complete_planes": complete_planes}
     return [make_report(
         "T3.10", F.spec,
         "no minimum-rank-2 line is complete; minimum-rank-2 planes are "
@@ -633,12 +791,12 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
     out = []
 
     # ----- d = 2 ----------------------------------------------------------
-    groups, _ = solid_groups(F, jobs=jobs)
+    groups = _tally(_counts(F, 4, jobs), _rank1_free)
     sig_to_id = _min_rank2_solid_sigs(F)
     solid_sigs = [sig for sig in groups if sig in sig_to_id]
     stray = [sig for sig in groups if sig not in sig_to_id]
     by_sig = _complete_planes_by_sig(F, jobs)
-    n_lines, n_complete_lines = line_sweep_completeness(F, jobs=jobs)
+    n_lines, n_complete_lines = _min_rank2_lines(F, jobs)
     plane_sig_count = len(by_sig)
     d2_classes = len(solid_sigs) + plane_sig_count
     n_msrd = len(solid_sigs)
@@ -659,7 +817,7 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
         seconds=time.perf_counter() - t0, flags=flags,
         details={"solid_classes": len(solid_sigs),
                  "complete_plane_classes": plane_sig_count,
-                 "complete_planes": sum(len(v) for v in by_sig.values()),
+                 "complete_planes": sum(by_sig.values()),
                  "min_rank2_lines": n_lines}))
 
     # ----- d = 3 ----------------------------------------------------------
@@ -670,11 +828,11 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
     # the rank-1 count over GF(q^3) is an invariant, so different counts put
     # the representatives in different orbits; equal counts show nothing
     disjoint = len(set(ext_counts)) == len(reps)
-    min_rank3 = _ids_where(plane_sweep(F, jobs=jobs)[0], lambda sig: not _has_rank2(sig))
+    min_rank3 = _count(_counts(F, 3, jobs), lambda key: _rank1_free(key) and not _has_rank2(key))
     # disjoint orbits inside the constant-rank-3 planes, an invariant family,
     # cover it iff their sizes add up to it
-    covered_all = (disjoint and all(_contains(min_rank3, W) for W in reps)
-                   and sum(sizes) == len(min_rank3))
+    covered_all = (disjoint and all(od0(W)[:3] == (0, 0, 0) for W in reps)
+                   and sum(sizes) == min_rank3)
     expected_d3 = 1 if F.p == 2 else 2
     expected_ext = [3] if F.p == 2 else [3, 0]
     out.append(make_report(
@@ -686,7 +844,7 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
         {"classes": len(reps), "orbits_cover_all": covered_all,
          "disjoint": bool(disjoint), "extension_rank1_counts": ext_counts},
         seconds=time.perf_counter() - t1, flags=flags,
-        details={"min_rank3_planes": len(min_rank3),
+        details={"min_rank3_planes": min_rank3,
                  "orbit_sizes": sizes}))
     return out
 
@@ -716,9 +874,13 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
             details={"sampled_planes": SAMPLE_SIZE, "checked": int(target.sum())})
         return [report]
 
-    groups, complete, total = _sweep(F, 3, jobs)
-    target = _on_line_pair(F, np.concatenate(list(groups.values())), jobs)
-    n_viol = int((target & np.concatenate([complete[sig] for sig in groups])).sum())
+    counts = _counts(F, 3, jobs)
+
+    def line_pair(key):  # a hyperplane of class H2r or H2i
+        return _rank1_free(key) and key[_OD4][1] + key[_OD4][2] > 0
+
+    target = _count(counts, line_pair)
+    n_viol = _count(counts, lambda key: line_pair(key) and key[_COMPLETE] == 1)
 
     spot_expected = {}
     spot_computed = {}
@@ -741,8 +903,8 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
         {"violations": 0, "spot": spot_expected},
         {"violations": n_viol, "spot": spot_computed},
         seconds=time.perf_counter() - t0, flags=flags,
-        details={"planes_r1zero_with_line_pair": int(target.sum()),
-                 "total_planes": total})]
+        details={"planes_r1zero_with_line_pair": target,
+                 "total_planes": gaussian_binomial(6, 3, q)})]
 
 
 def verify_schmidt(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:

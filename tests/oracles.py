@@ -13,9 +13,10 @@ MUL/ADD table gathers, which bulk.combine computes as codes by a digit
 matmul or XOR, the rank-1 points over GF(q^3) by walking the scalar
 extension, which the package counts as common zeros of the dual conics,
 quotient images by row elimination, which bulk.quotient_codes reads as
-the values of the dual vectors, and the rank-1-free sweep with od0_batch over every subspace, which the
+the values of the dual vectors, the rank-1-free sweep with od0_batch over every subspace, which the
 package runs only on the solids whose pencil of dual conics has no base
-point.
+point, and r2n = h1 on every plane of the Grassmannian, which the package
+counts through one point of each point class.
 """
 
 from __future__ import annotations
@@ -388,3 +389,24 @@ def rank1_points_over_cubic_extension_scalar(F: FieldCtx, W: Subspace) -> int:
         if point_rank(E, v) == 1:
             count += 1
     return count
+
+
+def r2n_h1_sweep(F: FieldCtx, jobs: int = 1) -> tuple[int, list[int]]:
+    """T3.7 over every plane of PG(5,q), q even, in id chunks: (planes with
+    r2n != h1, histogram of dim(W meet N) over all planes), N the nucleus
+    plane, r2n its points in W and h1 the double-line hyperplanes through
+    W."""
+    q = F.q
+    t = tables(F)
+    kit = t.kit
+    pts_of_dim = np.array([0, 1, q + 1, q * q + q + 1], dtype=np.int64)
+
+    def work(chunk):
+        block = bulk.subspace_bases(q, 3, np.arange(*chunk))
+        rank = bulk.rank_batch(kit, block[:, :, [0, 3, 5]])
+        r2n = pts_of_dim[3 - rank]
+        h1count = (bulk.combine(kit, t.h1, block.transpose(0, 2, 1)) == 0).sum(axis=1)
+        return int((h1count != r2n).sum()), np.bincount(3 - rank, minlength=4)
+
+    parts = _pmap(work, bulk.id_chunks(q, 3, _block_size(q, 3)), jobs)
+    return sum(m for m, _ in parts), [int(x) for x in np.sum([h for _, h in parts], axis=0)]

@@ -62,3 +62,34 @@ def test_traced_orbit_checks_run_without_orbit_search():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out == {"exit": [0, 0], "orbit_of": 0}
+
+
+_FULL_SCRIPT = """
+import json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from srd3 import cli
+codes = [cli.main(["verify", "--field", "4", "--format", "json", "--out", {out!r}, "--debug"]),
+         cli.main(["verify", "--field", "5", "--theorem", "T3.2", "--format", "json",
+                   "--out", {out!r}, "--debug"])]
+summary = tracer.summary()
+print(json.dumps({{"exit": codes,
+                  "sweeps": sum(summary.get("verify." + name, {{}}).get("calls", 0)
+                                for name in ("solid_groups", "plane_sweep",
+                                             "line_sweep_completeness",
+                                             "min_rank2_coverage"))}}))
+"""
+
+
+def test_traced_full_runs(tmp_path):
+    # every q=4 check and the q=5 solids run under the span recorder's
+    # wrappers, and none of them asks for a Grassmannian-wide sweep
+    script = _FULL_SCRIPT.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"),
+                                 out=str(tmp_path / "report.json"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out == {"exit": [0, 0], "sweeps": 0}

@@ -9,17 +9,19 @@ import pytest
 from srd3 import bulk
 from srd3.gf import make_field
 from srd3.invariants import pgl3_order, stabilizer_order, tables
+from srd3.pg import gaussian_binomial
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
-from srd3.verify import (VerifyError, _ids_where, _is_orbit, _min_rank2_solid_sigs,
-                         _on_line_pair, _sweep, line_sweep_completeness,
-                         min_rank2_coverage, plane_sweep,
+from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1,
+                         VerifyError, _counts, _ids_where, _is_orbit,
+                         _min_rank2_solid_sigs, _on_line_pair, _sweep, _tally,
+                         line_sweep_completeness, min_rank2_coverage, plane_sweep,
                          planes_covered_by_solids, run_checks,
                          solid_groups, verify_censuses, verify_class_counts,
                          verify_completeness_dichotomy, verify_net_corollaries,
                          verify_r2n_equals_h1, verify_rank3_od4, verify_schmidt,
                          verify_solids, verify_tables)
 
-from oracles import line_sweep_union, rank1_free_groups_unfiltered
+from oracles import line_sweep_union, r2n_h1_sweep, rank1_free_groups_unfiltered
 
 
 def _ok(reports):
@@ -58,22 +60,24 @@ def test_solid_groups_match_orbit_sizes_q3():
 
 
 def test_one_orbit_rule_fails_when_it_should_q3():
-    # the rule holds on each solid group and fails on the group with one
-    # id dropped, with one id of another group added, or without the
-    # representative
+    # the rule holds on each solid group's key and count, and fails for the
+    # count off by one, for another group's key, and for a representative
+    # whose own key is not the family's, even at that family's count
     from srd3.atlas import representative
     F = make_field(3, 1)
-    groups, _ = solid_groups(F)
+    groups = _tally(_counts(F, 4), lambda key: True)
     sig_to_id = _min_rank2_solid_sigs(F)
-    for sig, ids in groups.items():
+    assert sorted(groups) == sorted(sig_to_id)
+    for sig, n in groups.items():
         W = representative(sig_to_id[sig], F)
-        own = bulk.subspace_ids(3, np.array([W.rows], dtype=np.uint8))[0]
-        other = next(o for s, o in groups.items() if s != sig)[0]
-        dropped = ids[-1] if ids[-1] != own else ids[0]
-        assert _is_orbit(ids, W)
-        assert not _is_orbit(ids[ids != dropped], W)
-        assert not _is_orbit(np.sort(np.append(ids, other)), W)
-        assert not _is_orbit(ids[ids != own], W)
+        other = next(s for s in groups if s != sig)
+        assert _is_orbit(sig, n, W)
+        assert _is_orbit(sig + (1,), n, W)  # rank-1-free solids are complete
+        assert not _is_orbit(sig, n - 1, W)
+        assert not _is_orbit(sig, n + 1, W)
+        assert not _is_orbit(other, n, W)
+        assert not _is_orbit(sig + (0,), n, W)
+        assert not _is_orbit(sig, n, representative(sig_to_id[other], F))
 
 
 def test_t321_disjoint_needs_different_extension_counts(monkeypatch):
@@ -280,8 +284,10 @@ def test_jobs_determinism_q3():
         assert np.array_equal(g1[sig], g2[sig])
     V._sweep_cache.clear()
     r1 = verify_r2n_equals_h1(make_field(2, 2), jobs=1)[0]
+    V._sweep_cache.clear()
     r2 = verify_r2n_equals_h1(make_field(2, 2), jobs=2)[0]
     assert r1.computed == r2.computed
+    assert r1.details == r2.details
 
 
 def test_coverage_cache_consistency():
@@ -316,13 +322,138 @@ def test_line_pair_planes_match_chunked_od4_q3():
     assert np.array_equal(ids[_on_line_pair(F, ids, jobs=2)], want)
 
 
-def test_each_grassmannian_swept_once_q3():
+# the (k, class) passes a full check set takes: lines, planes and solids
+# through P3 and both rank-2 classes, and T3.7's planes through P1 as well
+_PASSES = {3: {(2, 4), (2, 2), (2, 3), (3, 4), (3, 2), (3, 3), (4, 4), (4, 2), (4, 3)},
+           4: {(2, 4), (2, 2), (2, 3), (3, 4), (3, 2), (3, 3), (3, 1),
+               (4, 4), (4, 2), (4, 3)}}
+
+
+@pytest.mark.parametrize("p,h", [(3, 1), (2, 2)], ids=["q3", "q4"])
+def test_run_checks_builds_each_pass_once(p, h, monkeypatch):
     import srd3.verify as V
+    F = make_field(p, h)
+    built = []
+    through = V._through
+
+    def counting(F, k, c, jobs=1):
+        built.append((k, c))
+        return through(F, k, c, jobs)
+
+    monkeypatch.setattr(V, "_through", counting)
     V._sweep_cache.clear()
-    _ok(run_checks(make_field(3, 1)))
-    tags = [key[0] for key in V._sweep_cache]
-    assert tags.count("plane_sweep") == 1
-    assert tags.count("solid_groups") == 1
+    _ok(run_checks(F))
+    assert sorted(built) == sorted(_PASSES[F.q])
+    # no cache entry of a Grassmannian-wide sweep
+    assert not [key for key in V._sweep_cache if key[0] in V._SWEEP_TAGS.values()]
+
+
+def _fresh_counts(F, k, jobs, classes=_CLASS_ORDER[:3]):
+    """_counts(F, k, jobs, classes) with its passes run again at these jobs."""
+    import srd3.verify as V
+    for c in classes:
+        V._sweep_cache.pop(("through", k, c, id(F)), None)
+    return _counts(F, k, jobs, classes)
+
+
+def _by_od0_complete(counts):
+    out = {}
+    for key, n in counts.items():
+        if key[0] == 0:
+            out[key[:4], bool(key[_COMPLETE])] = out.get((key[:4], bool(key[_COMPLETE])), 0) + n
+    return out
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
+def test_counts_match_sweep(p, h):
+    # the counts through one point per class against the Grassmannian-wide
+    # sweep: every rank-1-free (od0, complete) family, every k and jobs
+    F = make_field(p, h)
+    for k in (2, 3, 4):
+        groups, flags, _ = _sweep(F, k)
+        want = {}
+        for sig, full in flags.items():
+            for c in (True, False):
+                if (full == c).any():
+                    want[sig, c] = int((full == c).sum())
+        for jobs in (1, 2):
+            assert _by_od0_complete(_fresh_counts(F, k, jobs)) == want, (k, jobs)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
+def test_line_pair_counts_match_sweep(p, h):
+    # C4's two counts: rank-1-free planes on a line-pair hyperplane, and
+    # those of them that are complete
+    F = make_field(p, h)
+    groups, flags, _ = _sweep(F, 3)
+    ids = np.concatenate(list(groups.values()))
+    complete = np.concatenate([flags[sig] for sig in groups])
+    target = _on_line_pair(F, ids)
+    counts = _counts(F, 3)
+    pair = {key: n for key, n in counts.items() if key[0] == 0 and key[_OD4][1] + key[_OD4][2]}
+    assert sum(pair.values()) == int(target.sum())
+    assert sum(n for key, n in pair.items() if key[_COMPLETE]) == int((target & complete).sum())
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (2, 2)], ids=["q2", "q4"])
+def test_r2n_h1_counts_match_sweep(p, h):
+    F = make_field(p, h)
+    mism, hist = r2n_h1_sweep(F)
+    for jobs in (1, 2):
+        got = [0] * 4
+        bad = 0
+        for key, n in _fresh_counts(F, 3, jobs, _CLASS_ORDER).items():
+            got[key[_NUCLEUS_DIM]] += n
+            bad += n * (1 - key[_R2N_IS_H1])
+        assert (bad, got) == (mism, hist)
+    if F.q == 4:
+        assert hist == [262144, 112896, 1764, 1]
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
+def test_counts_agree_through_every_class(p, h):
+    # N_c n_c(key) / s_c(key) is the same number for every class c that a
+    # key's subspaces meet, not only the first one, which _counts uses
+    import srd3.verify as V
+    from srd3.invariants import point_class
+    F = make_field(p, h)
+    for k in (2, 3, 4):
+        counts = _counts(F, k, classes=_CLASS_ORDER)
+        if k < 4:  # every line and every plane
+            assert sum(counts.values()) == gaussian_binomial(6, k, F.q)
+        seen = 0
+        for c in _CLASS_ORDER:
+            size = len(point_class(F, c).codes)
+            for key, n in V._through(F, k, c).items():
+                assert size * n % key[c - 1] == 0
+                assert size * n // key[c - 1] == counts[key], (k, c, key)
+                seen += 1
+        assert seen > len(counts)
+
+
+def test_count_not_a_multiple_is_an_internal_error(monkeypatch):
+    # a pass whose counts do not divide is a bug, never a rounded count
+    import srd3.verify as V
+    F = make_field(3, 1)
+    good = V._through(F, 4, 4)
+    key = next(iter(good))
+    monkeypatch.setattr(V, "_sweep_cache", {("through", 4, 4, id(F)): {key: good[key] + 1}})
+    with pytest.raises(RuntimeError, match="not a multiple"):
+        _counts(F, 4)
+
+
+def test_golden_counts_q5():
+    F = make_field(5, 1)
+    solids = _tally(_counts(F, 4), lambda key: True)
+    assert sorted(solids.values()) == [7750, 46500, 93000]
+    # the Grassmannian-wide plane sweep's rank-1-free (od0, complete) groups
+    assert _by_od0_complete(_counts(F, 3)) == {
+        ((0, 0, 0, 31), True): 8000, ((0, 1, 1, 29), False): 93000,
+        ((0, 2, 2, 27), False): 465000, ((0, 3, 3, 25), False): 372000,
+        ((0, 4, 4, 23), False): 465000, ((0, 5, 0, 26), False): 186000,
+        ((0, 5, 5, 21), False): 93000, ((0, 6, 1, 24), False): 193750,
+        ((0, 6, 6, 19), False): 62000, ((0, 8, 3, 20), False): 9300,
+        ((0, 10, 0, 21), False): 46500, ((0, 15, 0, 16), False): 3875}
 
 
 def test_render_formats():

@@ -8,7 +8,8 @@ Subpackages:
     invariants  point/hyperplane orbit classification and distributions
     atlas       canonical orbit representatives and special planes
     codes       SRD codes: distance, bounds, completeness, classification
-    verify      exhaustive/sampled verification drivers
+    verify      verification drivers: exact counts up to q = 8, seeded
+                samples above
     cli         command line front end
 """
 

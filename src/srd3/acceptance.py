@@ -5,8 +5,8 @@ Criteria (all exact integer comparisons, no tolerances):
      1  table reproduction, q even (q = 4 and 8)
      2  table reproduction, q odd (q = 3 and 5)
      3  point and hyperplane censuses (q = 2, 3, 4, 5)
-     4  uniqueness of the two special plane orbits at q = 4 (sampled at 8)
-     5  r2n = h1 for every plane of PG(5,4) (sampled run at q = 8 as well)
+     4  uniqueness of the two special plane orbits (q = 4 and 8)
+     5  r2n = h1 for every plane of PG(5,4) and of PG(5,8)
      6  three signature groups of rank-1-free solids, each one orbit
         (q = 2, 3, 4, 5)
      7  completeness dichotomy for lines and planes (q = 3, 4)
@@ -108,7 +108,7 @@ def _run_ids(F: FieldCtx, ids: list[str], jobs: int) -> list[CheckReport]:
 # Criterion 11: property suites
 # ---------------------------------------------------------------------------
 
-def verify_properties(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
+def verify_properties(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     from srd3.atlas import representative
     from srd3.codes import SrdCode, classify
     from srd3.invariants import exterior_by_tangents, od0, od4

@@ -1,10 +1,17 @@
 """Verification drivers.
 
-Each driver counts a family of subspaces of PG(5,q) exactly (or checks a
-deterministic seeded sample where the family is out of budget), computes
-exact integer invariants, and compares them against closed-form claims.
-Claim ids (T3.2, T3.4, ..., C4, Y03q) are the stable identifiers used by
-the command line and the acceptance suite; every report carries one.
+Each driver counts a family of subspaces of PG(5,q), computes exact
+integer invariants, and compares them against closed-form claims.  Claim
+ids (T3.2, T3.4, ..., C4, Y03q) are the stable identifiers used by the
+command line and the acceptance suite; every report carries one.
+
+One range rule.  Every counting check reads a {key row: how many} table
+(_table): exact, counted through one point per class, for q <= EXACT_MAX_Q,
+and above it the same histogram over one seeded sample of SAMPLE_SIZE
+subspaces per dimension, which T3.2/T3.3, T3.7 and C4 report as
+"consistent (sampled)".  T3.4/T3.8 check their representatives and a few
+of their images there instead, and T3.10, T3.12, T3.14 and T3.21, which
+have no sampled form, run only up to the ceiling (DRIVERS).
 
 Counting through one point per class.  Every exhaustive claim is about a
 family of k-subspaces that G = PGL(3,q) maps to itself, cut out by a key
@@ -86,6 +93,9 @@ from srd3.invariants import od0, od4, pgl3_order, point_class, stabilizer_order,
 from srd3.report import CheckReport, make_report
 from srd3.veronese import nucleus_plane
 
+# the largest q whose counts are exact: the full check set takes about 28 s
+# and 120 MB at q = 8 with one worker; the q = 9 passes alone take minutes
+EXACT_MAX_Q = 8
 SAMPLE_SIZE = 100_000
 _SEED = 0x5D3
 
@@ -140,34 +150,23 @@ def _pencil_filter_pays(q: int, k: int) -> bool:
 
 
 def _rank1_free_od0(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions in bases of the subspaces with no rank-1 point, their od0
-    rows, and whether each is a complete distance-2 code, taken _block_size
-    subspaces at a time so that a sample of any size runs in bounded
-    memory.  A block's Veronese images are never held while od0_batch
-    runs; od0 confirms r1 = 0 for every subspace kept."""
+    """Positions in bases, a block of at most _block_size subspaces, of the
+    subspaces with no rank-1 point, their od0 rows, and whether each is a
+    complete distance-2 code.  The Veronese images are never held while
+    od0_batch runs; od0 confirms r1 = 0 for every subspace kept."""
     q, k = t.F.q, bases.shape[1]
-    block = _block_size(q, k)
-    keep, dist, complete = [], [], []
-    for s in range(0, len(bases), block):
-        part = bases[s:s + block]
-        if _pencil_filter_pays(q, k):
-            img = bulk.quotient_codes(t.kit, part, t.v6)
-            cand = np.flatnonzero((img != 0).all(axis=1))
-            full = bulk.covers_quotient(q, 6 - k, img[cand])
-            del img
-            d = t.od0_batch(part[cand])
-            free = d[:, 0] == 0
-            cand, full = cand[free], full[free]
-        else:
-            d = t.od0_batch(part)
-            free = d[:, 0] == 0
-            cand = np.flatnonzero(free)
-            full = bulk.covers_quotient(
-                q, 6 - k, bulk.quotient_codes(t.kit, part[cand], t.v6))
-        keep.append(s + cand)
-        dist.append(d[free])
-        complete.append(full)
-    return np.concatenate(keep), np.concatenate(dist), np.concatenate(complete)
+    if _pencil_filter_pays(q, k):
+        img = bulk.quotient_codes(t.kit, bases, t.v6)
+        cand = np.flatnonzero((img != 0).all(axis=1))
+        full = bulk.covers_quotient(q, 6 - k, img[cand])
+        del img
+        d = t.od0_batch(bases[cand])
+        free = d[:, 0] == 0
+        return cand[free], d[free], full[free]
+    d = t.od0_batch(bases)
+    cand = np.flatnonzero(d[:, 0] == 0)
+    full = bulk.covers_quotient(q, 6 - k, bulk.quotient_codes(t.kit, bases[cand], t.v6))
+    return cand, d[cand], full
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +226,24 @@ def _keys(t, bases: np.ndarray) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
+def _histogram(t, k: int, chunks: list, bases_of, jobs: int) -> dict[tuple, int]:
+    """{key row: how many} over the RREF bases bases_of(chunk) of the
+    k-subspaces of every chunk.  Each chunk's histogram is one np.unique of
+    its key rows, and the histograms are added up in chunk order."""
+    if k == 3:
+        t.hclass_table()  # build before forking
+
+    def work(chunk):
+        rows, n = np.unique(_keys(t, bases_of(chunk)), axis=0, return_counts=True)
+        return [(tuple(int(v) for v in row), int(m)) for row, m in zip(rows, n)]
+
+    out: dict[tuple, int] = {}
+    for part in _pmap(work, chunks, jobs):
+        for key, n in part:
+            out[key] = out.get(key, 0) + n
+    return dict(sorted(out.items()))
+
+
 def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
     """The k-subspaces through x_c, the class-c point of smallest code
     (PointClass's point): {key row: how many}.
@@ -238,8 +255,6 @@ def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
     quotient_codes and od4_batch need."""
     q = F.q
     t = tables(F)
-    if k == 3:
-        t.hclass_table()  # build before forking
     # PointClass asserts that x_c's class is one orbit, the prerequisite of
     # the counting
     x = bulk.decode(point_class(F, c).codes[:1], q, 6)
@@ -254,18 +269,12 @@ def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
     chunks = [(s, min(s + block, end))
               for s in range(end - gaussian_binomial(5, k - 1, q), end, block)]
 
-    def work(chunk):
+    def bases_of(chunk):
         U = bulk.subspace_bases(q, k - 1, np.arange(*chunk))[:, :, cols]
-        bases = bulk.rref_batch(t.kit, np.concatenate(
+        return bulk.rref_batch(t.kit, np.concatenate(
             [np.broadcast_to(x, (len(U), 1, 6)), U], axis=1))[0]
-        rows, n = np.unique(_keys(t, bases), axis=0, return_counts=True)
-        return [(tuple(int(v) for v in row), int(m)) for row, m in zip(rows, n)]
 
-    out: dict[tuple, int] = {}
-    for part in _pmap(work, chunks, jobs):
-        for key, n in part:
-            out[key] = out.get(key, 0) + n
-    return dict(sorted(out.items()))
+    return _histogram(t, k, chunks, bases_of, jobs)
 
 
 # point classes (GeomTables.class_code) in the order a subspace is counted
@@ -290,6 +299,31 @@ def _counts(F: FieldCtx, k: int, jobs: int = 1,
                                    f"{c} with key {key} is not a multiple of {key[c - 1]}")
             out[key] = out.get(key, 0) + size * n // key[c - 1]
     return out
+
+
+def _sample_counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
+    """{key row: how many} over one seeded sample of SAMPLE_SIZE
+    k-subspaces, cached per field: every check that samples a dimension
+    reads the same sample."""
+    def build():
+        t = tables(F)
+        sample = bulk.sample_subspaces(t.kit, 5, k - 1, SAMPLE_SIZE, seed=_SEED)
+        block = _block_size(F.q, k)
+        chunks = [(s, s + block) for s in range(0, len(sample), block)]
+        return _histogram(t, k, chunks, lambda chunk: sample[slice(*chunk)], jobs)
+
+    return _cached(("sample", k, id(F)), build)
+
+
+def _table(F: FieldCtx, k: int, jobs: int = 1,
+           classes: tuple[int, ...] = _CLASS_ORDER[:3]) -> tuple[dict[tuple, int], bool]:
+    """The {key row: how many} table of the k-subspaces and whether it is
+    sampled: exact (_counts through the given classes) for q <= EXACT_MAX_Q,
+    and over the seeded sample (_sample_counts) above it, where every line
+    and plane of the sample has a row, and every rank-1-free solid."""
+    if F.q > EXACT_MAX_Q:
+        return _sample_counts(F, k, jobs), True
+    return _counts(F, k, jobs, classes), False
 
 
 def _tally(counts: dict[tuple, int], keep) -> dict[tuple, int]:
@@ -400,36 +434,12 @@ def _ids_where(groups: dict, keep) -> np.ndarray:
     return np.sort(np.concatenate(arrs)) if arrs else np.empty(0, np.int64)
 
 
-def _od4_of(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:
-    """Hyperplane-orbit distributions of the planes with the given ids,
-    (N, 4) in the order of ids, in blocks of at most _block_size(q, 3)
-    planes, which bounds the kernel's memory as the plane sweep does."""
-    q = F.q
-    t = tables(F)
-    t.hclass_table()  # build before forking
-    block = _block_size(q, 3)
-    items = [(s, min(s + block, len(ids))) for s in range(0, len(ids), block)]
-
-    def work(item):
-        return t.od4_batch(bulk.subspace_bases(q, 3, ids[item[0]:item[1]]))
-
-    parts = _pmap(work, items, jobs)
-    return np.concatenate(parts) if parts else np.empty((0, 4), dtype=np.int64)
-
-
 def min_rank2_coverage(F: FieldCtx, jobs: int = 1) -> np.ndarray:
     """Sorted ids of the rank-1-free planes that lie inside a rank-1-free
     solid: those the plane sweep flags as not complete."""
     groups, complete, _ = _sweep(F, 3, jobs)
     return _ids_where({sig: ids[~complete[sig]] for sig, ids in groups.items()},
                       lambda sig: True)
-
-
-def _on_line_pair(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:
-    """Which of the planes with the given ids lie on a line-pair hyperplane
-    (class H2r or H2i): (N,) bool in the order of ids."""
-    d4 = _od4_of(F, ids, jobs)
-    return (d4[:, 1] + d4[:, 2]) > 0
 
 
 def planes_covered_by_solids(F: FieldCtx, solid_ids: np.ndarray,
@@ -493,7 +503,7 @@ def _is_orbit(key: tuple, count: int, W: Subspace) -> bool:
 # Drivers
 # ---------------------------------------------------------------------------
 
-def verify_censuses(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
+def verify_censuses(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     from srd3.invariants import hyperplane_census, point_census, point_classes
     t0 = time.perf_counter()
     q = F.q
@@ -519,7 +529,7 @@ def verify_censuses(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> li
         details={"total_hyperplanes": sum(computed["hyperplanes"].values())})]
 
 
-def verify_tables(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
+def verify_tables(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     from srd3.atlas import emit_atlas
     t0 = time.perf_counter()
     entries = emit_atlas(F)
@@ -549,24 +559,20 @@ def _min_rank2_solid_sigs(F: FieldCtx) -> dict[tuple, str]:
     return {tuple(rep_spec(rid, F).od0_formula(F.q)): rid for rid in ids}
 
 
-def verify_solids(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
+def verify_solids(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Solids with no rank-1 point: exactly three signature groups, each one
     a single orbit containing its atlas representative."""
     from srd3.atlas import representative
     t0 = time.perf_counter()
     q = F.q
     check_id = "T3.2" if F.p != 2 else "T3.3"
-    budget = budget or 10 ** 7
-    total = gaussian_binomial(6, 4, q)
     sig_to_id = _min_rank2_solid_sigs(F)
     claim = ("solids without rank-1 points fall into exactly 3 rank "
              "signatures, r3 in {q^3-q, q^3-2q, q^3}, each a single orbit")
-    if total > budget or q > 5:
-        kit = bulk.kit_for(F)
-        sample = bulk.sample_subspaces(kit, 5, 3, SAMPLE_SIZE, seed=_SEED)
-        dist = _rank1_free_od0(tables(F), sample)[1]
-        bad = [tuple(int(x) for x in s) for s in np.unique(dist, axis=0)
-               if tuple(int(x) for x in s) not in sig_to_id]
+    counts, sampled = _table(F, 4, jobs)
+    groups = _tally(counts, _rank1_free)
+    if sampled:
+        bad = [sig for sig in groups if sig not in sig_to_id]
         reps_ok = all(od0(representative(rid, F)) == sig
                       for sig, rid in sig_to_id.items())
         return [make_report(
@@ -574,9 +580,8 @@ def verify_solids(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list
             {"unexpected_signatures": [], "reps_in_signatures": True},
             {"unexpected_signatures": bad, "reps_in_signatures": reps_ok},
             sampled=True, seconds=time.perf_counter() - t0,
-            details={"sampled_solids": len(sample),
-                     "r1_zero_in_sample": len(dist)})]
-    groups = _tally(_counts(F, 4, jobs), _rank1_free)
+            details={"sampled_solids": SAMPLE_SIZE,
+                     "r1_zero_in_sample": sum(groups.values())})]
     orbit_match = {}
     sizes = {}
     for sig, n in sorted(groups.items()):
@@ -593,16 +598,16 @@ def verify_solids(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list
     return [make_report(
         check_id, F.spec, claim, expected, computed,
         seconds=time.perf_counter() - t0, flags=_q2_flags(F),
-        details={"total_solids": total, "group_sizes": sizes})]
+        details={"total_solids": gaussian_binomial(6, 4, q), "group_sizes": sizes})]
 
 
-def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
+def verify_plane_orbits(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Planes with distributions [0,q+1,0,q^2] and [0,1,0,q^2+q] each form a
     single orbit with hyperplane distributions [q+1,0,0,q^2] / [1,0,0,q^2+q].
-    At q = 4 the check is exhaustive: the planes with each of the two od0
-    rows are counted, and each family must hold its representative and
-    have its orbit's size, |PGL(3,q)| / |Stab|; od4 is read on the members
-    through x_c, which every member is equivalent to.  Above q = 4 the
+    Up to EXACT_MAX_Q the check is exhaustive: the planes with each of the
+    two od0 rows are counted, and each family must hold its representative
+    and have its orbit's size, |PGL(3,q)| / |Stab|; od4 is read on the
+    members through x_c, which every member is equivalent to.  Above it the
     representatives and a sample of their images are checked instead."""
     from srd3.atlas import representative
     from srd3.pg import canonicalize
@@ -617,7 +622,7 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1, budget: int | None = None) -
              "[0,1,0,q^2+q]", "[1,0,0,q^2+q]")):
         t0 = time.perf_counter()
         W = representative(rid, F)
-        if q > 4:
+        if q > EXACT_MAX_Q:
             got0, got4 = od0(W), od4(W)
             img_ok = _random_images_keep_od0(W, d0, n=25)
             out.append(make_report(
@@ -663,47 +668,34 @@ def _random_images_keep_od0(W: Subspace, want, n: int = 25) -> bool:
     return True
 
 
-def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1,
-                         budget: int | None = None) -> list[CheckReport]:
+def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """For every plane, the rank-2 points inside the nucleus plane are as
     many as the double-line hyperplanes through it (q even >= 4)."""
     if F.p != 2 or F.q < 4:
         raise VerifyError("r2n = h1 needs q even, q >= 4")
     t0 = time.perf_counter()
-    q = F.q
-    total = gaussian_binomial(6, 3, q)
-    if q > 4 or (budget and total > budget):
-        t = tables(F)
-        planes = bulk.sample_subspaces(t.kit, 5, 2, SAMPLE_SIZE, seed=_SEED)
-        # in _block_size blocks, which bounds the kernel's memory
-        block = _block_size(q, 3)
-        parts = [_nucleus_meet(t, planes[s:s + block]) for s in range(0, SAMPLE_SIZE, block)]
-        dim = np.concatenate([d for d, _ in parts])
-        match = np.concatenate([m for _, m in parts])
-        return [make_report(
-            "T3.7", F.spec, "r2n(plane) = h1(plane) for every plane",
-            {"mismatches": 0}, {"mismatches": int((~match).sum())}, sampled=True,
-            seconds=time.perf_counter() - t0,
-            details={"planes_checked": SAMPLE_SIZE,
-                     "intersection_dim_histogram":
-                         [int(x) for x in np.bincount(dim, minlength=4)]})]
-    # every plane, so through all four classes; the counts must add up to
+    # every plane, so through all four classes; exact counts must add up to
     # the Grassmannian
+    counts, sampled = _table(F, 3, jobs, _CLASS_ORDER)
     hist = [0] * 4
     mism = 0
-    for key, n in _counts(F, 3, jobs, _CLASS_ORDER).items():
+    for key, n in counts.items():
         hist[key[_NUCLEUS_DIM]] += n
         mism += n * (1 - key[_R2N_IS_H1])
+    expected, computed = {"mismatches": 0}, {"mismatches": mism}
+    details = {"intersection_dim_histogram": hist}
+    if sampled:
+        details = {"planes_checked": SAMPLE_SIZE, **details}
+    else:
+        expected["planes"] = gaussian_binomial(6, 3, F.q)
+        computed["planes"] = sum(hist)
     return [make_report(
         "T3.7", F.spec, "r2n(plane) = h1(plane) for every plane",
-        {"mismatches": 0, "planes": total},
-        {"mismatches": mism, "planes": sum(hist)},
-        seconds=time.perf_counter() - t0,
-        details={"intersection_dim_histogram": hist})]
+        expected, computed, sampled=sampled, seconds=time.perf_counter() - t0,
+        details=details)]
 
 
-def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1,
-                                  budget: int | None = None) -> list[CheckReport]:
+def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Minimum-rank-2 lines never extendless; minimum-rank-2 planes complete
     only for q even and only inside the nucleus-plane family."""
     from srd3.atlas import rep_params, rep_spec, representative
@@ -779,8 +771,7 @@ def _raw_rows(F, entries, params):
     return out
 
 
-def verify_class_counts(F: FieldCtx, jobs: int = 1,
-                        budget: int | None = None) -> list[CheckReport]:
+def verify_class_counts(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Number of equivalence classes of complete codes: distance 2 gives 3
     (q odd) or 6 (q even >= 4); distance 3 gives 2 (q odd) or 1 (q even > 2)."""
     from srd3.atlas import (rank1_points_over_cubic_extension, representative,
@@ -849,38 +840,28 @@ def verify_class_counts(F: FieldCtx, jobs: int = 1,
     return out
 
 
-def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
-                           budget: int | None = None) -> list[CheckReport]:
+def verify_net_corollaries(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Empty-base nets with a line-pair conic contain an empty-base pencil:
     every plane with no rank-1 point and a line-pair hyperplane lies inside
     a minimum-rank-2 solid.  Plus the printed web/net conic distributions."""
     from srd3.atlas import rep_spec, representative, sigma_gf_plane
     t0 = time.perf_counter()
     q = F.q
-    sampled = q > 4
-    flags = _q2_flags(F)
-    if sampled:
-        kit = bulk.kit_for(F)
-        planes = bulk.sample_subspaces(kit, 5, 2, SAMPLE_SIZE, seed=_SEED)
-        keep, _, complete = _rank1_free_od0(tables(F), planes)
-        target = _on_line_pair(F, bulk.subspace_ids(q, planes[keep]), jobs)
-        bad = int((target & complete).sum())
-        report = make_report(
-            "C4", F.spec,
-            "planes with no rank-1 point and a line-pair hyperplane lie in a "
-            "minimum-rank-2 solid",
-            {"violations": 0}, {"violations": bad}, sampled=True,
-            seconds=time.perf_counter() - t0,
-            details={"sampled_planes": SAMPLE_SIZE, "checked": int(target.sum())})
-        return [report]
-
-    counts = _counts(F, 3, jobs)
+    counts, sampled = _table(F, 3, jobs)
 
     def line_pair(key):  # a hyperplane of class H2r or H2i
         return _rank1_free(key) and key[_OD4][1] + key[_OD4][2] > 0
 
     target = _count(counts, line_pair)
     n_viol = _count(counts, lambda key: line_pair(key) and key[_COMPLETE] == 1)
+    if sampled:
+        return [make_report(
+            "C4", F.spec,
+            "planes with no rank-1 point and a line-pair hyperplane lie in a "
+            "minimum-rank-2 solid",
+            {"violations": 0}, {"violations": n_viol}, sampled=True,
+            seconds=time.perf_counter() - t0,
+            details={"sampled_planes": SAMPLE_SIZE, "checked": target})]
 
     spot_expected = {}
     spot_computed = {}
@@ -902,12 +883,12 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1,
         "minimum-rank-2 solid; printed web/net conic distributions verified",
         {"violations": 0, "spot": spot_expected},
         {"violations": n_viol, "spot": spot_computed},
-        seconds=time.perf_counter() - t0, flags=flags,
+        seconds=time.perf_counter() - t0, flags=_q2_flags(F),
         details={"planes_r1zero_with_line_pair": target,
                  "total_planes": gaussian_binomial(6, 3, q)})]
 
 
-def verify_schmidt(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
+def verify_schmidt(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """The trace-form plane is the known optimal distance-3 construction:
     dimension 3, distance 3, q^3 codewords, bound-achieving, complete."""
     from srd3.atlas import sigma_gf_plane
@@ -926,7 +907,7 @@ def verify_schmidt(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> lis
         want, got, seconds=time.perf_counter() - t0)]
 
 
-def verify_rank3_od4(F: FieldCtx, jobs: int = 1, budget: int | None = None) -> list[CheckReport]:
+def verify_rank3_od4(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Computed hyperplane distribution of the constant-rank-3 planes is
     [0,0,0,q^2+q+1]; the stated closed form [0,0,0,q+1] disagrees with it
     (a plane lies on q^2+q+1 hyperplanes), reported as a discrepancy."""
@@ -964,8 +945,8 @@ def _q2_flags(F: FieldCtx) -> list[str]:
 # ---------------------------------------------------------------------------
 
 # check id -> (driver, (parity, largest q it runs at or None)).  The
-# ceilings are the one definition of each driver's range: the exhaustive
-# sweeps behind T3.10/T3.12/T3.14/T3.21 have no sampled path.
+# ceilings are the one definition of each driver's range: the counts behind
+# T3.10/T3.12/T3.14/T3.21 have no sampled form, so they stop at EXACT_MAX_Q.
 DRIVERS = {
     "censuses": (verify_censuses, ("any", None)),
     "tables": (verify_tables, ("any", None)),
@@ -974,10 +955,10 @@ DRIVERS = {
     "T3.4": (verify_plane_orbits, ("even4", None)),
     "T3.8": (verify_plane_orbits, ("even4", None)),
     "T3.7": (verify_r2n_equals_h1, ("even4", None)),
-    "T3.10": (verify_completeness_dichotomy, ("any", 5)),
-    "T3.12": (verify_class_counts, ("odd", 5)),
-    "T3.14": (verify_class_counts, ("even", 5)),
-    "T3.21": (verify_class_counts, ("any", 5)),
+    "T3.10": (verify_completeness_dichotomy, ("any", EXACT_MAX_Q)),
+    "T3.12": (verify_class_counts, ("odd", EXACT_MAX_Q)),
+    "T3.14": (verify_class_counts, ("even", EXACT_MAX_Q)),
+    "T3.21": (verify_class_counts, ("any", EXACT_MAX_Q)),
     "C4": (verify_net_corollaries, ("min3", None)),
     "Y03q": (verify_schmidt, ("any", None)),
     "CR3-OD4": (verify_rank3_od4, ("any", None)),
@@ -998,8 +979,7 @@ def _applies(parity: str, F: FieldCtx) -> bool:
     raise ValueError(parity)
 
 
-def run_checks(F: FieldCtx, ids: list[str] | None = None, jobs: int = 1,
-               budget: int | None = None) -> list[CheckReport]:
+def run_checks(F: FieldCtx, ids: list[str] | None = None, jobs: int = 1) -> list[CheckReport]:
     """Run the requested checks (all applicable ones by default)."""
     wanted = list(DRIVERS) if ids is None else ids
     for i in wanted:
@@ -1020,7 +1000,7 @@ def run_checks(F: FieldCtx, ids: list[str] | None = None, jobs: int = 1,
         if fn in seen_drivers:
             continue
         seen_drivers.add(fn)
-        reports.extend(fn(F, jobs=jobs, budget=budget))
+        reports.extend(fn(F, jobs=jobs))
     if ids is not None:
         keep = set(wanted)
         reports = [r for r in reports if r.check_id in keep or r.check_id not in DRIVERS]

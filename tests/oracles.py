@@ -15,8 +15,9 @@ extension, which the package counts as common zeros of the dual conics,
 quotient images by row elimination, which bulk.quotient_codes reads as
 the values of the dual vectors, the rank-1-free sweep with od0_batch over every subspace, which the
 package runs only on the solids whose pencil of dual conics has no base
-point, and r2n = h1 on every plane of the Grassmannian, which the package
-counts through one point of each point class.
+point, r2n = h1 on every plane of the Grassmannian, which the package
+counts through one point of each point class, and the line-pair flag of
+planes named by id, which the package reads from the same counts.
 """
 
 from __future__ import annotations
@@ -297,6 +298,25 @@ def rank1_free_groups_unfiltered(F: FieldCtx, k: int, jobs: int = 1):
             groups.setdefault(sig, []).append(ids)
     merged = {sig: np.concatenate(arrs) for sig, arrs in groups.items()}
     return merged, gaussian_binomial(6, k, q)
+
+
+def on_line_pair(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:
+    """Which of the planes with the given ids lie on a line-pair hyperplane
+    (class H2r or H2i): (N,) bool in the order of ids, from od4_batch on
+    the planes rebuilt from their ids in _block_size(q, 3) blocks, where
+    the package reads the flag from its counts."""
+    q = F.q
+    t = tables(F)
+    t.hclass_table()  # build before forking
+    block = _block_size(q, 3)
+    items = [(s, min(s + block, len(ids))) for s in range(0, len(ids), block)]
+
+    def work(item):
+        d4 = t.od4_batch(bulk.subspace_bases(q, 3, ids[item[0]:item[1]]))
+        return (d4[:, 1] + d4[:, 2]) > 0
+
+    parts = _pmap(work, items, jobs)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=bool)
 
 
 def line_sweep_union(F: FieldCtx, jobs: int = 1) -> tuple[int, int]:

@@ -114,12 +114,13 @@ def test_usage_error_exit_2():
     assert e.value.code == 2
 
 
-def test_byte_identical_reports_across_jobs(capsys):
+def test_byte_identical_reports_across_jobs(capsys, monkeypatch):
+    import srd3.verify as V
+    monkeypatch.setattr(V, "_sweep_cache", {})
     assert main(["verify", "--field", "3", "--theorem", "T3.2",
                  "--jobs", "1", "--format", "json"]) == 0
     one = capsys.readouterr().out
-    import srd3.verify as V
-    V._sweep_cache.clear()
+    monkeypatch.setattr(V, "_sweep_cache", {})
     assert main(["verify", "--field", "3", "--theorem", "T3.2",
                  "--jobs", "2", "--format", "json"]) == 0
     two = capsys.readouterr().out
@@ -164,13 +165,11 @@ def test_field_above_table_range_exit_2(tmp_path, capsys):
     ["enumerate", "--field", "3", "--dim", "7", "--count-only"],
     ["enumerate", "--field", "3", "--dim", "-1", "--count-only"],
     ["enumerate", "--field", "3", "--dim", "2", "--limit", "-1"],
-    ["verify", "--field", "4", "--theorem", "T3.7", "--budget", "0"],
-    ["verify", "--field", "4", "--theorem", "T3.7", "--budget", "-1"],
     ["enumerate", "--field", "3", "--dim", "2", "--budget", "0"],
     ["enumerate", "--field", "3", "--dim", "2", "--limit", "2", "--budget", "-5"],
 ], ids=["verify_jobs_0", "acceptance_jobs_negative", "enumerate_dim_7",
-        "enumerate_dim_negative", "enumerate_limit_negative", "verify_budget_0",
-        "verify_budget_negative", "enumerate_budget_0", "enumerate_budget_negative"])
+        "enumerate_dim_negative", "enumerate_limit_negative", "enumerate_budget_0",
+        "enumerate_budget_negative"])
 def test_out_of_range_options_exit_2(capsys, argv):
     assert main(argv) == 2
     _one_line_error(capsys)
@@ -184,7 +183,7 @@ def _stub_drivers(monkeypatch, calls, fail=None):
     stubs = {}
     for cid, (fn, scope) in list(V.DRIVERS.items()):
         if fn not in stubs:
-            def stub(F, jobs=1, budget=None, name=fn.__name__):
+            def stub(F, jobs=1, name=fn.__name__):
                 calls.append(name)
                 if name == fail:
                     raise V.VerifyError(f"{name} refused q={F.q}")
@@ -196,12 +195,12 @@ def _stub_drivers(monkeypatch, calls, fail=None):
 def test_default_checks_skip_drivers_above_their_ceiling(monkeypatch, capsys):
     calls = []
     _stub_drivers(monkeypatch, calls)
-    assert main(["verify", "--field", "7", "--format", "json"]) == 0
+    assert main(["verify", "--field", "9", "--format", "json"]) == 0
     ran = {r["check_id"] for r in json.loads(capsys.readouterr().out)}
     assert ran == {"verify_censuses", "verify_tables", "verify_solids",
                    "verify_net_corollaries", "verify_schmidt", "verify_rank3_od4"}
     calls.clear()
-    assert main(["acceptance", "--fields", "7", "--format", "json"]) == 0
+    assert main(["acceptance", "--fields", "9", "--format", "json"]) == 0
     # no verify_completeness_dichotomy, no verify_class_counts
     assert set(calls) == ran
 
@@ -209,9 +208,9 @@ def test_default_checks_skip_drivers_above_their_ceiling(monkeypatch, capsys):
 def test_explicit_check_above_its_ceiling_exit_2(monkeypatch, capsys):
     calls = []
     _stub_drivers(monkeypatch, calls)
-    assert main(["verify", "--field", "7", "--theorem", "T3.10"]) == 2
+    assert main(["verify", "--field", "9", "--theorem", "T3.10"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "q <= 5" in err
+    assert err.count("\n") == 1 and "q <= 8" in err
     assert calls == []
 
 
@@ -225,7 +224,7 @@ def test_acceptance_verify_error_exit_2(monkeypatch, capsys):
 def test_internal_error_exit_3(monkeypatch, capsys):
     import srd3.verify as V
 
-    def broken(F, jobs=1, budget=None):
+    def broken(F, jobs=1):
         raise RuntimeError("kernel fault")
     monkeypatch.setitem(V.DRIVERS, "censuses", (broken, ("any", None)))
     assert main(["verify", "--field", "3", "--theorem", "censuses"]) == 3

@@ -13,7 +13,7 @@ from srd3.pg import gaussian_binomial
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
 from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1,
                          VerifyError, _counts, _ids_where, _is_orbit,
-                         _min_rank2_solid_sigs, _on_line_pair, _sweep, _tally,
+                         _min_rank2_solid_sigs, _sweep, _tally,
                          line_sweep_completeness, min_rank2_coverage, plane_sweep,
                          planes_covered_by_solids, run_checks,
                          solid_groups, verify_censuses, verify_class_counts,
@@ -21,7 +21,8 @@ from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1
                          verify_r2n_equals_h1, verify_rank3_od4, verify_schmidt,
                          verify_solids, verify_tables)
 
-from oracles import line_sweep_union, r2n_h1_sweep, rank1_free_groups_unfiltered
+from oracles import (line_sweep_union, on_line_pair, r2n_h1_sweep,
+                     rank1_free_groups_unfiltered)
 
 
 def _ok(reports):
@@ -91,12 +92,19 @@ def test_t321_disjoint_needs_different_extension_counts(monkeypatch):
     assert not d3.ok
 
 
-def test_r2n_h1_full_q4_and_sampled():
+def _sampled_above(monkeypatch, q):
+    """Lower verify.EXACT_MAX_Q to q, so that larger fields are sampled."""
+    import srd3.verify as V
+    monkeypatch.setattr(V, "EXACT_MAX_Q", q)
+
+
+def test_r2n_h1_full_q4_and_sampled(monkeypatch):
     F = make_field(2, 2)
     r, = _ok(verify_r2n_equals_h1(F))
     assert r.status == PASS
     assert r.computed == {"mismatches": 0, "planes": 376805}
-    s, = _ok(verify_r2n_equals_h1(F, budget=376804))
+    _sampled_above(monkeypatch, 2)
+    s, = _ok(verify_r2n_equals_h1(F))
     assert s.status == SAMPLED
     # the sample runs in two _block_size(4, 3) blocks; the figures are
     # those of the earlier one-batch run
@@ -110,9 +118,10 @@ def test_r2n_h1_rejects_odd():
         verify_r2n_equals_h1(make_field(3, 1))
 
 
-def test_solids_sampled_q7():
+def test_solids_sampled_q7(monkeypatch):
     # the sample runs in blocks of _block_size(7, 4) = 5242 solids, the last
     # one partial; the figures are those of one od0_batch over all of it
+    _sampled_above(monkeypatch, 2)
     r, = _ok(verify_solids(make_field(7, 1)))
     assert r.status == SAMPLED
     assert r.computed == {"unexpected_signatures": [], "reps_in_signatures": True}
@@ -225,15 +234,17 @@ def test_nets_q3():
     assert r.computed["spot"]["o8_2"] == (0, 14, 2, 24)
 
 
-def test_sampled_c4_golden_q5():
+def test_sampled_c4_golden_q5(monkeypatch):
+    _sampled_above(monkeypatch, 2)
     r, = _ok(verify_net_corollaries(make_field(5, 1)))
     assert r.status == SAMPLED
     assert r.computed == {"violations": 0}
     assert r.details == {"sampled_planes": 100000, "checked": 77681}
 
 
-def test_sampled_c4_golden_q8():
+def test_sampled_c4_golden_q8(monkeypatch):
     # 100000 sampled planes are four _block_size(8, 3) blocks
+    _sampled_above(monkeypatch, 2)
     r, = _ok(verify_net_corollaries(make_field(2, 3)))
     assert r.status == SAMPLED
     assert r.computed == {"violations": 0}
@@ -245,10 +256,30 @@ def test_sampled_c4_q13(monkeypatch):
     # its id does
     import srd3.verify as V
     monkeypatch.setattr(V, "SAMPLE_SIZE", 3000)
+    monkeypatch.setattr(V, "_sweep_cache", {})  # no sample of another size
+    _sampled_above(monkeypatch, 2)
     r, = _ok(verify_net_corollaries(make_field(13, 1)))
     assert r.status == SAMPLED
     assert r.details["sampled_planes"] == 3000
     assert 0 < r.details["checked"] < 3000
+
+
+def test_checks_share_one_sample_per_dimension(monkeypatch):
+    # T3.7 and C4 read one plane sample, T3.3 one solid sample
+    import srd3.verify as V
+    drawn = []
+    draw = bulk.sample_subspaces
+
+    def counting(kit, n, projdim, count, seed):
+        drawn.append(projdim + 1)
+        return draw(kit, n, projdim, count, seed)
+
+    monkeypatch.setattr(bulk, "sample_subspaces", counting)
+    monkeypatch.setattr(V, "_sweep_cache", {})
+    _sampled_above(monkeypatch, 2)
+    reports = _ok(run_checks(make_field(2, 2), ids=["T3.3", "T3.7", "C4"]))
+    assert [r.status for r in reports] == [SAMPLED] * 3
+    assert sorted(drawn) == [3, 4]
 
 
 def test_schmidt_all_small_q():
@@ -272,19 +303,20 @@ def test_run_checks_unknown_id():
         run_checks(make_field(3, 1), ids=["T3.3"])  # even-only check
 
 
-def test_jobs_determinism_q3():
+def test_jobs_determinism_q3(monkeypatch):
+    # each run starts from an empty cache; the session's cache is put back
     import srd3.verify as V
     F = make_field(3, 1)
-    V._sweep_cache.clear()
+    monkeypatch.setattr(V, "_sweep_cache", {})
     g1, _ = solid_groups(F, jobs=1)
-    V._sweep_cache.clear()
+    monkeypatch.setattr(V, "_sweep_cache", {})
     g2, _ = solid_groups(F, jobs=2)
     assert g1.keys() == g2.keys()
     for sig in g1:
         assert np.array_equal(g1[sig], g2[sig])
-    V._sweep_cache.clear()
+    monkeypatch.setattr(V, "_sweep_cache", {})
     r1 = verify_r2n_equals_h1(make_field(2, 2), jobs=1)[0]
-    V._sweep_cache.clear()
+    monkeypatch.setattr(V, "_sweep_cache", {})
     r2 = verify_r2n_equals_h1(make_field(2, 2), jobs=2)[0]
     assert r1.computed == r2.computed
     assert r1.details == r2.details
@@ -318,8 +350,8 @@ def test_line_pair_planes_match_chunked_od4_q3():
             want.append(lo + keep[(d4[:, 1] + d4[:, 2]) > 0])
     want = np.concatenate(want)
     ids = _ids_where(plane_sweep(F)[0], lambda sig: True)
-    assert np.array_equal(ids[_on_line_pair(F, ids, jobs=1)], want)
-    assert np.array_equal(ids[_on_line_pair(F, ids, jobs=2)], want)
+    assert np.array_equal(ids[on_line_pair(F, ids, jobs=1)], want)
+    assert np.array_equal(ids[on_line_pair(F, ids, jobs=2)], want)
 
 
 # the (k, class) passes a full check set takes: lines, planes and solids
@@ -341,7 +373,7 @@ def test_run_checks_builds_each_pass_once(p, h, monkeypatch):
         return through(F, k, c, jobs)
 
     monkeypatch.setattr(V, "_through", counting)
-    V._sweep_cache.clear()
+    monkeypatch.setattr(V, "_sweep_cache", {})
     _ok(run_checks(F))
     assert sorted(built) == sorted(_PASSES[F.q])
     # no cache entry of a Grassmannian-wide sweep
@@ -388,7 +420,7 @@ def test_line_pair_counts_match_sweep(p, h):
     groups, flags, _ = _sweep(F, 3)
     ids = np.concatenate(list(groups.values()))
     complete = np.concatenate([flags[sig] for sig in groups])
-    target = _on_line_pair(F, ids)
+    target = on_line_pair(F, ids)
     counts = _counts(F, 3)
     pair = {key: n for key, n in counts.items() if key[0] == 0 and key[_OD4][1] + key[_OD4][2]}
     assert sum(pair.values()) == int(target.sum())
@@ -454,6 +486,36 @@ def test_golden_counts_q5():
         ((0, 5, 5, 21), False): 93000, ((0, 6, 1, 24), False): 193750,
         ((0, 6, 6, 19), False): 62000, ((0, 8, 3, 20), False): 9300,
         ((0, 10, 0, 21), False): 46500, ((0, 15, 0, 16), False): 3875}
+
+
+def _exact_run(F):
+    """run_checks(F) by check id; every row passes, and every row but the
+    discrepancy row is exact."""
+    reports = {r.check_id: r for r in _ok(run_checks(F))}
+    statuses = {cid: r.status for cid, r in reports.items()}
+    assert statuses.pop("CR3-OD4") == DISCREPANCY
+    assert set(statuses.values()) == {PASS}
+    return reports
+
+
+def test_exact_goldens_q7():
+    r = _exact_run(make_field(7, 1))
+    assert set(r) == {"censuses", "tables", "T3.2", "T3.10", "T3.12", "T3.21",
+                      "C4", "Y03q", "CR3-OD4"}
+    assert sorted(r["T3.2"].details["group_sizes"].values()) == [58653, 703836, 1407672]
+    assert r["T3.21"].details["min_rank3_planes"] == 65856
+
+
+def test_exact_goldens_q8():
+    r = _exact_run(make_field(2, 3))
+    assert set(r) == {"censuses", "tables", "T3.3", "T3.4", "T3.8", "T3.7", "T3.10",
+                      "T3.14", "T3.21", "C4", "Y03q", "CR3-OD4"}
+    assert sorted(r["T3.3"].details["group_sizes"].values()) == [130816, 2060352, 4120704]
+    for cid, n in (("T3.4", 511), ("T3.8", 85848)):
+        assert r[cid].details["matching_planes"] == r[cid].details["orbit_size"] == n
+    assert r["T3.7"].details["intersection_dim_histogram"] == [134217728, 21827584, 42632, 1]
+    assert r["T3.10"].details["complete_planes"] == r["T3.10"].details["family_size"] == 86360
+    assert r["T3.21"].details["min_rank3_planes"] == 75264
 
 
 def test_render_formats():

@@ -41,7 +41,8 @@ s_c(k) the od0 column of class c, for every class with s_c(k) > 0.  A pass
 (_through) counts the k-subspaces through x_c, the class-c point of
 smallest code: they are span(x_c, U) for the (k-1)-subspaces U of a
 coordinate hyperplane x_j = 0 that misses x_c, [5 choose k-1]_q of them
-instead of the [6 choose k]_q of the whole Grassmannian.  _counts adds up
+instead of the [6 choose k]_q of the whole Grassmannian, each written in
+RREF with no elimination (_bases_through).  _counts adds up
 each key row in the pass of the first class it meets in the order P3, the
 two rank-2 classes, P1, so every subspace is counted once; that N_c n_c(k)
 is divisible by s_c(k) is checked, and a remainder is an internal error.
@@ -93,8 +94,9 @@ from srd3.invariants import od0, od4, pgl3_order, point_class, stabilizer_order,
 from srd3.report import CheckReport, make_report
 from srd3.veronese import nucleus_plane
 
-# the largest q whose counts are exact: the full check set takes about 28 s
-# and 120 MB at q = 8 with one worker; the q = 9 passes alone take minutes
+# the largest q whose counts are exact: the full check set takes about 16 s
+# and 116 MB at q = 8 with one worker; the q = 9 plane and solid passes
+# alone take about 2.7 min and 153 MB
 EXACT_MAX_Q = 8
 SAMPLE_SIZE = 100_000
 _SEED = 0x5D3
@@ -226,16 +228,28 @@ def _keys(t, bases: np.ndarray) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
+def _row_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of keys (n, m) in ascending lexicographic order and
+    how often each occurs, as np.unique(keys, axis=0, return_counts=True):
+    one np.lexsort, then the runs of equal rows are cut where a row differs
+    from the one before it.  No rows give no entries."""
+    if not len(keys):
+        return keys[:0], np.zeros(0, dtype=np.intp)
+    rows = keys[np.lexsort(keys.T[::-1])]
+    start = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)]))
+    return rows[start], np.diff(np.append(start, len(rows)))
+
+
 def _histogram(t, k: int, chunks: list, bases_of, jobs: int) -> dict[tuple, int]:
     """{key row: how many} over the RREF bases bases_of(chunk) of the
-    k-subspaces of every chunk.  Each chunk's histogram is one np.unique of
-    its key rows, and the histograms are added up in chunk order."""
+    k-subspaces of every chunk.  Each chunk's histogram is one _row_counts
+    of its key rows, and the histograms are added up in chunk order."""
     if k == 3:
         t.hclass_table()  # build before forking
 
     def work(chunk):
-        rows, n = np.unique(_keys(t, bases_of(chunk)), axis=0, return_counts=True)
-        return [(tuple(int(v) for v in row), int(m)) for row, m in zip(rows, n)]
+        rows, n = _row_counts(_keys(t, bases_of(chunk)))
+        return list(zip(map(tuple, rows.tolist()), n.tolist()))
 
     out: dict[tuple, int] = {}
     for part in _pmap(work, chunks, jobs):
@@ -244,23 +258,50 @@ def _histogram(t, k: int, chunks: list, bases_of, jobs: int) -> dict[tuple, int]
     return dict(sorted(out.items()))
 
 
+def _bases_through(kit: bulk.Kit, x: np.ndarray, k: int, chunk: tuple[int, int]) -> np.ndarray:
+    """RREF bases (N, k, 6) of span(x, U) for the (k-1)-subspaces U of
+    x_j = 0 named by chunk, a range of tail ids of the (k-1)-Grassmannian;
+    x is a normalized point with its leading 1 at column j.
+
+    A tail id's basis has column 0 zero.  Its columns 1..5 go monotonically
+    to the columns other than j (order [1, ..., j, 0, j+1, ..., 5]), which
+    keeps it in RREF and makes column j zero.  x is reduced against U once,
+    x' = x - sum_i x[piv_i] u_i, so x' is 0 at U's pivots and, as u_i is 0
+    left of piv_i and x[piv_i] = 0 for piv_i < j, x' still leads with the 1
+    at column j.  x' put among U's rows by pivot is the RREF of span(x, U),
+    with no elimination."""
+    j = int(np.argmax(x != 0))
+    assert x[j] == 1, "x must be normalized"
+    cols = [*range(1, j + 1), 0, *range(j + 1, 6)]
+    U = bulk.subspace_bases(kit.q, k - 1, np.arange(*chunk))[:, :, cols]
+    N = len(U)
+    piv = np.argmax(U != 0, axis=2)
+    coef = x[piv]
+    xr = np.broadcast_to(x, (N, 6))
+    for i in range(k - 1):
+        xr = kit.sub(xr, kit.mul(coef[:, i, None], U[:, i]))
+    at = (piv < j).sum(axis=1)
+    out = np.empty((N, k, 6), dtype=U.dtype)
+    rows = np.arange(k - 1)
+    out[np.arange(N)[:, None], rows + (rows >= at[:, None])] = U
+    out[np.arange(N), at] = xr
+    return out
+
+
 def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
     """The k-subspaces through x_c, the class-c point of smallest code
     (PointClass's point): {key row: how many}.
 
     They are span(x_c, U), U a (k-1)-subspace of x_j = 0, j the leading
-    coordinate of x_c.  With columns 0 and j swapped those U are the
-    (k-1)-subspaces whose pivots avoid column 0, the tail of the
-    (k-1)-Grassmannian's ids.  Each block is reduced to RREF, which
-    quotient_codes and od4_batch need."""
+    coordinate of x_c.  Those U are the tail of the (k-1)-Grassmannian's
+    ids, the subspaces whose pivots avoid column 0, moved into x_j = 0; the
+    bases (_bases_through) come out in RREF, which quotient_codes and
+    od4_batch need, without an elimination."""
     q = F.q
     t = tables(F)
     # PointClass asserts that x_c's class is one orbit, the prerequisite of
     # the counting
-    x = bulk.decode(point_class(F, c).codes[:1], q, 6)
-    j = int(np.argmax(x[0] != 0))
-    cols = np.arange(6)
-    cols[[0, j]] = cols[[j, 0]]
+    x = bulk.decode(point_class(F, c).codes[:1], q, 6)[0]
     end = gaussian_binomial(6, k - 1, q)
     # half blocks: the passes run back to back, and with full blocks the
     # heap they leave behind raised the peak RSS of the three q=5 solid
@@ -268,13 +309,7 @@ def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
     block = _block_size(q, k) // 2
     chunks = [(s, min(s + block, end))
               for s in range(end - gaussian_binomial(5, k - 1, q), end, block)]
-
-    def bases_of(chunk):
-        U = bulk.subspace_bases(q, k - 1, np.arange(*chunk))[:, :, cols]
-        return bulk.rref_batch(t.kit, np.concatenate(
-            [np.broadcast_to(x, (len(U), 1, 6)), U], axis=1))[0]
-
-    return _histogram(t, k, chunks, bases_of, jobs)
+    return _histogram(t, k, chunks, lambda chunk: _bases_through(t.kit, x, k, chunk), jobs)
 
 
 # point classes (GeomTables.class_code) in the order a subspace is counted

@@ -16,8 +16,10 @@ quotient images by row elimination, which bulk.quotient_codes reads as
 the values of the dual vectors, the rank-1-free sweep with od0_batch over every subspace, which the
 package runs only on the solids whose pencil of dual conics has no base
 point, r2n = h1 on every plane of the Grassmannian, which the package
-counts through one point of each point class, and the line-pair flag of
-planes named by id, which the package reads from the same counts.
+counts through one point of each point class, the line-pair flag of
+planes named by id, which the package reads from the same counts, and the
+k-subspaces through a point by elimination, which the package writes in
+RREF directly.
 """
 
 from __future__ import annotations
@@ -298,6 +300,22 @@ def rank1_free_groups_unfiltered(F: FieldCtx, k: int, jobs: int = 1):
             groups.setdefault(sig, []).append(ids)
     merged = {sig: np.concatenate(arrs) for sig, arrs in groups.items()}
     return merged, gaussian_binomial(6, k, q)
+
+
+def spans_through_eliminate(kit: bulk.Kit, x: np.ndarray, k: int,
+                            chunk: tuple[int, int], cols=None) -> np.ndarray:
+    """verify._bases_through by elimination: the U with (k-1)-Grassmannian
+    ids in chunk, their columns taken in the order cols, x stacked over
+    them, and one rref_batch.  By default cols swaps column 0 with j, the
+    leading coordinate of x, which maps the same tail of ids onto the
+    (k-1)-subspaces of x_j = 0 in another order."""
+    if cols is None:
+        j = int(np.argmax(x != 0))
+        cols = np.arange(6)
+        cols[[0, j]] = cols[[j, 0]]
+    U = bulk.subspace_bases(kit.q, k - 1, np.arange(*chunk))[:, :, cols]
+    return bulk.rref_batch(kit, np.concatenate(
+        [np.broadcast_to(x, (len(U), 1, 6)), U], axis=1))[0]
 
 
 def on_line_pair(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:

@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srd3 import bulk
-from srd3.gf import make_field
-from srd3.invariants import pgl3_order, stabilizer_order, tables
+from srd3.gf import make_field, parse_field_spec
+from srd3.invariants import pgl3_order, point_class, stabilizer_order, tables
 from srd3.pg import gaussian_binomial
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
 from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1,
-                         VerifyError, _counts, _ids_where, _is_orbit,
-                         _min_rank2_solid_sigs, _sweep, _tally,
+                         VerifyError, _bases_through, _counts, _histogram,
+                         _ids_where, _is_orbit, _min_rank2_solid_sigs,
+                         _row_counts, _sweep, _tally, _through,
                          line_sweep_completeness, min_rank2_coverage, plane_sweep,
                          planes_covered_by_solids, run_checks,
                          solid_groups, verify_censuses, verify_class_counts,
@@ -22,7 +24,7 @@ from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1
                          verify_solids, verify_tables)
 
 from oracles import (line_sweep_union, on_line_pair, r2n_h1_sweep,
-                     rank1_free_groups_unfiltered)
+                     rank1_free_groups_unfiltered, spans_through_eliminate)
 
 
 def _ok(reports):
@@ -472,6 +474,124 @@ def test_count_not_a_multiple_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(V, "_sweep_cache", {("through", 4, 4, id(F)): {key: good[key] + 1}})
     with pytest.raises(RuntimeError, match="not a multiple"):
         _counts(F, 4)
+
+
+# every field with point tables up to q = 9, GF(8) and GF(9) each with a
+# modulus other than the default one (x^3+x^2+1 and x^2+x+2)
+THROUGH_FIELDS = ["2", "3", "4", "5", "7", "2^3/101", "3^2/1,2"]
+
+
+def _point(F, c):
+    return bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
+
+
+def _tail(q, k):
+    """The ids of the (k-1)-subspaces whose pivots avoid column 0, [lo, end)."""
+    end = gaussian_binomial(6, k - 1, q)
+    return end - gaussian_binomial(5, k - 1, q), end
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(THROUGH_FIELDS), c=st.sampled_from(_CLASS_ORDER),
+       k=st.integers(2, 4), data=st.data())
+def test_bases_through_match_elimination(spec, c, k, data):
+    # the RREF written directly against x stacked over the same U and
+    # eliminated, row for row, on slices that cross U's pivot patterns
+    F = parse_field_spec(spec)
+    kit = bulk.kit_for(F)
+    x = _point(F, c)
+    j = int(np.argmax(x != 0))
+    lo, end = _tail(F.q, k)
+    # pattern boundaries inside the tail (id_chunks never crosses one)
+    cuts = [hi for _, hi in bulk.id_chunks(F.q, k - 1, end) if lo < hi < end]
+    cut = data.draw(st.sampled_from(cuts))
+    chunk = (max(lo, cut - data.draw(st.integers(1, 60))),
+             min(end, cut + data.draw(st.integers(1, 60))))
+    got = _bases_through(kit, x, k, chunk)
+    want = spans_through_eliminate(kit, x, k, chunk, [*range(1, j + 1), 0, *range(j + 1, 6)])
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(bulk.subspace_ids(F.q, got), bulk.subspace_ids(F.q, want))
+
+
+@pytest.mark.parametrize("spec,k", [(s, k) for s in ("2", "3", "4") for k in (2, 3, 4)]
+                         + [("5", 3), ("7", 2), ("2^3/101", 2), ("3^2/1,2", 2)])
+def test_bases_through_cover_the_same_subspaces(spec, k):
+    # over the whole tail, the same k-subspaces as the old construction
+    # (columns 0 and j swapped, then elimination): every one through x once
+    F = parse_field_spec(spec)
+    kit = bulk.kit_for(F)
+    tail = _tail(F.q, k)
+    for c in _CLASS_ORDER:
+        x = _point(F, c)
+        got = bulk.subspace_ids(F.q, _bases_through(kit, x, k, tail))
+        want = bulk.subspace_ids(F.q, spans_through_eliminate(kit, x, k, tail))
+        assert len(np.unique(got)) == len(got) == gaussian_binomial(5, k - 1, F.q)
+        assert np.array_equal(np.sort(got), np.sort(want)), (c, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([0, 1, 2, 3, 40, 500]), m=st.integers(1, 11),
+       hi=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_counts_match_unique(n, m, hi, seed):
+    keys = np.random.default_rng(seed).integers(0, hi, (n, m), dtype=np.int64)
+    rows, counts = _row_counts(keys)
+    want_rows, want_counts = np.unique(keys, axis=0, return_counts=True)
+    assert rows.shape == want_rows.shape
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(counts, want_counts)
+
+
+def test_empty_block_contributes_nothing():
+    # every solid through a rank-1 point has one, so each block of the P1
+    # solid pass has no key row
+    F = make_field(3, 1)
+    assert _through(F, 4, 1) == {}
+    t = tables(F)
+    empty = np.zeros((0, 4, 6), dtype=np.uint8)
+    chunks = [(0, 0), _tail(3, 4)]
+    x = _point(F, 4)
+    got = _histogram(t, 4, chunks,
+                     lambda ch: empty if ch == (0, 0) else _bases_through(t.kit, x, 4, ch), 1)
+    assert got == _through(F, 4, 4)
+
+
+@pytest.mark.parametrize("p,h", [(3, 1), (2, 2)], ids=["q3", "q4"])
+def test_small_blocks_fork_and_count_the_same(p, h, monkeypatch):
+    # default blocks hold a whole pass at q <= 4, so _pmap never forks; with
+    # small blocks the chunks cross U's pivot patterns, the pencil filter
+    # empties some solid blocks, and jobs=2 forks
+    import srd3.verify as V
+    F = make_field(p, h)
+    want = {k: _counts(F, k) for k in (2, 3, 4)}
+    monkeypatch.setattr(V, "_block_size", lambda q, k: 24)
+    chunks, solid_keys = [], []
+    histogram, keys = V._histogram, V._keys
+
+    def recording_histogram(t, k, cs, bases_of, jobs):
+        chunks.extend((k, ch) for ch in cs)
+        return histogram(t, k, cs, bases_of, jobs)
+
+    def recording_keys(t, bases):
+        got = keys(t, bases)
+        if bases.shape[1] == 4:
+            solid_keys.append(len(got))
+        return got
+
+    monkeypatch.setattr(V, "_histogram", recording_histogram)
+    monkeypatch.setattr(V, "_keys", recording_keys)
+    for jobs in (1, 2):
+        monkeypatch.setattr(V, "_sweep_cache", {})
+        for k in (2, 3, 4):
+            assert _counts(F, k, jobs) == want[k], (k, jobs)
+        if jobs == 1:
+            assert 0 in solid_keys and max(solid_keys) > 0
+    cuts = {k: [hi for _, hi in bulk.id_chunks(F.q, k - 1, gaussian_binomial(6, k - 1, F.q))]
+            for k in (2, 3, 4)}
+    for k in (2, 3, 4):
+        crossing = [(lo, hi) for kk, (lo, hi) in chunks if kk == k
+                    and any(lo < cut < hi for cut in cuts[k])]
+        assert crossing, k
 
 
 def test_golden_counts_q5():

@@ -28,7 +28,7 @@ import time
 from srd3 import bulk
 from srd3.codes import points_of_rank_below
 from srd3.gf import FieldCtx, parse_field_spec
-from srd3.invariants import tables
+from srd3.invariants import require_tables, tables
 from srd3.report import CheckReport, make_report
 from srd3.verify import run_checks
 
@@ -59,9 +59,12 @@ def run_acceptance(fields: list[str] | None = None, jobs: int = 1,
     """Run the acceptance plan restricted to the given field specs.
 
     A requested field with no selected row in the plan (e.g. q = 7) runs
-    every check that applies to it via run_checks, as criterion 0.
+    every check that applies to it via run_checks, as criterion 0.  A field
+    above the point tables' range is refused before any check runs.
     """
     wanted_fields = None if fields is None else {str(f) for f in fields}
+    for fspec in wanted_fields or ():
+        require_tables(parse_field_spec(fspec).q)
     reports: list[CheckReport] = []
     seen_any = set()
     for crit, fspec, ids in PLAN:

@@ -2,9 +2,9 @@
 
 Everything here operates on uint8/uint16 arrays of field codes and mirrors
 the scalar routines in :mod:`srd3.pg`; the test suite cross-checks the two.
-The kernels exist because the verification drivers sweep millions of
-subspaces (all 376805 planes of PG(5,4), half a million solids of PG(5,5)),
-which is not viable point-by-point in Python.
+The kernels exist because the verification drivers classify the points of
+hundreds of thousands of subspaces (the 304265 planes through one point of
+PG(5,8), say), which is not viable point-by-point in Python.
 
 A subspace of F^6 is named everywhere by one int64 id, its index in the
 canonical RREF order (see "Subspace ids" below); this module alone knows

@@ -95,9 +95,18 @@ def exterior_by_tangents(F: FieldCtx, y) -> bool:
 # every q <= 9 fits in one block
 TABLE_BLOCK = 1 << 20
 
+# the largest q with point tables: they index all q^6 vectors of F_q^6
+TABLE_MAX_Q = 16
+
+
+def require_tables(q: int) -> None:
+    """Raise FieldError if GF(q) is above the point tables' range."""
+    if q > TABLE_MAX_Q:
+        raise FieldError(f"point tables support q <= {TABLE_MAX_Q}, got q={q}")
+
 
 class GeomTables:
-    """Code-indexed classification tables for one field (q <= 16).
+    """Code-indexed classification tables for one field (q <= TABLE_MAX_Q).
 
     point codes run over all of F_q^6 (not just normalized vectors); both
     rank and class are scale invariant so no normalization is needed at
@@ -105,8 +114,7 @@ class GeomTables:
     """
 
     def __init__(self, F: FieldCtx):
-        if F.q > 16:
-            raise FieldError(f"point tables support q <= 16, got q={F.q}")
+        require_tables(F.q)
         self.F = F
         q = F.q
         self.kit = bulk.kit_for(F)

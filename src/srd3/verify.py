@@ -50,6 +50,16 @@ Only T3.7, which counts every plane, takes the P1 pass: the other families
 have no rank-1 point.  The passes run in _block_size blocks through _pmap,
 so the counts are sums and do not depend on the number of workers.
 
+A pass skips what it cannot count.  Before the key rows, each block of the
+pass of class c classifies PROBE_POINTS fixed points of every subspace (one
+combine and one class_code lookup) and drops the subspaces that show a
+point of a class before c.  That is exact: a survivor still gets its full
+key row, and a dropped subspace has a point of an earlier class, so
+_counts would skip its key row here and the earlier pass counts it.  Most
+subspaces through a rank-2 or rank-1 point have many rank-3 points, so
+the later passes keep a handful: none of the q = 5 solids through a
+rank-2 point, and 3 of the 20306 planes through x_P2e.
+
 Orbits are never walked.  A family that G maps to itself holds the orbit
 of each of its members, so it is the orbit of W iff W is a member and the
 family has |G| / |Stab(W)| members (orbit-stabiliser);
@@ -90,13 +100,14 @@ import numpy as np
 from srd3 import bulk
 from srd3.gf import FieldCtx
 from srd3.pg import Subspace, gaussian_binomial
-from srd3.invariants import od0, od4, pgl3_order, point_class, stabilizer_order, tables
+from srd3.invariants import (od0, od4, pgl3_order, point_class, require_tables,
+                             stabilizer_order, tables)
 from srd3.report import CheckReport, make_report
 from srd3.veronese import nucleus_plane
 
-# the largest q whose counts are exact: the full check set takes about 16 s
-# and 116 MB at q = 8 with one worker; the q = 9 plane and solid passes
-# alone take about 2.7 min and 153 MB
+# the largest q whose counts are exact: the full check set takes about 12 s
+# and 120 MB at q = 8 with one worker; the q = 9 plane and solid passes
+# alone would take about 77 s and 153 MB, nearly all of it the two P3 passes
 EXACT_MAX_Q = 8
 SAMPLE_SIZE = 100_000
 _SEED = 0x5D3
@@ -288,33 +299,56 @@ def _bases_through(kit: bulk.Kit, x: np.ndarray, k: int, chunk: tuple[int, int])
     return out
 
 
-def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
-    """The k-subspaces through x_c, the class-c point of smallest code
-    (PointClass's point): {key row: how many}.
-
-    They are span(x_c, U), U a (k-1)-subspace of x_j = 0, j the leading
-    coordinate of x_c.  Those U are the tail of the (k-1)-Grassmannian's
-    ids, the subspaces whose pivots avoid column 0, moved into x_j = 0; the
-    bases (_bases_through) come out in RREF, which quotient_codes and
-    od4_batch need, without an elimination."""
-    q = F.q
-    t = tables(F)
-    # PointClass asserts that x_c's class is one orbit, the prerequisite of
-    # the counting
-    x = bulk.decode(point_class(F, c).codes[:1], q, 6)[0]
+def _through_chunks(q: int, k: int) -> list[tuple[int, int]]:
+    """The blocks of a pass of k-subspaces: ranges of the tail ids of the
+    (k-1)-Grassmannian, the (k-1)-subspaces whose pivots avoid column 0."""
     end = gaussian_binomial(6, k - 1, q)
     # half blocks: the passes run back to back, and with full blocks the
     # heap they leave behind raised the peak RSS of the three q=5 solid
     # passes by about 5 MB, for no gain in speed
     block = _block_size(q, k) // 2
-    chunks = [(s, min(s + block, end))
-              for s in range(end - gaussian_binomial(5, k - 1, q), end, block)]
-    return _histogram(t, k, chunks, lambda chunk: _bases_through(t.kit, x, k, chunk), jobs)
+    return [(s, min(s + block, end))
+            for s in range(end - gaussian_binomial(5, k - 1, q), end, block)]
 
 
 # point classes (GeomTables.class_code) in the order a subspace is counted
 # in: P3, the two rank-2 classes, P1
 _CLASS_ORDER = (4, 2, 3, 1)
+
+# points of each subspace classified before its key row in a pass: the
+# combinations of its basis rows with the last PROBE_POINTS normalized
+# coefficient vectors, or with all of them where there are fewer (a line
+# at q = 2 has 3 points)
+PROBE_POINTS = 8
+
+
+def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
+    """The k-subspaces through x_c, the class-c point of smallest code
+    (PointClass's point), that show no point of a class before c in
+    _CLASS_ORDER among PROBE_POINTS fixed points: {key row: how many}.
+
+    They are span(x_c, U), U a (k-1)-subspace of x_j = 0, j the leading
+    coordinate of x_c.  Those U are the tail of the (k-1)-Grassmannian's
+    ids, moved into x_j = 0; the bases (_bases_through) come out in RREF,
+    which quotient_codes and od4_batch need, without an elimination.  A
+    subspace dropped by the probe has a point of an earlier class, so
+    _counts would skip its key row here anyway."""
+    t = tables(F)
+    # PointClass asserts that x_c's class is one orbit, the prerequisite of
+    # the counting
+    x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
+    earlier = np.zeros(5, dtype=bool)
+    earlier[list(_CLASS_ORDER[:_CLASS_ORDER.index(c)])] = True
+    probe = t.coeffs(k)[-PROBE_POINTS:]
+
+    def bases_of(chunk):
+        bases = _bases_through(t.kit, x, k, chunk)
+        if not earlier.any():
+            return bases
+        shown = earlier[t.class_code[bulk.combine(t.kit, probe, bases)]]
+        return bases[~shown.any(axis=1)]
+
+    return _histogram(t, k, _through_chunks(F.q, k), bases_of, jobs)
 
 
 def _counts(F: FieldCtx, k: int, jobs: int = 1,
@@ -1015,7 +1049,10 @@ def _applies(parity: str, F: FieldCtx) -> bool:
 
 
 def run_checks(F: FieldCtx, ids: list[str] | None = None, jobs: int = 1) -> list[CheckReport]:
-    """Run the requested checks (all applicable ones by default)."""
+    """Run the requested checks (all applicable ones by default).  Every
+    check needs the point tables, so a field above their range is refused
+    before any check runs."""
+    require_tables(F.q)
     wanted = list(DRIVERS) if ids is None else ids
     for i in wanted:
         if i not in DRIVERS:

@@ -17,9 +17,10 @@ the values of the dual vectors, the rank-1-free sweep with od0_batch over every 
 package runs only on the solids whose pencil of dual conics has no base
 point, r2n = h1 on every plane of the Grassmannian, which the package
 counts through one point of each point class, the line-pair flag of
-planes named by id, which the package reads from the same counts, and the
+planes named by id, which the package reads from the same counts, the
 k-subspaces through a point by elimination, which the package writes in
-RREF directly.
+RREF directly, and the key row of every subspace through x_c, where the
+package's pass drops those that show a point of an earlier class.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from srd3 import bulk
 from srd3.codes import SrdCode, min_distance
 from srd3.gf import FieldCtx, FieldError, cubic_extension, is_square
 from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, k_generators,
-                             orbit_of, pgl3_order, tables)
+                             orbit_of, pgl3_order, point_class, tables)
 from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
                      gaussian_binomial, matrix_rank, normalize_vec, nullspace,
                      subspace_points)
 from srd3.veronese import (as_matrix, lift, mat_mul, pg2_points,
                            point_rank, veronese)
-from srd3.verify import _block_size, _pmap
+from srd3.verify import _bases_through, _block_size, _histogram, _pmap, _through_chunks
 
 
 def in_nucleus_plane(y: Iterable[int]) -> bool:
@@ -316,6 +317,15 @@ def spans_through_eliminate(kit: bulk.Kit, x: np.ndarray, k: int,
     U = bulk.subspace_bases(kit.q, k - 1, np.arange(*chunk))[:, :, cols]
     return bulk.rref_batch(kit, np.concatenate(
         [np.broadcast_to(x, (len(U), 1, 6)), U], axis=1))[0]
+
+
+def through_unfiltered(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
+    """verify._through with no probe: {key row: how many} over every
+    k-subspace through x_c, in the same blocks."""
+    t = tables(F)
+    x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
+    return _histogram(t, k, _through_chunks(F.q, k),
+                      lambda chunk: _bases_through(t.kit, x, k, chunk), jobs)
 
 
 def on_line_pair(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:

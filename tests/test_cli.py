@@ -159,6 +159,23 @@ def test_field_above_table_range_exit_2(tmp_path, capsys):
     assert want in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("q", [27, 32])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "Y03q"], ["verify", "--theorem", "CR3-OD4"], ["verify"],
+    ["acceptance", "--fields", "3,{q}"]], ids=["Y03q", "CR3-OD4", "all", "acceptance"])
+def test_checks_above_table_range_name_q(capsys, monkeypatch, q, argv):
+    # refused before any check runs, naming the user's q rather than the
+    # cubic extension GF(q^3) that Y03q and CR3-OD4 would build first
+    calls = []
+    _stub_drivers(monkeypatch, calls)
+    argv = [a.format(q=q) for a in argv]
+    if argv[0] == "verify":
+        argv += ["--field", str(q)]
+    assert main(argv) == 2
+    assert f"point tables support q <= 16, got q={q}" in _one_line_error(capsys)
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--field", "3", "--theorem", "censuses", "--jobs", "0"],
     ["acceptance", "--fields", "3", "--jobs", "-1"],

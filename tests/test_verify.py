@@ -24,7 +24,8 @@ from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1
                          verify_solids, verify_tables)
 
 from oracles import (line_sweep_union, on_line_pair, r2n_h1_sweep,
-                     rank1_free_groups_unfiltered, spans_through_eliminate)
+                     rank1_free_groups_unfiltered, spans_through_eliminate,
+                     through_unfiltered)
 
 
 def _ok(reports):
@@ -447,9 +448,8 @@ def test_r2n_h1_counts_match_sweep(p, h):
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
 def test_counts_agree_through_every_class(p, h):
     # N_c n_c(key) / s_c(key) is the same number for every class c that a
-    # key's subspaces meet, not only the first one, which _counts uses
-    import srd3.verify as V
-    from srd3.invariants import point_class
+    # key's subspaces meet, not only the first one, which _counts uses; the
+    # unfiltered passes hold every key row through x_c
     F = make_field(p, h)
     for k in (2, 3, 4):
         counts = _counts(F, k, classes=_CLASS_ORDER)
@@ -458,11 +458,46 @@ def test_counts_agree_through_every_class(p, h):
         seen = 0
         for c in _CLASS_ORDER:
             size = len(point_class(F, c).codes)
-            for key, n in V._through(F, k, c).items():
+            for key, n in through_unfiltered(F, k, c).items():
                 assert size * n % key[c - 1] == 0
                 assert size * n // key[c - 1] == counts[key], (k, c, key)
                 seen += 1
         assert seen > len(counts)
+
+
+def _counted(F, c, rows):
+    """_counts' rule on the key rows of one pass of class c: the rows whose
+    first class is c, each as N_c n / s_c."""
+    size = len(point_class(F, c).codes)
+    return {key: size * n // key[c - 1] for key, n in rows.items()
+            if next(d for d in _CLASS_ORDER if key[d - 1]) == c}
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["q2", "q3", "q4", "q5"])
+def test_probed_passes_count_as_unfiltered(p, h, monkeypatch):
+    # the probe drops only subspaces that an earlier pass counts: each
+    # class's counts equal those read from every key row through x_c; small
+    # blocks make jobs=2 fork and leave some blocks with no survivor
+    import srd3.verify as V
+    F = make_field(p, h)
+    monkeypatch.setattr(V, "_block_size", lambda q, k: 512)
+    for k in (2, 3, 4):
+        for c in _CLASS_ORDER:
+            for jobs in (1, 2):
+                want = _counted(F, c, through_unfiltered(F, k, c, jobs))
+                assert _fresh_counts(F, k, jobs, (c,)) == want, (k, c, jobs)
+
+
+@pytest.mark.parametrize("p,h", [(2, 2), (5, 1)], ids=["q4", "q5"])
+def test_probe_drops_what_a_pass_cannot_count(p, h):
+    # every rank-1-free solid through a rank-2 point has a rank-3 point, and
+    # the probe finds one in each at q = 5; of the planes through x_P2a only
+    # a few dozen show no rank-3 point, against thousands through x_c
+    F = make_field(p, h)
+    if F.q == 5:
+        assert _through(F, 4, 2) == {} and _through(F, 4, 3) == {}
+    assert 0 < sum(_through(F, 3, 2).values()) <= 40
+    assert sum(through_unfiltered(F, 3, 2).values()) == gaussian_binomial(5, 2, F.q)
 
 
 def test_count_not_a_multiple_is_an_internal_error(monkeypatch):

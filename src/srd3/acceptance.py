@@ -192,10 +192,11 @@ def verify_properties(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
         # counting, on every rank-2 point (the first 400 above q = 5)
         t = tables(F)
         pts = points_of_rank_below(F, 3)
-        pts = pts[t.rank_code[bulk.encode(pts, q)] == 2]
+        cls = t.class_code[bulk.encode(pts, q)]
+        rank2 = (cls == 2) | (cls == 3)
+        pts, ext = pts[rank2], cls[rank2] == 2               # P2e
         if q > 5:
-            pts = pts[:400]
-        ext = t.class_code[bulk.encode(pts, q)] == 2        # P2e
+            pts, ext = pts[:400], ext[:400]
         results["exterior_interior_agree"] = all(
             bool(e) == exterior_by_tangents(F, tuple(int(x) for x in y))
             for e, y in zip(ext, pts))

@@ -209,13 +209,18 @@ def _eval_entry(F: FieldCtx, expr: str, params: dict[str, int]) -> dict[str, int
     return out
 
 
+def entry_rows(F: FieldCtx, entries: tuple[str, ...],
+               params: dict[str, int]) -> dict[str, tuple[int, ...]]:
+    """The six entries evaluated: for each indeterminate, the row of its
+    coefficients."""
+    table = [_eval_entry(F, e, params) for e in entries]
+    return {var: tuple(t.get(var, 0) for t in table) for var in _VARS}
+
+
 def _basis_from_entries(F: FieldCtx, entries: tuple[str, ...], nvars: int,
                         params: dict[str, int]) -> Subspace:
-    table = [_eval_entry(F, e, params) for e in entries]
-    rows = []
-    for var in _VARS[:nvars]:
-        rows.append(tuple(t.get(var, 0) for t in table))
-    W = canonicalize(F, rows)
+    rows = entry_rows(F, entries, params)
+    W = canonicalize(F, [rows[var] for var in _VARS[:nvars]])
     if W.k != nvars:
         raise AtlasError(f"degenerate representative: rank {W.k} < {nvars}")
     return W
@@ -240,10 +245,6 @@ class RepSpec:
     ambiguous_with: str | None = None
 
 
-def _f(fn):
-    return fn
-
-
 _REGISTRY: dict[tuple[str, str], RepSpec] = {}
 
 
@@ -254,111 +255,111 @@ def _add(spec: RepSpec):
 # ---- lines, q even --------------------------------------------------------
 
 _add(RepSpec("o5", "line", "even", ("x", ".", ".", "y", ".", "."),
-             od0_formula=_f(lambda q: (2, 0, q - 1, 0)),
-             od4_formula=_f(lambda q: (1, 2 * q * q + q, 0, q ** 3 - q * q))))
+             od0_formula=lambda q: (2, 0, q - 1, 0),
+             od4_formula=lambda q: (1, 2 * q * q + q, 0, q ** 3 - q * q)))
 _add(RepSpec("o6", "line", "even", ("x", "y", ".", ".", ".", "."),
-             od0_formula=_f(lambda q: (1, 1, q - 1, 0)),
-             od4_formula=_f(lambda q: (q + 1, (3 * q * q + q) // 2, (q * q - q) // 2, q ** 3 - q * q))))
+             od0_formula=lambda q: (1, 1, q - 1, 0),
+             od4_formula=lambda q: (q + 1, (3 * q * q + q) // 2, (q * q - q) // 2, q ** 3 - q * q)))
 _add(RepSpec("o8_1", "line", "even", ("x", ".", ".", "y", ".", "-y"),
-             od0_formula=_f(lambda q: (1, 0, 1, q - 1)),
-             od4_formula=_f(lambda q: (1, q * q + 3 * q // 2, q // 2, q ** 3 - q))))
+             od0_formula=lambda q: (1, 0, 1, q - 1),
+             od4_formula=lambda q: (1, q * q + 3 * q // 2, q // 2, q ** 3 - q)))
 _add(RepSpec("o8_3", "line", "even", ("x", ".", ".", ".", "y", "."),
-             od0_formula=_f(lambda q: (1, 1, 0, q - 1)),
-             od4_formula=_f(lambda q: (q + 1, q * q + q, 0, q ** 3 - q))))
+             od0_formula=lambda q: (1, 1, 0, q - 1),
+             od4_formula=lambda q: (q + 1, q * q + q, 0, q ** 3 - q)))
 _add(RepSpec("o9", "line", "even", ("x", ".", "y", "y", ".", "."),
-             od0_formula=_f(lambda q: (1, 0, 0, q)),
-             od4_formula=_f(lambda q: (1, q * q + q, 0, q ** 3))))
+             od0_formula=lambda q: (1, 0, 0, q),
+             od4_formula=lambda q: (1, q * q + q, 0, q ** 3)))
 _add(RepSpec("o10", "line", "even", ("v0*x", "y", ".", "x+u*y", ".", "."),
              conditions=("uv0",),
-             od0_formula=_f(lambda q: (0, 0, q + 1, 0)),
-             od4_formula=_f(lambda q: (1, q * q + q, q * q, q ** 3 - q * q))))
+             od0_formula=lambda q: (0, 0, q + 1, 0),
+             od4_formula=lambda q: (1, q * q + q, q * q, q ** 3 - q * q)))
 _add(RepSpec("o12_1", "line", "even", (".", "x", ".", ".", "y", "."),
-             od0_formula=_f(lambda q: (0, q + 1, 0, 0)),
-             od4_formula=_f(lambda q: (q * q + q + 1, (q * q + q) // 2, (q * q - q) // 2, q ** 3 - q * q))))
+             od0_formula=lambda q: (0, q + 1, 0, 0),
+             od4_formula=lambda q: (q * q + q + 1, (q * q + q) // 2, (q * q - q) // 2, q ** 3 - q * q)))
 _add(RepSpec("o12_3", "line", "even", (".", "x", ".", "x+y", "y", "."),
-             od0_formula=_f(lambda q: (0, 1, q, 0)),
-             od4_formula=_f(lambda q: (q + 1, q * q + q // 2, q * q - q // 2, q ** 3 - q * q))))
+             od0_formula=lambda q: (0, 1, q, 0),
+             od4_formula=lambda q: (q + 1, q * q + q // 2, q * q - q // 2, q ** 3 - q * q)))
 _add(RepSpec("o13_1", "line", "even", (".", "x", ".", "y", ".", "-y"),
-             od0_formula=_f(lambda q: (0, 1, 1, q - 1)),
-             od4_formula=_f(lambda q: (q + 1, q * q // 2 + q, q * q // 2, q ** 3 - q))))
+             od0_formula=lambda q: (0, 1, 1, q - 1),
+             od4_formula=lambda q: (q + 1, q * q // 2 + q, q * q // 2, q ** 3 - q)))
 _add(RepSpec("o13_3", "line", "even", (".", "x", ".", "x+y", ".", "y"),
-             od0_formula=_f(lambda q: (0, 0, 2, q - 1)),
-             od4_formula=_f(lambda q: (1, (q * q + 3 * q) // 2, (q * q + q) // 2, q ** 3 - q))))
+             od0_formula=lambda q: (0, 0, 2, q - 1),
+             od4_formula=lambda q: (1, (q * q + 3 * q) // 2, (q * q + q) // 2, q ** 3 - q)))
 _add(RepSpec("o14_1", "line", "even", ("x", ".", ".", "-x-y", ".", "y"),
-             od0_formula=_f(lambda q: (0, 0, 3, q - 2)),
-             od4_formula=_f(lambda q: (1, q * q // 2 + 2 * q, q * q // 2 + q, q ** 3 - 2 * q))))
+             od0_formula=lambda q: (0, 0, 3, q - 2),
+             od4_formula=lambda q: (1, q * q // 2 + 2 * q, q * q // 2 + q, q ** 3 - 2 * q)))
 _add(RepSpec("o15_1", "line", "even", ("v1*y", "x", ".", "u*x+y", ".", "x"),
              conditions=("uv1",),
-             od0_formula=_f(lambda q: (0, 0, 1, q)),
-             od4_formula=_f(lambda q: (1, q * q // 2 + q, q * q // 2, q ** 3)),
+             od0_formula=lambda q: (0, 0, 1, q),
+             od4_formula=lambda q: (1, q * q // 2 + q, q * q // 2, q ** 3),
              ambiguous_with="o16_3"))
 _add(RepSpec("o16_1", "line", "even", (".", ".", "x", "x", "y", "."),
-             od0_formula=_f(lambda q: (0, 1, 0, q)),
-             od4_formula=_f(lambda q: (q + 1, (q * q + q) // 2, (q * q - q) // 2, q ** 3))))
+             od0_formula=lambda q: (0, 1, 0, q),
+             od4_formula=lambda q: (q + 1, (q * q + q) // 2, (q * q - q) // 2, q ** 3)))
 _add(RepSpec("o16_3", "line", "even", (".", ".", "x", "x", "y", "y"),
-             od0_formula=_f(lambda q: (0, 0, 1, q)),
-             od4_formula=_f(lambda q: (1, q * q // 2 + q, q * q // 2, q ** 3)),
+             od0_formula=lambda q: (0, 0, 1, q),
+             od4_formula=lambda q: (1, q * q // 2 + q, q * q // 2, q ** 3),
              ambiguous_with="o15_1"))
 _add(RepSpec("o17", "line", "even", ("ai*x", "y", ".", "bt*y-g*x", "x", "y"),
              conditions=("cubic",),
-             od0_formula=_f(lambda q: (0, 0, 0, q + 1)),
-             od4_formula=_f(lambda q: (1, (q * q + q) // 2, (q * q - q) // 2, q ** 3 + q))))
+             od0_formula=lambda q: (0, 0, 0, q + 1),
+             od4_formula=lambda q: (1, (q * q + q) // 2, (q * q - q) // 2, q ** 3 + q)))
 
 # ---- solids, q even -------------------------------------------------------
 
 _add(RepSpec("Omega1", "solid", "even", ("x", "y", "z", "t", ".", "t"),
-             od0_formula=_f(lambda q: (1, q + 1, 2 * q * q - 1, q ** 3 - q * q)),
-             od4_formula=_f(lambda q: (1, q // 2, q // 2, 0))))
+             od0_formula=lambda q: (1, q + 1, 2 * q * q - 1, q ** 3 - q * q),
+             od4_formula=lambda q: (1, q // 2, q // 2, 0)))
 _add(RepSpec("Omega2", "solid", "even", ("x", "y", "z", "t", ".", "."),
-             od0_formula=_f(lambda q: (q + 1, q + 1, 2 * q * q - q - 1, q ** 3 - q * q)),
-             od4_formula=_f(lambda q: (1, q, 0, 0))))
+             od0_formula=lambda q: (q + 1, q + 1, 2 * q * q - q - 1, q ** 3 - q * q),
+             od4_formula=lambda q: (1, q, 0, 0)))
 _add(RepSpec("Omega3", "solid", "even", ("x", "y", "z", ".", "t", "."),
-             od0_formula=_f(lambda q: (1, q * q + q + 1, q * q - 1, q ** 3 - q * q)),
-             od4_formula=_f(lambda q: (q + 1, 0, 0, 0))))
+             od0_formula=lambda q: (1, q * q + q + 1, q * q - 1, q ** 3 - q * q),
+             od4_formula=lambda q: (q + 1, 0, 0, 0)))
 _add(RepSpec("Omega4", "solid", "even", ("x", ".", "y", "z", ".", "t"),
-             od0_formula=_f(lambda q: (q + 2, 1, 2 * q * q - 2, q ** 3 - q * q)),
-             od4_formula=_f(lambda q: (0, q + 1, 0, 0))))
+             od0_formula=lambda q: (q + 2, 1, 2 * q * q - 2, q ** 3 - q * q),
+             od4_formula=lambda q: (0, q + 1, 0, 0)))
 _add(RepSpec("Omega5", "solid", "even", (".", "x", "y", "z", "t", "x"),
-             od0_formula=_f(lambda q: (1, q + 1, q * q - 1, q ** 3)),
-             od4_formula=_f(lambda q: (1, 0, 0, q))))
+             od0_formula=lambda q: (1, q + 1, q * q - 1, q ** 3),
+             od4_formula=lambda q: (1, 0, 0, q)))
 _add(RepSpec("Omega6", "solid", "even", ("x", ".", "y", "z", "t", "."),
-             od0_formula=_f(lambda q: (2, q + 1, q * q + q - 2, q ** 3 - q)),
-             od4_formula=_f(lambda q: (1, 1, 0, q - 1))))
+             od0_formula=lambda q: (2, q + 1, q * q + q - 2, q ** 3 - q),
+             od4_formula=lambda q: (1, 1, 0, q - 1)))
 _add(RepSpec("Omega7", "solid", "even", ("x", "y", "z", "x+g*y", "t", "y"),
              conditions=("gamma_inv_tr1",),
-             od0_formula=_f(lambda q: (0, q + 1, q * q + q, q ** 3 - q)),
-             od4_formula=_f(lambda q: (1, 0, 1, q - 1))))
+             od0_formula=lambda q: (0, q + 1, q * q + q, q ** 3 - q),
+             od4_formula=lambda q: (1, 0, 1, q - 1)))
 _add(RepSpec("Omega8", "solid", "even", ("x", "y", "z", "t", "z", "y"),
-             od0_formula=_f(lambda q: (3, 1, q * q + 2 * q - 3, q ** 3 - q)),
-             od4_formula=_f(lambda q: (0, 2, 0, q - 1))))
+             od0_formula=lambda q: (3, 1, q * q + 2 * q - 3, q ** 3 - q),
+             od4_formula=lambda q: (0, 2, 0, q - 1)))
 _add(RepSpec("Omega9", "solid", "even", ("x", "x", "y", "z", "t", "t"),
-             od0_formula=_f(lambda q: (4, 1, q * q + 3 * q - 4, q ** 3 - 2 * q)),
-             od4_formula=_f(lambda q: (0, 3, 0, q - 2))))
+             od0_formula=lambda q: (4, 1, q * q + 3 * q - 4, q ** 3 - 2 * q),
+             od4_formula=lambda q: (0, 3, 0, q - 2)))
 _add(RepSpec("Omega10", "solid", "even", ("x", "y", "z", "y+g*t", "t", "y"),
              conditions=("gamma_inv_tr1",),
-             od0_formula=_f(lambda q: (1, 1, q * q + 2 * q - 1, q ** 3 - q)),
-             od4_formula=_f(lambda q: (0, 1, 1, q - 1))))
+             od0_formula=lambda q: (1, 1, q * q + 2 * q - 1, q ** 3 - q),
+             od4_formula=lambda q: (0, 1, 1, q - 1)))
 _add(RepSpec("Omega11", "solid", "even", ("x", "y", "z", "t", ".", "y"),
-             od0_formula=_f(lambda q: (2, 1, q * q + q - 2, q ** 3)),
-             od4_formula=_f(lambda q: (0, 1, 0, q)),
+             od0_formula=lambda q: (2, 1, q * q + q - 2, q ** 3),
+             od4_formula=lambda q: (0, 1, 0, q),
              ambiguous_with="Omega12"))
 _add(RepSpec("Omega12", "solid", "even", ("x", "y", "z", "t", "g*y+z", "y"),
              conditions=("gamma_inv_tr1",),
-             od0_formula=_f(lambda q: (2, 1, q * q + q - 2, q ** 3)),
-             od4_formula=_f(lambda q: (0, 1, 0, q)),
+             od0_formula=lambda q: (2, 1, q * q + q - 2, q ** 3),
+             od4_formula=lambda q: (0, 1, 0, q),
              ambiguous_with="Omega11"))
 _add(RepSpec("Omega13", "solid", "even", ("x", "y", "z", "g*x+y", "t", "g*x+z"),
              conditions=("gamma_tr1",),
-             od0_formula=_f(lambda q: (0, 1, q * q + 3 * q, q ** 3 - 2 * q)),
-             od4_formula=_f(lambda q: (0, 1, 2, q - 2))))
+             od0_formula=lambda q: (0, 1, q * q + 3 * q, q ** 3 - 2 * q),
+             od4_formula=lambda q: (0, 1, 2, q - 2)))
 _add(RepSpec("Omega14", "solid", "even", ("x", "y", "g*x+y+g*t", "g*x+y", "z", "t"),
              conditions=("gamma_tr1",),
-             od0_formula=_f(lambda q: (0, 1, q * q + q, q ** 3)),
-             od4_formula=_f(lambda q: (0, 0, 1, q))))
+             od0_formula=lambda q: (0, 1, q * q + q, q ** 3),
+             od4_formula=lambda q: (0, 0, 1, q)))
 _add(RepSpec("Omega15", "solid", "even", ("x", "y", "b*z+c*y", "z", "t", "y"),
              conditions=("bc_cubic",),
-             od0_formula=_f(lambda q: (1, 1, q * q - 1, q ** 3 + q)),
-             od4_formula=_f(lambda q: (0, 0, 0, q + 1))))
+             od0_formula=lambda q: (1, 1, q * q - 1, q ** 3 + q),
+             od4_formula=lambda q: (0, 0, 0, q + 1)))
 
 # ---- solid/line pairs, q odd ---------------------------------------------
 # The two printed columns are od0(solid) = od4(line) and od4(solid) = od0(line).
@@ -428,13 +429,13 @@ for _sub, _sent, _lent, _conds, _col4, _col5 in _ODD_PAIRS:
 # ---- planes ---------------------------------------------------------------
 
 _add(RepSpec("Sigma_N", "plane", "even", (".", "x", "y", ".", "z", "."),
-             od0_formula=_f(lambda q: (0, q * q + q + 1, 0, 0)),
-             od4_formula=_f(lambda q: (q * q + q + 1, 0, 0, 0))))
+             od0_formula=lambda q: (0, q * q + q + 1, 0, 0),
+             od4_formula=lambda q: (q * q + q + 1, 0, 0, 0)))
 _add(RepSpec("Sigma_16", "plane", "even", (".", "x", "z", "z", "y", "."),
-             od0_formula=_f(lambda q: (0, q + 1, 0, q * q)),
-             od4_formula=_f(lambda q: (q + 1, 0, 0, q * q))))
+             od0_formula=lambda q: (0, q + 1, 0, q * q),
+             od4_formula=lambda q: (q + 1, 0, 0, q * q)))
 _add(RepSpec("Sigma_11", "plane", "even", ("x", "y", ".", "z", "z", "x+z"),
-             od0_formula=_f(lambda q: (1, 1, q - 1, q * q)),
+             od0_formula=lambda q: (1, 1, q - 1, q * q),
              min_q=4))
 
 
@@ -507,7 +508,7 @@ def sigma18_plane(F: FieldCtx) -> Subspace:
     q = F.q
     for line in subspaces_within(H, 1):
         pts = list(subspace_points(line))
-        if all(t.rank_code[_enc(p, q)] == 3 for p in pts):
+        if all(t.class_code[_enc(p, q)] == 4 for p in pts):
             plane = canonicalize(F, line.rows + (P,))
             got = od0(plane)
             want = (0, 1, 0, q * q + q)

@@ -35,7 +35,7 @@ import numpy as np
 
 from srd3 import bulk
 from srd3.gf import FieldCtx, parse_field_spec
-from srd3.invariants import rank_distribution, tables
+from srd3.invariants import CLASS_RANK, rank_distribution, tables
 from srd3.pg import Subspace, canonicalize, rref
 from srd3.veronese import as_matrix, coords_of_matrix
 
@@ -141,8 +141,8 @@ def points_of_rank_below(F: FieldCtx, d: int) -> np.ndarray:
     key = (id(F), d)
     pts = _points_cache.get(key)
     if pts is None:
-        rank = tables(F).rank_code
-        vecs = bulk.decode(np.flatnonzero((rank >= 1) & (rank < d)), F.q, 6)
+        below = (CLASS_RANK >= 1) & (CLASS_RANK < d)
+        vecs = bulk.decode(np.flatnonzero(below[tables(F).class_code]), F.q, 6)
         lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
         pts = _points_cache[key] = vecs[lead == 1]
     return pts

@@ -267,9 +267,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:

@@ -28,6 +28,8 @@ od4_batch and the C4 checks all read that table.
 
 A per-field cache (tables) holds dense code-indexed class tables so the
 enumeration drivers can classify millions of points via numpy gathers.
+The point table is class_code alone: each class has one rank (CLASS_RANK),
+so a reader that needs ranks maps the class codes through that constant.
 
 A subspace has a rank-1 point iff some Veronese point is orthogonal to
 every vector of its dual, i.e. iff the conics of the dual (a pencil for a
@@ -50,6 +52,10 @@ from srd3.veronese import conic_plane_of, h1_duals, lift, pg2_points, veronese
 POINT_CLASSES_EVEN = ("P1", "P2n", "P2s", "P3")
 POINT_CLASSES_ODD = ("P1", "P2e", "P2i", "P3")
 HYPERPLANE_CLASSES = ("H1", "H2r", "H2i", "H3")
+
+# the rank of each point class code of GeomTables.class_code: 0 for the zero
+# vector, then P1, the two rank-2 classes, P3
+CLASS_RANK = np.array([0, 1, 2, 2, 3], dtype=np.uint8)
 
 
 class ClassificationError(RuntimeError):
@@ -108,9 +114,11 @@ def require_tables(q: int) -> None:
 class GeomTables:
     """Code-indexed classification tables for one field (q <= TABLE_MAX_Q).
 
-    point codes run over all of F_q^6 (not just normalized vectors); both
-    rank and class are scale invariant so no normalization is needed at
-    lookup time.  The tables are filled TABLE_BLOCK codes at a time.
+    point codes run over all of F_q^6 (not just normalized vectors); the
+    class is scale invariant so no normalization is needed at lookup time.
+    class_code is the only point table, filled TABLE_BLOCK codes at a time;
+    each block's ranks decide its classes and are then dropped (CLASS_RANK
+    gives the rank of a class).
     """
 
     def __init__(self, F: FieldCtx):
@@ -118,14 +126,12 @@ class GeomTables:
         self.F = F
         q = F.q
         self.kit = bulk.kit_for(F)
-        self.rank_code = np.empty(q ** 6, dtype=np.uint8)
         self.class_code = np.empty(q ** 6, dtype=np.uint8)
         for lo in range(0, q ** 6, TABLE_BLOCK):
             hi = min(lo + TABLE_BLOCK, q ** 6)
             vecs = bulk.decode(np.arange(lo, hi, dtype=np.int64), q, 6)
             mats = vecs[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
             rank = bulk.rank_batch(self.kit, mats)
-            self.rank_code[lo:hi] = rank
             self.class_code[lo:hi] = self._build_classes(vecs, rank)
         self.v6 = np.array([veronese(F, u) for u in pg2_points(F)], dtype=np.uint8)
         self.h1 = np.array(h1_duals(F), dtype=np.uint8)
@@ -224,19 +230,18 @@ def tables(F: FieldCtx) -> GeomTables:
 # Distributions
 # ---------------------------------------------------------------------------
 
-def rank_distribution(W: Subspace) -> tuple[int, int, int]:
-    """[r1, r2, r3] over the points of W."""
-    t = tables(W.F)
-    bases = np.array([W.rows], dtype=np.uint8)
-    ranks = t.rank_code[bulk.combine(t.kit, t.coeffs(W.k), bases)][0]
-    return (int((ranks == 1).sum()), int((ranks == 2).sum()), int((ranks == 3).sum()))
-
-
 def od0(W: Subspace) -> tuple[int, int, int, int]:
     """[r1, r2a, r2b, r3] with (a,b) = (n,s) for q even, (e,i) for q odd."""
     t = tables(W.F)
     out = t.od0_batch(np.array([W.rows], dtype=np.uint8))[0]
     return tuple(int(x) for x in out)
+
+
+def rank_distribution(W: Subspace) -> tuple[int, int, int]:
+    """[r1, r2, r3] over the points of W: od0 with its two rank-2 columns
+    added."""
+    r1, r2a, r2b, r3 = od0(W)
+    return (r1, r2a + r2b, r3)
 
 
 def od4(W: Subspace) -> tuple[int, int, int, int]:

@@ -79,16 +79,20 @@ Solids are taken from the conic side.  The dual of a solid is a pencil of
 conics, and the solid has no rank-1 point iff the pencil has no base point
 in PG(2,q), i.e. iff no Veronese image is 0.  The images take 2(q^2+q+1)
 evaluations of a dual vector, so od0_batch runs only on the solids that
-pass (about 29% at q=5).  Images come first wherever (6-k)(q^2+q+1) <
-(q^k-1)/(q-1), the number of points od0_batch would combine; among the
-counted dimensions that is solids only, so lines and planes go to od0_batch
-first and take images of the rank-1-free ones.
+pass (about 29% at q=5), and only once the images are dropped.  Images come
+first wherever (6-k)(q^2+q+1) < (q^k-1)/(q-1), the number of points
+od0_batch would combine; among the counted dimensions that is solids only,
+so lines and planes go to od0_batch first and take images of the
+rank-1-free ones.  _keys is the one kernel for both orders: it returns the
+key rows together with the positions of the subspaces they belong to, every
+line and plane and the solids the pencil filter keeps.
 
 No driver sweeps a whole Grassmannian.  _sweep, and solid_groups,
 plane_sweep, line_sweep_completeness, min_rank2_coverage and
 planes_covered_by_solids on top of it, list every rank-1-free k-subspace by
-id: the tests compare the counts with them at q <= 4, and the benchmark's
-span recorder (perfbench/spans.py) wraps them by name.
+id, with the od0 row and completeness flag of its key row: the tests
+compare the counts with them at q <= 4, and the benchmark's span recorder
+(perfbench/spans.py) wraps them by name.
 """
 
 from __future__ import annotations
@@ -162,26 +166,6 @@ def _pencil_filter_pays(q: int, k: int) -> bool:
     return (6 - k) * (q * q + q + 1) < (q ** k - 1) // (q - 1)
 
 
-def _rank1_free_od0(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions in bases, a block of at most _block_size subspaces, of the
-    subspaces with no rank-1 point, their od0 rows, and whether each is a
-    complete distance-2 code.  The Veronese images are never held while
-    od0_batch runs; od0 confirms r1 = 0 for every subspace kept."""
-    q, k = t.F.q, bases.shape[1]
-    if _pencil_filter_pays(q, k):
-        img = bulk.quotient_codes(t.kit, bases, t.v6)
-        cand = np.flatnonzero((img != 0).all(axis=1))
-        full = bulk.covers_quotient(q, 6 - k, img[cand])
-        del img
-        d = t.od0_batch(bases[cand])
-        free = d[:, 0] == 0
-        return cand[free], d[free], full[free]
-    d = t.od0_batch(bases)
-    cand = np.flatnonzero(d[:, 0] == 0)
-    full = bulk.covers_quotient(q, 6 - k, bulk.quotient_codes(t.kit, bases[cand], t.v6))
-    return cand, d[cand], full
-
-
 # ---------------------------------------------------------------------------
 # The counting engine.  Each pass is cached per field and dimension: several
 # drivers read the same counts.
@@ -216,14 +200,19 @@ _NUCLEUS_DIM = 9        # planes at even q: dim(W meet N)
 _R2N_IS_H1 = 10         # planes at even q: r2n == h1
 
 
-def _keys(t, bases: np.ndarray) -> np.ndarray:
-    """Key rows (see the module docstring) of a block of RREF bases, one per
-    subspace counted: every line and plane, and the solids with no rank-1
-    point, which the pencil filter keeps."""
+def _keys(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Key rows (see the module docstring) of a block of at most _block_size
+    RREF bases, and the positions in bases of the subspaces they belong to:
+    every line and plane, and the solids with no rank-1 point, which the
+    pencil filter keeps.  A solid block's Veronese images are dropped
+    before od0_batch runs."""
     q, k = t.F.q, bases.shape[1]
     if _pencil_filter_pays(q, k):
-        _, dist, full = _rank1_free_od0(t, bases)
-        return np.column_stack([dist, full])
+        img = bulk.quotient_codes(t.kit, bases, t.v6)
+        keep = np.flatnonzero((img != 0).all(axis=1))
+        full = bulk.covers_quotient(q, 6 - k, img[keep])
+        del img
+        return keep, np.column_stack([t.od0_batch(bases[keep]), full])
     dist = t.od0_batch(bases)
     free = np.flatnonzero(dist[:, 0] == 0)
     cols = [dist, np.zeros((len(bases), 1), dtype=np.int64)]
@@ -236,7 +225,7 @@ def _keys(t, bases: np.ndarray) -> np.ndarray:
         if t.F.p == 2:
             dim, match = _nucleus_meet(t, bases)
             cols.append(np.column_stack([dim, match]))
-    return np.concatenate(cols, axis=1)
+    return np.arange(len(bases)), np.concatenate(cols, axis=1)
 
 
 def _row_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +248,7 @@ def _histogram(t, k: int, chunks: list, bases_of, jobs: int) -> dict[tuple, int]
         t.hclass_table()  # build before forking
 
     def work(chunk):
-        rows, n = _row_counts(_keys(t, bases_of(chunk)))
+        rows, n = _row_counts(_keys(t, bases_of(chunk))[1])
         return list(zip(map(tuple, rows.tolist()), n.tolist()))
 
     out: dict[tuple, int] = {}
@@ -449,16 +438,19 @@ _SWEEP_TAGS = {2: "line_sweep", 3: "plane_sweep", 4: "solid_groups"}
 
 def _sweep(F: FieldCtx, k: int, jobs: int = 1):
     """The one sweep engine, cached per field: a chunked pass over every
-    k-dimensional subspace of F^6, keeping those with no rank-1 point (see
-    _rank1_free_od0).  Returns ({od0 tuple: sorted ids}, {od0 tuple:
-    completeness flags aligned with the ids}, number of k-subspaces).
-    Chunks come back in id order, so each group is sorted as it is joined."""
+    k-dimensional subspace of F^6, keeping those with no rank-1 point, with
+    the od0 rows and completeness flags of their key rows (_keys).  Returns
+    ({od0 tuple: sorted ids}, {od0 tuple: completeness flags aligned with
+    the ids}, number of k-subspaces).  Chunks come back in id order, so
+    each group is sorted as it is joined."""
     q = F.q
     t = tables(F)
 
     def work(chunk):
         lo, hi = chunk
-        keep, dist, full = _rank1_free_od0(t, bulk.subspace_bases(q, k, np.arange(lo, hi)))
+        keep, keys = _keys(t, bulk.subspace_bases(q, k, np.arange(lo, hi)))
+        free = keys[:, 0] == 0
+        keep, dist, full = keep[free], keys[free, :4], keys[free, _COMPLETE] == 1
         # od0 rows as base-(points + 1) numbers, which sort as the rows do
         key = dist @ (gaussian_binomial(k, 1, q) + 1) ** np.arange(3, -1, -1)
         _, first, which = np.unique(key, return_index=True, return_inverse=True)
@@ -563,7 +555,7 @@ def _is_orbit(key: tuple, count: int, W: Subspace) -> bool:
     count members, is the orbit of W: W's own key row, computed on W,
     starts with key, and count is the orbit's size (see the module
     docstring).  The family is invariant because its key is."""
-    own = _keys(tables(W.F), np.array([W.rows], dtype=np.uint8))
+    _, own = _keys(tables(W.F), np.array([W.rows], dtype=np.uint8))
     return (len(own) == 1 and tuple(int(v) for v in own[0, :len(key)]) == tuple(key)
             and count == _orbit_size(W))
 
@@ -767,7 +759,7 @@ def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
 def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Minimum-rank-2 lines never extendless; minimum-rank-2 planes complete
     only for q even and only inside the nucleus-plane family."""
-    from srd3.atlas import rep_params, rep_spec, representative
+    from srd3.atlas import entry_rows, rep_params, rep_spec, representative
     t0 = time.perf_counter()
     q = F.q
     n_lines, n_complete_lines = _min_rank2_lines(F, jobs)
@@ -797,12 +789,9 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1) -> list[CheckRepor
             details["family_size"] = sum(_orbit_size(W) for W in family)
             # the standard extension example: the [0,1,0,q] line inside the
             # q^3-q solid representative (it extends by construction)
-            spec7 = rep_spec("Omega7", F)
-            params = rep_params("Omega7", F)
-            raw = _raw_rows(F, spec7.entries, params)
-            line = np.array([raw["y"], raw["t"]], dtype=np.uint8)
             from srd3.pg import canonicalize
-            lsub = canonicalize(F, [tuple(int(x) for x in r) for r in line])
+            raw = entry_rows(F, rep_spec("Omega7", F).entries, rep_params("Omega7", F))
+            lsub = canonicalize(F, [raw["y"], raw["t"]])
             details["o16_line_in_solid_od0"] = list(od0(lsub))
             ok_line = od0(lsub) == (0, 1, 0, q) and \
                 representative("Omega7", F).contains(lsub)
@@ -827,17 +816,6 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1) -> list[CheckRepor
         "the nucleus plane",
         expected, computed, seconds=time.perf_counter() - t0,
         details=details, flags=flags)]
-
-
-def _raw_rows(F, entries, params):
-    from srd3.atlas import _eval_entry
-    table = [_eval_entry(F, e, params) for e in entries]
-    out = {}
-    for var in ("x", "y", "z", "t"):
-        row = tuple(t.get(var, 0) for t in table)
-        if any(row):
-            out[var] = row
-    return out
 
 
 def verify_class_counts(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:

@@ -386,15 +386,7 @@ def line_sweep_union(F: FieldCtx, jobs: int = 1) -> tuple[int, int]:
 
 
 def _low_rank_points(F: FieldCtx, d: int) -> list[tuple[int, ...]]:
-    t = tables(F)
-    out = []
-    for v in coefficient_vectors(F.q, 6):
-        code = 0
-        for x in v:
-            code = code * F.q + x
-        if 1 <= t.rank_code[code] < d:
-            out.append(v)
-    return out
+    return [v for v in coefficient_vectors(F.q, 6) if point_rank(F, v) < d]
 
 
 def _covered(C: SrdCode) -> set[tuple[int, ...]]:

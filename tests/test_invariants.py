@@ -14,7 +14,7 @@ from srd3.invariants import (HYPERPLANE_CLASSES, exterior_by_tangents,
                              orbit_of, pgl3_order, point_census, point_class,
                              point_classes, rank_distribution, stabilizer_order,
                              tables)
-from srd3.veronese import nucleus_plane, veronese
+from srd3.veronese import nucleus_plane, point_rank, veronese
 
 from oracles import (classify_hyperplane, classify_point, group_order_bfs,
                      od4_scalar, orbit_rows, stabilizer_by_group, stabilizer_order_by_orbit,
@@ -41,10 +41,9 @@ def test_classify_point_examples():
 def test_exterior_algebraic_vs_geometric(p, h):
     # every rank-2 point, both routes
     F = make_field(p, h)
-    t = tables(F)
     n = 0
     for y in coefficient_vectors(F.q, 6):
-        if t.rank_code[_code(y, F.q)] != 2:
+        if point_rank(F, y) != 2:
             continue
         n += 1
         alg = classify_point(F, y) == "P2e"
@@ -79,8 +78,18 @@ def test_tables_built_in_blocks_match_one_block(spec, monkeypatch):
     # uneven blocks: the last one is short
     monkeypatch.setattr(invariants, "TABLE_BLOCK", F.q ** 6 // 5 + 1)
     blocked = invariants.GeomTables(F)
-    assert np.array_equal(blocked.rank_code, whole.rank_code)
     assert np.array_equal(blocked.class_code, whole.class_code)
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "2^3/101"])
+def test_class_rank_matches_rank_batch(spec):
+    # every vector of F_q^6, the zero vector included
+    F = parse_field_spec(spec)
+    t = tables(F)
+    vecs = bulk.decode(np.arange(F.q ** 6), F.q, 6)
+    mats = vecs[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+    rank = bulk.rank_batch(t.kit, mats)
+    assert np.array_equal(invariants.CLASS_RANK[t.class_code], rank)
 
 
 def test_classify_hyperplane_examples():

@@ -54,39 +54,36 @@ PLAN: list[tuple[int, str, list[str]]] = [
 
 
 def run_acceptance(fields: list[str] | None = None, jobs: int = 1,
-                   criteria: list[int] | None = None,
                    echo=None) -> list[CheckReport]:
     """Run the acceptance plan restricted to the given field specs.
 
-    A requested field with no selected row in the plan (e.g. q = 7) runs
-    every check that applies to it via run_checks, as criterion 0.  A field
+    Plan rows are matched by field, not by spelling, so "4" and "2^2" select
+    the same rows, and a field asked for twice runs once.  A requested
+    field with no row in the plan (e.g. q = 7) runs every check that
+    applies to it via run_checks, as criterion 0, in order of q.  A field
     above the point tables' range is refused before any check runs.
     """
-    wanted_fields = None if fields is None else {str(f) for f in fields}
-    for fspec in wanted_fields or ():
-        require_tables(parse_field_spec(fspec).q)
+    wanted = None if fields is None else {parse_field_spec(f) for f in fields}
+    for F in wanted or ():
+        require_tables(F.q)
     reports: list[CheckReport] = []
-    seen_any = set()
+    seen = set()
     for crit, fspec, ids in PLAN:
-        if wanted_fields is not None and fspec not in wanted_fields:
-            continue
-        if criteria is not None and crit not in criteria:
-            continue
         F = parse_field_spec(fspec)
-        seen_any.add(fspec)
+        if wanted is not None and F not in wanted:
+            continue
+        seen.add(F)
         for r in _run_ids(F, ids, jobs):
             r.details["criterion"] = crit
             reports.append(r)
             if echo:
                 echo(_line(crit, r))
-    if wanted_fields:
-        for fspec in sorted(wanted_fields - seen_any):
-            F = parse_field_spec(fspec)
-            for r in run_checks(F, jobs=jobs):
-                r.details["criterion"] = 0
-                reports.append(r)
-                if echo:
-                    echo(_line(0, r))
+    for F in sorted((wanted or set()) - seen, key=lambda F: (F.q, F.spec)):
+        for r in run_checks(F, jobs=jobs):
+            r.details["criterion"] = 0
+            reports.append(r)
+            if echo:
+                echo(_line(0, r))
     return reports
 
 

@@ -1,11 +1,14 @@
 """Canonical representatives of the line/plane/solid orbits.
 
-Each representative is written as a symmetric 3x3 matrix whose entries are
-linear forms in the indeterminates x, y, z, t; the subspace of PG(5,q) is
-spanned by the coordinate vectors obtained by setting one indeterminate to 1
-and the rest to 0, in the order (x, y, z, t).  Entries are stored as the six
+Every representative is one RepSpec entry of a single registry.  Most are
+written as a symmetric 3x3 matrix whose entries are linear forms in the
+indeterminates x, y, z, t; the subspace of PG(5,q) is spanned by the
+coordinate vectors obtained by setting one indeterminate to 1 and the rest
+to 0, in the order (x, y, z, t).  Entries are stored as the six
 upper-triangle slots (e00, e01, e02, e11, e12, e22), i.e. directly as the
-coordinates y0..y5.
+coordinates y0..y5.  The two constant-rank-3 planes, the trace-form plane
+Sigma_GF and its polar image Sigma_TF (q odd), have no entries: their
+RepSpec names the builder that makes them from GF(q^3).
 
 Some orbits need side parameters (field elements subject to conditions such
 as "delta is a nonsquare" or "the cubic has no roots").  Parameters are
@@ -14,7 +17,9 @@ is reproducible bit for bit; see find_params.
 
 Expected point- and hyperplane-orbit distributions are stored as closed
 formulas in q next to each representative and are what the verification
-drivers check the computed distributions against.
+drivers check the computed distributions against.  D2_CLASSES names the
+representatives of the complete distance-2 classes; a complete code's
+label is the one whose formula gives its number of rank-3 points.
 
 The two constant-rank-3 planes (q odd) are told apart by the rank-1 points
 of their scalar extension to GF(q^3): 3 for the trace-form plane Sigma_GF,
@@ -30,11 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from srd3.gf import FieldCtx, cubic_extension, is_square, trace2
-from srd3.invariants import od0, od4, tables
-from srd3.pg import (Subspace, canonicalize, nullspace, rref, subspace_points,
-                     subspaces_within)
-from srd3.veronese import (double_line_dual, kernel_point, nucleus_plane,
-                           polarity_rho)
+from srd3.invariants import od0, od4
+from srd3.pg import Subspace, canonicalize, nullspace
+from srd3.veronese import polarity_rho
 
 
 class AtlasError(ValueError):
@@ -45,47 +48,14 @@ class AtlasError(ValueError):
 # Parameter search
 # ---------------------------------------------------------------------------
 
-def _quadratic_ok(F: FieldCtx, u: int, v: int, solid: bool = False) -> bool:
-    """v*l^2 + u*v*l - 1 has no root l in F; v = 0 is excluded because the
-    degenerate representative acquires rank-1 points.
-
-    For the odd-q solid representatives the working condition is the same
-    quadratic with u replaced by -2u: the printed solid is the trace-form
-    polar of the printed line, and the polarity shifts the parameter.  The
-    two conditions coincide for q = 3 (-2 = 1) and whenever u = 0, which is
-    why the discrepancy only surfaces at q = 5 with u != 0.  Checked
-    exhaustively; see the verification driver for the orbit cross-check.
-    """
-    if v == 0:
-        return False
-    if solid:
-        u = F.neg(F.add(u, u))
+def _rootless(F: FieldCtx, coeffs: tuple[int, ...]) -> bool:
+    """The polynomial sum_i coeffs[i] * l^i, constant term first, has no
+    root l in F."""
     for lam in F.elements():
-        l2 = F.mul(lam, lam)
-        val = F.sub(F.add(F.mul(v, l2), F.mul(F.mul(u, v), lam)), 1)
+        val = 0
+        for c in reversed(coeffs):
+            val = F.add(F.mul(val, lam), c)
         if val == 0:
-            return False
-    return True
-
-
-def _cubic_ok(F: FieldCtx, a: int, bt: int, g: int) -> bool:
-    """l^3 + g*l^2 - bt*l + a has no root l in F."""
-    for lam in F.elements():
-        l2 = F.mul(lam, lam)
-        l3 = F.mul(l2, lam)
-        val = F.add(F.sub(F.add(l3, F.mul(g, l2)), F.mul(bt, lam)), a)
-        if val == 0:
-            return False
-    return True
-
-
-def _bc_cubic_ok(F: FieldCtx, b: int, c: int) -> bool:
-    """b*l^3 + c*l + 1 irreducible over F: cubic (b != 0) with no roots."""
-    if b == 0:
-        return False
-    for lam in F.elements():
-        l3 = F.mul(F.mul(lam, lam), lam)
-        if F.add(F.add(F.mul(b, l3), F.mul(c, lam)), 1) == 0:
             return False
     return True
 
@@ -98,17 +68,23 @@ def find_params(condition: str, F: FieldCtx) -> dict[str, int]:
 
     conditions:
         delta          d not a square (q odd)
-        uv0            v*l^2+u*v*l-1 rootless
+        uv0            v*l^2+u*v*l-1 rootless, v != 0
         uv1            same, and -v a square (q odd adds the square side)
         uv2            same, and -v a nonsquare (q odd only)
         gamma_inv_tr1  Tr(g^-1) = 1 (q even)
         gamma_tr1      Tr(g) = 1 (q even)
         cubic          l^3 + g*l^2 - bt*l + a rootless (slots g, a, bt)
-        bc_cubic       b*l^3 + c*l + 1 irreducible (q even)
+        bc_cubic       b*l^3 + c*l + 1 rootless, b != 0, so irreducible
 
-    The *_solid variants (uv0_solid, ..., cubic_solid) are the same
-    conditions after the parameter shift the trace polarity induces on the
-    odd-q solid representatives; see _quadratic_ok.
+    v = 0 is excluded because the degenerate representative acquires
+    rank-1 points.  The *_solid variants (uv0_solid, ..., cubic_solid) are
+    the same conditions after the parameter shift the trace polarity
+    induces on the odd-q solid representatives: the printed solid is the
+    trace-form polar of the printed line, which replaces u by -2u in the
+    quadratic and (bt, g) by (4*bt, 4*g) in the cubic.  The shifted and
+    plain conditions coincide at q = 3, where -2 = 4 = 1, which is why the
+    discrepancy only surfaces at q = 5; the tables check reproduces every
+    representative's printed distributions.
     """
     q = F.q
     if condition == "delta":
@@ -128,8 +104,9 @@ def find_params(condition: str, F: FieldCtx) -> dict[str, int]:
                 raise AtlasError("uv2 is an odd-q parameter")
             want_sq = None
         for u in F.elements():
+            us = F.neg(F.add(u, u)) if solid else u
             for v in F.nonzero():
-                if not _quadratic_ok(F, u, v, solid=solid):
+                if not _rootless(F, (F.neg(1), F.mul(us, v), v)):
                     continue
                 if want_sq is None or is_square(F, F.neg(v)) == want_sq:
                     key = base[2]
@@ -148,21 +125,17 @@ def find_params(condition: str, F: FieldCtx) -> dict[str, int]:
             if trace2(F, g) == 1:
                 return {"g": g}
     elif condition in ("cubic", "cubic_solid"):
-        # cubic_solid (odd-q solids only): same rootless cubic after
-        # (beta, gamma) -> (4*beta, 4*gamma); coincides with the plain
-        # condition at q = 3 where 4 = 1, diverges first at q = 5
-        four = F.add(F.add(1, 1), F.add(1, 1))
-        tw = (lambda x: F.mul(four, x)) if condition == "cubic_solid" else (lambda x: x)
+        shift = F.add(F.add(1, 1), F.add(1, 1)) if condition == "cubic_solid" else 1
         for g in F.elements():
             for a in F.elements():
                 for bt in F.elements():
-                    if _cubic_ok(F, a, tw(bt), tw(g)):
+                    if _rootless(F, (a, F.neg(F.mul(shift, bt)), F.mul(shift, g), 1)):
                         return {"a": a, "bt": bt, "g": g, "ai": F.inv(a)}
         raise AtlasError(f"no rootless cubic over GF({q})")
     elif condition == "bc_cubic":
         for b in F.nonzero():
             for c in F.elements():
-                if _bc_cubic_ok(F, b, c):
+                if _rootless(F, (1, c, 0, b)):
                     return {"b": b, "c": c}
         raise AtlasError(f"no irreducible b*l^3+c*l+1 over GF({q})")
     else:
@@ -227,13 +200,59 @@ def _basis_from_entries(F: FieldCtx, entries: tuple[str, ...], nvars: int,
 
 
 # ---------------------------------------------------------------------------
+# Special planes
+# ---------------------------------------------------------------------------
+
+def sigma_gf_plane(F: FieldCtx) -> Subspace:
+    """The constant-rank-3 plane of Gram matrices of the bilinear forms
+    (x, y) -> Tr(c x y) on GF(q^3) over GF(q), c running over a basis.
+
+    Every nonzero c gives a nondegenerate form, so every point of the plane
+    has rank 3.
+    """
+    ext = cubic_extension(F)
+    E = ext.ext
+    basis = _ext_basis(ext)
+    rows = []
+    for c in basis:
+        gram = []
+        for i in range(3):
+            for j in range(i, 3):
+                prod = E.mul(c, E.mul(basis[i], basis[j]))
+                gram.append(ext.rel_trace(prod))
+        rows.append(tuple(gram))
+    W = canonicalize(F, rows)
+    if W.projdim != 2:
+        raise AtlasError("trace-form plane is degenerate")
+    return W
+
+
+def _ext_basis(ext) -> tuple[int, int, int]:
+    """A GF(q)-basis 1, z, z^2 of GF(q^3), z the first element outside the
+    embedded GF(q).  Such a z has degree 3 over GF(q), because the degree
+    divides [GF(q^3):GF(q)] = 3, a prime."""
+    emb = set(ext.embed_table)
+    z = next(z for z in range(ext.ext.q) if z not in emb)
+    return (1, z, ext.ext.mul(z, z))
+
+
+def sigma_tf_plane(F: FieldCtx) -> Subspace:
+    """The polar image of the trace-form plane (q odd): the second
+    constant-rank-3 orbit."""
+    if F.p == 2:
+        raise AtlasError("Sigma_TF requires q odd")
+    return polarity_rho(F, sigma_gf_plane(F))
+
+
+# ---------------------------------------------------------------------------
 # Representative registry
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RepSpec:
     """One orbit representative: entries, arity, parity, side conditions and
-    the printed distribution formulas (None when the source prints none)."""
+    the printed distribution formulas (None when the source prints none).
+    A representative with no entries is made by its builder instead."""
     rep_id: str
     kind: str                    # "line" | "plane" | "solid"
     parity: str                  # "even" | "odd" | "any"
@@ -243,6 +262,7 @@ class RepSpec:
     od4_formula: object = None
     min_q: int = 2
     ambiguous_with: str | None = None
+    builder: object = None       # callable F -> Subspace
 
 
 _REGISTRY: dict[tuple[str, str], RepSpec] = {}
@@ -427,6 +447,9 @@ for _sub, _sent, _lent, _conds, _col4, _col5 in _ODD_PAIRS:
                  ambiguous_with=_ODD_AMBIG.get(_lid)))
 
 # ---- planes ---------------------------------------------------------------
+# In characteristic 2 the determinant of Sigma_18's matrix is
+# x^3 + c*x^2*y + b*y^3, free of z, so the plane has rank 3 away from its
+# nucleus point z exactly when b*l^3 + c*l + 1 is rootless (bc_cubic).
 
 _add(RepSpec("Sigma_N", "plane", "even", (".", "x", "y", ".", "z", "."),
              od0_formula=lambda q: (0, q * q + q + 1, 0, 0),
@@ -437,23 +460,48 @@ _add(RepSpec("Sigma_16", "plane", "even", (".", "x", "z", "z", "y", "."),
 _add(RepSpec("Sigma_11", "plane", "even", ("x", "y", ".", "z", "z", "x+z"),
              od0_formula=lambda q: (1, 1, q - 1, q * q),
              min_q=4))
+_add(RepSpec("Sigma_18", "plane", "even", (".", "x", "y", "b*y", "z", "x+c*y"),
+             conditions=("bc_cubic",),
+             od0_formula=lambda q: (0, 1, 0, q * q + q),
+             od4_formula=lambda q: (1, 0, 0, q * q + q),
+             min_q=4))
+_add(RepSpec("Sigma_GF", "plane", "any", (),
+             od0_formula=lambda q: (0, 0, 0, q * q + q + 1),
+             od4_formula=lambda q: (0, 0, 0, q * q + q + 1),
+             builder=sigma_gf_plane))
+_add(RepSpec("Sigma_TF", "plane", "odd", (),
+             od0_formula=lambda q: (0, 0, 0, q * q + q + 1),
+             od4_formula=lambda q: (0, 0, 0, q * q + q + 1),
+             builder=sigma_tf_plane))
+
+# The complete distance-2 codes, one class per representative: the
+# minimum-rank-2 solids (rank-3 point counts q^3-q, q^3-2q, q^3) and, for q
+# even, the complete planes (rank-3 point counts 0, q^2, q^2+q).
+D2_CLASSES = {"odd": ("Omega8_2", "Omega14_2", "Omega15_2"),
+              "even": ("Omega7", "Omega13", "Omega14",
+                       "Sigma_N", "Sigma_16", "Sigma_18")}
+
+
+def _parity(F: FieldCtx) -> str:
+    return "even" if F.p == 2 else "odd"
+
+
+def d2_classes(F: FieldCtx) -> list[RepSpec]:
+    """The entries of the complete distance-2 classes over F, in the order
+    of D2_CLASSES.  Their formulas hold at every q, so no q >= min_q check
+    is made."""
+    parity = _parity(F)
+    return [_REGISTRY[(rid, parity)] for rid in D2_CLASSES[parity]]
 
 
 def rep_ids(F: FieldCtx) -> list[str]:
-    parity = "even" if F.p == 2 else "odd"
-    out = [rid for (rid, par), spec in _REGISTRY.items()
-           if par == parity and F.q >= spec.min_q]
-    out += ["Sigma_GF"]
-    if F.p == 2:
-        if F.q >= 4:
-            out.append("Sigma_18")
-    else:
-        out.append("Sigma_TF")
-    return sorted(out)
+    parity = _parity(F)
+    return sorted(rid for (rid, par), spec in _REGISTRY.items()
+                  if par in (parity, "any") and F.q >= spec.min_q)
 
 
 def rep_spec(rep_id: str, F: FieldCtx) -> RepSpec:
-    parity = "even" if F.p == 2 else "odd"
+    parity = _parity(F)
     spec = _REGISTRY.get((rep_id, parity)) or _REGISTRY.get((rep_id, "any"))
     if spec is None:
         if (rep_id, "even" if parity == "odd" else "odd") in _REGISTRY:
@@ -473,116 +521,12 @@ def rep_params(rep_id: str, F: FieldCtx) -> dict[str, int]:
 
 
 def representative(rep_id: str, F: FieldCtx) -> Subspace:
-    """The canonical subspace for an orbit id; special planes included."""
-    if rep_id == "Sigma_GF":
-        return sigma_gf_plane(F)
-    if rep_id == "Sigma_TF":
-        return sigma_tf_plane(F)
-    if rep_id == "Sigma_18":
-        return sigma18_plane(F)
+    """The canonical subspace for an orbit id."""
     spec = rep_spec(rep_id, F)
+    if spec.builder is not None:
+        return spec.builder(F)
     nvars = {"line": 2, "plane": 3, "solid": 4}[spec.kind]
     return _basis_from_entries(F, spec.entries, nvars, rep_params(rep_id, F))
-
-
-# ---------------------------------------------------------------------------
-# Special planes
-# ---------------------------------------------------------------------------
-
-def sigma18_plane(F: FieldCtx) -> Subspace:
-    """The maximal plane meeting the nucleus plane in one point (q even >= 4).
-
-    Built by search: take the first rank-2 point P of the nucleus plane, the
-    hyperplane H(P) cut out by the double of the line underlying the conic
-    of P, and the first constant-rank-3 line inside H(P); the span has
-    point-orbit distribution [0, 1, 0, q^2+q].
-    """
-    if F.p != 2 or F.q < 4:
-        raise AtlasError("Sigma_18 requires q even, q >= 4")
-    pn = nucleus_plane(F)
-    P = next(iter(subspace_points(pn)))
-    k = kernel_point(F, P)
-    dual = double_line_dual(F, k)
-    H = Subspace(F, rref(F, nullspace(F, (dual,)))[0])
-    t = tables(F)
-    q = F.q
-    for line in subspaces_within(H, 1):
-        pts = list(subspace_points(line))
-        if all(t.class_code[_enc(p, q)] == 4 for p in pts):
-            plane = canonicalize(F, line.rows + (P,))
-            got = od0(plane)
-            want = (0, 1, 0, q * q + q)
-            if got != want:
-                raise AtlasError(f"Sigma_18 search postcondition failed: {got}")
-            return plane
-    raise AtlasError("no constant-rank-3 line found in H(P)")
-
-
-def _enc(vec, q: int) -> int:
-    c = 0
-    for x in vec:
-        c = c * q + x
-    return c
-
-
-def sigma_gf_plane(F: FieldCtx) -> Subspace:
-    """The constant-rank-3 plane of Gram matrices of the bilinear forms
-    (x, y) -> Tr(c x y) on GF(q^3) over GF(q), c running over a basis.
-
-    Every nonzero c gives a nondegenerate form, so every point of the plane
-    has rank 3.
-    """
-    ext = cubic_extension(F)
-    E = ext.ext
-    basis = _ext_basis(ext)
-    rows = []
-    for c in basis:
-        gram = []
-        for i in range(3):
-            for j in range(i, 3):
-                prod = E.mul(c, E.mul(basis[i], basis[j]))
-                gram.append(ext.rel_trace(prod))
-        rows.append(tuple(gram))
-    W = canonicalize(F, rows)
-    if W.projdim != 2:
-        raise AtlasError("trace-form plane is degenerate")
-    return W
-
-
-def _ext_basis(ext) -> tuple[int, int, int]:
-    """A GF(q)-basis of GF(q^3): powers of a deterministic primitive pick."""
-    E, F = ext.ext, ext.base
-    emb = set(ext.embed_table)
-    for z in range(E.q):
-        if z in emb:
-            continue
-        z2 = E.mul(z, z)
-        # 1, z, z^2 independent over the embedded subfield iff z has degree 3
-        if _independent_over_subfield(ext, (1, z, z2)):
-            return (1, z, z2)
-    raise AtlasError("no degree-3 element found")
-
-
-def _independent_over_subfield(ext, vecs) -> bool:
-    E, F = ext.ext, ext.base
-    emb = ext.embed_table
-    seen = set()
-    for a in range(F.q):
-        for b in range(F.q):
-            for c in range(F.q):
-                s = E.add(E.mul(emb[a], vecs[0]),
-                          E.add(E.mul(emb[b], vecs[1]), E.mul(emb[c], vecs[2])))
-                if s == 0 and (a, b, c) != (0, 0, 0):
-                    return False
-    return True
-
-
-def sigma_tf_plane(F: FieldCtx) -> Subspace:
-    """The polar image of the trace-form plane (q odd): the second
-    constant-rank-3 orbit."""
-    if F.p == 2:
-        raise AtlasError("Sigma_TF requires q odd")
-    return polarity_rho(F, sigma_gf_plane(F))
 
 
 def rank1_points_over_cubic_extension(F: FieldCtx, W: Subspace) -> int:
@@ -661,24 +605,16 @@ def atlas_entry(rep_id: str, F: FieldCtx) -> dict:
         "od0": list(od0(W)),
         "od4": list(od4(W)),
     }
-    if rep_id in ("Sigma_GF", "Sigma_TF", "Sigma_18"):
-        if rep_id == "Sigma_18":
-            entry["expected_od0"] = [0, 1, 0, q * q + q]
-            entry["expected_od4"] = [1, 0, 0, q * q + q]
-        else:
-            entry["expected_od0"] = [0, 0, 0, q * q + q + 1]
-            entry["expected_od4"] = [0, 0, 0, q * q + q + 1]
-    else:
-        spec = rep_spec(rep_id, F)
-        params = rep_params(rep_id, F)
-        if params:
-            entry["params"] = params
-        if spec.od0_formula is not None:
-            entry["expected_od0"] = list(spec.od0_formula(q))
-        if spec.od4_formula is not None:
-            entry["expected_od4"] = list(spec.od4_formula(q))
-        if spec.ambiguous_with:
-            entry["ambiguous_with"] = spec.ambiguous_with
+    spec = rep_spec(rep_id, F)
+    params = rep_params(rep_id, F)
+    if params:
+        entry["params"] = params
+    if spec.od0_formula is not None:
+        entry["expected_od0"] = list(spec.od0_formula(q))
+    if spec.od4_formula is not None:
+        entry["expected_od4"] = list(spec.od4_formula(q))
+    if spec.ambiguous_with:
+        entry["ambiguous_with"] = spec.ambiguous_with
     if "expected_od0" in entry:
         entry["od0_match"] = entry["od0"] == entry["expected_od0"]
     if "expected_od4" in entry:

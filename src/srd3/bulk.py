@@ -298,10 +298,10 @@ def nullspace_batch(kit: Kit, mats: np.ndarray) -> np.ndarray:
 # Subspace ids
 # ---------------------------------------------------------------------------
 #
-# A k-subspace of F^6 is named by its index in the canonical RREF order of
-# pg.all_subspaces: pivot patterns in lexicographic order, and within one
-# pattern the free slots read as base-q digits, most significant digit in
-# the first (row-major) free slot.  The id is the pattern's offset plus that
+# A k-subspace of F^6 is named by its index in the canonical RREF order:
+# pivot patterns in lexicographic order, and within one pattern the free
+# slots read as base-q digits, most significant digit in the first
+# (row-major) free slot.  The id is the pattern's offset plus that
 # digit index.  Ids are int64, and the largest Grassmannian (k = 3, about
 # q^9 subspaces) stays below 2^63 exactly for q <= MAX_ID_Q.
 

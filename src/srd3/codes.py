@@ -34,6 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from srd3 import bulk
+from srd3.atlas import d2_classes, rank1_points_over_cubic_extension
 from srd3.gf import FieldCtx, parse_field_spec
 from srd3.invariants import CLASS_RANK, rank_distribution, tables
 from srd3.pg import Subspace, canonicalize, rref
@@ -192,17 +193,13 @@ def extend_to_complete(C: SrdCode) -> SrdCode:
 # Classification
 # ---------------------------------------------------------------------------
 
-CLASS_LABELS_D2_SOLID = {"odd": ("Omega8_2", "Omega14_2", "Omega15_2"),
-                         "even": ("Omega7", "Omega13", "Omega14")}
-CLASS_LABELS_D2_PLANE = ("Sigma_N", "Sigma_16", "Sigma_18")
-
-
 def classify(C: SrdCode) -> str:
     """Equivalence class of a complete code; "NotComplete" otherwise.
 
-    d=2 solids are split by their rank-3 point count (q^3-q, q^3-2q, q^3);
-    d=2 planes (q even) by the same count (0, q^2, q^2+q); d=3 codes by the
-    rank-1 count of the scalar extension to GF(q^3).
+    d=2 solids and planes are split by their rank-3 point count, which the
+    od0 formula of each class in atlas.D2_CLASSES gives (q^3-q, q^3-2q, q^3
+    for solids; 0, q^2, q^2+q for planes, q even); d=3 codes by the rank-1
+    count of the scalar extension to GF(q^3).
     """
     return _label(C, is_complete(C))
 
@@ -218,20 +215,13 @@ def _label(C: SrdCode, complete: bool) -> str:
         return "WholeSpace"
     r1, r2, r3 = C.point_ranks
     if d == 2:
-        parity = "even" if F.p == 2 else "odd"
-        if C.dim == 4:
-            names = CLASS_LABELS_D2_SOLID[parity]
-            table = {q ** 3 - q: names[0], q ** 3 - 2 * q: names[1], q ** 3: names[2]}
-            if r3 in table:
-                return table[r3]
-        if C.dim == 3 and parity == "even":
-            table = {0: "Sigma_N", q * q: "Sigma_16", q * q + q: "Sigma_18"}
-            if r3 in table:
-                return table[r3]
+        kind = {3: "plane", 4: "solid"}.get(C.dim)
+        for spec in d2_classes(F):
+            if spec.kind == kind and spec.od0_formula(q)[3] == r3:
+                return spec.rep_id
         raise ClassSignatureError(C)
     # d == 3: complete implies a plane (the bound is saturated)
     if C.dim == 3:
-        from srd3.atlas import rank1_points_over_cubic_extension
         n = rank1_points_over_cubic_extension(F, C.subspace)
         if n == 3:
             return "GF_type"

@@ -178,10 +178,6 @@ class FieldCtx:
         for a in range(1, q):
             self._inv[a] = self._exp[(q - 1 - self._log[a]) % (q - 1)]
         self._neg = [self._neg_raw(a) for a in range(q)]
-        if p == 2:
-            self._square_codes = None
-        else:
-            self._square_codes = frozenset([0] + [self.mul(a, a) for a in range(1, q)])
         # spot check on the multiplicative group order
         rng = random.Random(q)
         a = rng.randrange(1, q)
@@ -386,17 +382,24 @@ def parse_field_spec(spec: str) -> FieldCtx:
 
     A bare integer is factored as a prime power.  Explicit modulus
     coefficients are given high to low, either as one digit string
-    ("2^3/011") or comma separated ("2^3/0,1,1").
+    ("2^3/011") or comma separated ("2^3/0,1,1").  A spec whose numbers are
+    not integers raises FieldError.
     """
-    spec = spec.strip()
+    def number(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise FieldError(f"bad field spec {spec!r}: {text!r} is not an integer") from None
+
+    base = spec.strip()
     mod_part = None
-    if "/" in spec:
-        spec, mod_part = spec.split("/", 1)
-    if "^" in spec:
-        ps, hs = spec.split("^", 1)
-        p, h = int(ps), int(hs)
+    if "/" in base:
+        base, mod_part = base.split("/", 1)
+    if "^" in base:
+        ps, hs = base.split("^", 1)
+        p, h = number(ps), number(hs)
     else:
-        n = int(spec)
+        n = number(base)
         if n < 2:
             raise FieldError(f"bad field order {n}")
         p = min(_prime_factors(n))
@@ -405,13 +408,10 @@ def parse_field_spec(spec: str) -> FieldCtx:
             n //= p
             h += 1
         if n != 1:
-            raise FieldError(f"{spec} is not a prime power")
+            raise FieldError(f"{base} is not a prime power")
     modulus = None
     if mod_part is not None:
-        if "," in mod_part:
-            hi_to_lo = [int(c) for c in mod_part.split(",")]
-        else:
-            hi_to_lo = [int(c) for c in mod_part]
+        hi_to_lo = [number(c) for c in (mod_part.split(",") if "," in mod_part else mod_part)]
         if len(hi_to_lo) != h:
             raise FieldError(f"modulus needs {h} coefficients, got {len(hi_to_lo)}")
         modulus = tuple(reversed(hi_to_lo))

@@ -176,48 +176,6 @@ def free_positions(pattern: tuple[int, ...], ncols: int) -> list[tuple[int, int]
     return out
 
 
-def all_subspaces(n: int, q: int, projdim: int, budget: int = 10 ** 7,
-                  F: FieldCtx | None = None) -> Iterator[Subspace]:
-    """Every projective subspace of PG(n,q) of the given dimension, once.
-
-    Enumerates RREF canonical forms by pivot-column pattern; the count is
-    gaussian_binomial(n+1, projdim+1, q).  Raises BudgetExceeded up front
-    (with the exact count needed) if the stream would be too long.
-    """
-    from srd3.gf import make_field
-    if F is None:
-        F = make_field(*_prime_power(q))
-    k, ncols = projdim + 1, n + 1
-    total = gaussian_binomial(ncols, k, q)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    for pattern in pivot_patterns(ncols, k):
-        free = free_positions(pattern, ncols)
-        nf = len(free)
-        base = [[0] * ncols for _ in range(k)]
-        for i, p in enumerate(pattern):
-            base[i][p] = 1
-        for m in range(q ** nf):
-            rows = [row[:] for row in base]
-            mm = m
-            for slot in range(nf - 1, -1, -1):
-                i, c = free[slot]
-                rows[i][c] = mm % q
-                mm //= q
-            yield Subspace(F, tuple(tuple(r) for r in rows))
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    h = 0
-    while q > 1:
-        if q % p:
-            raise ValueError(f"{q} is not a prime power")
-        q //= p
-        h += 1
-    return p, h
-
-
 def incident(F: FieldCtx, point: Iterable[int], dual: Iterable[int]) -> bool:
     s = 0
     for y, d in zip(point, dual):
@@ -248,19 +206,3 @@ def nullspace(F: FieldCtx, rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ..
     if not basis:
         return ()
     return rref(F, basis)[0]
-
-
-def subspaces_within(W: Subspace, projdim: int) -> Iterator[Subspace]:
-    """All subspaces of the given projective dimension contained in W."""
-    F = W.F
-    for inner in all_subspaces(W.k - 1, F.q, projdim, budget=10 ** 8, F=F):
-        rows = []
-        for coeff_row in inner.rows:
-            v = [0] * (W.ambient + 1)
-            for c, row in zip(coeff_row, W.rows):
-                if c:
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = F.add(v[j], F.mul(c, x))
-            rows.append(tuple(v))
-        yield canonicalize(F, rows)

@@ -107,7 +107,6 @@ from srd3.pg import Subspace, gaussian_binomial
 from srd3.invariants import (od0, od4, pgl3_order, point_class, require_tables,
                              stabilizer_order, tables)
 from srd3.report import CheckReport, make_report
-from srd3.veronese import nucleus_plane
 
 # the largest q whose counts are exact: the full check set takes about 12 s
 # and 120 MB at q = 8 with one worker; the q = 9 plane and solid passes
@@ -614,10 +613,9 @@ def verify_tables(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
 
 
 def _min_rank2_solid_sigs(F: FieldCtx) -> dict[tuple, str]:
-    from srd3.atlas import rep_spec
-    ids = ("Omega8_2", "Omega14_2", "Omega15_2") if F.p != 2 else \
-          ("Omega7", "Omega13", "Omega14")
-    return {tuple(rep_spec(rid, F).od0_formula(F.q)): rid for rid in ids}
+    from srd3.atlas import d2_classes
+    return {tuple(spec.od0_formula(F.q)): spec.rep_id
+            for spec in d2_classes(F) if spec.kind == "solid"}
 
 
 def verify_solids(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
@@ -759,7 +757,7 @@ def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
 def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Minimum-rank-2 lines never extendless; minimum-rank-2 planes complete
     only for q even and only inside the nucleus-plane family."""
-    from srd3.atlas import entry_rows, rep_params, rep_spec, representative
+    from srd3.atlas import d2_classes, entry_rows, rep_params, rep_spec, representative
     t0 = time.perf_counter()
     q = F.q
     n_lines, n_complete_lines = _min_rank2_lines(F, jobs)
@@ -774,10 +772,10 @@ def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1) -> list[CheckRepor
         if q >= 4:
             # the only complete planes are the nucleus-plane family: the
             # complete planes of each signature are one orbit, and the
-            # signatures are those of the nucleus plane, Sigma_16 and
-            # Sigma_18, all three distinct
-            family = [nucleus_plane(F), representative("Sigma_16", F),
-                      representative("Sigma_18", F)]
+            # signatures are those of the complete-plane classes (the
+            # nucleus plane Sigma_N, Sigma_16 and Sigma_18), all distinct
+            family = [representative(spec.rep_id, F) for spec in d2_classes(F)
+                      if spec.kind == "plane"]
             sigs = [od0(W) for W in family]
             comp_eq = (len(set(sigs)) == 3 and sorted(by_sig) == sorted(sigs)
                        and all(_is_orbit(sig + (1,), by_sig[sig], W)

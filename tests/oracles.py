@@ -20,25 +20,30 @@ counts through one point of each point class, the line-pair flag of
 planes named by id, which the package reads from the same counts, the
 k-subspaces through a point by elimination, which the package writes in
 RREF directly, and the key row of every subspace through x_c, where the
-package's pass drops those that show a point of an earlier class.
+package's pass drops those that show a point of an earlier class, every
+subspace of PG(n,q) or of a given subspace by pivot pattern, which the
+package names by bulk's subspace ids, the Sigma_18 plane by a line search,
+which the atlas writes in closed form, and a basis of GF(q^3) by testing
+independence over GF(q), which the atlas reads off the first element
+outside GF(q).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from srd3 import bulk
 from srd3.codes import SrdCode, min_distance
-from srd3.gf import FieldCtx, FieldError, cubic_extension, is_square
+from srd3.gf import FieldCtx, FieldError, cubic_extension, is_square, parse_field_spec
 from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, k_generators,
                              orbit_of, pgl3_order, point_class, tables)
 from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
-                     gaussian_binomial, matrix_rank, normalize_vec, nullspace,
-                     subspace_points)
-from srd3.veronese import (as_matrix, lift, mat_mul, pg2_points,
-                           point_rank, veronese)
+                     free_positions, gaussian_binomial, matrix_rank, normalize_vec,
+                     nullspace, pivot_patterns, subspace_points)
+from srd3.veronese import (as_matrix, double_line_dual, kernel_point, lift, mat_mul,
+                           nucleus_plane, pg2_points, point_rank, veronese)
 from srd3.verify import _bases_through, _block_size, _histogram, _pmap, _through_chunks
 
 
@@ -450,3 +455,83 @@ def r2n_h1_sweep(F: FieldCtx, jobs: int = 1) -> tuple[int, list[int]]:
 
     parts = _pmap(work, bulk.id_chunks(q, 3, _block_size(q, 3)), jobs)
     return sum(m for m, _ in parts), [int(x) for x in np.sum([h for _, h in parts], axis=0)]
+
+
+def all_subspaces(n: int, q: int, projdim: int, budget: int = 10 ** 7,
+                  F: FieldCtx | None = None) -> Iterator[Subspace]:
+    """Every projective subspace of PG(n,q) of the given dimension, once,
+    in the order of bulk's subspace ids.
+
+    Enumerates RREF canonical forms by pivot-column pattern; the count is
+    gaussian_binomial(n+1, projdim+1, q).  Raises BudgetExceeded up front
+    (with the exact count needed) if the stream would be too long.
+    """
+    if F is None:
+        F = parse_field_spec(str(q))
+    k, ncols = projdim + 1, n + 1
+    total = gaussian_binomial(ncols, k, q)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    for pattern in pivot_patterns(ncols, k):
+        free = free_positions(pattern, ncols)
+        nf = len(free)
+        base = [[0] * ncols for _ in range(k)]
+        for i, p in enumerate(pattern):
+            base[i][p] = 1
+        for m in range(q ** nf):
+            rows = [row[:] for row in base]
+            mm = m
+            for slot in range(nf - 1, -1, -1):
+                i, c = free[slot]
+                rows[i][c] = mm % q
+                mm //= q
+            yield Subspace(F, tuple(tuple(r) for r in rows))
+
+
+def subspaces_within(W: Subspace, projdim: int) -> Iterator[Subspace]:
+    """All subspaces of the given projective dimension contained in W."""
+    F = W.F
+    for inner in all_subspaces(W.k - 1, F.q, projdim, budget=10 ** 8, F=F):
+        rows = []
+        for coeff_row in inner.rows:
+            v = [0] * (W.ambient + 1)
+            for c, row in zip(coeff_row, W.rows):
+                if c:
+                    for j, x in enumerate(row):
+                        if x:
+                            v[j] = F.add(v[j], F.mul(c, x))
+            rows.append(tuple(v))
+        yield canonicalize(F, rows)
+
+
+def sigma18_search(F: FieldCtx) -> Subspace:
+    """The Sigma_18 plane (q even >= 4) by a line search: take the first
+    rank-2 point P of the nucleus plane, the hyperplane H(P) cut out by the
+    double of the line underlying the conic of P, and the first
+    constant-rank-3 line inside H(P); the plane is its span with P."""
+    P = next(iter(subspace_points(nucleus_plane(F))))
+    dual = double_line_dual(F, kernel_point(F, P))
+    H = Subspace(F, nullspace(F, (dual,)))
+    class_code = tables(F).class_code
+    for line in subspaces_within(H, 1):
+        pts = np.array(list(subspace_points(line)), dtype=np.uint8)
+        if (class_code[bulk.encode(pts, F.q)] == 4).all():
+            return canonicalize(F, line.rows + (P,))
+    raise AssertionError("no constant-rank-3 line in H(P)")
+
+
+def ext_basis_by_independence(ext) -> tuple[int, int, int]:
+    """The basis 1, z, z^2 of GF(q^3) over GF(q) for the first z outside
+    the embedded GF(q) whose powers no nonzero GF(q)-combination sends to
+    0, trying every combination."""
+    E, emb = ext.ext, ext.embed_table
+    for z in range(E.q):
+        if z in emb:
+            continue
+        vecs = (1, z, E.mul(z, z))
+        if all(E.add(E.mul(emb[a], vecs[0]),
+                     E.add(E.mul(emb[b], vecs[1]), E.mul(emb[c], vecs[2]))) != 0
+               for a in range(ext.base.q) for b in range(ext.base.q)
+               for c in range(ext.base.q) if (a, b, c) != (0, 0, 0)):
+            return vecs
+    raise AssertionError("no degree-3 element found")

@@ -75,3 +75,14 @@ def test_exact_statuses(matrix):
                for r in all_rows)
     assert {r.check_id: r.status for r in all_rows if r.field == "2^3"} == \
         dict.fromkeys(["tables", "T3.4", "T3.8", "T3.7", "Y03q"], "pass")
+
+
+def test_fields_match_plan_rows_by_field_not_spelling():
+    # "2^2" is GF(4): it selects q = 4's rows, not criterion 0, and a field
+    # asked for under two spellings runs once
+    def rows(fields):
+        return [(r.check_id, r.details["criterion"]) for r in run_acceptance(fields)]
+    want = rows(["4"])
+    assert want and all(crit != 0 for _, crit in want)
+    assert rows(["2^2"]) == want
+    assert rows(["4", "2^2"]) == want

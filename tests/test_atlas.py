@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srd3 import bulk, invariants
-from srd3.gf import make_field, parse_field_spec, trace2
-from srd3.atlas import (AtlasError, atlas_entry, emit_atlas, find_params,
+from srd3.gf import cubic_extension, make_field, parse_field_spec, trace2
+from srd3.atlas import (AtlasError, _ext_basis, atlas_entry, emit_atlas, find_params,
                         rep_ids, representative,
-                        rank1_points_over_cubic_extension, sigma18_plane,
+                        rank1_points_over_cubic_extension,
                         sigma_gf_plane, sigma_tf_plane)
 from srd3.invariants import od0, od4, orbit_of, rank_distribution
 from srd3.pg import canonicalize, gaussian_binomial, nullspace
 from srd3.veronese import veronese
 
-from oracles import rank1_points_over_cubic_extension_scalar
+from oracles import (ext_basis_by_independence, rank1_points_over_cubic_extension_scalar,
+                     sigma18_search)
 
 
 def test_find_params_delta_q3():
@@ -104,13 +105,30 @@ def test_sigma16_plane():
 
 def test_sigma18_plane_q4():
     F = make_field(2, 2)
-    W = sigma18_plane(F)
+    W = representative("Sigma_18", F)
     assert od0(W) == (0, 1, 0, 20)
     assert od4(W) == (1, 0, 0, 20)
     with pytest.raises(AtlasError):
-        sigma18_plane(make_field(2, 1))
+        representative("Sigma_18", make_field(2, 1))
     with pytest.raises(AtlasError):
-        sigma18_plane(make_field(3, 1))
+        representative("Sigma_18", make_field(3, 1))
+
+
+@pytest.mark.parametrize("spec", ["4", "2^3", "2^3/101"])
+def test_sigma18_entry_equals_line_search(spec):
+    # the closed form b*l^3 + c*l + 1 rootless gives the plane the line
+    # search finds, basis for basis; every field tried takes b = 1
+    F = parse_field_spec(spec)
+    entry = atlas_entry("Sigma_18", F)
+    assert entry["params"]["b"] == 1
+    assert entry["basis"] == [list(r) for r in sigma18_search(F).rows]
+    assert entry["od0_match"] and entry["od4_match"]
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "9"])
+def test_ext_basis_equals_independence_scan(spec):
+    ext = cubic_extension(parse_field_spec(spec))
+    assert _ext_basis(ext) == ext_basis_by_independence(ext)
 
 
 @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2)])

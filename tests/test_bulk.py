@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from srd3 import bulk
 from srd3.gf import FieldError, make_field, parse_field_spec
-from srd3.pg import all_subspaces, gaussian_binomial, nullspace, rref
+from srd3.pg import gaussian_binomial, nullspace, rref
 
-from oracles import combine_vectors, normalize_rows, quotient_codes_eliminate
+from oracles import all_subspaces, combine_vectors, normalize_rows, quotient_codes_eliminate
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
@@ -103,7 +103,7 @@ def test_encode_decode_roundtrip():
 
 @pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 4, 5) for k in (1, 2, 3, 4, 5)])
 def test_subspace_ids_round_trip(q, k):
-    # ids 0..N-1 decode to pg.all_subspaces in its order, and back
+    # ids 0..N-1 decode to oracles.all_subspaces in its order, and back
     n = gaussian_binomial(6, k, q)
     scalar = np.fromiter((x for W in all_subspaces(5, q, k - 1, budget=10 ** 7)
                           for row in W.rows for x in row),

@@ -137,14 +137,16 @@ def _one_line_error(capsys) -> str:
     return cap.err
 
 
-@pytest.mark.parametrize("basis, what", [
-    ('[[[1,0,0],[0,"a",0],[0,0,1]]]', "'a' is not an integer"),
-    ('[1]', "matrix 0 is not a list"),
-    ('[[[1,0,0],[0,1.5,0],[0,0,1]]]', "1.5 is not an integer"),
-], ids=["string_entry", "bare_number_matrix", "float_entry"])
-def test_classify_rejects_non_integer_json(tmp_path, capsys, basis, what):
+@pytest.mark.parametrize("field, basis, what", [
+    ('"3"', '[[[1,0,0],[0,"a",0],[0,0,1]]]', "'a' is not an integer"),
+    ('"3"', '[1]', "matrix 0 is not a list"),
+    ('"3"', '[[[1,0,0],[0,1.5,0],[0,0,1]]]', "1.5 is not an integer"),
+    ('"x"', '[[[1,0,0],[0,1,0],[0,0,1]]]', "'x' is not an integer"),
+    ('3.5', '[[[1,0,0],[0,1,0],[0,0,1]]]', "'3.5' is not an integer"),
+], ids=["string_entry", "bare_number_matrix", "float_entry", "string_field", "float_field"])
+def test_classify_rejects_non_integer_json(tmp_path, capsys, field, basis, what):
     f = tmp_path / "bad.json"
-    f.write_text('{"field": "3", "basis": %s}' % basis)
+    f.write_text('{"field": %s, "basis": %s}' % (field, basis))
     assert main(["classify", "--input", str(f)]) == 2
     assert what in _one_line_error(capsys)
 
@@ -184,9 +186,15 @@ def test_checks_above_table_range_name_q(capsys, monkeypatch, q, argv):
     ["enumerate", "--field", "3", "--dim", "2", "--limit", "-1"],
     ["enumerate", "--field", "3", "--dim", "2", "--budget", "0"],
     ["enumerate", "--field", "3", "--dim", "2", "--limit", "2", "--budget", "-5"],
+    ["verify", "--field", "abc"],
+    ["verify", "--field", "3.0"],
+    ["verify", "--field", "2^x"],
+    ["verify", "--field", ""],
+    ["acceptance", "--fields", "3,abc"],
 ], ids=["verify_jobs_0", "acceptance_jobs_negative", "enumerate_dim_7",
         "enumerate_dim_negative", "enumerate_limit_negative", "enumerate_budget_0",
-        "enumerate_budget_negative"])
+        "enumerate_budget_negative", "verify_field_abc", "verify_field_float",
+        "verify_field_exponent_x", "verify_field_empty", "acceptance_field_abc"])
 def test_out_of_range_options_exit_2(capsys, argv):
     assert main(argv) == 2
     _one_line_error(capsys)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srd3.gf import make_field
-from srd3.atlas import representative, sigma18_plane, sigma_gf_plane, sigma_tf_plane
+from srd3.atlas import d2_classes, representative, sigma_gf_plane, sigma_tf_plane
 from srd3.codes import (CodeFormatError, SrdCode, classify, code_from_json,
                         code_rank_distribution, code_to_json, describe,
                         dim_bound, extend_to_complete, extension_points,
@@ -131,12 +131,22 @@ def test_classify_labels():
     assert classify(SrdCode.from_subspace(sigma_tf_plane(F3))) == "TF_type"
     assert classify(SrdCode.from_subspace(sigma_gf_plane(F3))) == "GF_type"
     F4 = make_field(2, 2)
-    assert classify(SrdCode.from_subspace(sigma18_plane(F4))) == "Sigma_18"
+    assert classify(SrdCode.from_subspace(representative("Sigma_18", F4))) == "Sigma_18"
     assert classify(SrdCode.from_subspace(nucleus_plane(F4))) == "Sigma_N"
     assert classify(SrdCode.from_subspace(representative("Omega7", F4))) == "Omega7"
     assert classify(SrdCode.from_subspace(representative("Omega13", F4))) == "Omega13"
     assert classify(_code(F3, I3)) == "NotComplete"
     assert classify(SrdCode.from_subspace(sigma_gf_plane(F4))) == "GF_type"
+
+
+@pytest.mark.parametrize("spec", ["3", "4", "5", "8"])
+def test_complete_d2_representatives_label_themselves(spec):
+    # the labels are read from the od0 formulas of the class list, so each
+    # listed representative must get its own id back
+    from srd3.gf import parse_field_spec
+    F = parse_field_spec(spec)
+    for cls in d2_classes(F):
+        assert classify(SrdCode.from_subspace(representative(cls.rep_id, F))) == cls.rep_id
 
 
 def test_classify_whole_space():

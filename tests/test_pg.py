@@ -7,12 +7,11 @@ from itertools import combinations
 import pytest
 
 from srd3.gf import make_field
-from srd3.pg import (BudgetExceeded, all_subspaces, canonicalize,
-                     coefficient_vectors, gaussian_binomial,
-                     incident, matrix_rank, normalize_vec,
-                     nullspace, rref, subspace_points, subspaces_within)
+from srd3.pg import (BudgetExceeded, canonicalize, coefficient_vectors,
+                     gaussian_binomial, incident, matrix_rank, normalize_vec,
+                     nullspace, rref, subspace_points)
 
-from oracles import duals_through
+from oracles import all_subspaces, duals_through, subspaces_within
 
 
 def test_matrix_rank_basics():

@@ -59,8 +59,8 @@ def _atlas(args) -> int:
         w = _csv.writer(buf)
         w.writerow(["id", "kind", "basis", "od0", "od4", "params"])
         for e in entries:
-            w.writerow([e["id"], e["kind"], e["basis"], e["od0"], e["od4"],
-                        e.get("params", "")])
+            params = json.dumps(e["params"]) if "params" in e else ""
+            w.writerow([e["id"], e["kind"], e["basis"], e["od0"], e["od4"], params])
         _write(buf.getvalue(), args.out)
     bad = [e["id"] for e in entries
            if not (e.get("od0_match", True) and e.get("od4_match", True))]

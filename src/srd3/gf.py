@@ -135,6 +135,7 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def default_modulus(p: int, h: int) -> tuple[int, ...]:
     """The canonical monic irreducible of degree h over GF(p).
 
@@ -464,8 +465,11 @@ class CubicExt:
         return self.embed_table.index(t)
 
 
+@lru_cache(maxsize=None)
 def cubic_extension(F: FieldCtx) -> CubicExt:
-    """Build GF(q^3) over F = GF(q) with embedding and Frobenius x -> x^q."""
+    """Build GF(q^3) over F = GF(q) with embedding and Frobenius x -> x^q,
+    once per field (fields are cached by make_field, so F's identity
+    names it)."""
     E = make_field(F.p, 3 * F.h)
     if F.h == 1:
         emb = tuple(range(F.p))  # prime subfield sits at the constant digits

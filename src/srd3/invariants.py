@@ -42,6 +42,8 @@ q^3+q^2+q+1 points with od0_batch.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from srd3 import bulk
@@ -350,6 +352,13 @@ def lift_batch(kit: bulk.Kit, A: np.ndarray) -> np.ndarray:
     return kit.add(L, cross)
 
 
+def _merged(seen: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """np.union1d(seen, fresh) of two ascending arrays with no common
+    value, by inserting fresh at its sorted positions: no deduplication,
+    and no import of numpy.ma, which np.unique's plain path makes."""
+    return np.insert(seen, np.searchsorted(seen, fresh), fresh)
+
+
 class PointClass:
     """One point class c, as the group sees it: the class-c point codes
     (normalized, ascending), an element h_y with h_y x_c = y for each point
@@ -358,10 +367,11 @@ class PointClass:
 
     The h_y come from a Schreier tree: a breadth-first walk from x_c under
     k_generators.  It must reach every class-c point of point_census, i.e.
-    the class is one orbit.  The stabiliser is generated by the Schreier
-    generators h_{g y}^-1 g h_y: each one not yet in the group is added and
-    the group closed under right multiplication, until it has
-    |PGL(3,q)| / N_c elements."""
+    the class is one orbit; the constructor builds only the tree.  The
+    stabiliser, which only stabilizer_order reads, is built on first use:
+    it is generated by the Schreier generators h_{g y}^-1 g h_y, each one
+    not yet in the group is added and the group closed under right
+    multiplication, until it has |PGL(3,q)| / N_c elements."""
 
     def __init__(self, t: GeomTables, c: int):
         F, kit, q = t.F, t.kit, t.F.q
@@ -373,15 +383,15 @@ class PointClass:
         seen = bulk.encode(pts, q)
         all_codes, all_mats = [seen], [mats]
         while len(pts):
-            # images of every frontier point under every generator, and the
-            # elements that carry x_c there: g h
+            # images of every frontier point under every generator, and for
+            # the new ones the elements that carry x_c there: g h
             img = _moved(kit, pts, lifts)
-            img_mats = _mat_mul(kit, gens[:, None], mats).reshape(-1, 3, 3)
             codes, first = np.unique(bulk.encode(_normalized(kit, img), q),
                                      return_index=True)
             fresh = ~np.isin(codes, seen, assume_unique=True)
-            seen = np.union1d(seen, codes[fresh])
-            pts, mats = img[first[fresh]], img_mats[first[fresh]]
+            seen = _merged(seen, codes[fresh])
+            g, h = np.divmod(first[fresh], len(pts))
+            pts, mats = img[first[fresh]], _mat_mul(kit, gens[g], mats[h])
             all_codes.append(codes[fresh])
             all_mats.append(mats)
         codes = np.concatenate(all_codes)
@@ -389,10 +399,14 @@ class PointClass:
         order = np.argsort(codes)
         self.codes = codes[order]
         self.transversal = np.concatenate(all_mats)[order]
-        self.stabilizer = self._stabilizer(kit, gens, lifts, pgl3_order(q) // size)
+        self._kit, self._gens, self._lifts = kit, gens, lifts
 
-    def _stabilizer(self, kit, gens, lifts, order: int) -> np.ndarray:
+    @cached_property
+    def stabilizer(self) -> np.ndarray:
+        """The lifts (g, 6, 6) of the elements of Stab(x_c)."""
+        kit, gens, lifts = self._kit, self._gens, self._lifts
         q = kit.q
+        order = pgl3_order(q) // len(self.codes)
         img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(self.codes, q, 6), lifts)), q)
         h_img = self.transversal[np.searchsorted(self.codes, img)]
         g_h = _mat_mul(kit, gens[:, None], self.transversal).reshape(-1, 3, 3)
@@ -411,7 +425,7 @@ class PointClass:
                 img = np.concatenate([_mat_mul(kit, frontier, g) for g in step])
                 img_codes, first = np.unique(_element_codes(kit, img), return_index=True)
                 fresh = ~np.isin(img_codes, seen, assume_unique=True)
-                seen = np.union1d(seen, img_codes[fresh])
+                seen = _merged(seen, img_codes[fresh])
                 frontier = img[first[fresh]]
                 elems = np.concatenate([elems, frontier])
                 step = used
@@ -420,9 +434,9 @@ class PointClass:
 
 
 def point_class(F: FieldCtx, c: int) -> PointClass:
-    """The transversal and point stabiliser of class c (1..4, as in
-    point_classes), built on first use and cached with the field's
-    tables."""
+    """The transversal of class c (1..4, as in point_classes), built on
+    first use and cached with the field's tables; its point stabiliser is
+    built when first read."""
     t = tables(F)
     got = t.point_class_data.get(c)
     if got is None:

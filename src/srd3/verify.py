@@ -46,9 +46,17 @@ RREF with no elimination (_bases_through).  _counts adds up
 each key row in the pass of the first class it meets in the order P3, the
 two rank-2 classes, P1, so every subspace is counted once; that N_c n_c(k)
 is divisible by s_c(k) is checked, and a remainder is an internal error.
-Only T3.7, which counts every plane, takes the P1 pass: the other families
-have no rank-1 point.  The passes run in _block_size blocks through _pmap,
-so the counts are sums and do not depend on the number of workers.
+Only T3.7, which counts every plane, asks for the P1 pass: the other
+families have no rank-1 point.  _counts keeps a running total and stops
+before a pass once it equals [6 choose k]_q: every k-subspace has then been
+counted in the pass of its first class, so no later pass can add a key row,
+and a total above [6 choose k]_q is an internal error.  At every q from 2
+to 9, the planes are all counted by the P3 and P2a passes and the lines by
+P3, P2a and, at even q only, P2b, so the P2b and P1 plane passes and the
+odd-q P2b line pass are not taken.  Only rank-1-free solids get key rows,
+so the solid total stays below [6 choose 4]_q and every solid pass is
+taken.  The passes run in _block_size blocks through _pmap, so the counts
+are sums and do not depend on the number of workers.
 
 A pass skips what it cannot count.  Before the key rows, each block of the
 pass of class c classifies PROBE_POINTS fixed points of every subspace (one
@@ -108,9 +116,9 @@ from srd3.invariants import (od0, od4, pgl3_order, point_class, require_tables,
                              stabilizer_order, tables)
 from srd3.report import CheckReport, make_report
 
-# the largest q whose counts are exact: the full check set takes about 12 s
-# and 120 MB at q = 8 with one worker; the q = 9 plane and solid passes
-# alone would take about 77 s and 153 MB, nearly all of it the two P3 passes
+# the largest q whose counts are exact: the full check set takes about 9.5 s
+# and 102 MB at q = 8 with one worker; the q = 9 plane and solid passes
+# alone would take about 85 s and 93 MB, 73 s of it the two P3 passes
 EXACT_MAX_Q = 8
 SAMPLE_SIZE = 100_000
 _SEED = 0x5D3
@@ -343,9 +351,14 @@ def _counts(F: FieldCtx, k: int, jobs: int = 1,
             classes: tuple[int, ...] = _CLASS_ORDER[:3]) -> dict[tuple, int]:
     """How many k-subspaces have each key row, counted through one point of
     each class (see the module docstring); the passes are cached per field.
-    The default classes count every subspace that has a point outside P1."""
+    The default classes count every subspace that has a point outside P1.
+    Once the counts add up to every k-subspace, the later passes can count
+    nothing and are not taken."""
     out = {}
+    total, everything = 0, gaussian_binomial(6, k, F.q)
     for c in classes:
+        if total == everything:
+            break
         got = _cached(("through", k, c, id(F)), lambda: _through(F, k, c, jobs))
         size = len(point_class(F, c).codes)
         for key, n in got.items():
@@ -354,7 +367,12 @@ def _counts(F: FieldCtx, k: int, jobs: int = 1,
             if size * n % key[c - 1]:
                 raise RuntimeError(f"{size} * {n} subspaces through a point of class "
                                    f"{c} with key {key} is not a multiple of {key[c - 1]}")
-            out[key] = out.get(key, 0) + size * n // key[c - 1]
+            counted = size * n // key[c - 1]
+            out[key] = out.get(key, 0) + counted
+            total += counted
+        if total > everything:
+            raise RuntimeError(f"{total} {k}-subspaces counted through the classes up to "
+                               f"{c}, more than the {everything} there are")
     return out
 
 

@@ -97,13 +97,6 @@ def conic_plane_of(F: FieldCtx, y: Iterable[int]) -> tuple[Subspace, tuple[Vec6,
     return plane, conic
 
 
-def nucleus_plane(F: FieldCtx) -> Subspace:
-    """The plane of zero-diagonal symmetric matrices (q even only)."""
-    if F.p != 2:
-        raise FieldError("the nucleus plane exists only for q even")
-    return Subspace(F, ((0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)))
-
-
 def delta(F: FieldCtx, conic: Iterable[int]) -> Vec6:
     """Dual vector of the hyperplane cut out by a conic.
 

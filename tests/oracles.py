@@ -43,8 +43,16 @@ from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors
                      free_positions, gaussian_binomial, matrix_rank, normalize_vec,
                      nullspace, pivot_patterns, subspace_points)
 from srd3.veronese import (as_matrix, double_line_dual, kernel_point, lift, mat_mul,
-                           nucleus_plane, pg2_points, point_rank, veronese)
+                           pg2_points, point_rank, veronese)
 from srd3.verify import _bases_through, _block_size, _histogram, _pmap, _through_chunks
+
+
+def nucleus_plane(F: FieldCtx) -> Subspace:
+    """The plane of zero-diagonal symmetric matrices (q even only): the
+    registry's Sigma_N, spelled out."""
+    if F.p != 2:
+        raise FieldError("the nucleus plane exists only for q even")
+    return Subspace(F, ((0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)))
 
 
 def in_nucleus_plane(y: Iterable[int]) -> bool:

@@ -72,6 +72,16 @@ def test_atlas_parity_validation(capsys):
     assert "Sigma_18" in ids and "Sigma_TF" not in ids and "Omega8_2" not in ids
 
 
+def test_atlas_csv_params_are_json(capsys):
+    # the params column is JSON, so a CSV reader can parse it
+    import csv
+    import io
+    assert main(["atlas", "--field", "2^3/101", "--format", "csv"]) == 0
+    rows = {r["id"]: r for r in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+    assert json.loads(rows["Sigma_18"]["params"]) == {"b": 1, "c": 3}
+    assert rows["Sigma_N"]["params"] == ""
+
+
 def test_enumerate_count_only(capsys):
     assert main(["enumerate", "--field", "4", "--dim", "2", "--count-only"]) == 0
     out = json.loads(capsys.readouterr().out)

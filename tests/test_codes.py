@@ -15,9 +15,8 @@ from srd3.codes import (CodeFormatError, SrdCode, classify, code_from_json,
                         dim_bound, extend_to_complete, extension_points,
                         is_complete, is_msrd, min_distance)
 from srd3.pg import rref, Subspace
-from srd3.veronese import nucleus_plane
 
-from oracles import extension_points_union, is_complete_union
+from oracles import extension_points_union, is_complete_union, nucleus_plane
 
 
 def _code(F, *mats):

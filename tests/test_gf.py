@@ -66,6 +66,18 @@ def test_default_modulus_is_irreducible(p, h):
     assert brute_irreducible(m + (1,), p)
 
 
+@pytest.mark.parametrize("p,h", [(2, 2), (2, 3), (3, 2), (2, 4), (7, 2)])
+def test_default_modulus_cache_matches_search(p, h):
+    assert default_modulus(p, h) == default_modulus.__wrapped__(p, h)
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "2^3/101"])
+def test_cubic_extension_is_built_once_per_field(spec):
+    F = parse_field_spec(spec)
+    assert cubic_extension(F) is cubic_extension(F)
+    assert cubic_extension(F).base is F
+
+
 def test_make_field_errors():
     with pytest.raises(FieldError):
         make_field(4, 1)

@@ -14,9 +14,9 @@ from srd3.invariants import (HYPERPLANE_CLASSES, exterior_by_tangents,
                              orbit_of, pgl3_order, point_census, point_class,
                              point_classes, rank_distribution, stabilizer_order,
                              tables)
-from srd3.veronese import nucleus_plane, point_rank, veronese
+from srd3.veronese import point_rank, veronese
 
-from oracles import (classify_hyperplane, classify_point, group_order_bfs,
+from oracles import (classify_hyperplane, classify_point, group_order_bfs, nucleus_plane,
                      od4_scalar, orbit_rows, stabilizer_by_group, stabilizer_order_by_orbit,
                      veronese_points)
 

@@ -357,11 +357,12 @@ def test_line_pair_planes_match_chunked_od4_q3():
     assert np.array_equal(ids[on_line_pair(F, ids, jobs=2)], want)
 
 
-# the (k, class) passes a full check set takes: lines, planes and solids
-# through P3 and both rank-2 classes, and T3.7's planes through P1 as well
-_PASSES = {3: {(2, 4), (2, 2), (2, 3), (3, 4), (3, 2), (3, 3), (4, 4), (4, 2), (4, 3)},
-           4: {(2, 4), (2, 2), (2, 3), (3, 4), (3, 2), (3, 3), (3, 1),
-               (4, 4), (4, 2), (4, 3)}}
+# the (k, class) passes a full check set takes: solids through P3 and both
+# rank-2 classes, and lines and planes through the classes taken before
+# their counts reach [6 choose k]_q; the P2b plane pass and T3.7's P1 plane
+# pass are never needed, nor the P2b line pass at odd q
+_PASSES = {3: {(2, 4), (2, 2), (3, 4), (3, 2), (4, 4), (4, 2), (4, 3)},
+           4: {(2, 4), (2, 2), (2, 3), (3, 4), (3, 2), (4, 4), (4, 2), (4, 3)}}
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2)], ids=["q3", "q4"])
@@ -509,6 +510,35 @@ def test_count_not_a_multiple_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(V, "_sweep_cache", {("through", 4, 4, id(F)): {key: good[key] + 1}})
     with pytest.raises(RuntimeError, match="not a multiple"):
         _counts(F, 4)
+
+
+def test_count_above_the_grassmannian_is_an_internal_error(monkeypatch):
+    # a pass that counts more k-subspaces than there are is a bug: s_P3 more
+    # planes with one key row through x_P3 add N_P3 = 234 planes to its count
+    import srd3.verify as V
+    F = make_field(3, 1)
+    good = V._through(F, 3, 4)
+    key = next(iter(good))
+    bad = {**good, key: good[key] + key[3]}
+    monkeypatch.setattr(V, "_sweep_cache", {("through", 3, 4, id(F)): bad})
+    with pytest.raises(RuntimeError, match="more than the 33880 there are"):
+        _counts(F, 3)
+
+
+@pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (5, 1)], ids=["q3", "q4", "q5"])
+def test_counts_stop_at_the_grassmannian_total(p, h, monkeypatch):
+    # every plane is counted before the P1 pass, so counting every plane
+    # builds no P1 class; a pass needs only the Schreier tree of its class,
+    # so no class holds a stabiliser yet
+    import srd3.verify as V
+    F = make_field(p, h)
+    monkeypatch.setattr(V, "_sweep_cache", {})
+    monkeypatch.setattr(tables(F), "point_class_data", {})
+    counts = _counts(F, 3, classes=_CLASS_ORDER)
+    assert sum(counts.values()) == gaussian_binomial(6, 3, F.q)
+    built = tables(F).point_class_data
+    assert 1 not in built and 4 in built
+    assert not [c for c, pc in built.items() if "stabilizer" in vars(pc)]
 
 
 # every field with point tables up to q = 9, GF(8) and GF(9) each with a

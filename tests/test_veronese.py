@@ -11,10 +11,10 @@ from srd3.pg import canonicalize, matrix_rank, subspace_points
 from srd3.veronese import (as_matrix, conic_plane_of,
                            coords_of_matrix, delta, double_line_dual, h1_duals,
                            k_action, kernel_point, lift,
-                           mat_mul, nucleus_plane, pg2_points, point_rank,
+                           mat_mul, pg2_points, point_rank,
                            polarity_rho, transpose, veronese)
 
-from oracles import in_nucleus_plane, rho_point, veronese_points
+from oracles import in_nucleus_plane, nucleus_plane, rho_point, veronese_points
 
 
 def test_veronese_examples():

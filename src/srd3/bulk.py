@@ -118,8 +118,10 @@ def encode(vecs: np.ndarray, q: int) -> np.ndarray:
 
 
 def decode(codes: np.ndarray, q: int, c: int) -> np.ndarray:
+    """The c base-q digits of each code, first digit most significant.
+    Codes are divided in their own width, at least int32."""
     out = np.empty(codes.shape + (c,), dtype=np.uint8)
-    rest = codes.astype(np.int64)
+    rest = codes.astype(np.promote_types(codes.dtype, np.int32))
     for i in range(c - 1, -1, -1):
         out[..., i] = rest % q
         rest //= q

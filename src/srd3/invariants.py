@@ -35,9 +35,23 @@ A subspace has a rank-1 point iff some Veronese point is orthogonal to
 every vector of its dual, i.e. iff the conics of the dual (a pencil for a
 solid, a net for a plane) have a common zero in PG(2,q).  That is a
 Veronese point whose quotient image (bulk.quotient_codes, the values of
-the dual vectors) is 0; for a solid, evaluating its 2 dual vectors at the
-q^2+q+1 Veronese points is far less work than classifying its
-q^3+q^2+q+1 points with od0_batch.
+the dual vectors) is 0.
+
+A solid's whole od0 row is read off its pencil Q1, Q2 (pencil_od0), never
+off its q^3+q^2+q+1 points.  Every rank-2 point lies on exactly one conic
+plane P_k = {M : Mk = 0}, the symmetric forms on the line k^perp of
+PG(2,q).  With u1, u2 the RREF basis of that line, P_k is spanned by
+v(u1), v(u1+u2) - v(u1) - v(u2) and v(u2) (v the Veronese map), so its
+point (alpha, beta, gamma) is the form [[alpha, beta], [beta, gamma]] on
+span(u1, u2), on the conic iff beta^2 = alpha gamma, and it lies in the
+solid iff E_k (alpha, beta, gamma)^T = 0, where E_k has the rows
+(Q_t(u1), Q_t(u1+u2) - Q_t(u1) - Q_t(u2), Q_t(u2)), t = 1, 2.  The classes
+of the rank-2 points of the solid on P_k depend on the pencil's six
+values at u1, u2, u1+u2 alone, so GeomTables.conic_table holds them for
+all q^6 value codes: by the rank of E_k the meet is one point, a line
+meeting the conic in 0, 1 or 2 points, or all of P_k.  Summing over the
+q^2+q+1 lines counts each rank-2 point of the solid once; its rank-1
+points are the Veronese points where both conics vanish.
 """
 
 from __future__ import annotations
@@ -157,10 +171,7 @@ class GeomTables:
             adj1 = kit.sub(kit.mul(y[0], y[5]), kit.mul(y[2], y[2]))
             adj2 = kit.sub(kit.mul(y[0], y[3]), kit.mul(y[1], y[1]))
             d = np.where(adj0 != 0, adj0, np.where(adj1 != 0, adj1, adj2))
-            sq = np.zeros(F.q, dtype=bool)
-            for a in F.nonzero():
-                sq[F.mul(a, a)] = True
-            ext = sq[kit.NEG[d]]
+            ext = _squares(F)[kit.NEG[d]]
             cls[r2 & ext] = 2
             cls[r2 & ~ext] = 3
         return cls
@@ -216,6 +227,114 @@ class GeomTables:
         for i in range(4):
             out[:, i] = (cls == i + 1).sum(axis=1)
         return out
+
+    def conic_table(self) -> np.ndarray:
+        """Pencil-value code -> MEET type of a solid's meet with a conic
+        plane P_k (module docstring), built on first use, TABLE_BLOCK codes
+        at a time.  The code is (r(u1) q^2 + r(u2)) q^2 + r(u1+u2), with
+        r(u) = Q1(u) q + Q2(u); conic_lines names u1, u2 and u1+u2 of each
+        line as rows of v6."""
+        t = getattr(self, "_conic_arr", None)
+        if t is not None:
+            return t
+        kit, F, q = self.kit, self.F, self.F.q
+        # by the code of the meet point e1 x e2 (rank-2 E_k), and by the code
+        # of a nonzero row e (rank 1; e = 0 for rank 0)
+        e = bulk.decode(np.arange(q ** 3), q, 3)
+        point_type = meet_point_types(F, *e.T)
+        x = np.arange(q)
+        # e0 s^2 + e1 st + e2 t^2 at (s, t) = (1, x), and at (0, 1)
+        form = kit.add(kit.add(e[:, :1], kit.mul(e[:, 1:2], x)), kit.mul(e[:, 2:], kit.mul(x, x)))
+        line_type = (3 + (form == 0).sum(axis=1) + (e[:, 2] == 0)).astype(np.uint8)
+        line_type[0] = 6
+        t = np.empty(q ** 6, dtype=np.uint8)
+        for lo in range(0, q ** 6, TABLE_BLOCK):
+            hi = min(lo + TABLE_BLOCK, q ** 6)
+            r = bulk.decode(np.arange(lo, hi, dtype=np.int32), q, 6).T
+            # the rows of E_k from the values at u1 (r0, r1), u2 (r2, r3) and
+            # u1+u2 (r4, r5), and the codes of e1 x e2 and of a nonzero row
+            e1 = (r[0], kit.sub(kit.sub(r[4], r[0]), r[2]), r[2])
+            e2 = (r[1], kit.sub(kit.sub(r[5], r[1]), r[3]), r[3])
+            cross = bulk.encode(np.stack([kit.sub(kit.mul(e1[i], e2[j]), kit.mul(e1[j], e2[i]))
+                                          for i, j in ((1, 2), (2, 0), (0, 1))], axis=1), q)
+            c1, c2 = bulk.encode(np.stack(e1, axis=1), q), bulk.encode(np.stack(e2, axis=1), q)
+            t[lo:hi] = np.where(cross != 0, point_type[cross],
+                                line_type[np.where(c1 != 0, c1, c2)])
+        self._conic_arr = t
+        return t
+
+    @cached_property
+    def conic_lines(self) -> np.ndarray:
+        """For each line k^perp of PG(2,q) with RREF basis u1, u2: the rows
+        of v6 (pg2_points order) of u1, u2 and u1+u2, (q^2+q+1, 3).  u1+u2
+        leads with u1's 1, so all three are normalized points."""
+        kit, q = self.kit, self.F.q
+        pts = np.array(pg2_points(self.F), dtype=np.uint8)
+        u = bulk.rref_batch(kit, bulk.nullspace_batch(kit, pts[:, None, :]))[0]
+        u = np.stack([u[:, 0], u[:, 1], kit.add(u[:, 0], u[:, 1])], axis=1)
+        return np.searchsorted(bulk.encode(pts, q), bulk.encode(u, q)).astype(np.int32)
+
+    def pencil_od0(self, vals: np.ndarray) -> np.ndarray:
+        """Point-orbit distributions (N, 4) of solids from vals, the codes
+        r(u) = Q1(u) q + Q2(u) of their pencils at the rows of v6,
+        (N, q^2+q+1): bulk.combine(kit, v6, duals^T).  r1 counts the zeros,
+        the rank-2 columns are the number of meets of each MEET type over the
+        q^2+q+1 conic planes times meet_counts, and r3 is the rest of the
+        solid's q^3+q^2+q+1 points."""
+        q = self.F.q
+        i1, i2, i12 = self.conic_lines.T
+        idx = vals[:, i1]
+        idx *= q ** 4
+        idx += vals[:, i2] * q ** 2
+        idx += vals[:, i12]
+        types = self.conic_table()[idx]
+        del idx
+        out = np.empty((len(vals), 4), dtype=np.int64)
+        out[:, 0] = (vals == 0).sum(axis=1)
+        meets = np.stack([np.count_nonzero(types == m, axis=1) for m in range(7)], axis=1)
+        out[:, 1:3] = meets @ meet_counts(self.F)
+        out[:, 3] = (q ** 4 - 1) // (q - 1) - out[:, :3].sum(axis=1)
+        return out
+
+
+def _squares(F: FieldCtx) -> np.ndarray:
+    """Whether each element of GF(q) is a nonzero square: (q,) bool."""
+    sq = np.zeros(F.q, dtype=bool)
+    for a in F.nonzero():
+        sq[F.mul(a, a)] = True
+    return sq
+
+
+# MEET types of a solid's meet with a conic plane (GeomTables.conic_table):
+# 0, 1, 2 one point, of rank 1, of the first or of the second rank-2 class;
+# 3, 4, 5 a line with 0, 1 or 2 points on the conic; 6 the whole plane
+def meet_point_types(F: FieldCtx, alpha, beta, gamma) -> np.ndarray:
+    """MEET type 0, 1 or 2 of the nonzero points (alpha, beta, gamma) of a
+    conic plane, i.e. of the forms [[alpha, beta], [beta, gamma]] on a line
+    of PG(2,q): rank 1 iff beta^2 = alpha gamma; at odd q P2e iff
+    beta^2 - alpha gamma is a nonzero square (minus the determinant, as in
+    the exterior test of the module docstring), at even q P2n iff
+    alpha = gamma = 0 (zero diagonal).  Arrays of field codes in, uint8 out."""
+    kit = bulk.kit_for(F)
+    disc = kit.sub(kit.mul(beta, beta), kit.mul(alpha, gamma))
+    first = (alpha == 0) & (gamma == 0) if F.p == 2 else _squares(F)[disc]
+    return np.where(disc == 0, 0, np.where(first, 1, 2)).astype(np.uint8)
+
+
+def meet_counts(F: FieldCtx) -> np.ndarray:
+    """The rank-2 points of each class (r2a, r2b) on a meet of each MEET
+    type: (7, 2).  A line of a conic plane off the conic holds (q+1)/2
+    exterior and (q+1)/2 interior points at odd q, and misses the nucleus
+    at even q; a tangent holds q exterior points, or the nucleus and q-1
+    others; a secant (q-1)/2 of each, or q-1 non-nucleus points; the whole
+    plane holds all q^2, q(q+1)/2 of them exterior, or one the nucleus."""
+    q = F.q
+    if F.p == 2:
+        rest = [(0, q + 1), (1, q - 1), (0, q - 1), (1, q * q - 1)]
+    else:
+        rest = [((q + 1) // 2, (q + 1) // 2), (q, 0), ((q - 1) // 2, (q - 1) // 2),
+                (q * (q + 1) // 2, q * (q - 1) // 2)]
+    return np.array([(0, 0), (1, 0), (0, 1), *rest], dtype=np.int32)
 
 
 _tables: dict[int, GeomTables] = {}

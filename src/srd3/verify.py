@@ -53,10 +53,12 @@ counted in the pass of its first class, so no later pass can add a key row,
 and a total above [6 choose k]_q is an internal error.  At every q from 2
 to 9, the planes are all counted by the P3 and P2a passes and the lines by
 P3, P2a and, at even q only, P2b, so the P2b and P1 plane passes and the
-odd-q P2b line pass are not taken.  Only rank-1-free solids get key rows,
-so the solid total stays below [6 choose 4]_q and every solid pass is
-taken.  The passes run in _block_size blocks through _pmap, so the counts
-are sums and do not depend on the number of workers.
+odd-q P2b line pass are not taken.  Every solid gets a key row, rank-1
+points or not, and at every q from 2 to 9 the P3 pass alone counts all
+[6 choose 4]_q of them, so no other solid pass is taken; that is counted,
+not assumed, and a solid with no rank-3 point would send _counts on to
+the rank-2 passes.  The passes run in _block_size blocks through _pmap, so
+the counts are sums and do not depend on the number of workers.
 
 A pass skips what it cannot count.  Before the key rows, each block of the
 pass of class c classifies PROBE_POINTS fixed points of every subspace (one
@@ -83,17 +85,19 @@ is the vector of values of W's dual vectors there (bulk.quotient_codes),
 0 iff the point lies in W, so one array of images decides both whether W
 has a rank-1 point and whether it is complete.
 
-Solids are taken from the conic side.  The dual of a solid is a pencil of
-conics, and the solid has no rank-1 point iff the pencil has no base point
-in PG(2,q), i.e. iff no Veronese image is 0.  The images take 2(q^2+q+1)
-evaluations of a dual vector, so od0_batch runs only on the solids that
-pass (about 29% at q=5), and only once the images are dropped.  Images come
-first wherever (6-k)(q^2+q+1) < (q^k-1)/(q-1), the number of points
-od0_batch would combine; among the counted dimensions that is solids only,
-so lines and planes go to od0_batch first and take images of the
-rank-1-free ones.  _keys is the one kernel for both orders: it returns the
-key rows together with the positions of the subspaces they belong to, every
-line and plane and the solids the pencil filter keeps.
+Solids are read from the conic side.  The dual of a solid is a pencil of
+conics, and one combine gives its values at the q^2+q+1 Veronese points:
+2(q^2+q+1) evaluations against the (q^3+q^2+q+1) 6-digit points od0_batch
+would combine.  Those values decide the solid's whole key row.  Its rank-1
+points are the Veronese points where both conics vanish, and the conic
+plane table (invariants.GeomTables.pencil_od0) reads the classes of its
+rank-2 points off the values at three points of each line of PG(2,q); the
+rest are rank 3.  Normalized, the same values are its quotient images, so
+a rank-1-free solid's completeness flag costs one covers_quotient more.
+A line or a plane has at most q^2+q+1 points, fewer than the
+(6-k)(q^2+q+1) values of its dual, so lines and planes go to od0_batch
+first and take the images of their rank-1-free members.  _keys is the one
+kernel for all three: one key row per subspace, in order.
 
 No driver sweeps a whole Grassmannian.  _sweep, and solid_groups,
 plane_sweep, line_sweep_completeness, min_rank2_coverage and
@@ -116,9 +120,10 @@ from srd3.invariants import (od0, od4, pgl3_order, point_class, require_tables,
                              stabilizer_order, tables)
 from srd3.report import CheckReport, make_report
 
-# the largest q whose counts are exact: the full check set takes about 9.5 s
-# and 102 MB at q = 8 with one worker; the q = 9 plane and solid passes
-# alone would take about 85 s and 93 MB, 73 s of it the two P3 passes
+# the largest q whose counts are exact: the full check set takes about 7-9 s
+# and 99 MB at q = 8 with one worker; the q = 9 plane and solid passes
+# alone would take about 26-35 s and 94 MB, 20-27 s of it the P3 plane pass
+# and 5-11 s the one solid pass
 EXACT_MAX_Q = 8
 SAMPLE_SIZE = 100_000
 _SEED = 0x5D3
@@ -166,13 +171,6 @@ def _block_size(q: int, k: int) -> int:
     return max(256, (1 << 21) // m)
 
 
-def _pencil_filter_pays(q: int, k: int) -> bool:
-    """Whether evaluating the 6-k dual vectors at the q^2+q+1 Veronese
-    points is less work than combining the (q^k-1)/(q-1) points of a
-    k-subspace.  Of the swept dimensions this holds for solids only."""
-    return (6 - k) * (q * q + q + 1) < (q ** k - 1) // (q - 1)
-
-
 # ---------------------------------------------------------------------------
 # The counting engine.  Each pass is cached per field and dimension: several
 # drivers read the same counts.
@@ -207,24 +205,23 @@ _NUCLEUS_DIM = 9        # planes at even q: dim(W meet N)
 _R2N_IS_H1 = 10         # planes at even q: r2n == h1
 
 
-def _keys(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _keys(t, bases: np.ndarray) -> np.ndarray:
     """Key rows (see the module docstring) of a block of at most _block_size
-    RREF bases, and the positions in bases of the subspaces they belong to:
-    every line and plane, and the solids with no rank-1 point, which the
-    pencil filter keeps.  A solid block's Veronese images are dropped
-    before od0_batch runs."""
+    RREF bases, one per subspace.  A solid's od0 row is read off its pencil
+    of conics (GeomTables.pencil_od0), whose values at the Veronese points
+    are also its quotient images; lines and planes go to od0_batch, and the
+    rank-1-free ones take their images after."""
     q, k = t.F.q, bases.shape[1]
-    if _pencil_filter_pays(q, k):
-        img = bulk.quotient_codes(t.kit, bases, t.v6)
-        keep = np.flatnonzero((img != 0).all(axis=1))
-        full = bulk.covers_quotient(q, 6 - k, img[keep])
-        del img
-        return keep, np.column_stack([t.od0_batch(bases[keep]), full])
-    dist = t.od0_batch(bases)
+    if k == 4:
+        vals = bulk.combine(t.kit, t.v6, bulk.nullspace_batch(t.kit, bases).transpose(0, 2, 1))
+        dist = t.pencil_od0(vals)
+    else:
+        dist = t.od0_batch(bases)
     free = np.flatnonzero(dist[:, 0] == 0)
+    img = (bulk.normal_codes(t.kit, 2)[vals[free]] if k == 4
+           else bulk.quotient_codes(t.kit, bases[free], t.v6))
     cols = [dist, np.zeros((len(bases), 1), dtype=np.int64)]
-    cols[1][free, 0] = bulk.covers_quotient(
-        q, 6 - k, bulk.quotient_codes(t.kit, bases[free], t.v6))
+    cols[1][free, 0] = bulk.covers_quotient(q, 6 - k, img)
     if k == 3:
         d4 = np.zeros((len(bases), 4), dtype=np.int64)
         d4[free] = t.od4_batch(bases[free])
@@ -232,7 +229,7 @@ def _keys(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if t.F.p == 2:
             dim, match = _nucleus_meet(t, bases)
             cols.append(np.column_stack([dim, match]))
-    return np.arange(len(bases)), np.concatenate(cols, axis=1)
+    return np.concatenate(cols, axis=1)
 
 
 def _row_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,11 +248,14 @@ def _histogram(t, k: int, chunks: list, bases_of, jobs: int) -> dict[tuple, int]
     """{key row: how many} over the RREF bases bases_of(chunk) of the
     k-subspaces of every chunk.  Each chunk's histogram is one _row_counts
     of its key rows, and the histograms are added up in chunk order."""
+    # build the table the key rows read before forking
     if k == 3:
-        t.hclass_table()  # build before forking
+        t.hclass_table()
+    elif k == 4:
+        t.conic_table()
 
     def work(chunk):
-        rows, n = _row_counts(_keys(t, bases_of(chunk))[1])
+        rows, n = _row_counts(_keys(t, bases_of(chunk)))
         return list(zip(map(tuple, rows.tolist()), n.tolist()))
 
     out: dict[tuple, int] = {}
@@ -394,8 +394,8 @@ def _table(F: FieldCtx, k: int, jobs: int = 1,
            classes: tuple[int, ...] = _CLASS_ORDER[:3]) -> tuple[dict[tuple, int], bool]:
     """The {key row: how many} table of the k-subspaces and whether it is
     sampled: exact (_counts through the given classes) for q <= EXACT_MAX_Q,
-    and over the seeded sample (_sample_counts) above it, where every line
-    and plane of the sample has a row, and every rank-1-free solid."""
+    and over the seeded sample (_sample_counts) above it, where every
+    subspace of the sample has a row."""
     if F.q > EXACT_MAX_Q:
         return _sample_counts(F, k, jobs), True
     return _counts(F, k, jobs, classes), False
@@ -465,9 +465,9 @@ def _sweep(F: FieldCtx, k: int, jobs: int = 1):
 
     def work(chunk):
         lo, hi = chunk
-        keep, keys = _keys(t, bulk.subspace_bases(q, k, np.arange(lo, hi)))
-        free = keys[:, 0] == 0
-        keep, dist, full = keep[free], keys[free, :4], keys[free, _COMPLETE] == 1
+        keys = _keys(t, bulk.subspace_bases(q, k, np.arange(lo, hi)))
+        keep = np.flatnonzero(keys[:, 0] == 0)
+        dist, full = keys[keep, :4], keys[keep, _COMPLETE] == 1
         # od0 rows as base-(points + 1) numbers, which sort as the rows do
         key = dist @ (gaussian_binomial(k, 1, q) + 1) ** np.arange(3, -1, -1)
         _, first, which = np.unique(key, return_index=True, return_inverse=True)
@@ -572,9 +572,8 @@ def _is_orbit(key: tuple, count: int, W: Subspace) -> bool:
     count members, is the orbit of W: W's own key row, computed on W,
     starts with key, and count is the orbit's size (see the module
     docstring).  The family is invariant because its key is."""
-    _, own = _keys(tables(W.F), np.array([W.rows], dtype=np.uint8))
-    return (len(own) == 1 and tuple(int(v) for v in own[0, :len(key)]) == tuple(key)
-            and count == _orbit_size(W))
+    own = _keys(tables(W.F), np.array([W.rows], dtype=np.uint8))[0]
+    return tuple(int(v) for v in own[:len(key)]) == tuple(key) and count == _orbit_size(W)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ MUL/ADD table gathers, which bulk.combine computes as codes by a digit
 matmul or XOR, the rank-1 points over GF(q^3) by walking the scalar
 extension, which the package counts as common zeros of the dual conics,
 quotient images by row elimination, which bulk.quotient_codes reads as
-the values of the dual vectors, the rank-1-free sweep with od0_batch over every subspace, which the
-package runs only on the solids whose pencil of dual conics has no base
-point, r2n = h1 on every plane of the Grassmannian, which the package
+the values of the dual vectors, the rank-1-free sweep with od0_batch over
+every subspace, the key rows of solids by the pencil filter and
+od0_batch over the points of the rank-1-free ones, which the package reads
+off the conic planes for every solid, r2n = h1 on every plane of the Grassmannian, which the package
 counts through one point of each point class, the line-pair flag of
 planes named by id, which the package reads from the same counts, the
 k-subspaces through a point by elimination, which the package writes in
@@ -295,8 +296,8 @@ def rho_point(F: FieldCtx, y: Iterable[int]) -> tuple[int, ...]:
 
 
 def rank1_free_groups_unfiltered(F: FieldCtx, k: int, jobs: int = 1):
-    """verify._rank1_free_groups with od0_batch over every k-subspace and no
-    pencil filter: ({od0 tuple: sorted ids}, number of k-subspaces)."""
+    """The rank-1-free groups of verify._sweep by od0_batch over every
+    k-subspace: ({od0 tuple: sorted ids}, number of k-subspaces)."""
     q = F.q
     t = tables(F)
 
@@ -314,6 +315,19 @@ def rank1_free_groups_unfiltered(F: FieldCtx, k: int, jobs: int = 1):
             groups.setdefault(sig, []).append(ids)
     merged = {sig: np.concatenate(arrs) for sig, arrs in groups.items()}
     return merged, gaussian_binomial(6, k, q)
+
+
+def solid_keys_filtered(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """verify._keys of solids as the pencil filter computed them: the
+    positions in bases of the solids whose pencil of dual conics has no
+    base point in PG(2,q), i.e. no rank-1 point, and their key rows, the
+    od0_batch row over their q^3+q^2+q+1 points and the completeness flag.
+    The Veronese images are dropped before od0_batch runs."""
+    img = bulk.quotient_codes(t.kit, bases, t.v6)
+    keep = np.flatnonzero((img != 0).all(axis=1))
+    full = bulk.covers_quotient(t.F.q, 2, img[keep])
+    del img
+    return keep, np.column_stack([t.od0_batch(bases[keep]), full])
 
 
 def spans_through_eliminate(kit: bulk.Kit, x: np.ndarray, k: int,

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from srd3 import bulk
 from srd3.gf import make_field, parse_field_spec
-from srd3.invariants import pgl3_order, point_class, stabilizer_order, tables
+from srd3.invariants import meet_point_types, pgl3_order, point_class, stabilizer_order, tables
 from srd3.pg import gaussian_binomial
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
 from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1,
                          VerifyError, _bases_through, _counts, _histogram,
-                         _ids_where, _is_orbit, _min_rank2_solid_sigs,
-                         _row_counts, _sweep, _tally, _through,
+                         _ids_where, _is_orbit, _keys, _min_rank2_solid_sigs,
+                         _rank1_free, _row_counts, _sweep, _tally, _through,
                          line_sweep_completeness, min_rank2_coverage, plane_sweep,
                          planes_covered_by_solids, run_checks,
                          solid_groups, verify_censuses, verify_class_counts,
@@ -24,8 +24,8 @@ from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1
                          verify_solids, verify_tables)
 
 from oracles import (line_sweep_union, on_line_pair, r2n_h1_sweep,
-                     rank1_free_groups_unfiltered, spans_through_eliminate,
-                     through_unfiltered)
+                     rank1_free_groups_unfiltered, solid_keys_filtered,
+                     spans_through_eliminate, through_unfiltered)
 
 
 def _ok(reports):
@@ -69,7 +69,7 @@ def test_one_orbit_rule_fails_when_it_should_q3():
     # whose own key is not the family's, even at that family's count
     from srd3.atlas import representative
     F = make_field(3, 1)
-    groups = _tally(_counts(F, 4), lambda key: True)
+    groups = _tally(_counts(F, 4), _rank1_free)
     sig_to_id = _min_rank2_solid_sigs(F)
     assert sorted(groups) == sorted(sig_to_id)
     for sig, n in groups.items():
@@ -357,12 +357,12 @@ def test_line_pair_planes_match_chunked_od4_q3():
     assert np.array_equal(ids[on_line_pair(F, ids, jobs=2)], want)
 
 
-# the (k, class) passes a full check set takes: solids through P3 and both
-# rank-2 classes, and lines and planes through the classes taken before
-# their counts reach [6 choose k]_q; the P2b plane pass and T3.7's P1 plane
-# pass are never needed, nor the P2b line pass at odd q
-_PASSES = {3: {(2, 4), (2, 2), (3, 4), (3, 2), (4, 4), (4, 2), (4, 3)},
-           4: {(2, 4), (2, 2), (2, 3), (3, 4), (3, 2), (4, 4), (4, 2), (4, 3)}}
+# the (k, class) passes a full check set takes: those taken before the
+# counts reach [6 choose k]_q.  Every solid has a key row and a rank-3
+# point, so the P3 pass counts them all; the P2b plane pass and T3.7's P1
+# plane pass are never needed, nor the P2b line pass at odd q
+_PASSES = {3: {(2, 4), (2, 2), (3, 4), (3, 2), (4, 4)},
+           4: {(2, 4), (2, 2), (2, 3), (3, 4), (3, 2), (4, 4)}}
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2)], ids=["q3", "q4"])
@@ -491,8 +491,8 @@ def test_probed_passes_count_as_unfiltered(p, h, monkeypatch):
 
 @pytest.mark.parametrize("p,h", [(2, 2), (5, 1)], ids=["q4", "q5"])
 def test_probe_drops_what_a_pass_cannot_count(p, h):
-    # every rank-1-free solid through a rank-2 point has a rank-3 point, and
-    # the probe finds one in each at q = 5; of the planes through x_P2a only
+    # every solid through a rank-2 point has a rank-3 point, and the probe
+    # finds one in each at q = 5; of the planes through x_P2a only
     # a few dozen show no rank-3 point, against thousands through x_c
     F = make_field(p, h)
     if F.q == 5:
@@ -539,6 +539,81 @@ def test_counts_stop_at_the_grassmannian_total(p, h, monkeypatch):
     built = tables(F).point_class_data
     assert 1 not in built and 4 in built
     assert not [c for c, pc in built.items() if "stabilizer" in vars(pc)]
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["q2", "q3", "q4", "q5"])
+def test_solid_counts_end_after_the_p3_pass(p, h, monkeypatch):
+    # every solid has a key row and a rank-3 point, so the P3 pass counts
+    # all [6 choose 4]_q solids and the stop rule takes no other solid pass
+    import srd3.verify as V
+    F = make_field(p, h)
+    monkeypatch.setattr(V, "_sweep_cache", {})
+    assert sum(_counts(F, 4).values()) == gaussian_binomial(6, 4, F.q)
+    assert list(V._sweep_cache) == [("through", 4, 4, id(F))]
+
+
+def _assert_solid_keys(t, bases):
+    """The key rows of a block of solids, read off the conic planes, against
+    od0_batch over their points and, on the rank-1-free ones, against the
+    pencil filter's rows; a solid with a rank-1 point is not complete."""
+    rows = _keys(t, bases)
+    keep, want = solid_keys_filtered(t, bases)
+    assert rows.shape == (len(bases), _COMPLETE + 1)
+    assert np.array_equal(rows[:, :4], t.od0_batch(bases))
+    assert np.array_equal(rows[keep], want)
+    rank1 = np.ones(len(bases), dtype=bool)
+    rank1[keep] = False
+    assert (rows[rank1, 0] > 0).all() and (rows[rank1, _COMPLETE] == 0).all()
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
+def test_solid_keys_match_oracles_on_every_solid(p, h):
+    F = make_field(p, h)
+    t = tables(F)
+    for lo, hi in bulk.id_chunks(F.q, 4, 4096):
+        _assert_solid_keys(t, bulk.subspace_bases(F.q, 4, np.arange(lo, hi)))
+
+
+def _solids_through(F, c, seed, chunks, size):
+    """Solids through the class-c point of smallest code (PointClass's x_c,
+    read off class_code): chunks seeded runs of size tail ids each."""
+    t = tables(F)
+    x = bulk.decode(np.array([np.argmax(t.class_code == c)]), F.q, 6)[0]
+    lo, end = _tail(F.q, 4)
+    starts = np.random.default_rng(seed).integers(lo, end - size, chunks)
+    return np.concatenate([_bases_through(t.kit, x, 4, (s, s + size)) for s in starts])
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13, 16])
+def test_solid_keys_match_oracles_through_each_class(q):
+    F = parse_field_spec(str(q))
+    for c in _CLASS_ORDER:
+        _assert_solid_keys(tables(F), _solids_through(F, c, q * 10 + c, chunks=4, size=64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(["2^3/101", "3^2/1,2", "2^4/1001"]),
+       c=st.sampled_from(_CLASS_ORDER), seed=st.integers(0, 2 ** 32 - 1))
+def test_solid_keys_match_oracles_other_moduli(spec, c, seed):
+    # GF(8), GF(9) and GF(16) each with a modulus other than the default one
+    F = parse_field_spec(spec)
+    _assert_solid_keys(tables(F), _solids_through(F, c, seed, chunks=2, size=32))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_meet_point_rule_matches_class_code(q):
+    # the nonzero points alpha v(u1) + beta (v(u1+u2) - v(u1) - v(u2)) +
+    # gamma v(u2) of the conic plane of every line <u1, u2>: class_code
+    # gives each one the class of the rule's MEET type, 0 rank 1 (class 1),
+    # 1 and 2 the two rank-2 classes
+    F = parse_field_spec(str(q))
+    t = tables(F)
+    v1, v2, v12 = (t.v6[t.conic_lines[:, i]] for i in range(3))
+    planes = np.stack([v1, t.kit.sub(t.kit.sub(v12, v1), v2), v2], axis=1)
+    abc = bulk.decode(np.arange(1, q ** 3), q, 3)
+    cls = t.class_code[bulk.combine(t.kit, abc, planes)]
+    want = meet_point_types(F, *abc.T) + 1
+    assert np.array_equal(cls, np.broadcast_to(want, cls.shape))
 
 
 # every field with point tables up to q = 9, GF(8) and GF(9) each with a
@@ -608,8 +683,9 @@ def test_row_counts_match_unique(n, m, hi, seed):
 
 
 def test_empty_block_contributes_nothing():
-    # every solid through a rank-1 point has one, so each block of the P1
-    # solid pass has no key row
+    # a solid has at most q+2 rank-1 points, so at q = 3 the probe shows a
+    # point of an earlier class in every solid through x_P1 and each block
+    # of the P1 solid pass has no key row
     F = make_field(3, 1)
     assert _through(F, 4, 1) == {}
     t = tables(F)
@@ -624,13 +700,13 @@ def test_empty_block_contributes_nothing():
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2)], ids=["q3", "q4"])
 def test_small_blocks_fork_and_count_the_same(p, h, monkeypatch):
     # default blocks hold a whole pass at q <= 4, so _pmap never forks; with
-    # small blocks the chunks cross U's pivot patterns, the pencil filter
-    # empties some solid blocks, and jobs=2 forks
+    # small blocks the chunks cross U's pivot patterns and jobs=2 forks.
+    # Every solid of a block gets one key row
     import srd3.verify as V
     F = make_field(p, h)
     want = {k: _counts(F, k) for k in (2, 3, 4)}
     monkeypatch.setattr(V, "_block_size", lambda q, k: 24)
-    chunks, solid_keys = [], []
+    chunks, solid_blocks = [], []
     histogram, keys = V._histogram, V._keys
 
     def recording_histogram(t, k, cs, bases_of, jobs):
@@ -638,10 +714,10 @@ def test_small_blocks_fork_and_count_the_same(p, h, monkeypatch):
         return histogram(t, k, cs, bases_of, jobs)
 
     def recording_keys(t, bases):
-        keep, rows = keys(t, bases)
+        rows = keys(t, bases)
         if bases.shape[1] == 4:
-            solid_keys.append(len(rows))
-        return keep, rows
+            solid_blocks.append((len(bases), len(rows)))
+        return rows
 
     monkeypatch.setattr(V, "_histogram", recording_histogram)
     monkeypatch.setattr(V, "_keys", recording_keys)
@@ -650,7 +726,7 @@ def test_small_blocks_fork_and_count_the_same(p, h, monkeypatch):
         for k in (2, 3, 4):
             assert _counts(F, k, jobs) == want[k], (k, jobs)
         if jobs == 1:
-            assert 0 in solid_keys and max(solid_keys) > 0
+            assert solid_blocks and all(n == rows for n, rows in solid_blocks)
     cuts = {k: [hi for _, hi in bulk.id_chunks(F.q, k - 1, gaussian_binomial(6, k - 1, F.q))]
             for k in (2, 3, 4)}
     for k in (2, 3, 4):
@@ -661,7 +737,7 @@ def test_small_blocks_fork_and_count_the_same(p, h, monkeypatch):
 
 def test_golden_counts_q5():
     F = make_field(5, 1)
-    solids = _tally(_counts(F, 4), lambda key: True)
+    solids = _tally(_counts(F, 4), _rank1_free)
     assert sorted(solids.values()) == [7750, 46500, 93000]
     # the Grassmannian-wide plane sweep's rank-1-free (od0, complete) groups
     assert _by_od0_complete(_counts(F, 3)) == {

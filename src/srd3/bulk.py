@@ -33,8 +33,9 @@ combine(points, duals^T).  Two implementations, chosen by characteristic:
       measured slower than the XOR at q = 8 and 16.
 
 rref_batch and nullspace_batch eliminate row by row and keep the MUL/ADD
-table gathers of Kit.  quotient_codes is one combine of the points with
-the dual vectors of each subspace, then one lookup in normal_codes.
+table gathers of Kit; rank3 reads the rank of a 3x3 matrix off its
+adjugate instead.  quotient_codes is one combine of the points with the
+dual vectors of each subspace, then one lookup in normal_codes.
 """
 
 from __future__ import annotations
@@ -214,8 +215,27 @@ def rref_batch(kit: Kit, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, rowpos
 
 
-def rank_batch(kit: Kit, mats: np.ndarray) -> np.ndarray:
-    return rref_batch(kit, mats)[1]
+# adj(A)[i, j] = A[j+1, i+1] A[j+2, i+2] - A[j+1, i+2] A[j+2, i+1], indices mod 3
+_I3, _J3 = np.indices((3, 3))
+_I1, _I2, _J1, _J2 = (_I3 + 1) % 3, (_I3 + 2) % 3, (_J3 + 1) % 3, (_J3 + 2) % 3
+
+
+def adjugate(kit: Kit, A: np.ndarray) -> np.ndarray:
+    """adj(A) of 3x3 matrices (..., 3, 3): the inverse in PGL(3,q)."""
+    return kit.sub(kit.mul(A[..., _J1, _I1], A[..., _J2, _I2]),
+                   kit.mul(A[..., _J1, _I2], A[..., _J2, _I1]))
+
+
+def rank3(kit: Kit, A: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Ranks (N,) uint8 of 3x3 matrices A (N, 3, 3) with adjugates adj: 3
+    if det A = sum_j A[0, j] adj[j, 0] != 0, else 2 if some 2x2 minor (an
+    entry of adj) is, else 1 if A != 0, else 0; the number that hold."""
+    det = kit.add(kit.add(kit.mul(A[:, 0, 0], adj[:, 0, 0]), kit.mul(A[:, 0, 1], adj[:, 1, 0])),
+                  kit.mul(A[:, 0, 2], adj[:, 2, 0]))
+    rank = (det != 0).view(np.uint8)
+    rank += adj.reshape(-1, 9).any(axis=1)
+    rank += A.reshape(-1, 9).any(axis=1)
+    return rank
 
 
 def combine(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -258,6 +258,9 @@ def describe(C: SrdCode) -> dict:
 # ---------------------------------------------------------------------------
 
 def code_to_json(C: SrdCode) -> str:
+    """C in the JSON input format of `srd3 classify code`, the inverse of
+    code_from_json: public so that codes built in Python can be written
+    out for the command line."""
     return json.dumps({"field": C.F.spec,
                        "basis": [[list(r) for r in M] for M in C.basis]})
 

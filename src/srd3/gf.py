@@ -452,12 +452,6 @@ class CubicExt:
     embed_table: tuple[int, ...]   # base code -> ext code
     frob_table: tuple[int, ...]    # ext code -> ext code, x -> x^q
 
-    def embed(self, a) -> int:
-        return self.embed_table[a]
-
-    def frob(self, a) -> int:
-        return self.frob_table[a]
-
     def rel_trace(self, a) -> int:
         """Trace from GF(q^3) down to GF(q), returned as a base-field code."""
         t = self.ext.add(a, self.ext.add(self.frob_table[a],

@@ -9,13 +9,17 @@ classes that depend on the parity of q.
     q odd:   P2e  rank-2 points exterior to their conic,
              P2i  rank-2 points interior to their conic.
 
-The exterior test used everywhere is algebraic: for a rank-2 symmetric M
-pick the first nonsingular principal 2x2 block, with determinant D well
-defined modulo squares; the point is exterior iff -D is a nonzero square.
-The D values are the diagonal entries of adj(M), which for rank-2 M equals
-lambda * k k^T with k spanning the kernel, so a nonzero diagonal entry
-always exists when q is odd.  The geometric tangent-count oracle lives in
-exterior_by_tangents and the test suite checks the two agree.
+Ranks from the adjugate: the class of M is read off one adjugate, with no
+elimination.  M has rank 3 iff det M != 0, else rank 2 iff adj(M) != 0 (a
+nonzero 2x2 minor), else rank 1 iff M != 0 (bulk.rank3).  The exterior test
+used everywhere is algebraic and reads the same adjugate: for a rank-2
+symmetric M pick the first nonsingular principal 2x2 block, with
+determinant D well defined modulo squares; the point is exterior iff -D is
+a nonzero square.  The D values are the diagonal entries of adj(M), which
+for rank-2 M equals lambda * k k^T with k spanning the kernel, so a nonzero
+diagonal entry always exists when q is odd.  The geometric tangent-count
+oracle lives in exterior_by_tangents and the test suite checks the two
+agree.
 
 Hyperplanes fall into four classes H1/H2r/H2i/H3 according to the conic
 with the same coefficient vector (double line, real pair, imaginary pair,
@@ -49,9 +53,13 @@ solid iff E_k (alpha, beta, gamma)^T = 0, where E_k has the rows
 of the rank-2 points of the solid on P_k depend on the pencil's six
 values at u1, u2, u1+u2 alone, so GeomTables.conic_table holds them for
 all q^6 value codes: by the rank of E_k the meet is one point, a line
-meeting the conic in 0, 1 or 2 points, or all of P_k.  Summing over the
-q^2+q+1 lines counts each rank-2 point of the solid once; its rank-1
-points are the Veronese points where both conics vanish.
+meeting the conic in 0, 1 or 2 points, or all of P_k.  The point (alpha,
+beta, gamma) has the class of (alpha, beta, 0, gamma, 0, 0): a basis change
+of PG(2,q) taking u1, u2 to the first two unit vectors makes the form on
+span(u1, u2) the same form on the line x2 = 0, and congruence keeps the
+class.  Summing over the q^2+q+1 lines counts each rank-2 point of the
+solid once; its rank-1 points are the Veronese points where both conics
+vanish.
 """
 
 from __future__ import annotations
@@ -132,9 +140,9 @@ class GeomTables:
 
     point codes run over all of F_q^6 (not just normalized vectors); the
     class is scale invariant so no normalization is needed at lookup time.
-    class_code is the only point table, filled TABLE_BLOCK codes at a time;
-    each block's ranks decide its classes and are then dropped (CLASS_RANK
-    gives the rank of a class).
+    class_code is the only point table, filled TABLE_BLOCK codes at a time
+    with ranks from the adjugate (_build_classes); each block's ranks decide
+    its classes and are then dropped (CLASS_RANK gives the rank of a class).
     """
 
     def __init__(self, F: FieldCtx):
@@ -145,35 +153,35 @@ class GeomTables:
         self.class_code = np.empty(q ** 6, dtype=np.uint8)
         for lo in range(0, q ** 6, TABLE_BLOCK):
             hi = min(lo + TABLE_BLOCK, q ** 6)
-            vecs = bulk.decode(np.arange(lo, hi, dtype=np.int64), q, 6)
-            mats = vecs[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
-            rank = bulk.rank_batch(self.kit, mats)
-            self.class_code[lo:hi] = self._build_classes(vecs, rank)
+            vecs = bulk.decode(np.arange(lo, hi, dtype=np.int32), q, 6)
+            self.class_code[lo:hi] = self._build_classes(vecs)
         self.v6 = np.array([veronese(F, u) for u in pg2_points(F)], dtype=np.uint8)
         self.h1 = np.array(h1_duals(F), dtype=np.uint8)
         self._coeffs: dict[int, np.ndarray] = {}
         # point class -> PointClass, filled by point_class on first use
         self.point_class_data: dict[int, "PointClass"] = {}
 
-    def _build_classes(self, vecs: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    def _build_classes(self, vecs: np.ndarray) -> np.ndarray:
+        """Class codes of vectors (N, 6): the rank from the adjugate
+        (bulk.rank3), and at odd q the rank-2 split from the first nonzero
+        diagonal entry of the same adjugate (module docstring)."""
         kit, F = self.kit, self.F
-        cls = np.zeros(len(vecs), dtype=np.uint8)
-        cls[rank == 1] = 1
-        cls[rank == 3] = 4
-        r2 = rank == 2
+        mats = vecs[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+        adj = bulk.adjugate(kit, mats)
+        rank = bulk.rank3(kit, mats, adj)
+        # whether a rank-2 point is in the first rank-2 class: P2n (zero
+        # diagonal) at even q, P2e (-d a nonzero square) at odd q
         if F.p == 2:
-            diag0 = (vecs[:, 0] == 0) & (vecs[:, 3] == 0) & (vecs[:, 5] == 0)
-            cls[r2 & diag0] = 2
-            cls[r2 & ~diag0] = 3
+            first = (vecs[:, 0] == 0) & (vecs[:, 3] == 0) & (vecs[:, 5] == 0)
         else:
-            y = [vecs[:, i] for i in range(6)]
-            adj0 = kit.sub(kit.mul(y[3], y[5]), kit.mul(y[4], y[4]))
-            adj1 = kit.sub(kit.mul(y[0], y[5]), kit.mul(y[2], y[2]))
-            adj2 = kit.sub(kit.mul(y[0], y[3]), kit.mul(y[1], y[1]))
-            d = np.where(adj0 != 0, adj0, np.where(adj1 != 0, adj1, adj2))
-            ext = _squares(F)[kit.NEG[d]]
-            cls[r2 & ext] = 2
-            cls[r2 & ~ext] = 3
+            diag = adj.reshape(-1, 9)[:, ::4]
+            d = diag[np.arange(len(diag)), np.argmax(diag != 0, axis=1)]
+            square = np.zeros(F.q, dtype=bool)
+            square[kit.mul(np.arange(1, F.q), np.arange(1, F.q))] = True
+            first = square[kit.NEG[d]]
+        # rank 0, 1, 2, 3 -> class 0, 1 (P1), 2 (first rank-2 class), 4 (P3)
+        cls = rank + (rank == 3)
+        cls[(rank == 2) & ~first] = 3
         return cls
 
     def coeffs(self, k: int) -> np.ndarray:
@@ -188,10 +196,7 @@ class GeomTables:
     def od0_batch(self, bases: np.ndarray) -> np.ndarray:
         """Point-orbit distributions of a batch of subspaces: (N,k,6) -> (N,4)."""
         cls = self.class_code[bulk.combine(self.kit, self.coeffs(bases.shape[1]), bases)]
-        out = np.empty((len(bases), 4), dtype=np.int64)
-        for i in range(4):
-            out[:, i] = (cls == i + 1).sum(axis=1)
-        return out
+        return _value_counts(cls, range(1, 5))
 
     def hclass_table(self) -> np.ndarray:
         """Dense dual-code -> hyperplane class (1..4 as in
@@ -223,10 +228,7 @@ class GeomTables:
         (N,k,6) -> (N,4)."""
         duals = bulk.nullspace_batch(self.kit, bases)
         cls = self.hclass_table()[bulk.combine(self.kit, self.coeffs(duals.shape[1]), duals)]
-        out = np.empty((len(bases), 4), dtype=np.int64)
-        for i in range(4):
-            out[:, i] = (cls == i + 1).sum(axis=1)
-        return out
+        return _value_counts(cls, range(1, 5))
 
     def conic_table(self) -> np.ndarray:
         """Pencil-value code -> MEET type of a solid's meet with a conic
@@ -237,11 +239,13 @@ class GeomTables:
         t = getattr(self, "_conic_arr", None)
         if t is not None:
             return t
-        kit, F, q = self.kit, self.F, self.F.q
+        kit, q = self.kit, self.F.q
         # by the code of the meet point e1 x e2 (rank-2 E_k), and by the code
-        # of a nonzero row e (rank 1; e = 0 for rank 0)
+        # of a nonzero row e (rank 1; e = 0 for rank 0).  The point type is
+        # the class less one of (alpha, beta, 0, gamma, 0, 0) (module docstring)
         e = bulk.decode(np.arange(q ** 3), q, 3)
-        point_type = meet_point_types(F, *e.T)
+        on_x2 = e.astype(np.int32) @ q ** np.array([5, 4, 2], dtype=np.int32)
+        point_type = self.class_code[on_x2] - 1
         x = np.arange(q)
         # e0 s^2 + e1 st + e2 t^2 at (s, t) = (1, x), and at (0, 1)
         form = kit.add(kit.add(e[:, :1], kit.mul(e[:, 1:2], x)), kit.mul(e[:, 2:], kit.mul(x, x)))
@@ -291,36 +295,23 @@ class GeomTables:
         del idx
         out = np.empty((len(vals), 4), dtype=np.int64)
         out[:, 0] = (vals == 0).sum(axis=1)
-        meets = np.stack([np.count_nonzero(types == m, axis=1) for m in range(7)], axis=1)
-        out[:, 1:3] = meets @ meet_counts(self.F)
+        out[:, 1:3] = _value_counts(types, range(7)) @ meet_counts(self.F)
         out[:, 3] = (q ** 4 - 1) // (q - 1) - out[:, :3].sum(axis=1)
         return out
 
 
-def _squares(F: FieldCtx) -> np.ndarray:
-    """Whether each element of GF(q) is a nonzero square: (q,) bool."""
-    sq = np.zeros(F.q, dtype=bool)
-    for a in F.nonzero():
-        sq[F.mul(a, a)] = True
-    return sq
+def _value_counts(a: np.ndarray, values: range) -> np.ndarray:
+    """How many entries of each row of a (N, m) equal each of values:
+    (N, len(values)) int64."""
+    out = np.empty((len(a), len(values)), dtype=np.int64)
+    for i, v in enumerate(values):
+        out[:, i] = np.count_nonzero(a == v, axis=1)
+    return out
 
 
 # MEET types of a solid's meet with a conic plane (GeomTables.conic_table):
 # 0, 1, 2 one point, of rank 1, of the first or of the second rank-2 class;
 # 3, 4, 5 a line with 0, 1 or 2 points on the conic; 6 the whole plane
-def meet_point_types(F: FieldCtx, alpha, beta, gamma) -> np.ndarray:
-    """MEET type 0, 1 or 2 of the nonzero points (alpha, beta, gamma) of a
-    conic plane, i.e. of the forms [[alpha, beta], [beta, gamma]] on a line
-    of PG(2,q): rank 1 iff beta^2 = alpha gamma; at odd q P2e iff
-    beta^2 - alpha gamma is a nonzero square (minus the determinant, as in
-    the exterior test of the module docstring), at even q P2n iff
-    alpha = gamma = 0 (zero diagonal).  Arrays of field codes in, uint8 out."""
-    kit = bulk.kit_for(F)
-    disc = kit.sub(kit.mul(beta, beta), kit.mul(alpha, gamma))
-    first = (alpha == 0) & (gamma == 0) if F.p == 2 else _squares(F)[disc]
-    return np.where(disc == 0, 0, np.where(first, 1, 2)).astype(np.uint8)
-
-
 def meet_counts(F: FieldCtx) -> np.ndarray:
     """The rank-2 points of each class (r2a, r2b) on a meet of each MEET
     type: (7, 2).  A line of a conic plane off the conic holds (q+1)/2
@@ -437,17 +428,6 @@ def _mat_mul(kit: bulk.Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return bulk.decode(bulk.combine(kit, A, B), kit.q, 3)
 
 
-# adj(A)[i, j] = A[j+1, i+1] A[j+2, i+2] - A[j+1, i+2] A[j+2, i+1], indices mod 3
-_I3, _J3 = np.indices((3, 3))
-_I1, _I2, _J1, _J2 = (_I3 + 1) % 3, (_I3 + 2) % 3, (_J3 + 1) % 3, (_J3 + 2) % 3
-
-
-def _adjugate(kit: bulk.Kit, A: np.ndarray) -> np.ndarray:
-    """adj(A) of 3x3 matrices (..., 3, 3): the inverse in PGL(3,q)."""
-    return kit.sub(kit.mul(A[..., _J1, _I1], A[..., _J2, _I2]),
-                   kit.mul(A[..., _J1, _I2], A[..., _J2, _I1]))
-
-
 # lift row i is the basis matrix with ones at (a, b) and (b, a), lift
 # column t the entry (j, k) of the image, both in the order y0..y5
 _SYM = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
@@ -529,7 +509,7 @@ class PointClass:
         img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(self.codes, q, 6), lifts)), q)
         h_img = self.transversal[np.searchsorted(self.codes, img)]
         g_h = _mat_mul(kit, gens[:, None], self.transversal).reshape(-1, 3, 3)
-        schreier = _mat_mul(kit, _adjugate(kit, h_img), g_h)
+        schreier = _mat_mul(kit, bulk.adjugate(kit, h_img), g_h)
         gen_codes, first = np.unique(_element_codes(kit, schreier), return_index=True)
         schreier = schreier[first]
         elems = np.eye(3, dtype=np.uint8)[None]
@@ -593,7 +573,7 @@ def stabilizer_order(W: Subspace) -> int:
             for c, name in enumerate(point_classes(F), start=1) if count[c])[1]
     pc = point_class(F, c)
     h = pc.transversal[np.searchsorted(pc.codes, pts[cls == c])]
-    w_x = bulk.decode(bulk.combine(kit, basis[0], lift_batch(kit, _adjugate(kit, h[:1]))), q, 6)
+    w_x = bulk.decode(bulk.combine(kit, basis[0], lift_batch(kit, bulk.adjugate(kit, h[:1]))), q, 6)
     img = bulk.decode(bulk.combine(kit, w_x[0], pc.stabilizer), q, 6).reshape(-1, 6)
     duals_t = bulk.nullspace_batch(kit, basis)[0].T
     duals_y = bulk.decode(bulk.combine(kit, lift_batch(kit, h), duals_t), q, duals_t.shape[1])

@@ -46,14 +46,15 @@ RREF with no elimination (_bases_through).  _counts adds up
 each key row in the pass of the first class it meets in the order P3, the
 two rank-2 classes, P1, so every subspace is counted once; that N_c n_c(k)
 is divisible by s_c(k) is checked, and a remainder is an internal error.
-Only T3.7, which counts every plane, asks for the P1 pass: the other
-families have no rank-1 point.  _counts keeps a running total and stops
-before a pass once it equals [6 choose k]_q: every k-subspace has then been
-counted in the pass of its first class, so no later pass can add a key row,
-and a total above [6 choose k]_q is an internal error.  At every q from 2
-to 9, the planes are all counted by the P3 and P2a passes and the lines by
-P3, P2a and, at even q only, P2b, so the P2b and P1 plane passes and the
-odd-q P2b line pass are not taken.  Every solid gets a key row, rank-1
+_counts keeps a running total and stops before a pass once it equals
+[6 choose k]_q: every k-subspace has then been counted in the pass of its
+first class, so no later pass can add a key row.  A final total other
+than [6 choose k]_q is an internal error.  The P1 pass is never taken: the
+Veronesean is a cap, so a line holds at most two of its q+1 points in P1,
+and every line, plane and solid is counted in an earlier pass.  At every q
+from 2 to 9, the planes are all counted by the P3 and P2a passes and the
+lines by P3, P2a and, at even q only, P2b, so the P2b and P1 plane passes
+and the odd-q P2b line pass are not taken.  Every solid gets a key row, rank-1
 points or not, and at every q from 2 to 9 the P3 pass alone counts all
 [6 choose 4]_q of them, so no other solid pass is taken; that is counted,
 not assumed, and a solid with no rank-3 point would send _counts on to
@@ -190,9 +191,11 @@ def _nucleus_meet(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For planes (N, 3, 6) at even q: the dimension of W meet N, N the
     nucleus plane (the kernel of the diagonal y0, y3, y5), and whether r2n,
     its number of points, equals h1, the number of double-line hyperplanes
-    through W."""
+    through W.  W meet N is the kernel of the 3x3 diagonal columns of W's
+    basis, whose rank bulk.rank3 reads off their adjugate."""
     q = t.F.q
-    dim = 3 - bulk.rank_batch(t.kit, bases[:, :, [0, 3, 5]])
+    diag = bases[:, :, [0, 3, 5]]
+    dim = 3 - bulk.rank3(t.kit, diag, bulk.adjugate(t.kit, diag)).astype(np.int64)
     # code 0: the double-line dual vanishes on all three basis rows
     h1 = (bulk.combine(t.kit, t.h1, bases.transpose(0, 2, 1)) == 0).sum(axis=1)
     return dim, h1 == (q ** dim - 1) // (q - 1)
@@ -347,16 +350,15 @@ def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
     return _histogram(t, k, _through_chunks(F.q, k), bases_of, jobs)
 
 
-def _counts(F: FieldCtx, k: int, jobs: int = 1,
-            classes: tuple[int, ...] = _CLASS_ORDER[:3]) -> dict[tuple, int]:
+def _counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
     """How many k-subspaces have each key row, counted through one point of
-    each class (see the module docstring); the passes are cached per field.
-    The default classes count every subspace that has a point outside P1.
-    Once the counts add up to every k-subspace, the later passes can count
-    nothing and are not taken."""
+    each class in _CLASS_ORDER (see the module docstring); the passes are
+    cached per field.  Once the counts add up to every k-subspace, the
+    later passes can count nothing and are not taken; any other final
+    total is an internal error."""
     out = {}
     total, everything = 0, gaussian_binomial(6, k, F.q)
-    for c in classes:
+    for c in _CLASS_ORDER:
         if total == everything:
             break
         got = _cached(("through", k, c, id(F)), lambda: _through(F, k, c, jobs))
@@ -370,9 +372,10 @@ def _counts(F: FieldCtx, k: int, jobs: int = 1,
             counted = size * n // key[c - 1]
             out[key] = out.get(key, 0) + counted
             total += counted
-        if total > everything:
-            raise RuntimeError(f"{total} {k}-subspaces counted through the classes up to "
-                               f"{c}, more than the {everything} there are")
+    if total != everything:
+        raise RuntimeError(f"{total} {k}-subspaces counted through the classes, "
+                           f"{'more' if total > everything else 'fewer'} than the "
+                           f"{everything} there are")
     return out
 
 
@@ -390,15 +393,14 @@ def _sample_counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
     return _cached(("sample", k, id(F)), build)
 
 
-def _table(F: FieldCtx, k: int, jobs: int = 1,
-           classes: tuple[int, ...] = _CLASS_ORDER[:3]) -> tuple[dict[tuple, int], bool]:
+def _table(F: FieldCtx, k: int, jobs: int = 1) -> tuple[dict[tuple, int], bool]:
     """The {key row: how many} table of the k-subspaces and whether it is
-    sampled: exact (_counts through the given classes) for q <= EXACT_MAX_Q,
-    and over the seeded sample (_sample_counts) above it, where every
-    subspace of the sample has a row."""
+    sampled: exact (_counts) for q <= EXACT_MAX_Q, and over the seeded
+    sample (_sample_counts) above it; either way every subspace has a
+    row."""
     if F.q > EXACT_MAX_Q:
         return _sample_counts(F, k, jobs), True
-    return _counts(F, k, jobs, classes), False
+    return _counts(F, k, jobs), False
 
 
 def _tally(counts: dict[tuple, int], keep) -> dict[tuple, int]:
@@ -750,9 +752,8 @@ def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     if F.p != 2 or F.q < 4:
         raise VerifyError("r2n = h1 needs q even, q >= 4")
     t0 = time.perf_counter()
-    # every plane, so through all four classes; exact counts must add up to
-    # the Grassmannian
-    counts, sampled = _table(F, 3, jobs, _CLASS_ORDER)
+    # every plane; exact counts add up to the Grassmannian
+    counts, sampled = _table(F, 3, jobs)
     hist = [0] * 4
     mism = 0
     for key, n in counts.items():

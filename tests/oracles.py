@@ -444,7 +444,7 @@ def rank1_points_over_cubic_extension_scalar(F: FieldCtx, W: Subspace) -> int:
     W (x) GF(q^3) and computing its rank."""
     ext = cubic_extension(F)
     E = ext.ext
-    rows = [tuple(ext.embed(x) for x in row) for row in W.rows]
+    rows = [tuple(ext.embed_table[x] for x in row) for row in W.rows]
     count = 0
     for coeffs in coefficient_vectors(E.q, len(rows)):
         v = [0] * 6
@@ -470,7 +470,7 @@ def r2n_h1_sweep(F: FieldCtx, jobs: int = 1) -> tuple[int, list[int]]:
 
     def work(chunk):
         block = bulk.subspace_bases(q, 3, np.arange(*chunk))
-        rank = bulk.rank_batch(kit, block[:, :, [0, 3, 5]])
+        rank = bulk.rref_batch(kit, block[:, :, [0, 3, 5]])[1]
         r2n = pts_of_dim[3 - rank]
         h1count = (bulk.combine(kit, t.h1, block.transpose(0, 2, 1)) == 0).sum(axis=1)
         return int((h1count != r2n).sum()), np.bincount(3 - rank, minlength=4)

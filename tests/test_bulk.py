@@ -95,6 +95,44 @@ def test_quotient_codes_match_elimination_oracle(spec, k, n_in, n_ver, n_any, se
                           quotient_codes_eliminate(t.kit, red, none))
 
 
+# fields with point tables, GF(8) and GF(9) each with a non-default modulus
+RANK3_FIELDS = ["2", "3", "4", "5", "7", "8", "9", "16", "2^3/101", "3^2/1,2"]
+
+
+@pytest.mark.parametrize("spec", RANK3_FIELDS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rank3_matches_elimination(spec, seed):
+    # general 3x3 matrices, 32 of rank at most r for each r = 0..3: the rows
+    # past the first r are zero or repeat one of them, then the rows are
+    # shuffled and half the matrices transposed
+    F = parse_field_spec(spec)
+    kit = bulk.kit_for(F)
+    rng = np.random.default_rng(seed)
+    n = 32
+    mats = rng.integers(0, F.q, (4, n, 3, 3)).astype(np.uint8)
+    for r in range(3):
+        for i in range(r, 3):
+            j = rng.integers(-1, r, n)
+            mats[r, :, i] = np.where(j[:, None] < 0, 0, mats[r, np.arange(n), np.maximum(j, 0)])
+    mats = mats.reshape(-1, 3, 3)
+    order = np.argsort(rng.random((len(mats), 3)), axis=1)
+    mats = np.take_along_axis(mats, order[:, :, None], axis=1)
+    flip = rng.random(len(mats)) < 0.5
+    mats[flip] = mats[flip].transpose(0, 2, 1)
+    adj = bulk.adjugate(kit, mats)
+    got = bulk.rank3(kit, mats, adj)
+    want = bulk.rref_batch(kit, mats)[1]
+    assert np.array_equal(got, want)
+    assert (want <= np.repeat(np.arange(4), n)).all()
+    assert set(want.tolist()) == {0, 1, 2, 3}
+    # A adj(A) = det(A) I, and det(A) != 0 iff A has rank 3
+    prod = bulk.decode(bulk.combine(kit, mats, adj), F.q, 3)
+    det = prod[:, 0, 0]
+    assert np.array_equal(prod, det[:, None, None] * np.eye(3, dtype=np.uint8))
+    assert np.array_equal(det != 0, want == 3)
+
+
 def test_encode_decode_roundtrip():
     codes = np.arange(3 ** 6)
     vecs = bulk.decode(codes, 3, 6)

@@ -81,14 +81,15 @@ def test_tables_built_in_blocks_match_one_block(spec, monkeypatch):
     assert np.array_equal(blocked.class_code, whole.class_code)
 
 
-@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "2^3/101"])
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "7", "2^3/101", "3^2/1,2"])
 def test_class_rank_matches_rank_batch(spec):
-    # every vector of F_q^6, the zero vector included
+    # every vector of F_q^6, the zero vector included, against row
+    # elimination; 3^2/1,2 is the odd h > 1 split with a non-default modulus
     F = parse_field_spec(spec)
     t = tables(F)
     vecs = bulk.decode(np.arange(F.q ** 6), F.q, 6)
     mats = vecs[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
-    rank = bulk.rank_batch(t.kit, mats)
+    rank = bulk.rref_batch(t.kit, mats)[1]
     assert np.array_equal(invariants.CLASS_RANK[t.class_code], rank)
 
 

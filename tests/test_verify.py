@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from srd3 import bulk
 from srd3.gf import make_field, parse_field_spec
-from srd3.invariants import meet_point_types, pgl3_order, point_class, stabilizer_order, tables
+from srd3.invariants import pgl3_order, point_class, stabilizer_order, tables
 from srd3.pg import gaussian_binomial
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
 from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1,
@@ -384,12 +384,12 @@ def test_run_checks_builds_each_pass_once(p, h, monkeypatch):
     assert not [key for key in V._sweep_cache if key[0] in V._SWEEP_TAGS.values()]
 
 
-def _fresh_counts(F, k, jobs, classes=_CLASS_ORDER[:3]):
-    """_counts(F, k, jobs, classes) with its passes run again at these jobs."""
+def _fresh_counts(F, k, jobs):
+    """_counts(F, k, jobs) with its passes run again at these jobs."""
     import srd3.verify as V
-    for c in classes:
+    for c in _CLASS_ORDER:
         V._sweep_cache.pop(("through", k, c, id(F)), None)
-    return _counts(F, k, jobs, classes)
+    return _counts(F, k, jobs)
 
 
 def _by_od0_complete(counts):
@@ -438,7 +438,7 @@ def test_r2n_h1_counts_match_sweep(p, h):
     for jobs in (1, 2):
         got = [0] * 4
         bad = 0
-        for key, n in _fresh_counts(F, 3, jobs, _CLASS_ORDER).items():
+        for key, n in _fresh_counts(F, 3, jobs).items():
             got[key[_NUCLEUS_DIM]] += n
             bad += n * (1 - key[_R2N_IS_H1])
         assert (bad, got) == (mism, hist)
@@ -453,9 +453,8 @@ def test_counts_agree_through_every_class(p, h):
     # unfiltered passes hold every key row through x_c
     F = make_field(p, h)
     for k in (2, 3, 4):
-        counts = _counts(F, k, classes=_CLASS_ORDER)
-        if k < 4:  # every line and every plane
-            assert sum(counts.values()) == gaussian_binomial(6, k, F.q)
+        counts = _counts(F, k)
+        assert sum(counts.values()) == gaussian_binomial(6, k, F.q)
         seen = 0
         for c in _CLASS_ORDER:
             size = len(point_class(F, c).codes)
@@ -486,7 +485,7 @@ def test_probed_passes_count_as_unfiltered(p, h, monkeypatch):
         for c in _CLASS_ORDER:
             for jobs in (1, 2):
                 want = _counted(F, c, through_unfiltered(F, k, c, jobs))
-                assert _fresh_counts(F, k, jobs, (c,)) == want, (k, c, jobs)
+                assert _counted(F, c, _through(F, k, c, jobs)) == want, (k, c, jobs)
 
 
 @pytest.mark.parametrize("p,h", [(2, 2), (5, 1)], ids=["q4", "q5"])
@@ -525,17 +524,31 @@ def test_count_above_the_grassmannian_is_an_internal_error(monkeypatch):
         _counts(F, 3)
 
 
+def test_count_below_the_grassmannian_is_an_internal_error(monkeypatch):
+    # a pass that loses a key row leaves its subspaces to no later pass, so
+    # after every pass the total falls short of the planes there are
+    import srd3.verify as V
+    F = make_field(3, 1)
+    good = V._through(F, 3, 4)
+    key = next(iter(good))
+    bad = {k: n for k, n in good.items() if k != key}
+    monkeypatch.setattr(V, "_sweep_cache", {("through", 3, 4, id(F)): bad})
+    with pytest.raises(RuntimeError, match="fewer than the 33880 there are"):
+        _counts(F, 3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4], ids=["k2", "k3", "k4"])
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (5, 1)], ids=["q3", "q4", "q5"])
-def test_counts_stop_at_the_grassmannian_total(p, h, monkeypatch):
-    # every plane is counted before the P1 pass, so counting every plane
-    # builds no P1 class; a pass needs only the Schreier tree of its class,
-    # so no class holds a stabiliser yet
+def test_counts_stop_at_the_grassmannian_total(p, h, k, monkeypatch):
+    # every line, plane and solid is counted before the P1 pass, so the
+    # counts build no P1 class; a pass needs only the Schreier tree of its
+    # class, so no class holds a stabiliser yet
     import srd3.verify as V
     F = make_field(p, h)
     monkeypatch.setattr(V, "_sweep_cache", {})
     monkeypatch.setattr(tables(F), "point_class_data", {})
-    counts = _counts(F, 3, classes=_CLASS_ORDER)
-    assert sum(counts.values()) == gaussian_binomial(6, 3, F.q)
+    counts = _counts(F, k)
+    assert sum(counts.values()) == gaussian_binomial(6, k, F.q)
     built = tables(F).point_class_data
     assert 1 not in built and 4 in built
     assert not [c for c, pc in built.items() if "stabilizer" in vars(pc)]
@@ -603,17 +616,20 @@ def test_solid_keys_match_oracles_other_moduli(spec, c, seed):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_meet_point_rule_matches_class_code(q):
     # the nonzero points alpha v(u1) + beta (v(u1+u2) - v(u1) - v(u2)) +
-    # gamma v(u2) of the conic plane of every line <u1, u2>: class_code
-    # gives each one the class of the rule's MEET type, 0 rank 1 (class 1),
-    # 1 and 2 the two rank-2 classes
+    # gamma v(u2) of the conic plane of every line <u1, u2> have the class
+    # of (alpha, beta, 0, gamma, 0, 0), the same form on the line x2 = 0,
+    # which conic_table reads as the MEET type plus one
     F = parse_field_spec(str(q))
     t = tables(F)
     v1, v2, v12 = (t.v6[t.conic_lines[:, i]] for i in range(3))
     planes = np.stack([v1, t.kit.sub(t.kit.sub(v12, v1), v2), v2], axis=1)
     abc = bulk.decode(np.arange(1, q ** 3), q, 3)
     cls = t.class_code[bulk.combine(t.kit, abc, planes)]
-    want = meet_point_types(F, *abc.T) + 1
+    on_x2 = np.zeros((len(abc), 6), dtype=np.uint8)
+    on_x2[:, [0, 1, 3]] = abc
+    want = t.class_code[bulk.encode(on_x2, q)]
     assert np.array_equal(cls, np.broadcast_to(want, cls.shape))
+    assert (want > 0).all() and (want < 4).all()
 
 
 # every field with point tables up to q = 9, GF(8) and GF(9) each with a

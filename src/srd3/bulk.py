@@ -63,6 +63,11 @@ class Kit:
         self.NEG = F.np_table('neg')
         self.INV = F.np_table('inv')
         self.ADD = None if self.char2 else F.np_table('add')
+        # the q x q tables flattened, entry (a, b) at a q + b, which one 1-D
+        # gather reaches: a uint8 index holds it up to q = 16, uint16 up to 256
+        self._mul = self.MUL.ravel()
+        self._add = None if self.char2 else self.ADD.ravel()
+        self._index = np.uint8 if self.q <= 16 else np.uint16
         if not self.char2:
             # DIG[a]: the h base-p digits of a, constant term first;
             # MAT[b][i]: the digits of x^i * b, leading digit first; so the
@@ -71,18 +76,22 @@ class Kit:
             self.DIG = decode(np.arange(q), p, h)[:, ::-1].copy()
             self.MAT = decode(self.MUL[p ** np.arange(h)].T, p, h)
 
+    def _at(self, a, b) -> np.ndarray:
+        """The flat index a q + b of table entry (a, b), broadcast."""
+        return np.multiply(a, self.q, dtype=self._index, casting="unsafe") + b
+
     def add(self, a, b):
         if self.char2:
             return a ^ b
-        return self.ADD[a, b]
+        return self._add[self._at(a, b)]
 
     def sub(self, a, b):
         if self.char2:
             return a ^ b
-        return self.ADD[a, self.NEG[b]]
+        return self._add[self._at(a, self.NEG[b])]
 
     def mul(self, a, b):
-        return self.MUL[a, b]
+        return self._mul[self._at(a, b)]
 
 
 _kits: dict[int, Kit] = {}

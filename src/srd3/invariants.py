@@ -28,7 +28,10 @@ conic in PG(2,q), i.e. the number of Veronese points on the hyperplane:
 1 zero is H2i, 2q+1 zeros is H2r, and q+1 zeros is H1 when the dual is a
 double-line dual (veronese.h1_duals) and H3 otherwise.  The rule runs once
 per field, vectorised, to build GeomTables.hclass_table; the censuses, od4,
-od4_batch and the C4 checks all read that table.
+od4_batch, the solid counts and the C4 checks all read that table.  Each
+hyperplane class is one orbit of G acting on the duals, which the solid
+counts rely on: GeomTables.conic_orbits walks all four classes at once
+and checks it, as PointClass does for each point class.
 
 A per-field cache (tables) holds dense code-indexed class tables so the
 enumeration drivers can classify millions of points via numpy gathers.
@@ -122,8 +125,10 @@ def exterior_by_tangents(F: FieldCtx, y) -> bool:
 # ---------------------------------------------------------------------------
 
 # vector codes decoded and classified at a time while GeomTables is built;
-# every q <= 9 fits in one block
-TABLE_BLOCK = 1 << 20
+# every q <= 8 fits in one block.  The block bounds the transients of the
+# 3x3 products and their Kit.mul table indices: building the q = 16 class
+# table peaks near 62 MB of RSS with blocks of 2^18, near 110 MB with 2^20
+TABLE_BLOCK = 1 << 18
 
 # the largest q with point tables: they index all q^6 vectors of F_q^6
 TABLE_MAX_Q = 16
@@ -209,7 +214,9 @@ class GeomTables:
         kit, q = self.kit, self.F.q
         t = np.zeros(q ** 6, dtype=np.uint8)
         multiples = np.arange(1, q, dtype=np.uint8)[:, None]
-        for lo, hi in bulk.id_chunks(q, 1, 1 << 14):
+        # 2^12 duals at a time: combine holds their (2^12, q^2+q+1) int32
+        # values twice, 9 MB at q = 16, where 2^14 raised the peak RSS to 120 MB
+        for lo, hi in bulk.id_chunks(q, 1, 1 << 12):
             duals = bulk.subspace_bases(q, 1, np.arange(lo, hi))
             # the value of each conic at each Veronese point: (M, q^2+q+1)
             zeros = (bulk.combine(kit, self.v6, duals.transpose(0, 2, 1)) == 0).sum(axis=1)
@@ -226,9 +233,50 @@ class GeomTables:
     def od4_batch(self, bases: np.ndarray) -> np.ndarray:
         """Hyperplane-orbit distributions of a batch of RREF bases:
         (N,k,6) -> (N,4)."""
-        duals = bulk.nullspace_batch(self.kit, bases)
+        return self.dual_od4(bulk.nullspace_batch(self.kit, bases))
+
+    def dual_od4(self, duals: np.ndarray) -> np.ndarray:
+        """Hyperplane-orbit distributions of the subspaces with dual bases
+        duals (N,m,6), any bases: the classes of the points of each
+        span(duals) -> (N,4)."""
         cls = self.hclass_table()[bulk.combine(self.kit, self.coeffs(duals.shape[1]), duals)]
         return _value_counts(cls, range(1, 5))
+
+    @cached_property
+    def conic_orbits(self) -> tuple[np.ndarray, list[int]]:
+        """h_c, the dual vector of smallest code of each hyperplane class c
+        (row c-1, classes as in HYPERPLANE_CLASSES), and the size of each
+        class, once one breadth-first walk has shown that each class is one
+        orbit of G on the duals: from all four h_c at once, under the dual
+        action of k_generators, d -> d L(adj A)^T (a point y goes to y L(A),
+        and L(adj A) is L(A)^-1 up to a scalar), every image keeps its
+        source's class and the walk reaches each class's census."""
+        kit, q = self.kit, self.F.q
+        hclass = self.hclass_table()
+        gens = np.array(k_generators(self.F), dtype=np.uint8)
+        lifts = lift_batch(kit, bulk.adjugate(kit, gens)).transpose(0, 2, 1)
+        # a scalar multiple has a larger code, so the smallest is normalized
+        first = np.array([np.argmax(hclass == c) for c in range(1, 5)])
+        reps = pts = bulk.decode(first, q, 6)
+        # one flag per code, as hclass_table has one class per code
+        seen = np.zeros(q ** 6, dtype=bool)
+        seen[first] = True
+        while len(pts):
+            # the images of the frontier under every generator, lift-major
+            img = _normalized(kit, _moved(kit, pts, lifts))
+            codes = bulk.encode(img, q)
+            if (hclass[codes] != np.tile(hclass[bulk.encode(pts, q)], len(gens))).any():
+                raise ClassificationError("a generator moves a conic to another class")
+            new = np.flatnonzero(~seen[codes])
+            codes, first = np.unique(codes[new], return_index=True)
+            seen[codes] = True
+            pts = img[new[first]]
+        census = list(_census(q, hclass, HYPERPLANE_CLASSES).values())
+        reached = np.bincount(hclass[seen], minlength=5)[1:].tolist()
+        if reached != census:
+            raise ClassificationError(f"the walk reaches {reached} conics of the classes, "
+                                      f"not the census {census}")
+        return reps, census
 
     def conic_table(self) -> np.ndarray:
         """Pencil-value code -> MEET type of a solid's meet with a conic
@@ -362,20 +410,25 @@ def od4(W: Subspace) -> tuple[int, int, int, int]:
     return tuple(int(x) for x in out)
 
 
+def _census(q: int, table: np.ndarray, names) -> dict[str, int]:
+    """How many projective points have each class 1..4 of a code-indexed
+    class table, by name.  np.bincount casts its input to intp, so it runs
+    on TABLE_BLOCK slices: a cast of the whole uint8 table would take eight
+    times its memory."""
+    counts = sum(np.bincount(table[lo:lo + TABLE_BLOCK], minlength=5)
+                 for lo in range(0, len(table), TABLE_BLOCK))
+    # the table indexes every vector; each projective point has q-1 nonzero codes
+    return {name: int(counts[i + 1]) // (q - 1) for i, name in enumerate(names)}
+
+
 def point_census(F: FieldCtx) -> dict[str, int]:
     """Counts of the point classes over all of PG(5,q)."""
-    t = tables(F)
-    counts = np.bincount(t.class_code, minlength=5)
-    names = point_classes(F)
-    # table indexes every vector; each projective point has q-1 nonzero codes
-    return {names[i]: int(counts[i + 1]) // (F.q - 1) for i in range(4)}
+    return _census(F.q, tables(F).class_code, point_classes(F))
 
 
 def hyperplane_census(F: FieldCtx) -> dict[str, int]:
     """Counts of the hyperplane classes over all of PG(5,q)."""
-    counts = np.bincount(tables(F).hclass_table(), minlength=5)
-    # as in point_census, each hyperplane has q-1 nonzero dual codes
-    return {HYPERPLANE_CLASSES[i]: int(counts[i + 1]) // (F.q - 1) for i in range(4)}
+    return _census(F.q, tables(F).hclass_table(), HYPERPLANE_CLASSES)
 
 
 # ---------------------------------------------------------------------------

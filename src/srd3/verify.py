@@ -13,7 +13,8 @@ subspaces per dimension, which T3.2/T3.3, T3.7 and C4 report as
 of their images there instead, and T3.10, T3.12, T3.14 and T3.21, which
 have no sampled form, run only up to the ceiling (DRIVERS).
 
-Counting through one point per class.  Every exhaustive claim is about a
+Counting through one point, or one conic, per class.  Every exhaustive
+claim is about a
 family of k-subspaces that G = PGL(3,q) maps to itself, cut out by a key
 row (_keys) that G preserves:
 
@@ -42,34 +43,52 @@ s_c(k) the od0 column of class c, for every class with s_c(k) > 0.  A pass
 smallest code: they are span(x_c, U) for the (k-1)-subspaces U of a
 coordinate hyperplane x_j = 0 that misses x_c, [5 choose k-1]_q of them
 instead of the [6 choose k]_q of the whole Grassmannian, each written in
-RREF with no elimination (_bases_through).  _counts adds up
-each key row in the pass of the first class it meets in the order P3, the
-two rank-2 classes, P1, so every subspace is counted once; that N_c n_c(k)
-is divisible by s_c(k) is checked, and a remainder is an internal error.
+RREF with no elimination (_bases_through).
+
+Solids are counted from the dual side.  The dual of a solid W is a pencil
+of conics, the q+1 hyperplanes through W, and each hyperplane class c is
+one orbit of N_{H_c} conics under the dual action of G: the walk behind
+invariants.GeomTables.conic_orbits asserts it.  Counting the pairs (h, W),
+h a class-c conic of W's pencil, gives
+
+    #{W with key row k} = N_{H_c} m_c(k) / t_c(k),
+
+t_c(k) the od4 column of class c, and the pass of class c counts the
+pencils span(h_c, u) through h_c, the class-c conic of smallest code, u a
+point of a coordinate hyperplane that misses it: [5 choose 1]_q pencils
+(781 at q = 5), against the [5 choose 3]_q solids through a point (20306).
+The pencil's RREF basis is the dual basis its key row is read from, so a
+conic pass builds no solid basis and no point class.
+
+_counts adds up each key row in the pass of the first class it meets in
+the order P3, the two rank-2 classes, P1, or for solids H3, H2r, H2i, H1
+(_CLASS_ORDER), so every subspace is counted once; that N_c n_c(k) is
+divisible by s_c(k) is checked, and a remainder is an internal error.
 _counts keeps a running total and stops before a pass once it equals
 [6 choose k]_q: every k-subspace has then been counted in the pass of its
 first class, so no later pass can add a key row.  A final total other
 than [6 choose k]_q is an internal error.  The P1 pass is never taken: the
 Veronesean is a cap, so a line holds at most two of its q+1 points in P1,
-and every line, plane and solid is counted in an earlier pass.  At every q
-from 2 to 9, the planes are all counted by the P3 and P2a passes and the
-lines by P3, P2a and, at even q only, P2b, so the P2b and P1 plane passes
-and the odd-q P2b line pass are not taken.  Every solid gets a key row, rank-1
-points or not, and at every q from 2 to 9 the P3 pass alone counts all
-[6 choose 4]_q of them, so no other solid pass is taken; that is counted,
-not assumed, and a solid with no rank-3 point would send _counts on to
-the rank-2 passes.  The passes run in _block_size blocks through _pmap, so
-the counts are sums and do not depend on the number of workers.
+and every line and plane is counted in an earlier pass.  At every q from 2
+to 9, the planes are all counted by the P3 and P2a passes and the lines by
+P3, P2a and, at even q only, P2b, so the P2b and P1 plane passes and the
+odd-q P2b line pass are not taken.  The solids are all counted by the H3
+and H2r passes at odd q, and by all four at even q: there the double lines
+l^2 span a plane of duals (squaring is additive in characteristic 2), so
+the q+1 pencils through h_H1 inside it hold double lines alone.  That is
+counted, not assumed.  The passes run in _block_size blocks through
+_pmap, so the counts are sums and do not depend on the number of workers.
 
 A pass skips what it cannot count.  Before the key rows, each block of the
-pass of class c classifies PROBE_POINTS fixed points of every subspace (one
-combine and one class_code lookup) and drops the subspaces that show a
-point of a class before c.  That is exact: a survivor still gets its full
-key row, and a dropped subspace has a point of an earlier class, so
-_counts would skip its key row here and the earlier pass counts it.  Most
-subspaces through a rank-2 or rank-1 point have many rank-3 points, so
-the later passes keep a handful: none of the q = 5 solids through a
-rank-2 point, and 3 of the 20306 planes through x_P2e.
+pass of class c classifies PROBE_POINTS fixed points of every subspace, or
+conics of every pencil (one combine and one class_code or hclass_table
+lookup), and drops those that show a class before c.  That is exact: a
+survivor still gets its full key row, and a dropped subspace has a point
+or a conic of an earlier class, so _counts would skip its key row here and
+the earlier pass counts it.  Most subspaces through a rank-2 or rank-1
+point have many rank-3 points, and most pencils many nonsingular conics,
+so the later passes keep a handful: 3 of the 20306 planes through x_P2e,
+and 16 of the 781 pencils through h_H2r, at q = 5.
 
 Orbits are never walked.  A family that G maps to itself holds the orbit
 of each of its members, so it is the orbit of W iff W is a member and the
@@ -86,19 +105,21 @@ is the vector of values of W's dual vectors there (bulk.quotient_codes),
 0 iff the point lies in W, so one array of images decides both whether W
 has a rank-1 point and whether it is complete.
 
-Solids are read from the conic side.  The dual of a solid is a pencil of
-conics, and one combine gives its values at the q^2+q+1 Veronese points:
+Solid key rows are read from the conic side (_pencil_keys).  One combine
+gives the values of the pencil at the q^2+q+1 Veronese points:
 2(q^2+q+1) evaluations against the (q^3+q^2+q+1) 6-digit points od0_batch
-would combine.  Those values decide the solid's whole key row.  Its rank-1
-points are the Veronese points where both conics vanish, and the conic
-plane table (invariants.GeomTables.pencil_od0) reads the classes of its
-rank-2 points off the values at three points of each line of PG(2,q); the
-rest are rank 3.  Normalized, the same values are its quotient images, so
-a rank-1-free solid's completeness flag costs one covers_quotient more.
-A line or a plane has at most q^2+q+1 points, fewer than the
-(6-k)(q^2+q+1) values of its dual, so lines and planes go to od0_batch
-first and take the images of their rank-1-free members.  _keys is the one
-kernel for all three: one key row per subspace, in order.
+would combine.  Those values decide the solid's od0 row and completeness.
+Its rank-1 points are the Veronese points where both conics vanish, and
+the conic plane table (invariants.GeomTables.pencil_od0) reads the classes
+of its rank-2 points off the values at three points of each line of
+PG(2,q); the rest are rank 3.  Normalized, the same values are its
+quotient images, so a rank-1-free solid's completeness flag costs one
+covers_quotient more.  Its od4 row is the classes of the q+1 conics of the
+pencil, one hclass_table lookup each.  A line or a plane has at most
+q^2+q+1 points, fewer than the (6-k)(q^2+q+1) values of its dual, so lines
+and planes go to od0_batch first and take the images of their rank-1-free
+members.  _keys is the one kernel for all three, on RREF bases: one key
+row per subspace, in order; a solid's dual basis is its nullspace_batch.
 
 No driver sweeps a whole Grassmannian.  _sweep, and solid_groups,
 plane_sweep, line_sweep_completeness, min_rank2_coverage and
@@ -121,10 +142,10 @@ from srd3.invariants import (od0, od4, pgl3_order, point_class, require_tables,
                              stabilizer_order, tables)
 from srd3.report import CheckReport, make_report
 
-# the largest q whose counts are exact: the full check set takes about 7-9 s
-# and 99 MB at q = 8 with one worker; the q = 9 plane and solid passes
-# alone would take about 26-35 s and 94 MB, 20-27 s of it the P3 plane pass
-# and 5-11 s the one solid pass
+# the largest q whose counts are exact: the full check set takes about 4-5 s
+# and 103 MB at q = 8 with one worker.  At q = 9 the plane passes alone
+# would take about 25 s, nearly all of it the P3 plane pass, and the solid
+# passes 0.24 s with the conic walk, after 0.6 s of tables
 EXACT_MAX_Q = 8
 SAMPLE_SIZE = 100_000
 _SEED = 0x5D3
@@ -203,28 +224,23 @@ def _nucleus_meet(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # columns of a key row: the od0 row, then
 _COMPLETE = 4           # complete distance-2 code (0 with a rank-1 point)
-_OD4 = slice(5, 9)      # planes: od4 (zeros with a rank-1 point)
+_OD4 = slice(5, 9)      # planes: od4 (zeros with a rank-1 point); solids: od4
 _NUCLEUS_DIM = 9        # planes at even q: dim(W meet N)
 _R2N_IS_H1 = 10         # planes at even q: r2n == h1
 
 
 def _keys(t, bases: np.ndarray) -> np.ndarray:
     """Key rows (see the module docstring) of a block of at most _block_size
-    RREF bases, one per subspace.  A solid's od0 row is read off its pencil
-    of conics (GeomTables.pencil_od0), whose values at the Veronese points
-    are also its quotient images; lines and planes go to od0_batch, and the
-    rank-1-free ones take their images after."""
+    RREF bases, one per subspace.  A solid's are read off its dual basis
+    (_pencil_keys); lines and planes go to od0_batch, and the rank-1-free
+    ones take their images after."""
     q, k = t.F.q, bases.shape[1]
     if k == 4:
-        vals = bulk.combine(t.kit, t.v6, bulk.nullspace_batch(t.kit, bases).transpose(0, 2, 1))
-        dist = t.pencil_od0(vals)
-    else:
-        dist = t.od0_batch(bases)
+        return _pencil_keys(t, bulk.nullspace_batch(t.kit, bases))
+    dist = t.od0_batch(bases)
     free = np.flatnonzero(dist[:, 0] == 0)
-    img = (bulk.normal_codes(t.kit, 2)[vals[free]] if k == 4
-           else bulk.quotient_codes(t.kit, bases[free], t.v6))
     cols = [dist, np.zeros((len(bases), 1), dtype=np.int64)]
-    cols[1][free, 0] = bulk.covers_quotient(q, 6 - k, img)
+    cols[1][free, 0] = bulk.covers_quotient(q, 6 - k, bulk.quotient_codes(t.kit, bases[free], t.v6))
     if k == 3:
         d4 = np.zeros((len(bases), 4), dtype=np.int64)
         d4[free] = t.od4_batch(bases[free])
@@ -233,6 +249,20 @@ def _keys(t, bases: np.ndarray) -> np.ndarray:
             dim, match = _nucleus_meet(t, bases)
             cols.append(np.column_stack([dim, match]))
     return np.concatenate(cols, axis=1)
+
+
+def _pencil_keys(t, duals: np.ndarray) -> np.ndarray:
+    """Key rows of a block of solids from their dual bases (N, 2, 6), any
+    bases of their pencils of conics: the od0 row off the pencil's values
+    at the Veronese points (GeomTables.pencil_od0), which normalized are
+    also its quotient images, the completeness flag, and the od4 row, the
+    classes of the pencil's q+1 conics, of every solid."""
+    vals = bulk.combine(t.kit, t.v6, duals.transpose(0, 2, 1))
+    dist = t.pencil_od0(vals)
+    free = np.flatnonzero(dist[:, 0] == 0)
+    complete = np.zeros((len(duals), 1), dtype=np.int64)
+    complete[free, 0] = bulk.covers_quotient(t.F.q, 2, bulk.normal_codes(t.kit, 2)[vals[free]])
+    return np.concatenate([dist, complete, t.dual_od4(duals)], axis=1)
 
 
 def _row_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,18 +277,18 @@ def _row_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[start], np.diff(np.append(start, len(rows)))
 
 
-def _histogram(t, k: int, chunks: list, bases_of, jobs: int) -> dict[tuple, int]:
-    """{key row: how many} over the RREF bases bases_of(chunk) of the
+def _histogram(t, k: int, chunks: list, keys_of, jobs: int) -> dict[tuple, int]:
+    """{key row: how many} over the key rows keys_of(chunk) of the
     k-subspaces of every chunk.  Each chunk's histogram is one _row_counts
     of its key rows, and the histograms are added up in chunk order."""
-    # build the table the key rows read before forking
-    if k == 3:
+    # build the tables the key rows read before forking
+    if k >= 3:
         t.hclass_table()
-    elif k == 4:
+    if k == 4:
         t.conic_table()
 
     def work(chunk):
-        rows, n = _row_counts(_keys(t, bases_of(chunk)))
+        rows, n = _row_counts(keys_of(chunk))
         return list(zip(map(tuple, rows.tolist()), n.tolist()))
 
     out: dict[tuple, int] = {}
@@ -302,16 +332,17 @@ def _through_chunks(q: int, k: int) -> list[tuple[int, int]]:
     """The blocks of a pass of k-subspaces: ranges of the tail ids of the
     (k-1)-Grassmannian, the (k-1)-subspaces whose pivots avoid column 0."""
     end = gaussian_binomial(6, k - 1, q)
-    # half blocks: the passes run back to back, and with full blocks the
-    # heap they leave behind raised the peak RSS of the three q=5 solid
-    # passes by about 5 MB, for no gain in speed
+    # half blocks: the passes run back to back, and at q = 5 the heap that
+    # full blocks left behind raised the peak RSS by about 5 MB, for no
+    # gain in speed
     block = _block_size(q, k) // 2
     return [(s, min(s + block, end))
             for s in range(end - gaussian_binomial(5, k - 1, q), end, block)]
 
 
-# point classes (GeomTables.class_code) in the order a subspace is counted
-# in: P3, the two rank-2 classes, P1
+# point classes (GeomTables.class_code) in the order a line or plane is
+# counted in: P3, the two rank-2 classes, P1; read as hyperplane classes
+# (HYPERPLANE_CLASSES), the order a solid is counted in: H3, H2r, H2i, H1
 _CLASS_ORDER = (4, 2, 3, 1)
 
 # points of each subspace classified before its key row in a pass: the
@@ -321,55 +352,80 @@ _CLASS_ORDER = (4, 2, 3, 1)
 PROBE_POINTS = 8
 
 
-def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
-    """The k-subspaces through x_c, the class-c point of smallest code
-    (PointClass's point), that show no point of a class before c in
-    _CLASS_ORDER among PROBE_POINTS fixed points: {key row: how many}.
+def _class_column(k: int, c: int) -> int:
+    """The key-row column that counts class c in a k-subspace: the od0
+    column of point class c for lines and planes, the od4 column of conic
+    class c for solids."""
+    return _OD4.start + c - 1 if k == 4 else c - 1
 
-    They are span(x_c, U), U a (k-1)-subspace of x_j = 0, j the leading
-    coordinate of x_c.  Those U are the tail of the (k-1)-Grassmannian's
-    ids, moved into x_j = 0; the bases (_bases_through) come out in RREF,
-    which quotient_codes and od4_batch need, without an elimination.  A
-    subspace dropped by the probe has a point of an earlier class, so
-    _counts would skip its key row here anyway."""
+
+def _class_size(F: FieldCtx, k: int, c: int) -> int:
+    """N_c, the number of points of class c, or for solids of conics."""
+    if k == 4:
+        return tables(F).conic_orbits[1][c - 1]
+    return len(point_class(F, c).codes)
+
+
+def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
+    """The pass of class c: {key row: how many} over the k-subspaces
+    through x_c, the class-c point of smallest code (PointClass's point),
+    or for solids over those whose pencil holds h_c, the class-c conic of
+    smallest code (GeomTables.conic_orbits), that show no class before c
+    in _CLASS_ORDER among PROBE_POINTS fixed points of the subspace or of
+    the pencil.
+
+    Lines and planes through x_c are span(x_c, U), U a (k-1)-subspace of
+    x_j = 0, j the leading coordinate of x_c; pencils through h_c are
+    span(h_c, u) likewise, u a point.  _bases_through writes them in RREF,
+    which quotient_codes and od4_batch need, without an elimination, and a
+    pencil's key row is read off it with no solid basis (_pencil_keys).  A
+    subspace dropped by the probe has a point or a conic of an earlier
+    class, so _counts would skip its key row here anyway."""
     t = tables(F)
-    # PointClass asserts that x_c's class is one orbit, the prerequisite of
-    # the counting
-    x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
+    if k == 4:
+        # the walk behind conic_orbits asserts that each conic class is one
+        # orbit, the prerequisite of the counting
+        x, d, classes, keys = t.conic_orbits[0][c - 1], 2, t.hclass_table(), _pencil_keys
+    else:
+        # PointClass asserts it for the points
+        x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
+        d, classes, keys = k, t.class_code, _keys
     earlier = np.zeros(5, dtype=bool)
     earlier[list(_CLASS_ORDER[:_CLASS_ORDER.index(c)])] = True
-    probe = t.coeffs(k)[-PROBE_POINTS:]
+    probe = t.coeffs(d)[-PROBE_POINTS:]
 
-    def bases_of(chunk):
-        bases = _bases_through(t.kit, x, k, chunk)
-        if not earlier.any():
-            return bases
-        shown = earlier[t.class_code[bulk.combine(t.kit, probe, bases)]]
-        return bases[~shown.any(axis=1)]
+    def keys_of(chunk):
+        bases = _bases_through(t.kit, x, d, chunk)
+        if earlier.any():
+            shown = earlier[classes[bulk.combine(t.kit, probe, bases)]]
+            bases = bases[~shown.any(axis=1)]
+        return keys(t, bases)
 
-    return _histogram(t, k, _through_chunks(F.q, k), bases_of, jobs)
+    return _histogram(t, k, _through_chunks(F.q, d), keys_of, jobs)
 
 
 def _counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
     """How many k-subspaces have each key row, counted through one point of
-    each class in _CLASS_ORDER (see the module docstring); the passes are
-    cached per field.  Once the counts add up to every k-subspace, the
-    later passes can count nothing and are not taken; any other final
-    total is an internal error."""
+    each point class, or for solids through one conic of each conic class,
+    in _CLASS_ORDER (see the module docstring); the passes are cached per
+    field.  Once the counts add up to every k-subspace, the later passes
+    can count nothing and are not taken; any other final total is an
+    internal error."""
     out = {}
     total, everything = 0, gaussian_binomial(6, k, F.q)
+    through = "a conic" if k == 4 else "a point"
     for c in _CLASS_ORDER:
         if total == everything:
             break
         got = _cached(("through", k, c, id(F)), lambda: _through(F, k, c, jobs))
-        size = len(point_class(F, c).codes)
+        size, col = _class_size(F, k, c), _class_column(k, c)
         for key, n in got.items():
-            if next(d for d in _CLASS_ORDER if key[d - 1]) != c:
+            if next(d for d in _CLASS_ORDER if key[_class_column(k, d)]) != c:
                 continue
-            if size * n % key[c - 1]:
-                raise RuntimeError(f"{size} * {n} subspaces through a point of class "
-                                   f"{c} with key {key} is not a multiple of {key[c - 1]}")
-            counted = size * n // key[c - 1]
+            if size * n % key[col]:
+                raise RuntimeError(f"{size} * {n} {k}-subspaces through {through} of class "
+                                   f"{c} with key {key} is not a multiple of {key[col]}")
+            counted = size * n // key[col]
             out[key] = out.get(key, 0) + counted
             total += counted
     if total != everything:
@@ -388,7 +444,7 @@ def _sample_counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
         sample = bulk.sample_subspaces(t.kit, 5, k - 1, SAMPLE_SIZE, seed=_SEED)
         block = _block_size(F.q, k)
         chunks = [(s, s + block) for s in range(0, len(sample), block)]
-        return _histogram(t, k, chunks, lambda chunk: sample[slice(*chunk)], jobs)
+        return _histogram(t, k, chunks, lambda chunk: _keys(t, sample[slice(*chunk)]), jobs)
 
     return _cached(("sample", k, id(F)), build)
 

@@ -21,7 +21,9 @@ counts through one point of each point class, the line-pair flag of
 planes named by id, which the package reads from the same counts, the
 k-subspaces through a point by elimination, which the package writes in
 RREF directly, and the key row of every subspace through x_c, where the
-package's pass drops those that show a point of an earlier class, every
+package's pass drops those that show a point of an earlier class, the
+solids through a point of each class, which the package counts through
+the pencils through a conic of each class instead, every
 subspace of PG(n,q) or of a given subspace by pivot pattern, which the
 package names by bulk's subspace ids, the Sigma_18 plane by a line search,
 which the atlas writes in closed form, and a basis of GF(q^3) by testing
@@ -45,7 +47,8 @@ from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors
                      nullspace, pivot_patterns, subspace_points)
 from srd3.veronese import (as_matrix, double_line_dual, kernel_point, lift, mat_mul,
                            pg2_points, point_rank, veronese)
-from srd3.verify import _bases_through, _block_size, _histogram, _pmap, _through_chunks
+from srd3.verify import (_CLASS_ORDER, _COMPLETE, PROBE_POINTS, _bases_through, _block_size,
+                         _histogram, _keys, _pencil_keys, _pmap, _through_chunks)
 
 
 def nucleus_plane(F: FieldCtx) -> Subspace:
@@ -347,12 +350,67 @@ def spans_through_eliminate(kit: bulk.Kit, x: np.ndarray, k: int,
 
 
 def through_unfiltered(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
-    """verify._through with no probe: {key row: how many} over every
-    k-subspace through x_c, in the same blocks."""
+    """{key row: how many} over every k-subspace through x_c, the class-c
+    point of smallest code, in the blocks of verify._through's point
+    passes: those passes with no probe, and for solids the point side of
+    the double counting that verify._through does through pencils."""
     t = tables(F)
     x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
     return _histogram(t, k, _through_chunks(F.q, k),
-                      lambda chunk: _bases_through(t.kit, x, k, chunk), jobs)
+                      lambda chunk: _keys(t, _bases_through(t.kit, x, k, chunk)), jobs)
+
+
+def pencils_unfiltered(F: FieldCtx, c: int, jobs: int = 1) -> dict[tuple, int]:
+    """verify._through(F, 4, c) with no probe: {key row: how many} over the
+    solids of every pencil through h_c, the class-c conic of smallest code."""
+    t = tables(F)
+    h = t.conic_orbits[0][c - 1]
+    return _histogram(t, 4, _through_chunks(F.q, 2),
+                      lambda chunk: _pencil_keys(t, _bases_through(t.kit, h, 2, chunk)), jobs)
+
+
+def solids_through_point(F: FieldCtx, c: int, jobs: int = 1) -> dict[tuple, int]:
+    """The solid pass of point class c that verify._counts(F, 4) took before
+    it counted solids through their pencils: {key row: how many} over the
+    solids through x_c that show no point of a class before c among the
+    PROBE_POINTS probed points, in the same blocks."""
+    t = tables(F)
+    x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
+    earlier = np.zeros(5, dtype=bool)
+    earlier[list(_CLASS_ORDER[:_CLASS_ORDER.index(c)])] = True
+    probe = t.coeffs(4)[-PROBE_POINTS:]
+
+    def keys_of(chunk):
+        bases = _bases_through(t.kit, x, 4, chunk)
+        shown = earlier[t.class_code[bulk.combine(t.kit, probe, bases)]]
+        return _keys(t, bases[~shown.any(axis=1)])
+
+    return _histogram(t, 4, _through_chunks(F.q, 4), keys_of, jobs)
+
+
+def solid_counts_through_points(F: FieldCtx, jobs: int = 1) -> dict[tuple, dict[tuple, int]]:
+    """verify._counts(F, 4) from the point side, as it counted before the
+    pencil passes, reduced to the od0 row and the completeness flag: by
+    point class c, how many solids have each (od0, complete) prefix among
+    those whose first point class in _CLASS_ORDER is c, each key row of the
+    pass of c counted as N_c n / s_c.  The passes stop, as verify's do,
+    once every solid is counted."""
+    out: dict[tuple, dict[tuple, int]] = {}
+    total, everything = 0, gaussian_binomial(6, 4, F.q)
+    for c in _CLASS_ORDER:
+        if total == everything:
+            break
+        size = len(point_class(F, c).codes)
+        for key, n in solids_through_point(F, c, jobs).items():
+            if next(d for d in _CLASS_ORDER if key[d - 1]) != c:
+                continue
+            assert size * n % key[c - 1] == 0, (c, key)
+            solids = size * n // key[c - 1]
+            counted, prefix = out.setdefault(c, {}), key[:_COMPLETE + 1]
+            counted[prefix] = counted.get(prefix, 0) + solids
+            total += solids
+    assert total == everything, (total, everything)
+    return out
 
 
 def on_line_pair(F: FieldCtx, ids: np.ndarray, jobs: int = 1) -> np.ndarray:

@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from srd3 import bulk
 from srd3.gf import make_field, parse_field_spec
-from srd3.invariants import pgl3_order, point_class, stabilizer_order, tables
+from srd3.invariants import (ClassificationError, GeomTables, hyperplane_census, pgl3_order,
+                             point_class, stabilizer_order, tables)
 from srd3.pg import gaussian_binomial
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
 from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1,
-                         VerifyError, _bases_through, _counts, _histogram,
-                         _ids_where, _is_orbit, _keys, _min_rank2_solid_sigs,
-                         _rank1_free, _row_counts, _sweep, _tally, _through,
+                         VerifyError, _bases_through, _class_column, _class_size,
+                         _counts, _histogram, _ids_where, _is_orbit, _keys,
+                         _min_rank2_solid_sigs, _pencil_keys, _rank1_free,
+                         _row_counts, _sweep, _tally, _through,
                          line_sweep_completeness, min_rank2_coverage, plane_sweep,
                          planes_covered_by_solids, run_checks,
                          solid_groups, verify_censuses, verify_class_counts,
@@ -23,9 +25,10 @@ from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1
                          verify_r2n_equals_h1, verify_rank3_od4, verify_schmidt,
                          verify_solids, verify_tables)
 
-from oracles import (line_sweep_union, on_line_pair, r2n_h1_sweep,
-                     rank1_free_groups_unfiltered, solid_keys_filtered,
-                     spans_through_eliminate, through_unfiltered)
+from oracles import (line_sweep_union, on_line_pair, pencils_unfiltered, r2n_h1_sweep,
+                     rank1_free_groups_unfiltered, solid_counts_through_points,
+                     solid_keys_filtered, solids_through_point, spans_through_eliminate,
+                     through_unfiltered)
 
 
 def _ok(reports):
@@ -358,11 +361,12 @@ def test_line_pair_planes_match_chunked_od4_q3():
 
 
 # the (k, class) passes a full check set takes: those taken before the
-# counts reach [6 choose k]_q.  Every solid has a key row and a rank-3
-# point, so the P3 pass counts them all; the P2b plane pass and T3.7's P1
-# plane pass are never needed, nor the P2b line pass at odd q
-_PASSES = {3: {(2, 4), (2, 2), (3, 4), (3, 2), (4, 4)},
-           4: {(2, 4), (2, 2), (2, 3), (3, 4), (3, 2), (4, 4)}}
+# counts reach [6 choose k]_q.  The P2b plane pass and T3.7's P1 plane
+# pass are never needed, nor the P2b line pass at odd q.  The solid passes
+# are the conic passes: H3 and H2r at odd q, all four at even q, where the
+# double lines span a plane of duals and so make pencils of their own
+_PASSES = {3: {(2, 4), (2, 2), (3, 4), (3, 2), (4, 4), (4, 2)},
+           4: {(2, 4), (2, 2), (2, 3), (3, 4), (3, 2), (4, 4), (4, 2), (4, 3), (4, 1)}}
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2)], ids=["q3", "q4"])
@@ -450,7 +454,8 @@ def test_r2n_h1_counts_match_sweep(p, h):
 def test_counts_agree_through_every_class(p, h):
     # N_c n_c(key) / s_c(key) is the same number for every class c that a
     # key's subspaces meet, not only the first one, which _counts uses; the
-    # unfiltered passes hold every key row through x_c
+    # unfiltered passes hold every key row through x_c.  For solids that is
+    # the point side of the count that _counts takes through pencils
     F = make_field(p, h)
     for k in (2, 3, 4):
         counts = _counts(F, k)
@@ -465,84 +470,119 @@ def test_counts_agree_through_every_class(p, h):
         assert seen > len(counts)
 
 
-def _counted(F, c, rows):
-    """_counts' rule on the key rows of one pass of class c: the rows whose
-    first class is c, each as N_c n / s_c."""
-    size = len(point_class(F, c).codes)
-    return {key: size * n // key[c - 1] for key, n in rows.items()
-            if next(d for d in _CLASS_ORDER if key[d - 1]) == c}
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["q2", "q3", "q4", "q5"])
+def test_solid_counts_agree_through_every_conic_class(p, h):
+    # the dual form: N_{H_c} m_c(key) / t_c(key) is the same number for
+    # every conic class c that a key's pencils contain, t_c its od4 column
+    F = make_field(p, h)
+    counts = _counts(F, 4)
+    seen = 0
+    for c in _CLASS_ORDER:
+        size = _class_size(F, 4, c)
+        for key, n in pencils_unfiltered(F, c).items():
+            t_c = key[_OD4][c - 1]
+            assert size * n % t_c == 0
+            assert size * n // t_c == counts[key], (c, key)
+            seen += 1
+    assert seen > len(counts)
+
+
+def _counted(F, c, rows, conics=False):
+    """_counts' rule on the key rows of one pass of class c, a point class
+    or with conics a conic class: the rows whose first class is c, each as
+    N_c n / s_c."""
+    k = 4 if conics else 3
+    size, col = _class_size(F, k, c), _class_column(k, c)
+    return {key: size * n // key[col] for key, n in rows.items()
+            if next(d for d in _CLASS_ORDER if key[_class_column(k, d)]) == c}
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["q2", "q3", "q4", "q5"])
 def test_probed_passes_count_as_unfiltered(p, h, monkeypatch):
     # the probe drops only subspaces that an earlier pass counts: each
-    # class's counts equal those read from every key row through x_c; small
-    # blocks make jobs=2 fork and leave some blocks with no survivor
+    # class's counts equal those read from every key row through x_c, or
+    # for solids from every pencil through h_c; the same holds for the
+    # point-side solid passes of the oracle.  Small blocks make jobs=2 fork
+    # and leave some blocks with no survivor
     import srd3.verify as V
     F = make_field(p, h)
     monkeypatch.setattr(V, "_block_size", lambda q, k: 512)
     for k in (2, 3, 4):
         for c in _CLASS_ORDER:
             for jobs in (1, 2):
-                want = _counted(F, c, through_unfiltered(F, k, c, jobs))
-                assert _counted(F, c, _through(F, k, c, jobs)) == want, (k, c, jobs)
+                want = _counted(F, c, pencils_unfiltered(F, c, jobs) if k == 4
+                                else through_unfiltered(F, k, c, jobs), conics=k == 4)
+                assert _counted(F, c, _through(F, k, c, jobs), conics=k == 4) == want, (k, c, jobs)
+    for c in _CLASS_ORDER:
+        want = _counted(F, c, through_unfiltered(F, 4, c))
+        assert _counted(F, c, solids_through_point(F, c)) == want, c
 
 
 @pytest.mark.parametrize("p,h", [(2, 2), (5, 1)], ids=["q4", "q5"])
 def test_probe_drops_what_a_pass_cannot_count(p, h):
-    # every solid through a rank-2 point has a rank-3 point, and the probe
-    # finds one in each at q = 5; of the planes through x_P2a only
-    # a few dozen show no rank-3 point, against thousands through x_c
+    # every solid through a rank-2 point has a rank-3 point, and the
+    # oracle's probe finds one in each at q = 5; of the planes through
+    # x_P2a only a few dozen show no rank-3 point, against thousands through
+    # x_c; of the pencils through h_H2r, a few show no nonsingular conic
     F = make_field(p, h)
     if F.q == 5:
-        assert _through(F, 4, 2) == {} and _through(F, 4, 3) == {}
+        assert solids_through_point(F, 2) == {} and solids_through_point(F, 3) == {}
     assert 0 < sum(_through(F, 3, 2).values()) <= 40
     assert sum(through_unfiltered(F, 3, 2).values()) == gaussian_binomial(5, 2, F.q)
+    assert 0 < sum(_through(F, 4, 2).values()) < gaussian_binomial(5, 1, F.q) // 10
 
 
 def test_count_not_a_multiple_is_an_internal_error(monkeypatch):
-    # a pass whose counts do not divide is a bug, never a rounded count
+    # a pass whose counts do not divide is a bug, never a rounded count: a
+    # point pass of planes, and a conic pass of solids, where N_H3 = 234
+    # and the key row picked has t_H3 not dividing 234 (n + 1)
     import srd3.verify as V
     F = make_field(3, 1)
-    good = V._through(F, 4, 4)
-    key = next(iter(good))
-    monkeypatch.setattr(V, "_sweep_cache", {("through", 4, 4, id(F)): {key: good[key] + 1}})
-    with pytest.raises(RuntimeError, match="not a multiple"):
-        _counts(F, 4)
+    for k, col, size in ((3, 3, 234), (4, _OD4.start + 3, 234)):
+        good = V._through(F, k, 4)
+        key = next(key for key, n in good.items() if size * (n + 1) % key[col])
+        monkeypatch.setattr(V, "_sweep_cache", {("through", k, 4, id(F)): {key: good[key] + 1}})
+        with pytest.raises(RuntimeError, match="not a multiple"):
+            _counts(F, k)
 
 
 def test_count_above_the_grassmannian_is_an_internal_error(monkeypatch):
     # a pass that counts more k-subspaces than there are is a bug: s_P3 more
-    # planes with one key row through x_P3 add N_P3 = 234 planes to its count
+    # planes with one key row through x_P3 add N_P3 = 234 planes to its
+    # count, and t_H3 more pencils through h_H3 add N_H3 = 234 solids
     import srd3.verify as V
     F = make_field(3, 1)
-    good = V._through(F, 3, 4)
-    key = next(iter(good))
-    bad = {**good, key: good[key] + key[3]}
-    monkeypatch.setattr(V, "_sweep_cache", {("through", 3, 4, id(F)): bad})
-    with pytest.raises(RuntimeError, match="more than the 33880 there are"):
-        _counts(F, 3)
+    for k, col, total in ((3, 3, 33880), (4, _OD4.start + 3, 11011)):
+        good = V._through(F, k, 4)
+        key = next(iter(good))
+        bad = {**good, key: good[key] + key[col]}
+        monkeypatch.setattr(V, "_sweep_cache", {("through", k, 4, id(F)): bad})
+        with pytest.raises(RuntimeError, match=f"more than the {total} there are"):
+            _counts(F, k)
 
 
 def test_count_below_the_grassmannian_is_an_internal_error(monkeypatch):
     # a pass that loses a key row leaves its subspaces to no later pass, so
-    # after every pass the total falls short of the planes there are
+    # after every pass the total falls short of the planes, or the solids,
+    # there are
     import srd3.verify as V
     F = make_field(3, 1)
-    good = V._through(F, 3, 4)
-    key = next(iter(good))
-    bad = {k: n for k, n in good.items() if k != key}
-    monkeypatch.setattr(V, "_sweep_cache", {("through", 3, 4, id(F)): bad})
-    with pytest.raises(RuntimeError, match="fewer than the 33880 there are"):
-        _counts(F, 3)
+    for k, total in ((3, 33880), (4, 11011)):
+        good = V._through(F, k, 4)
+        key = next(iter(good))
+        bad = {k: n for k, n in good.items() if k != key}
+        monkeypatch.setattr(V, "_sweep_cache", {("through", k, 4, id(F)): bad})
+        with pytest.raises(RuntimeError, match=f"fewer than the {total} there are"):
+            _counts(F, k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4], ids=["k2", "k3", "k4"])
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (5, 1)], ids=["q3", "q4", "q5"])
 def test_counts_stop_at_the_grassmannian_total(p, h, k, monkeypatch):
-    # every line, plane and solid is counted before the P1 pass, so the
-    # counts build no P1 class; a pass needs only the Schreier tree of its
-    # class, so no class holds a stabiliser yet
+    # every line and plane is counted before the P1 pass, so the counts
+    # build no P1 class, and a pass needs only the Schreier tree of its
+    # class, so no class holds a stabiliser yet; the solids are counted
+    # through conics and build no point class at all
     import srd3.verify as V
     F = make_field(p, h)
     monkeypatch.setattr(V, "_sweep_cache", {})
@@ -550,30 +590,106 @@ def test_counts_stop_at_the_grassmannian_total(p, h, k, monkeypatch):
     counts = _counts(F, k)
     assert sum(counts.values()) == gaussian_binomial(6, k, F.q)
     built = tables(F).point_class_data
+    if k == 4:
+        assert not built
+        return
     assert 1 not in built and 4 in built
     assert not [c for c, pc in built.items() if "stabilizer" in vars(pc)]
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["q2", "q3", "q4", "q5"])
-def test_solid_counts_end_after_the_p3_pass(p, h, monkeypatch):
-    # every solid has a key row and a rank-3 point, so the P3 pass counts
-    # all [6 choose 4]_q solids and the stop rule takes no other solid pass
+def test_solid_counts_end_after_the_conic_passes(p, h, monkeypatch):
+    # the stop rule takes the H3 and H2r passes at odd q and all four at
+    # even q, where pencils of double lines need the H1 pass
     import srd3.verify as V
     F = make_field(p, h)
     monkeypatch.setattr(V, "_sweep_cache", {})
     assert sum(_counts(F, 4).values()) == gaussian_binomial(6, 4, F.q)
-    assert list(V._sweep_cache) == [("through", 4, 4, id(F))]
+    want = [4, 2, 3, 1] if F.p == 2 else [4, 2]
+    assert list(V._sweep_cache) == [("through", 4, c, id(F)) for c in want]
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["q2", "q3", "q4", "q5"])
+def test_solid_counts_match_the_point_side_oracle(p, h):
+    # the od0 rows and completeness flags of the counts through conics
+    # against the old counts through points, by the first point class of
+    # each key row; the solids all have a rank-3 point
+    F = make_field(p, h)
+    by_class = {}
+    for key, n in _counts(F, 4).items():
+        c = next(d for d in _CLASS_ORDER if key[d - 1])
+        prefix = key[:_COMPLETE + 1]
+        by_class.setdefault(c, {})[prefix] = by_class.get(c, {}).get(prefix, 0) + n
+    assert solid_counts_through_points(F) == by_class
+    assert list(by_class) == [4]
+
+
+def _assert_pencil_keys_match_the_point_side(t, duals):
+    """_pencil_keys on RREF dual bases against the oracles on the solids
+    they cut out, reduced to RREF: od0_batch, od4_batch and the pencil
+    filter's rows."""
+    solids = bulk.rref_batch(t.kit, bulk.nullspace_batch(t.kit, duals))[0]
+    rows = _pencil_keys(t, duals)
+    keep, want = solid_keys_filtered(t, solids)
+    assert np.array_equal(rows[:, :4], t.od0_batch(solids))
+    assert np.array_equal(rows[:, _OD4], t.od4_batch(solids))
+    assert np.array_equal(rows[keep, :_COMPLETE + 1], want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(["2^3/101", "3^2/1,2", "2^4/1001"]),
+       c=st.sampled_from(_CLASS_ORDER), seed=st.integers(0, 2 ** 32 - 1))
+def test_pencil_keys_match_the_point_side_other_moduli(spec, c, seed):
+    # the key rows of the pencils through h_c, the conic of smallest code
+    # of class c, on seeded runs of tail ids, over GF(8), GF(9) and GF(16)
+    # each with a modulus other than the default one
+    F = parse_field_spec(spec)
+    t = tables(F)
+    h = bulk.decode(np.array([np.argmax(t.hclass_table() == c)]), F.q, 6)[0]
+    lo, end = _tail(F.q, 2)
+    s = int(np.random.default_rng(seed).integers(lo, end - 48))
+    _assert_pencil_keys_match_the_point_side(t, _bases_through(t.kit, h, 2, (s, s + 48)))
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "7", "8", "9", "2^3/101", "3^2/1,2",
+                                  "2^4/1001"])
+def test_conic_walk_reaches_every_class(spec):
+    # each conic class is one orbit: the walk keeps every class and reaches
+    # its census, from the conic of smallest code of each class
+    F = parse_field_spec(spec)
+    t = tables(F)
+    reps, sizes = t.conic_orbits
+    assert sizes == list(hyperplane_census(F).values())
+    codes = bulk.encode(reps, F.q)
+    assert t.hclass_table()[codes].tolist() == [1, 2, 3, 4]
+    assert codes.tolist() == [int(np.argmax(t.hclass_table() == c)) for c in (1, 2, 3, 4)]
+
+
+def test_conic_walk_rejects_a_relabelled_conic(monkeypatch):
+    # one real line pair and its scalar multiples read as nonsingular: a
+    # generator then moves a conic to another class, and the walk raises
+    F = make_field(3, 1)
+    t = GeomTables(F)
+    bad = t.hclass_table().copy()
+    code = np.flatnonzero(bad == 2)[-1]
+    vec = bulk.decode(np.array([code]), 3, 6)
+    bad[bulk.encode(t.kit.mul(np.arange(1, 3)[:, None], vec), 3)] = 4
+    monkeypatch.setattr(t, "hclass_table", lambda: bad)
+    with pytest.raises(ClassificationError):
+        t.conic_orbits
 
 
 def _assert_solid_keys(t, bases):
     """The key rows of a block of solids, read off the conic planes, against
-    od0_batch over their points and, on the rank-1-free ones, against the
-    pencil filter's rows; a solid with a rank-1 point is not complete."""
+    od0_batch over their points, od4_batch over their hyperplanes and, on
+    the rank-1-free ones, the pencil filter's rows; a solid with a rank-1
+    point is not complete."""
     rows = _keys(t, bases)
     keep, want = solid_keys_filtered(t, bases)
-    assert rows.shape == (len(bases), _COMPLETE + 1)
+    assert rows.shape == (len(bases), _OD4.stop)
     assert np.array_equal(rows[:, :4], t.od0_batch(bases))
-    assert np.array_equal(rows[keep], want)
+    assert np.array_equal(rows[:, _OD4], t.od4_batch(bases))
+    assert np.array_equal(rows[keep, :_COMPLETE + 1], want)
     rank1 = np.ones(len(bases), dtype=bool)
     rank1[keep] = False
     assert (rows[rank1, 0] > 0).all() and (rows[rank1, _COMPLETE] == 0).all()
@@ -699,52 +815,54 @@ def test_row_counts_match_unique(n, m, hi, seed):
 
 
 def test_empty_block_contributes_nothing():
-    # a solid has at most q+2 rank-1 points, so at q = 3 the probe shows a
-    # point of an earlier class in every solid through x_P1 and each block
-    # of the P1 solid pass has no key row
+    # at odd q two double lines span a pencil with line pairs in it, so the
+    # probe shows a conic of an earlier class in every pencil through h_H1
+    # and each block of the H1 pass has no key row
     F = make_field(3, 1)
     assert _through(F, 4, 1) == {}
     t = tables(F)
-    empty = np.zeros((0, 4, 6), dtype=np.uint8)
-    chunks = [(0, 0), _tail(3, 4)]
-    x = _point(F, 4)
-    got = _histogram(t, 4, chunks,
-                     lambda ch: empty if ch == (0, 0) else _bases_through(t.kit, x, 4, ch), 1)
+    empty = np.zeros((0, 2, 6), dtype=np.uint8)
+    chunks = [(0, 0), _tail(3, 2)]
+    h = t.conic_orbits[0][3]
+    got = _histogram(t, 4, chunks, lambda ch: _pencil_keys(
+        t, empty if ch == (0, 0) else _bases_through(t.kit, h, 2, ch)), 1)
     assert got == _through(F, 4, 4)
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2)], ids=["q3", "q4"])
 def test_small_blocks_fork_and_count_the_same(p, h, monkeypatch):
     # default blocks hold a whole pass at q <= 4, so _pmap never forks; with
-    # small blocks the chunks cross U's pivot patterns and jobs=2 forks.
-    # Every solid of a block gets one key row
+    # small blocks the chunks cross the pivot patterns of U, or of the
+    # points u of the pencils, and jobs=2 forks.  Every pencil of a block
+    # gets one key row
     import srd3.verify as V
     F = make_field(p, h)
     want = {k: _counts(F, k) for k in (2, 3, 4)}
     monkeypatch.setattr(V, "_block_size", lambda q, k: 24)
-    chunks, solid_blocks = [], []
-    histogram, keys = V._histogram, V._keys
+    chunks, pencil_blocks = [], []
+    histogram, pencil_keys = V._histogram, V._pencil_keys
 
-    def recording_histogram(t, k, cs, bases_of, jobs):
+    def recording_histogram(t, k, cs, keys_of, jobs):
         chunks.extend((k, ch) for ch in cs)
-        return histogram(t, k, cs, bases_of, jobs)
+        return histogram(t, k, cs, keys_of, jobs)
 
-    def recording_keys(t, bases):
-        rows = keys(t, bases)
-        if bases.shape[1] == 4:
-            solid_blocks.append((len(bases), len(rows)))
+    def recording_pencil_keys(t, duals):
+        rows = pencil_keys(t, duals)
+        pencil_blocks.append((len(duals), len(rows)))
         return rows
 
     monkeypatch.setattr(V, "_histogram", recording_histogram)
-    monkeypatch.setattr(V, "_keys", recording_keys)
+    monkeypatch.setattr(V, "_pencil_keys", recording_pencil_keys)
     for jobs in (1, 2):
         monkeypatch.setattr(V, "_sweep_cache", {})
         for k in (2, 3, 4):
             assert _counts(F, k, jobs) == want[k], (k, jobs)
         if jobs == 1:
-            assert solid_blocks and all(n == rows for n, rows in solid_blocks)
-    cuts = {k: [hi for _, hi in bulk.id_chunks(F.q, k - 1, gaussian_binomial(6, k - 1, F.q))]
-            for k in (2, 3, 4)}
+            assert pencil_blocks and all(n == rows for n, rows in pencil_blocks)
+    # the blocks of lines and planes are ranges of U's ids, those of the
+    # pencils ranges of u's
+    cuts = {k: [hi for _, hi in bulk.id_chunks(F.q, d, gaussian_binomial(6, d, F.q))]
+            for k, d in ((2, 1), (3, 2), (4, 1))}
     for k in (2, 3, 4):
         crossing = [(lo, hi) for kk, (lo, hi) in chunks if kk == k
                     and any(lo < cut < hi for cut in cuts[k])]

@@ -504,6 +504,12 @@ def lift_batch(kit: bulk.Kit, A: np.ndarray) -> np.ndarray:
     return kit.add(L, cross)
 
 
+# points whose Schreier generators PointClass.stabilizer forms at a time: the
+# first block is enough for every class at q <= 9 and for P3 at q = 16, where
+# all 3 N_P3 generators at once took 6.1 s and raised the peak RSS by 736 MB
+SCHREIER_BLOCK = 1 << 10
+
+
 def _merged(seen: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     """np.union1d(seen, fresh) of two ascending arrays with no common
     value, by inserting fresh at its sorted positions: no deduplication,
@@ -514,16 +520,17 @@ def _merged(seen: np.ndarray, fresh: np.ndarray) -> np.ndarray:
 class PointClass:
     """One point class c, as the group sees it: the class-c point codes
     (normalized, ascending), an element h_y with h_y x_c = y for each point
-    y (aligned with the codes), and the lifts (veronese.lift) of every
-    element of Stab(x_c), where x_c is the class-c point of smallest code.
+    y (aligned with the codes), and every element of Stab(x_c), where x_c
+    is the class-c point of smallest code.
 
     The h_y come from a Schreier tree: a breadth-first walk from x_c under
     k_generators.  It must reach every class-c point of point_census, i.e.
     the class is one orbit; the constructor builds only the tree.  The
-    stabiliser, which only stabilizer_order reads, is built on first use:
-    it is generated by the Schreier generators h_{g y}^-1 g h_y, each one
-    not yet in the group is added and the group closed under right
-    multiplication, until it has |PGL(3,q)| / N_c elements."""
+    stabiliser, which only stabilizer_order reads, is built on first use
+    from the Schreier generators h_{g y}^-1 g h_y of SCHREIER_BLOCK points
+    y at a time: each one not yet in the group is added and the group
+    closed under right multiplication, until it has |PGL(3,q)| / N_c
+    elements, which makes it all of Stab(x_c)."""
 
     def __init__(self, t: GeomTables, c: int):
         F, kit, q = t.F, t.kit, t.F.q
@@ -555,34 +562,35 @@ class PointClass:
 
     @cached_property
     def stabilizer(self) -> np.ndarray:
-        """The lifts (g, 6, 6) of the elements of Stab(x_c)."""
-        kit, gens, lifts = self._kit, self._gens, self._lifts
-        q = kit.q
+        """The elements (g, 3, 3) of Stab(x_c), one matrix each."""
+        kit, gens, q = self._kit, self._gens, self._kit.q
         order = pgl3_order(q) // len(self.codes)
-        img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(self.codes, q, 6), lifts)), q)
-        h_img = self.transversal[np.searchsorted(self.codes, img)]
-        g_h = _mat_mul(kit, gens[:, None], self.transversal).reshape(-1, 3, 3)
-        schreier = _mat_mul(kit, bulk.adjugate(kit, h_img), g_h)
-        gen_codes, first = np.unique(_element_codes(kit, schreier), return_index=True)
-        schreier = schreier[first]
         elems = np.eye(3, dtype=np.uint8)[None]
         seen = _element_codes(kit, elems)
         used: list[np.ndarray] = []
-        while len(seen) < order:
-            new = np.flatnonzero(~np.isin(gen_codes, seen, assume_unique=True))
-            assert len(new), "the Schreier generators fall short of the stabiliser"
-            used.append(schreier[new[0]])
-            frontier, step = elems, used[-1:]
-            while len(frontier):
-                img = np.concatenate([_mat_mul(kit, frontier, g) for g in step])
-                img_codes, first = np.unique(_element_codes(kit, img), return_index=True)
-                fresh = ~np.isin(img_codes, seen, assume_unique=True)
-                seen = _merged(seen, img_codes[fresh])
-                frontier = img[first[fresh]]
-                elems = np.concatenate([elems, frontier])
-                step = used
-        assert len(seen) == order
-        return lift_batch(kit, elems)
+        for lo in range(0, len(self.codes), SCHREIER_BLOCK):
+            y, h = self.codes[lo:lo + SCHREIER_BLOCK], self.transversal[lo:lo + SCHREIER_BLOCK]
+            img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(y, q, 6), self._lifts)), q)
+            h_img = self.transversal[np.searchsorted(self.codes, img)]
+            schreier = _mat_mul(kit, bulk.adjugate(kit, h_img),
+                                _mat_mul(kit, gens[:, None], h).reshape(-1, 3, 3))
+            gen_codes, first = np.unique(_element_codes(kit, schreier), return_index=True)
+            new = ~np.isin(gen_codes, seen, assume_unique=True)
+            while len(seen) < order and new.any():
+                used.append(schreier[first[np.argmax(new)]])
+                frontier, step = elems, used[-1:]
+                while len(frontier):
+                    img = np.concatenate([_mat_mul(kit, frontier, g) for g in step])
+                    img_codes, at = np.unique(_element_codes(kit, img), return_index=True)
+                    fresh = ~np.isin(img_codes, seen, assume_unique=True)
+                    seen = _merged(seen, img_codes[fresh])
+                    frontier = img[at[fresh]]
+                    elems = np.concatenate([elems, frontier])
+                    step = used
+                new = ~np.isin(gen_codes, seen, assume_unique=True)
+            if len(seen) == order:
+                return elems
+        raise AssertionError("the Schreier generators fall short of the stabiliser")
 
 
 def point_class(F: FieldCtx, c: int) -> PointClass:
@@ -603,14 +611,14 @@ STAB_BLOCK = 1 << 18
 def stabilizer_order(W: Subspace) -> int:
     """|Stab(W)| in PGL(3,q), without walking the orbit of W.
 
-    Let c be the class of W's points that gives the fewest candidates, s_c
-    its number of points in W and x one of them.  An element g fixing W
-    sends x to some y of W in class c, so g = h_y s h_x^-1 for exactly one
-    y in W and one s in Stab(x_c) (see PointClass).  That is s_c |G| / N_c
-    candidates, far fewer than |G|.  g fixes W iff s maps W_x = h_x^-1 W
-    onto W_y = h_y^-1 W, i.e. iff the images under s of W_x's basis rows
-    are orthogonal to W_y's dual vectors, which are L(h_y) applied to W's:
-    one set of images for all y, and one product per y."""
+    Let c be the class of W's points with the largest census N_c, so the
+    smallest Stab(x_c), s_c its number of points in W and x one of them.
+    An element g fixing W sends x to some y of W in class c, so g = h_y s
+    h_x^-1 for exactly one y in W and one s in Stab(x_c) (see PointClass).
+    That is s_c |G| / N_c candidates, far fewer than |G|.  g fixes W iff s
+    maps W_x = h_x^-1 W onto W_y = h_y^-1 W, i.e. iff the images under s of
+    W_x's basis rows are orthogonal to W_y's dual vectors, which are L(h_y)
+    applied to W's: one set of images for all y, and one product per y."""
     F = W.F
     t = tables(F)
     kit, q = t.kit, F.q
@@ -619,15 +627,13 @@ def stabilizer_order(W: Subspace) -> int:
     # codes are normalized
     pts = bulk.combine(kit, t.coeffs(W.k), basis)[0]
     cls = t.class_code[pts]
-    order = pgl3_order(q)
     census = point_census(F)
     count = np.bincount(cls, minlength=5)
-    c = min((int(count[c]) * order // census[name], c)
-            for c, name in enumerate(point_classes(F), start=1) if count[c])[1]
+    c = max((census[name], c) for c, name in enumerate(point_classes(F), start=1) if count[c])[1]
     pc = point_class(F, c)
     h = pc.transversal[np.searchsorted(pc.codes, pts[cls == c])]
     w_x = bulk.decode(bulk.combine(kit, basis[0], lift_batch(kit, bulk.adjugate(kit, h[:1]))), q, 6)
-    img = bulk.decode(bulk.combine(kit, w_x[0], pc.stabilizer), q, 6).reshape(-1, 6)
+    img = bulk.decode(bulk.combine(kit, w_x[0], lift_batch(kit, pc.stabilizer)), q, 6).reshape(-1, 6)
     duals_t = bulk.nullspace_batch(kit, basis)[0].T
     duals_y = bulk.decode(bulk.combine(kit, lift_batch(kit, h), duals_t), q, duals_t.shape[1])
     step = max(1, STAB_BLOCK // len(img))

@@ -5,13 +5,14 @@ integer invariants, and compares them against closed-form claims.  Claim
 ids (T3.2, T3.4, ..., C4, Y03q) are the stable identifiers used by the
 command line and the acceptance suite; every report carries one.
 
-One range rule.  Every counting check reads a {key row: how many} table
-(_table): exact, counted through one point per class, for q <= EXACT_MAX_Q,
-and above it the same histogram over one seeded sample of SAMPLE_SIZE
-subspaces per dimension, which T3.2/T3.3, T3.7 and C4 report as
-"consistent (sampled)".  T3.4/T3.8 check their representatives and a few
-of their images there instead, and T3.10, T3.12, T3.14 and T3.21, which
-have no sampled form, run only up to the ceiling (DRIVERS).
+One range rule.  The solid counts behind T3.2/T3.3 are exact at every q
+the point tables support (invariants.TABLE_MAX_Q = 16).  The plane checks
+T3.7 and C4 read a {key row: how many} table (_table): exact, counted
+through one point per class, for q <= EXACT_MAX_Q, and above it the same
+histogram over one seeded sample of SAMPLE_SIZE planes, which they report
+as "consistent (sampled)".  T3.4/T3.8 check their representatives and a
+few of their images there instead, and T3.10, T3.12, T3.14 and T3.21,
+which have no sampled form, run only up to the ceiling (DRIVERS).
 
 Counting through one point, or one conic, per class.  Every exhaustive
 claim is about a
@@ -142,10 +143,10 @@ from srd3.invariants import (od0, od4, pgl3_order, point_class, require_tables,
                              stabilizer_order, tables)
 from srd3.report import CheckReport, make_report
 
-# the largest q whose counts are exact: the full check set takes about 4-5 s
-# and 103 MB at q = 8 with one worker.  At q = 9 the plane passes alone
-# would take about 25 s, nearly all of it the P3 plane pass, and the solid
-# passes 0.24 s with the conic walk, after 0.6 s of tables
+# the largest q whose plane and line counts are exact: the full check set
+# takes about 4-5 s and 103 MB at q = 8 with one worker.  At q = 9 the plane
+# passes alone would take about 25 s, nearly all of it the P3 plane pass.
+# The solid counts are exact at every q (verify_solids)
 EXACT_MAX_Q = 8
 SAMPLE_SIZE = 100_000
 _SEED = 0x5D3
@@ -437,8 +438,8 @@ def _counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
 
 def _sample_counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
     """{key row: how many} over one seeded sample of SAMPLE_SIZE
-    k-subspaces, cached per field: every check that samples a dimension
-    reads the same sample."""
+    k-subspaces, cached per field: T3.7 and C4 read the same plane
+    sample."""
     def build():
         t = tables(F)
         sample = bulk.sample_subspaces(t.kit, 5, k - 1, SAMPLE_SIZE, seed=_SEED)
@@ -453,7 +454,7 @@ def _table(F: FieldCtx, k: int, jobs: int = 1) -> tuple[dict[tuple, int], bool]:
     """The {key row: how many} table of the k-subspaces and whether it is
     sampled: exact (_counts) for q <= EXACT_MAX_Q, and over the seeded
     sample (_sample_counts) above it; either way every subspace has a
-    row."""
+    row.  The plane checks read it; the solid counts are always exact."""
     if F.q > EXACT_MAX_Q:
         return _sample_counts(F, k, jobs), True
     return _counts(F, k, jobs), False
@@ -695,27 +696,14 @@ def _min_rank2_solid_sigs(F: FieldCtx) -> dict[tuple, str]:
 
 def verify_solids(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Solids with no rank-1 point: exactly three signature groups, each one
-    a single orbit containing its atlas representative."""
+    a single orbit containing its atlas representative.  Exact at every q:
+    the solids are counted through one conic of each class (_counts)."""
     from srd3.atlas import representative
     t0 = time.perf_counter()
     q = F.q
     check_id = "T3.2" if F.p != 2 else "T3.3"
     sig_to_id = _min_rank2_solid_sigs(F)
-    claim = ("solids without rank-1 points fall into exactly 3 rank "
-             "signatures, r3 in {q^3-q, q^3-2q, q^3}, each a single orbit")
-    counts, sampled = _table(F, 4, jobs)
-    groups = _tally(counts, _rank1_free)
-    if sampled:
-        bad = [sig for sig in groups if sig not in sig_to_id]
-        reps_ok = all(od0(representative(rid, F)) == sig
-                      for sig, rid in sig_to_id.items())
-        return [make_report(
-            check_id, F.spec, claim,
-            {"unexpected_signatures": [], "reps_in_signatures": True},
-            {"unexpected_signatures": bad, "reps_in_signatures": reps_ok},
-            sampled=True, seconds=time.perf_counter() - t0,
-            details={"sampled_solids": SAMPLE_SIZE,
-                     "r1_zero_in_sample": sum(groups.values())})]
+    groups = _tally(_counts(F, 4, jobs), _rank1_free)
     orbit_match = {}
     sizes = {}
     for sig, n in sorted(groups.items()):
@@ -730,7 +718,9 @@ def verify_solids(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     computed = {"n_groups": len(groups), "signatures": sorted(groups),
                 "orbit_match": orbit_match}
     return [make_report(
-        check_id, F.spec, claim, expected, computed,
+        check_id, F.spec,
+        "solids without rank-1 points fall into exactly 3 rank signatures, "
+        "r3 in {q^3-q, q^3-2q, q^3}, each a single orbit", expected, computed,
         seconds=time.perf_counter() - t0, flags=_q2_flags(F),
         details={"total_solids": gaussian_binomial(6, 4, q), "group_sizes": sizes})]
 

@@ -3,7 +3,9 @@
 Each one recomputes by brute force a fact that the package relies on
 without computing it: that k_generators generate PGL(3,q) (orbit_of walks
 orbits under those generators), orbits as sets of RREF row tuples, stabilisers
-counted over every group element, orbit-stabiliser counts, the polar
+counted over every group element, orbit-stabiliser counts, point
+stabilisers from the Schreier generators of every point of the class,
+which the package forms a block of points at a time, the polar
 hyperplane of a point under the trace form, completeness as the exact
 union of the spans <W, v> over the low-rank points v, which the package
 decides in the quotient F^6/W instead, and the point and hyperplane
@@ -40,7 +42,8 @@ import numpy as np
 from srd3 import bulk
 from srd3.codes import SrdCode, min_distance
 from srd3.gf import FieldCtx, FieldError, cubic_extension, is_square, parse_field_spec
-from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, k_generators,
+from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, _element_codes,
+                             _mat_mul, _merged, _moved, _normalized, k_generators,
                              orbit_of, pgl3_order, point_class, tables)
 from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
                      free_positions, gaussian_binomial, matrix_rank, normalize_vec,
@@ -285,6 +288,38 @@ def stabilizer_by_group(W: Subspace) -> int:
             dots = kit.add(dots, kit.mul(image[:, i, None], duals[None, :, i]))
         fixed &= (dots == 0).all(axis=1)
     return int(fixed.sum())
+
+
+def stabilizer_all_points(pc) -> np.ndarray:
+    """invariants.PointClass.stabilizer from the Schreier generators of
+    every class-c point at once, 3 N_c products formed up front: the
+    elements (g, 3, 3) of Stab(x_c)."""
+    kit, gens, lifts = pc._kit, pc._gens, pc._lifts
+    q = kit.q
+    order = pgl3_order(q) // len(pc.codes)
+    img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(pc.codes, q, 6), lifts)), q)
+    h_img = pc.transversal[np.searchsorted(pc.codes, img)]
+    g_h = _mat_mul(kit, gens[:, None], pc.transversal).reshape(-1, 3, 3)
+    schreier = _mat_mul(kit, bulk.adjugate(kit, h_img), g_h)
+    gen_codes, first = np.unique(_element_codes(kit, schreier), return_index=True)
+    schreier = schreier[first]
+    elems = np.eye(3, dtype=np.uint8)[None]
+    seen = _element_codes(kit, elems)
+    used: list[np.ndarray] = []
+    while len(seen) < order:
+        new = np.flatnonzero(~np.isin(gen_codes, seen, assume_unique=True))
+        assert len(new), "the Schreier generators fall short of the stabiliser"
+        used.append(schreier[new[0]])
+        frontier, step = elems, used[-1:]
+        while len(frontier):
+            img = np.concatenate([_mat_mul(kit, frontier, g) for g in step])
+            img_codes, first = np.unique(_element_codes(kit, img), return_index=True)
+            fresh = ~np.isin(img_codes, seen, assume_unique=True)
+            seen = _merged(seen, img_codes[fresh])
+            frontier = img[first[fresh]]
+            elems = np.concatenate([elems, frontier])
+            step = used
+    return elems
 
 
 def rho_point(F: FieldCtx, y: Iterable[int]) -> tuple[int, ...]:

@@ -17,8 +17,8 @@ from srd3.invariants import (HYPERPLANE_CLASSES, exterior_by_tangents,
 from srd3.veronese import point_rank, veronese
 
 from oracles import (classify_hyperplane, classify_point, group_order_bfs, nucleus_plane,
-                     od4_scalar, orbit_rows, stabilizer_by_group, stabilizer_order_by_orbit,
-                     veronese_points)
+                     od4_scalar, orbit_rows, stabilizer_all_points, stabilizer_by_group,
+                     stabilizer_order_by_orbit, veronese_points)
 
 
 def _members(W, ids):
@@ -328,6 +328,20 @@ def test_point_classes_are_orbits(spec):
         assert len(pc.stabilizer) * census[name] == pgl3_order(F.q), name
     # built on first use, never with the tables
     assert not invariants.GeomTables(F).point_class_data
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "2^3/101", "3^2/1,2"])
+def test_stabilizer_blocks_match_all_points(spec):
+    # the Schreier generators formed a block of points at a time, stopping
+    # at the known order, give the same elements as those of every point
+    F = parse_field_spec(spec)
+    kit = tables(F).kit
+    for c in range(1, 5):
+        pc = point_class(F, c)
+        got = np.sort(invariants._element_codes(kit, pc.stabilizer))
+        want = np.sort(invariants._element_codes(kit, stabilizer_all_points(pc)))
+        assert np.array_equal(got, want), c
+        assert len(got) * len(pc.codes) == pgl3_order(F.q), c
 
 
 @settings(max_examples=20, deadline=None)

@@ -124,14 +124,27 @@ def test_r2n_h1_rejects_odd():
         verify_r2n_equals_h1(make_field(3, 1))
 
 
-def test_solids_sampled_q7(monkeypatch):
-    # the sample runs in blocks of _block_size(7, 4) = 5242 solids, the last
-    # one partial; the figures are those of one od0_batch over all of it
-    _sampled_above(monkeypatch, 2)
-    r, = _ok(verify_solids(make_field(7, 1)))
-    assert r.status == SAMPLED
-    assert r.computed == {"unexpected_signatures": [], "reps_in_signatures": True}
-    assert r.details == {"sampled_solids": 100000, "r1_zero_in_sample": 31655}
+@pytest.mark.parametrize("spec", ["9", "3^2/1,2"])
+def test_solids_exact_golden_q9(spec):
+    # counted, not sampled, above EXACT_MAX_Q: |G| / 160, / 8 and / 4
+    r, = _ok(verify_solids(parse_field_spec(spec)))
+    assert r.status == PASS
+    assert sorted(r.details["group_sizes"].values()) == [265356, 5307120, 10614240]
+    assert r.details["total_solids"] == gaussian_binomial(6, 4, 9)
+
+
+def test_solids_read_no_sample(monkeypatch):
+    import srd3.verify as V
+    sample = V._sample_counts
+
+    def no_solid_sample(F, k, jobs=1):
+        assert k != 4, "a solid sample was drawn"
+        return sample(F, k, jobs)
+
+    monkeypatch.setattr(V, "_sample_counts", no_solid_sample)
+    monkeypatch.setattr(V, "_sweep_cache", {})
+    r, = _ok(verify_solids(make_field(3, 2)))
+    assert r.status == PASS
 
 
 def test_dichotomy_q3():
@@ -271,7 +284,7 @@ def test_sampled_c4_q13(monkeypatch):
 
 
 def test_checks_share_one_sample_per_dimension(monkeypatch):
-    # T3.7 and C4 read one plane sample, T3.3 one solid sample
+    # T3.7 and C4 read one plane sample; T3.3 is exact and draws none
     import srd3.verify as V
     drawn = []
     draw = bulk.sample_subspaces
@@ -284,8 +297,8 @@ def test_checks_share_one_sample_per_dimension(monkeypatch):
     monkeypatch.setattr(V, "_sweep_cache", {})
     _sampled_above(monkeypatch, 2)
     reports = _ok(run_checks(make_field(2, 2), ids=["T3.3", "T3.7", "C4"]))
-    assert [r.status for r in reports] == [SAMPLED] * 3
-    assert sorted(drawn) == [3, 4]
+    assert [r.status for r in reports] == [PASS, SAMPLED, SAMPLED]
+    assert drawn == [3]
 
 
 def test_schmidt_all_small_q():

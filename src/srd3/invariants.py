@@ -525,12 +525,13 @@ class PointClass:
 
     The h_y come from a Schreier tree: a breadth-first walk from x_c under
     k_generators.  It must reach every class-c point of point_census, i.e.
-    the class is one orbit; the constructor builds only the tree.  The
-    stabiliser, which only stabilizer_order reads, is built on first use
-    from the Schreier generators h_{g y}^-1 g h_y of SCHREIER_BLOCK points
-    y at a time: each one not yet in the group is added and the group
-    closed under right multiplication, until it has |PGL(3,q)| / N_c
-    elements, which makes it all of Stab(x_c)."""
+    the class is one orbit, or ClassificationError is raised; the
+    constructor builds only the tree.  The stabiliser, which only
+    stabilizer_order reads, is built on first use from the Schreier
+    generators h_{g y}^-1 g h_y of SCHREIER_BLOCK points y at a time: each
+    one not yet in the group is added and the group closed under right
+    multiplication, until it has |PGL(3,q)| / N_c elements, which makes it
+    all of Stab(x_c)."""
 
     def __init__(self, t: GeomTables, c: int):
         F, kit, q = t.F, t.kit, t.F.q
@@ -554,7 +555,9 @@ class PointClass:
             all_codes.append(codes[fresh])
             all_mats.append(mats)
         codes = np.concatenate(all_codes)
-        assert len(codes) == size, (c, len(codes), size)
+        if len(codes) != size:
+            raise ClassificationError(f"the walk from the point of class {c} reaches "
+                                      f"{len(codes)} points, not the census {size}")
         order = np.argsort(codes)
         self.codes = codes[order]
         self.transversal = np.concatenate(all_mats)[order]
@@ -618,11 +621,19 @@ def stabilizer_order(W: Subspace) -> int:
     That is s_c |G| / N_c candidates, far fewer than |G|.  g fixes W iff s
     maps W_x = h_x^-1 W onto W_y = h_y^-1 W, i.e. iff the images under s of
     W_x's basis rows are orthogonal to W_y's dual vectors, which are L(h_y)
-    applied to W's: one set of images for all y, and one product per y."""
+    applied to W's: one set of images for all y, and one product per y.
+
+    First, if every generator of k_generators fixes W, so does G, and no
+    point class is built: the nucleus plane at even q, say."""
     F = W.F
     t = tables(F)
     kit, q = t.kit, F.q
     basis = np.array([W.rows], dtype=np.uint8)
+    duals_t = bulk.nullspace_batch(kit, basis)[0].T
+    gens = lift_batch(kit, np.array(k_generators(F), dtype=np.uint8))
+    moved = bulk.decode(bulk.combine(kit, basis[0], gens), q, 6)
+    if not bulk.combine(kit, moved, duals_t).any():
+        return pgl3_order(q)
     # W's basis is in RREF and the coefficients lead with 1, so the point
     # codes are normalized
     pts = bulk.combine(kit, t.coeffs(W.k), basis)[0]
@@ -634,7 +645,6 @@ def stabilizer_order(W: Subspace) -> int:
     h = pc.transversal[np.searchsorted(pc.codes, pts[cls == c])]
     w_x = bulk.decode(bulk.combine(kit, basis[0], lift_batch(kit, bulk.adjugate(kit, h[:1]))), q, 6)
     img = bulk.decode(bulk.combine(kit, w_x[0], lift_batch(kit, pc.stabilizer)), q, 6).reshape(-1, 6)
-    duals_t = bulk.nullspace_batch(kit, basis)[0].T
     duals_y = bulk.decode(bulk.combine(kit, lift_batch(kit, h), duals_t), q, duals_t.shape[1])
     step = max(1, STAB_BLOCK // len(img))
     fixed = 0

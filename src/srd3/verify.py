@@ -25,14 +25,10 @@ row (_keys) that G preserves:
                with v of rank 1 onto those of gW;
   od4          the conic type of a hyperplane is a projective invariant,
                so each hyperplane class is preserved; the line-pair flag
-               (H2r or H2i) is read from it;
-  T3.7 pair    for planes at even q, the dimension of W meet N and whether
-               r2n = h1: the nucleus plane N is spanned by the P2n points
-               and the double-line hyperplanes are the class H1, so both
-               are preserved.
+               (H2r or H2i) is read from it.
 
 Each point class c is one orbit of N_c points.  That is the prerequisite:
-invariants.PointClass asserts it when its Schreier tree reaches every
+invariants.PointClass checks it when its Schreier tree reaches every
 class-c point.  So every class-c point lies on the same number n_c(k) of
 subspaces with key row k, and counting the pairs (x, W), x a class-c
 point of W, gives
@@ -49,7 +45,7 @@ RREF with no elimination (_bases_through).
 Solids are counted from the dual side.  The dual of a solid W is a pencil
 of conics, the q+1 hyperplanes through W, and each hyperplane class c is
 one orbit of N_{H_c} conics under the dual action of G: the walk behind
-invariants.GeomTables.conic_orbits asserts it.  Counting the pairs (h, W),
+invariants.GeomTables.conic_orbits checks it.  Counting the pairs (h, W),
 h a class-c conic of W's pencil, gives
 
     #{W with key row k} = N_{H_c} m_c(k) / t_c(k),
@@ -95,32 +91,31 @@ Orbits are never walked.  A family that G maps to itself holds the orbit
 of each of its members, so it is the orbit of W iff W is a member and the
 family has |G| / |Stab(W)| members (orbit-stabiliser);
 invariants.stabilizer_order counts Stab(W) without the orbit, and _is_orbit
-computes W's own key row with the kernel that made the counts.
+computes W's own key row with the kernel that made the counts (_keys).
 
 Completeness is decided in the quotient, never by collecting point sets.
 A subspace W with no rank-1 point is a complete distance-2 code iff the
 images of the q^2+q+1 rank-1 points in F^6/W cover PG(5-k, q): the spans
 <W, v> pairwise meet only in W, so a point Q outside W has a rank-1 point
 in <W, Q> iff its image is one of theirs.  The image of a Veronese point
-is the vector of values of W's dual vectors there (bulk.quotient_codes),
+is the vector of values of W's dual vectors there, scaled to a leading 1,
 0 iff the point lies in W, so one array of images decides both whether W
 has a rank-1 point and whether it is complete.
 
-Solid key rows are read from the conic side (_pencil_keys).  One combine
-gives the values of the pencil at the q^2+q+1 Veronese points:
-2(q^2+q+1) evaluations against the (q^3+q^2+q+1) 6-digit points od0_batch
-would combine.  Those values decide the solid's od0 row and completeness.
-Its rank-1 points are the Veronese points where both conics vanish, and
-the conic plane table (invariants.GeomTables.pencil_od0) reads the classes
-of its rank-2 points off the values at three points of each line of
-PG(2,q); the rest are rank 3.  Normalized, the same values are its
-quotient images, so a rank-1-free solid's completeness flag costs one
-covers_quotient more.  Its od4 row is the classes of the q+1 conics of the
-pencil, one hclass_table lookup each.  A line or a plane has at most
-q^2+q+1 points, fewer than the (6-k)(q^2+q+1) values of its dual, so lines
-and planes go to od0_batch first and take the images of their rank-1-free
-members.  _keys is the one kernel for all three, on RREF bases: one key
-row per subspace, in order; a solid's dual basis is its nullspace_batch.
+One kernel reads every key row off a block's dual bases (_keys).  One
+combine gives the values of the dual vectors at the q^2+q+1 Veronese
+points, normalized the quotient images, so a rank-1-free subspace's
+completeness flag is one covers_quotient.  The od4 row of a plane or a
+solid is the classes of the points of its dual span, one hclass_table
+lookup each, whether or not it has a rank-1 point.  A line or a plane has
+at most q^2+q+1 points, fewer than the (6-k)(q^2+q+1) values of its dual,
+so it passes its RREF basis too, takes its od0 row from od0_batch, and
+combines the values of its rank-1-free members alone.  A solid passes its
+dual basis alone, any basis of its pencil of conics: 2(q^2+q+1) values
+against the q^3+q^2+q+1 points od0_batch would combine.  Its rank-1 points
+are the Veronese points where both conics vanish, and the conic plane
+table (GeomTables.pencil_od0) reads the classes of its rank-2 points off
+the values at three points of each line of PG(2,q); the rest are rank 3.
 
 No driver sweeps a whole Grassmannian.  _sweep, and solid_groups,
 plane_sweep, line_sweep_completeness, min_rank2_coverage and
@@ -144,7 +139,7 @@ from srd3.invariants import (od0, od4, pgl3_order, point_class, require_tables,
 from srd3.report import CheckReport, make_report
 
 # the largest q whose plane and line counts are exact: the full check set
-# takes about 4-5 s and 103 MB at q = 8 with one worker.  At q = 9 the plane
+# takes about 2-2.5 s and 51 MB at q = 8 with one worker.  At q = 9 the plane
 # passes alone would take about 25 s, nearly all of it the P3 plane pass.
 # The solid counts are exact at every q (verify_solids)
 EXACT_MAX_Q = 8
@@ -209,60 +204,38 @@ def _cached(key: tuple, build):
     return got
 
 
-def _nucleus_meet(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For planes (N, 3, 6) at even q: the dimension of W meet N, N the
-    nucleus plane (the kernel of the diagonal y0, y3, y5), and whether r2n,
-    its number of points, equals h1, the number of double-line hyperplanes
-    through W.  W meet N is the kernel of the 3x3 diagonal columns of W's
-    basis, whose rank bulk.rank3 reads off their adjugate."""
-    q = t.F.q
-    diag = bases[:, :, [0, 3, 5]]
-    dim = 3 - bulk.rank3(t.kit, diag, bulk.adjugate(t.kit, diag)).astype(np.int64)
-    # code 0: the double-line dual vanishes on all three basis rows
-    h1 = (bulk.combine(t.kit, t.h1, bases.transpose(0, 2, 1)) == 0).sum(axis=1)
-    return dim, h1 == (q ** dim - 1) // (q - 1)
-
-
 # columns of a key row: the od0 row, then
 _COMPLETE = 4           # complete distance-2 code (0 with a rank-1 point)
-_OD4 = slice(5, 9)      # planes: od4 (zeros with a rank-1 point); solids: od4
-_NUCLEUS_DIM = 9        # planes at even q: dim(W meet N)
-_R2N_IS_H1 = 10         # planes at even q: r2n == h1
+_OD4 = slice(5, 9)      # planes and solids: od4
 
 
-def _keys(t, bases: np.ndarray) -> np.ndarray:
+def _keys(t, bases: np.ndarray | None = None, duals: np.ndarray | None = None) -> np.ndarray:
     """Key rows (see the module docstring) of a block of at most _block_size
-    RREF bases, one per subspace.  A solid's are read off its dual basis
-    (_pencil_keys); lines and planes go to od0_batch, and the rank-1-free
-    ones take their images after."""
-    q, k = t.F.q, bases.shape[1]
-    if k == 4:
-        return _pencil_keys(t, bulk.nullspace_batch(t.kit, bases))
-    dist = t.od0_batch(bases)
-    free = np.flatnonzero(dist[:, 0] == 0)
-    cols = [dist, np.zeros((len(bases), 1), dtype=np.int64)]
-    cols[1][free, 0] = bulk.covers_quotient(q, 6 - k, bulk.quotient_codes(t.kit, bases[free], t.v6))
-    if k == 3:
-        d4 = np.zeros((len(bases), 4), dtype=np.int64)
-        d4[free] = t.od4_batch(bases[free])
-        cols.append(d4)
-        if t.F.p == 2:
-            dim, match = _nucleus_meet(t, bases)
-            cols.append(np.column_stack([dim, match]))
-    return np.concatenate(cols, axis=1)
-
-
-def _pencil_keys(t, duals: np.ndarray) -> np.ndarray:
-    """Key rows of a block of solids from their dual bases (N, 2, 6), any
-    bases of their pencils of conics: the od0 row off the pencil's values
-    at the Veronese points (GeomTables.pencil_od0), which normalized are
-    also its quotient images, the completeness flag, and the od4 row, the
-    classes of the pencil's q+1 conics, of every solid."""
-    vals = bulk.combine(t.kit, t.v6, duals.transpose(0, 2, 1))
-    dist = t.pencil_od0(vals)
-    free = np.flatnonzero(dist[:, 0] == 0)
+    subspaces, one per subspace, in order: from their RREF bases (N, k, 6),
+    whose od0 rows are od0_batch's and whose nullspaces are the duals, or
+    for solids from their dual bases (N, 2, 6) alone, any bases of their
+    pencils, whose od0 rows are read off the pencil's values at the
+    Veronese points (GeomTables.pencil_od0)."""
+    kit, q = t.kit, t.F.q
+    if bases is None:
+        vals = bulk.combine(kit, t.v6, duals.transpose(0, 2, 1))
+        dist = t.pencil_od0(vals)
+        free = np.flatnonzero(dist[:, 0] == 0)
+        vals = vals[free]
+    else:
+        dist = t.od0_batch(bases)
+        free = np.flatnonzero(dist[:, 0] == 0)
+        duals = bulk.nullspace_batch(kit, bases)
+        vals = bulk.combine(kit, t.v6, duals[free].transpose(0, 2, 1))
+    m = duals.shape[1]
+    # the images replace the values before covers_quotient sorts them, and
+    # are dropped before od4 is combined: each held would raise the peak
+    vals = bulk.normal_codes(kit, m)[vals]
     complete = np.zeros((len(duals), 1), dtype=np.int64)
-    complete[free, 0] = bulk.covers_quotient(t.F.q, 2, bulk.normal_codes(t.kit, 2)[vals[free]])
+    complete[free, 0] = bulk.covers_quotient(q, m, vals)
+    del vals
+    if m == 4:
+        return np.concatenate([dist, complete], axis=1)
     return np.concatenate([dist, complete, t.dual_od4(duals)], axis=1)
 
 
@@ -378,19 +351,20 @@ def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
     Lines and planes through x_c are span(x_c, U), U a (k-1)-subspace of
     x_j = 0, j the leading coordinate of x_c; pencils through h_c are
     span(h_c, u) likewise, u a point.  _bases_through writes them in RREF,
-    which quotient_codes and od4_batch need, without an elimination, and a
-    pencil's key row is read off it with no solid basis (_pencil_keys).  A
-    subspace dropped by the probe has a point or a conic of an earlier
-    class, so _counts would skip its key row here anyway."""
+    which od0_batch and nullspace_batch need, without an elimination, and a
+    pencil's key row is read off it as the solid's dual basis, with no
+    solid basis (_keys).  A subspace dropped by the probe has a point or a
+    conic of an earlier class, so _counts would skip its key row here
+    anyway."""
     t = tables(F)
     if k == 4:
-        # the walk behind conic_orbits asserts that each conic class is one
+        # the walk behind conic_orbits checks that each conic class is one
         # orbit, the prerequisite of the counting
-        x, d, classes, keys = t.conic_orbits[0][c - 1], 2, t.hclass_table(), _pencil_keys
+        x, d, classes = t.conic_orbits[0][c - 1], 2, t.hclass_table()
     else:
-        # PointClass asserts it for the points
+        # PointClass checks it for the points
         x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
-        d, classes, keys = k, t.class_code, _keys
+        d, classes = k, t.class_code
     earlier = np.zeros(5, dtype=bool)
     earlier[list(_CLASS_ORDER[:_CLASS_ORDER.index(c)])] = True
     probe = t.coeffs(d)[-PROBE_POINTS:]
@@ -400,7 +374,7 @@ def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
         if earlier.any():
             shown = earlier[classes[bulk.combine(t.kit, probe, bases)]]
             bases = bases[~shown.any(axis=1)]
-        return keys(t, bases)
+        return _keys(t, duals=bases) if k == 4 else _keys(t, bases)
 
     return _histogram(t, k, _through_chunks(F.q, d), keys_of, jobs)
 
@@ -800,11 +774,18 @@ def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     t0 = time.perf_counter()
     # every plane; exact counts add up to the Grassmannian
     counts, sampled = _table(F, 3, jobs)
+    # r2n, the P2n column, is the number of points of W meet N, N the
+    # nucleus plane (every point of N is a P2n point), so it gives dim(W
+    # meet N); h1 is the H1 column
+    dim = {0: 0, 1: 1, F.q + 1: 2, F.q * F.q + F.q + 1: 3}
     hist = [0] * 4
     mism = 0
     for key, n in counts.items():
-        hist[key[_NUCLEUS_DIM]] += n
-        mism += n * (1 - key[_R2N_IS_H1])
+        r2n = key[1]
+        if r2n in dim:
+            hist[dim[r2n]] += n
+        if r2n not in dim or r2n != key[_OD4.start]:
+            mism += n
     expected, computed = {"mismatches": 0}, {"mismatches": mism}
     details = {"intersection_dim_histogram": hist}
     if sampled:

@@ -16,10 +16,11 @@ matmul or XOR, the rank-1 points over GF(q^3) by walking the scalar
 extension, which the package counts as common zeros of the dual conics,
 quotient images by row elimination, which bulk.quotient_codes reads as
 the values of the dual vectors, the rank-1-free sweep with od0_batch over
-every subspace, the key rows of solids by the pencil filter and
-od0_batch over the points of the rank-1-free ones, which the package reads
-off the conic planes for every solid, r2n = h1 on every plane of the Grassmannian, which the package
-counts through one point of each point class, the line-pair flag of
+every subspace, the key rows of planes and solids by the rank-1 filter,
+elimination and od0_batch over the points of the rank-1-free ones, which
+the package reads off the dual bases of every subspace, r2n = h1 on every
+plane of the Grassmannian, which the package reads off the od0 and od4
+columns of its counts through one point of each point class, the line-pair flag of
 planes named by id, which the package reads from the same counts, the
 k-subspaces through a point by elimination, which the package writes in
 RREF directly, and the key row of every subspace through x_c, where the
@@ -51,7 +52,7 @@ from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors
 from srd3.veronese import (as_matrix, double_line_dual, kernel_point, lift, mat_mul,
                            pg2_points, point_rank, veronese)
 from srd3.verify import (_CLASS_ORDER, _COMPLETE, PROBE_POINTS, _bases_through, _block_size,
-                         _histogram, _keys, _pencil_keys, _pmap, _through_chunks)
+                         _histogram, _keys, _pmap, _through_chunks)
 
 
 def nucleus_plane(F: FieldCtx) -> Subspace:
@@ -355,15 +356,16 @@ def rank1_free_groups_unfiltered(F: FieldCtx, k: int, jobs: int = 1):
     return merged, gaussian_binomial(6, k, q)
 
 
-def solid_keys_filtered(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """verify._keys of solids as the pencil filter computed them: the
-    positions in bases of the solids whose pencil of dual conics has no
-    base point in PG(2,q), i.e. no rank-1 point, and their key rows, the
-    od0_batch row over their q^3+q^2+q+1 points and the completeness flag.
-    The Veronese images are dropped before od0_batch runs."""
-    img = bulk.quotient_codes(t.kit, bases, t.v6)
+def keys_filtered(t, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """verify._keys of planes or solids as the rank-1 filter computed them:
+    the positions in bases (RREF) of the subspaces whose dual net or pencil
+    of conics has no base point in PG(2,q), i.e. no rank-1 point, and the
+    start of their key rows, the od0_batch row over their points and the
+    completeness flag, with the quotient images by elimination.  The images
+    are dropped before od0_batch runs."""
+    img = quotient_codes_eliminate(t.kit, bases, t.v6)
     keep = np.flatnonzero((img != 0).all(axis=1))
-    full = bulk.covers_quotient(t.F.q, 2, img[keep])
+    full = bulk.covers_quotient(t.F.q, 6 - bases.shape[1], img[keep])
     del img
     return keep, np.column_stack([t.od0_batch(bases[keep]), full])
 
@@ -401,7 +403,7 @@ def pencils_unfiltered(F: FieldCtx, c: int, jobs: int = 1) -> dict[tuple, int]:
     t = tables(F)
     h = t.conic_orbits[0][c - 1]
     return _histogram(t, 4, _through_chunks(F.q, 2),
-                      lambda chunk: _pencil_keys(t, _bases_through(t.kit, h, 2, chunk)), jobs)
+                      lambda chunk: _keys(t, duals=_bases_through(t.kit, h, 2, chunk)), jobs)
 
 
 def solids_through_point(F: FieldCtx, c: int, jobs: int = 1) -> dict[tuple, int]:

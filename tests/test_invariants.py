@@ -201,6 +201,51 @@ def test_orbit_nucleus_plane_is_fixed():
     assert len(orbit) == 1
 
 
+@pytest.mark.parametrize("spec", ["4", "8", "2^3/101"])
+def test_stabilizer_of_a_fixed_plane_is_the_group(spec, monkeypatch):
+    # every generator fixes the nucleus plane Sigma_N, so its stabiliser
+    # is all of PGL(3,q), found with no point class built
+    from srd3.atlas import representative
+    monkeypatch.setattr(invariants, "_tables", {})
+    F = parse_field_spec(spec)
+    W = representative("Sigma_N", F)
+    assert stabilizer_order(W) == pgl3_order(F.q)
+    assert not tables(F).point_class_data
+    if F.q == 4:
+        assert len(orbit_of(W)) == 1
+
+
+_ONE_GENERATOR = """
+import sys
+sys.path.insert(0, {src!r})
+from srd3 import invariants
+from srd3.gf import make_field
+invariants.k_generators = lambda F: [((0, 1, 0), (0, 0, 1), (1, 0, 0))]
+try:
+    invariants.point_class(make_field(3, 1), 4)
+except invariants.ClassificationError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_point_class_that_is_not_one_orbit_raises(monkeypatch):
+    # with the 3-cycle alone the walk from x_P3 falls short of the census;
+    # the check is no assert, so python -O keeps it
+    import subprocess
+    import sys
+    from pathlib import Path
+    monkeypatch.setattr(invariants, "_tables", {})
+    monkeypatch.setattr(invariants, "k_generators",
+                        lambda F: [((0, 1, 0), (0, 0, 1), (1, 0, 0))])
+    with pytest.raises(invariants.ClassificationError):
+        point_class(make_field(3, 1), 4)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", _ONE_GENERATOR.format(src=src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_orbit_of_nucleus_point():
     F = make_field(2, 2)
     P = canonicalize(F, [(0, 1, 0, 0, 0, 0)])

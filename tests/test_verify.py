@@ -13,10 +13,9 @@ from srd3.invariants import (ClassificationError, GeomTables, hyperplane_census,
                              point_class, stabilizer_order, tables)
 from srd3.pg import gaussian_binomial
 from srd3.report import DISCREPANCY, PASS, SAMPLED, render
-from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1,
-                         VerifyError, _bases_through, _class_column, _class_size,
-                         _counts, _histogram, _ids_where, _is_orbit, _keys,
-                         _min_rank2_solid_sigs, _pencil_keys, _rank1_free,
+from srd3.verify import (_CLASS_ORDER, _COMPLETE, _OD4, VerifyError, _bases_through,
+                         _class_column, _class_size, _counts, _histogram, _ids_where,
+                         _is_orbit, _keys, _min_rank2_solid_sigs, _rank1_free,
                          _row_counts, _sweep, _tally, _through,
                          line_sweep_completeness, min_rank2_coverage, plane_sweep,
                          planes_covered_by_solids, run_checks,
@@ -25,10 +24,10 @@ from srd3.verify import (_CLASS_ORDER, _COMPLETE, _NUCLEUS_DIM, _OD4, _R2N_IS_H1
                          verify_r2n_equals_h1, verify_rank3_od4, verify_schmidt,
                          verify_solids, verify_tables)
 
-from oracles import (line_sweep_union, on_line_pair, pencils_unfiltered, r2n_h1_sweep,
-                     rank1_free_groups_unfiltered, solid_counts_through_points,
-                     solid_keys_filtered, solids_through_point, spans_through_eliminate,
-                     through_unfiltered)
+from oracles import (keys_filtered, line_sweep_union, on_line_pair, pencils_unfiltered,
+                     r2n_h1_sweep, rank1_free_groups_unfiltered,
+                     solid_counts_through_points, solids_through_point,
+                     spans_through_eliminate, through_unfiltered)
 
 
 def _ok(reports):
@@ -450,14 +449,18 @@ def test_line_pair_counts_match_sweep(p, h):
 
 @pytest.mark.parametrize("p,h", [(2, 1), (2, 2)], ids=["q2", "q4"])
 def test_r2n_h1_counts_match_sweep(p, h):
+    # r2n, the P2n column of the counts, is the number of points of W meet
+    # N, and h1 is the H1 column
     F = make_field(p, h)
+    q = F.q
     mism, hist = r2n_h1_sweep(F)
+    dim = {0: 0, 1: 1, q + 1: 2, q * q + q + 1: 3}
     for jobs in (1, 2):
         got = [0] * 4
         bad = 0
         for key, n in _fresh_counts(F, 3, jobs).items():
-            got[key[_NUCLEUS_DIM]] += n
-            bad += n * (1 - key[_R2N_IS_H1])
+            got[dim[key[1]]] += n
+            bad += n * (key[1] != key[_OD4.start])
         assert (bad, got) == (mism, hist)
     if F.q == 4:
         assert hist == [262144, 112896, 1764, 1]
@@ -638,15 +641,11 @@ def test_solid_counts_match_the_point_side_oracle(p, h):
 
 
 def _assert_pencil_keys_match_the_point_side(t, duals):
-    """_pencil_keys on RREF dual bases against the oracles on the solids
-    they cut out, reduced to RREF: od0_batch, od4_batch and the pencil
-    filter's rows."""
+    """_keys on RREF dual bases alone against its rows on the solids they
+    cut out, reduced to RREF, and those against the oracles (_assert_keys)."""
     solids = bulk.rref_batch(t.kit, bulk.nullspace_batch(t.kit, duals))[0]
-    rows = _pencil_keys(t, duals)
-    keep, want = solid_keys_filtered(t, solids)
-    assert np.array_equal(rows[:, :4], t.od0_batch(solids))
-    assert np.array_equal(rows[:, _OD4], t.od4_batch(solids))
-    assert np.array_equal(rows[keep, :_COMPLETE + 1], want)
+    assert np.array_equal(_keys(t, duals=duals), _keys(t, solids))
+    _assert_keys(t, solids)
 
 
 @settings(max_examples=30, deadline=None)
@@ -692,13 +691,17 @@ def test_conic_walk_rejects_a_relabelled_conic(monkeypatch):
         t.conic_orbits
 
 
-def _assert_solid_keys(t, bases):
-    """The key rows of a block of solids, read off the conic planes, against
-    od0_batch over their points, od4_batch over their hyperplanes and, on
-    the rank-1-free ones, the pencil filter's rows; a solid with a rank-1
-    point is not complete."""
+def _assert_keys(t, bases):
+    """The key rows of a block of planes or solids (RREF bases) against
+    od0_batch over their points, od4_batch over their hyperplanes, those
+    with a rank-1 point included, and, on the rank-1-free ones, the rank-1
+    filter's rows; a subspace with a rank-1 point is not complete.  A
+    solid's rows from its dual basis alone, od0 read off the conic planes,
+    equal those from its RREF basis, od0 over its points."""
     rows = _keys(t, bases)
-    keep, want = solid_keys_filtered(t, bases)
+    if bases.shape[1] == 4:
+        assert np.array_equal(_keys(t, duals=bulk.nullspace_batch(t.kit, bases)), rows)
+    keep, want = keys_filtered(t, bases)
     assert rows.shape == (len(bases), _OD4.stop)
     assert np.array_equal(rows[:, :4], t.od0_batch(bases))
     assert np.array_equal(rows[:, _OD4], t.od4_batch(bases))
@@ -713,7 +716,23 @@ def test_solid_keys_match_oracles_on_every_solid(p, h):
     F = make_field(p, h)
     t = tables(F)
     for lo, hi in bulk.id_chunks(F.q, 4, 4096):
-        _assert_solid_keys(t, bulk.subspace_bases(F.q, 4, np.arange(lo, hi)))
+        _assert_keys(t, bulk.subspace_bases(F.q, 4, np.arange(lo, hi)))
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
+def test_plane_keys_match_oracles_on_every_plane(p, h):
+    # od4 is filled on the planes with a rank-1 point too, and the
+    # completeness flags are the sweep's, read by plane id
+    F = make_field(p, h)
+    t = tables(F)
+    groups, flags, _ = _sweep(F, 3)
+    ids = np.concatenate(list(groups.values()))
+    complete = np.zeros(gaussian_binomial(6, 3, F.q), dtype=bool)
+    complete[ids] = np.concatenate([flags[sig] for sig in groups])
+    for lo, hi in bulk.id_chunks(F.q, 3, 4096):
+        bases = bulk.subspace_bases(F.q, 3, np.arange(lo, hi))
+        _assert_keys(t, bases)
+        assert np.array_equal(_keys(t, bases)[:, _COMPLETE], complete[lo:hi])
 
 
 def _solids_through(F, c, seed, chunks, size):
@@ -730,7 +749,7 @@ def _solids_through(F, c, seed, chunks, size):
 def test_solid_keys_match_oracles_through_each_class(q):
     F = parse_field_spec(str(q))
     for c in _CLASS_ORDER:
-        _assert_solid_keys(tables(F), _solids_through(F, c, q * 10 + c, chunks=4, size=64))
+        _assert_keys(tables(F), _solids_through(F, c, q * 10 + c, chunks=4, size=64))
 
 
 @settings(max_examples=30, deadline=None)
@@ -739,7 +758,7 @@ def test_solid_keys_match_oracles_through_each_class(q):
 def test_solid_keys_match_oracles_other_moduli(spec, c, seed):
     # GF(8), GF(9) and GF(16) each with a modulus other than the default one
     F = parse_field_spec(spec)
-    _assert_solid_keys(tables(F), _solids_through(F, c, seed, chunks=2, size=32))
+    _assert_keys(tables(F), _solids_through(F, c, seed, chunks=2, size=32))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -837,8 +856,8 @@ def test_empty_block_contributes_nothing():
     empty = np.zeros((0, 2, 6), dtype=np.uint8)
     chunks = [(0, 0), _tail(3, 2)]
     h = t.conic_orbits[0][3]
-    got = _histogram(t, 4, chunks, lambda ch: _pencil_keys(
-        t, empty if ch == (0, 0) else _bases_through(t.kit, h, 2, ch)), 1)
+    got = _histogram(t, 4, chunks, lambda ch: _keys(
+        t, duals=empty if ch == (0, 0) else _bases_through(t.kit, h, 2, ch)), 1)
     assert got == _through(F, 4, 4)
 
 
@@ -853,19 +872,20 @@ def test_small_blocks_fork_and_count_the_same(p, h, monkeypatch):
     want = {k: _counts(F, k) for k in (2, 3, 4)}
     monkeypatch.setattr(V, "_block_size", lambda q, k: 24)
     chunks, pencil_blocks = [], []
-    histogram, pencil_keys = V._histogram, V._pencil_keys
+    histogram, keys = V._histogram, V._keys
 
     def recording_histogram(t, k, cs, keys_of, jobs):
         chunks.extend((k, ch) for ch in cs)
         return histogram(t, k, cs, keys_of, jobs)
 
-    def recording_pencil_keys(t, duals):
-        rows = pencil_keys(t, duals)
-        pencil_blocks.append((len(duals), len(rows)))
+    def recording_keys(t, bases=None, duals=None):
+        rows = keys(t, bases, duals)
+        if bases is None:
+            pencil_blocks.append((len(duals), len(rows)))
         return rows
 
     monkeypatch.setattr(V, "_histogram", recording_histogram)
-    monkeypatch.setattr(V, "_pencil_keys", recording_pencil_keys)
+    monkeypatch.setattr(V, "_keys", recording_keys)
     for jobs in (1, 2):
         monkeypatch.setattr(V, "_sweep_cache", {})
         for k in (2, 3, 4):

@@ -401,25 +401,3 @@ def subspace_ids(q: int, bases: np.ndarray) -> np.ndarray:
             index = np.where(free, index * q + bases[:, i, col], index)
     return _layout(q, k)[2][is_piv @ (1 << np.arange(c))] + index
 
-
-def sample_subspaces(kit: Kit, n: int, projdim: int, count: int,
-                     seed: int) -> np.ndarray:
-    """Deterministic random sample of subspaces as RREF bases (N, k, n+1).
-
-    Draws uniform random matrices and keeps the full-rank ones; the
-    distribution over subspaces is uniform enough for consistency sweeps
-    (not exact uniformity over the Grassmannian, which sampled checks do
-    not require).
-    """
-    q = kit.q
-    k, ncols = projdim + 1, n + 1
-    rng = np.random.default_rng(seed)
-    out = []
-    got = 0
-    while got < count:
-        raw = rng.integers(0, q, size=(count, k, ncols), dtype=np.uint8)
-        red, rk = rref_batch(kit, raw)
-        keep = red[rk == k]
-        out.append(keep)
-        got += len(keep)
-    return np.concatenate(out)[:count]

@@ -7,13 +7,11 @@ Verbs:
     acceptance     --fields 3,4[,...] [--jobs N]
     enumerate      --field Q --dim D [--limit N | --count-only] [--budget M]
 
-verify counts the solids of T3.2/T3.3 exactly at every q up to 16, and
-every other family exactly up to q = 8 (verify.EXACT_MAX_Q); above it T3.7
-and C4 check one seeded plane sample and T3.4/T3.8 their representatives,
-reported as sampled rows, and T3.10, T3.12, T3.14 and T3.21 are left out
-(asked for by --theorem, they exit 2).
+verify counts every family exactly at every q up to 16, the range of the
+point tables (invariants.TABLE_MAX_Q); a check asked for by --theorem on a
+field it does not apply to (T3.4 at odd q, say) exits 2.
 
-Exit codes: 0 all checks pass (sampled/discrepancy rows count as passing),
+Exit codes: 0 all checks pass (discrepancy rows count as passing),
 1 at least one failed check, 2 usage or input errors (including a field
 above the supported range), reported on one line, 3 an internal error,
 reported on one line (--debug shows the traceback instead).

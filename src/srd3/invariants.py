@@ -531,7 +531,9 @@ class PointClass:
     generators h_{g y}^-1 g h_y of SCHREIER_BLOCK points y at a time: each
     one not yet in the group is added and the group closed under right
     multiplication, until it has |PGL(3,q)| / N_c elements, which makes it
-    all of Stab(x_c)."""
+    all of Stab(x_c).  The orbits on the quotient F^6/<x_c> that the line
+    and plane counts go through take a few Schreier generators and no
+    closure (quotient_orbits)."""
 
     def __init__(self, t: GeomTables, c: int):
         F, kit, q = t.F, t.kit, t.F.q
@@ -563,20 +565,27 @@ class PointClass:
         self.transversal = np.concatenate(all_mats)[order]
         self._kit, self._gens, self._lifts = kit, gens, lifts
 
+    def schreier_generators(self, lo: int, hi: int) -> np.ndarray:
+        """The Schreier generators h_{g y}^-1 g h_y of Stab(x_c) of the
+        class-c points y = codes[lo:hi], g in k_generators: (3 (hi - lo), 3,
+        3), generator-major."""
+        kit, q = self._kit, self._kit.q
+        y, h = self.codes[lo:hi], self.transversal[lo:hi]
+        img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(y, q, 6), self._lifts)), q)
+        h_img = self.transversal[np.searchsorted(self.codes, img)]
+        return _mat_mul(kit, bulk.adjugate(kit, h_img),
+                        _mat_mul(kit, self._gens[:, None], h).reshape(-1, 3, 3))
+
     @cached_property
     def stabilizer(self) -> np.ndarray:
         """The elements (g, 3, 3) of Stab(x_c), one matrix each."""
-        kit, gens, q = self._kit, self._gens, self._kit.q
-        order = pgl3_order(q) // len(self.codes)
+        kit = self._kit
+        order = pgl3_order(kit.q) // len(self.codes)
         elems = np.eye(3, dtype=np.uint8)[None]
         seen = _element_codes(kit, elems)
         used: list[np.ndarray] = []
         for lo in range(0, len(self.codes), SCHREIER_BLOCK):
-            y, h = self.codes[lo:lo + SCHREIER_BLOCK], self.transversal[lo:lo + SCHREIER_BLOCK]
-            img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(y, q, 6), self._lifts)), q)
-            h_img = self.transversal[np.searchsorted(self.codes, img)]
-            schreier = _mat_mul(kit, bulk.adjugate(kit, h_img),
-                                _mat_mul(kit, gens[:, None], h).reshape(-1, 3, 3))
+            schreier = self.schreier_generators(lo, lo + SCHREIER_BLOCK)
             gen_codes, first = np.unique(_element_codes(kit, schreier), return_index=True)
             new = ~np.isin(gen_codes, seen, assume_unique=True)
             while len(seen) < order and new.any():
@@ -593,7 +602,59 @@ class PointClass:
                 new = ~np.isin(gen_codes, seen, assume_unique=True)
             if len(seen) == order:
                 return elems
-        raise AssertionError("the Schreier generators fall short of the stabiliser")
+        raise ClassificationError("the Schreier generators fall short of the stabiliser")
+
+    @cached_property
+    def quotient_orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """quotient_orbits of x_c under QUOTIENT_GENERATORS distinct
+        non-identity Schreier generators of the first block, spread across
+        it: those of its first points lie in small subgroups."""
+        kit = self._kit
+        gens = self.schreier_generators(0, SCHREIER_BLOCK)
+        codes, first = np.unique(_element_codes(kit, gens), return_index=True)
+        first = np.sort(first[codes != _element_codes(kit, np.eye(3, dtype=np.uint8))])
+        pick = np.unique(np.linspace(0, len(first) - 1, QUOTIENT_GENERATORS).astype(int))
+        return quotient_orbits(kit, bulk.decode(self.codes[:1], kit.q, 6)[0],
+                               gens[first[pick]] if len(first) else gens[:0])
+
+
+# Schreier generators behind PointClass.quotient_orbits
+QUOTIENT_GENERATORS = 4
+
+
+def quotient_orbits(kit: bulk.Kit, x: np.ndarray,
+                    gens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbits of the group that gens (g, 3, 3) generate, elements of
+    Stab(x), on the quotient PG(4,q) = F^6/<x>, x normalized with its
+    leading 1 at column j, one walk per orbit from its smallest point.  The
+    class of v is named by the coordinates off column j of v - v_j x, and g
+    maps it to the class of v L(g); ClassificationError if g moves x.
+    Returns (label, sizes, reps): the orbit of every nonzero code of F^5,
+    scalar multiples filled, numbered as their smallest codes reps ascend,
+    and each orbit's size."""
+    q, j = kit.q, int(np.argmax(x != 0))
+    off = np.delete(np.arange(6), j)
+    lifts = lift_batch(kit, gens)
+    if (_normalized(kit, _moved(kit, x[None], lifts)) != x).any():
+        raise ClassificationError("a generator of the quotient group moves its point")
+    rows = lifts[:, off]
+    norm = bulk.normal_codes(kit, 5)
+    pts = np.flatnonzero(norm == np.arange(q ** 5))[1:]
+    act = kit.sub(rows, kit.mul(rows[:, :, j, None], x))[:, :, off]
+    img = np.searchsorted(pts, norm[bulk.combine(kit, bulk.decode(pts, q, 5), act)])
+    label = np.full(len(pts), -1, dtype=np.int32)
+    sizes = []
+    while (label < 0).any():
+        frontier = np.argmax(label < 0)[None]
+        label[frontier] = len(sizes)
+        sizes.append(1)
+        while len(frontier):
+            frontier = np.unique(img[:, frontier])
+            frontier = frontier[label[frontier] < 0]
+            label[frontier] = len(sizes) - 1
+            sizes[-1] += len(frontier)
+    reps = pts[np.unique(label, return_index=True)[1]]
+    return label[np.searchsorted(pts, norm)], np.array(sizes, dtype=np.int64), reps
 
 
 def point_class(F: FieldCtx, c: int) -> PointClass:

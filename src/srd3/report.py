@@ -6,8 +6,6 @@ no tolerances anywhere).  Status semantics:
 
     pass                  computed == expected on a full enumeration
     fail                  computed != expected
-    consistent (sampled)  a sampled run that found no counterexample; never
-                          reported as "pass" so pass keeps exact semantics
     paper-discrepancy     the computation is internally verified but
                           disagrees with a printed closed form; counted as
                           non-failing
@@ -24,7 +22,6 @@ from dataclasses import dataclass, field as dc_field
 
 PASS = "pass"
 FAIL = "fail"
-SAMPLED = "consistent (sampled)"
 DISCREPANCY = "paper-discrepancy"
 
 
@@ -42,7 +39,7 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return self.status in (PASS, SAMPLED, DISCREPANCY)
+        return self.status in (PASS, DISCREPANCY)
 
     def as_dict(self) -> dict:
         return {
@@ -59,15 +56,13 @@ class CheckReport:
 
 
 def make_report(check_id: str, field: str, claim: str, expected, computed,
-                *, sampled: bool = False, discrepancy: bool = False,
+                *, discrepancy: bool = False,
                 seconds: float = 0.0, details: dict | None = None,
                 flags: list | None = None) -> CheckReport:
     if computed != expected:
         status = FAIL
     elif discrepancy:
         status = DISCREPANCY
-    elif sampled:
-        status = SAMPLED
     else:
         status = PASS
     return CheckReport(check_id, field, claim, expected, computed, status,

@@ -5,14 +5,9 @@ integer invariants, and compares them against closed-form claims.  Claim
 ids (T3.2, T3.4, ..., C4, Y03q) are the stable identifiers used by the
 command line and the acceptance suite; every report carries one.
 
-One range rule.  The solid counts behind T3.2/T3.3 are exact at every q
-the point tables support (invariants.TABLE_MAX_Q = 16).  The plane checks
-T3.7 and C4 read a {key row: how many} table (_table): exact, counted
-through one point per class, for q <= EXACT_MAX_Q, and above it the same
-histogram over one seeded sample of SAMPLE_SIZE planes, which they report
-as "consistent (sampled)".  T3.4/T3.8 check their representatives and a
-few of their images there instead, and T3.10, T3.12, T3.14 and T3.21,
-which have no sampled form, run only up to the ceiling (DRIVERS).
+One range rule.  Every check is exact at every q the point tables support
+(invariants.TABLE_MAX_Q = 16): the lines, planes and solids are counted,
+never sampled, and DRIVERS says only which fields each check applies to.
 
 Counting through one point, or one conic, per class.  Every exhaustive
 claim is about a
@@ -36,11 +31,16 @@ point of W, gives
     #{W with key row k} = N_c n_c(k) / s_c(k),
 
 s_c(k) the od0 column of class c, for every class with s_c(k) > 0.  A pass
-(_through) counts the k-subspaces through x_c, the class-c point of
-smallest code: they are span(x_c, U) for the (k-1)-subspaces U of a
-coordinate hyperplane x_j = 0 that misses x_c, [5 choose k-1]_q of them
-instead of the [6 choose k]_q of the whole Grassmannian, each written in
-RREF with no elimination (_bases_through).
+(_through) finds n_c(k), taking the same rule one level down: the lines
+and planes through x_c, the class-c point of smallest code, are the
+points and lines of the quotient PG(4,q) = F^6/<x_c>, split into the
+orbits O_i of a subgroup of Stab(x_c) (PointClass.quotient_orbits), which
+preserves every key row.  Double counting the pairs (y, l), y a point of
+l in O_i, the planes whose quotient line l meets O_i first, in s points,
+number |O_i| m / s, m those of them through y_i, the smallest point of
+O_i: [4 choose 1]_q planes per orbit, each written in RREF with no
+elimination (_span_rref).  At q = 9 the P3 plane pass keys 4441 planes
+through 26 orbits, where 605242 planes pass through x_P3.
 
 Solids are counted from the dual side.  The dual of a solid W is a pencil
 of conics, the q+1 hyperplanes through W, and each hyperplane class c is
@@ -67,7 +67,7 @@ first class, so no later pass can add a key row.  A final total other
 than [6 choose k]_q is an internal error.  The P1 pass is never taken: the
 Veronesean is a cap, so a line holds at most two of its q+1 points in P1,
 and every line and plane is counted in an earlier pass.  At every q from 2
-to 9, the planes are all counted by the P3 and P2a passes and the lines by
+to 16, the planes are all counted by the P3 and P2a passes and the lines by
 P3, P2a and, at even q only, P2b, so the P2b and P1 plane passes and the
 odd-q P2b line pass are not taken.  The solids are all counted by the H3
 and H2r passes at odd q, and by all four at even q: there the double lines
@@ -84,8 +84,8 @@ survivor still gets its full key row, and a dropped subspace has a point
 or a conic of an earlier class, so _counts would skip its key row here and
 the earlier pass counts it.  Most subspaces through a rank-2 or rank-1
 point have many rank-3 points, and most pencils many nonsingular conics,
-so the later passes keep a handful: 3 of the 20306 planes through x_P2e,
-and 16 of the 781 pencils through h_H2r, at q = 5.
+so the later passes keep a handful: 2 planes in the P2e pass, and 16 of
+the 781 pencils through h_H2r, at q = 5.
 
 Orbits are never walked.  A family that G maps to itself holds the orbit
 of each of its members, so it is the orbit of W iff W is a member and the
@@ -137,15 +137,6 @@ from srd3.pg import Subspace, gaussian_binomial
 from srd3.invariants import (od0, od4, pgl3_order, point_class, require_tables,
                              stabilizer_order, tables)
 from srd3.report import CheckReport, make_report
-
-# the largest q whose plane and line counts are exact: the full check set
-# takes about 2-2.5 s and 51 MB at q = 8 with one worker.  At q = 9 the plane
-# passes alone would take about 25 s, nearly all of it the P3 plane pass.
-# The solid counts are exact at every q (verify_solids)
-EXACT_MAX_Q = 8
-SAMPLE_SIZE = 100_000
-_SEED = 0x5D3
-
 
 class VerifyError(RuntimeError):
     pass
@@ -272,6 +263,30 @@ def _histogram(t, k: int, chunks: list, keys_of, jobs: int) -> dict[tuple, int]:
     return dict(sorted(out.items()))
 
 
+def _span_rref(kit: bulk.Kit, x: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """RREF bases (N, m+1, c) of span(x, U) for the RREF bases U (N, m, c)
+    and the normalized points x (N, c) or (c,), each U zero at the leading
+    coordinate j of its x.
+
+    x is reduced against U once, x' = x - sum_i x[piv_i] u_i, so x' is 0 at
+    U's pivots and, as u_i is 0 left of piv_i and x[piv_i] = 0 for piv_i <
+    j, x' still leads with the 1 at column j.  x' put among U's rows by
+    pivot is the RREF of span(x, U), with no elimination."""
+    N, m = U.shape[:2]
+    x = np.broadcast_to(x, (N, U.shape[2]))
+    j = np.argmax(x != 0, axis=1)
+    piv = np.argmax(U != 0, axis=2)
+    coef = np.take_along_axis(x, piv, axis=1)
+    for i in range(m):
+        x = kit.sub(x, kit.mul(coef[:, i, None], U[:, i]))
+    at = (piv < j[:, None]).sum(axis=1)
+    out = np.empty((N, m + 1, U.shape[2]), dtype=U.dtype)
+    rows = np.arange(m)
+    out[np.arange(N)[:, None], rows + (rows >= at[:, None])] = U
+    out[np.arange(N), at] = x
+    return out
+
+
 def _bases_through(kit: bulk.Kit, x: np.ndarray, k: int, chunk: tuple[int, int]) -> np.ndarray:
     """RREF bases (N, k, 6) of span(x, U) for the (k-1)-subspaces U of
     x_j = 0 named by chunk, a range of tail ids of the (k-1)-Grassmannian;
@@ -279,27 +294,11 @@ def _bases_through(kit: bulk.Kit, x: np.ndarray, k: int, chunk: tuple[int, int])
 
     A tail id's basis has column 0 zero.  Its columns 1..5 go monotonically
     to the columns other than j (order [1, ..., j, 0, j+1, ..., 5]), which
-    keeps it in RREF and makes column j zero.  x is reduced against U once,
-    x' = x - sum_i x[piv_i] u_i, so x' is 0 at U's pivots and, as u_i is 0
-    left of piv_i and x[piv_i] = 0 for piv_i < j, x' still leads with the 1
-    at column j.  x' put among U's rows by pivot is the RREF of span(x, U),
-    with no elimination."""
+    keeps it in RREF and makes column j zero, so _span_rref applies."""
     j = int(np.argmax(x != 0))
     assert x[j] == 1, "x must be normalized"
     cols = [*range(1, j + 1), 0, *range(j + 1, 6)]
-    U = bulk.subspace_bases(kit.q, k - 1, np.arange(*chunk))[:, :, cols]
-    N = len(U)
-    piv = np.argmax(U != 0, axis=2)
-    coef = x[piv]
-    xr = np.broadcast_to(x, (N, 6))
-    for i in range(k - 1):
-        xr = kit.sub(xr, kit.mul(coef[:, i, None], U[:, i]))
-    at = (piv < j).sum(axis=1)
-    out = np.empty((N, k, 6), dtype=U.dtype)
-    rows = np.arange(k - 1)
-    out[np.arange(N)[:, None], rows + (rows >= at[:, None])] = U
-    out[np.arange(N), at] = xr
-    return out
+    return _span_rref(kit, x, bulk.subspace_bases(kit.q, k - 1, np.arange(*chunk))[:, :, cols])
 
 
 def _through_chunks(q: int, k: int) -> list[tuple[int, int]]:
@@ -340,43 +339,81 @@ def _class_size(F: FieldCtx, k: int, c: int) -> int:
     return len(point_class(F, c).codes)
 
 
-def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
-    """The pass of class c: {key row: how many} over the k-subspaces
-    through x_c, the class-c point of smallest code (PointClass's point),
-    or for solids over those whose pencil holds h_c, the class-c conic of
-    smallest code (GeomTables.conic_orbits), that show no class before c
-    in _CLASS_ORDER among PROBE_POINTS fixed points of the subspace or of
-    the pencil.
+def _first_class(k: int, key: tuple) -> int:
+    """The first class in _CLASS_ORDER that the key row counts."""
+    return next(d for d in _CLASS_ORDER if key[_class_column(k, d)])
 
-    Lines and planes through x_c are span(x_c, U), U a (k-1)-subspace of
-    x_j = 0, j the leading coordinate of x_c; pencils through h_c are
-    span(h_c, u) likewise, u a point.  _bases_through writes them in RREF,
-    which od0_batch and nullspace_batch need, without an elimination, and a
-    pencil's key row is read off it as the solid's dual basis, with no
-    solid basis (_keys).  A subspace dropped by the probe has a point or a
-    conic of an earlier class, so _counts would skip its key row here
-    anyway."""
-    t = tables(F)
-    if k == 4:
-        # the walk behind conic_orbits checks that each conic class is one
-        # orbit, the prerequisite of the counting
-        x, d, classes = t.conic_orbits[0][c - 1], 2, t.hclass_table()
-    else:
-        # PointClass checks it for the points
-        x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
-        d, classes = k, t.class_code
+
+def _earlier(c: int) -> np.ndarray:
+    """Which class codes come before c in _CLASS_ORDER: (5,) bool."""
     earlier = np.zeros(5, dtype=bool)
     earlier[list(_CLASS_ORDER[:_CLASS_ORDER.index(c)])] = True
-    probe = t.coeffs(d)[-PROBE_POINTS:]
+    return earlier
+
+
+def _through(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
+    """The pass of class c: {key row: n_c(key row)} (module docstring).  A
+    subspace that shows a class before c in _CLASS_ORDER among PROBE_POINTS
+    fixed points of it or of its pencil is dropped: _counts would skip its
+    key row here anyway.
+
+    Solids: the pencils span(h_c, u) through h_c, the class-c conic of
+    smallest code (GeomTables.conic_orbits), u a point of x_j = 0, j the
+    leading coordinate of h_c, each read as the solid's dual basis (_keys).
+    Lines and planes through x_c (PointClass's point): span(x_c, y_i) for
+    the smallest point y_i of each orbit O_i of the quotient, and
+    span(x_c, y_i, u) for the points u of the quotient hyperplane off the
+    leading coordinate of y_i, kept if O_i is the first orbit their
+    quotient line meets; with s its points in O_i, each adds |O_i| / s, and
+    a total that is no integer is an internal error.  Only the key rows
+    whose first class is c are returned: a plane dropped by the probe shows
+    an earlier class, so such a row counts only some planes of its kind."""
+    t = tables(F)
+    kit, q = t.kit, F.q
+    earlier, probe = _earlier(c), t.coeffs(2 if k == 4 else k)[-PROBE_POINTS:]
+    if k == 4:
+        h = t.conic_orbits[0][c - 1]
+
+        def pencil_keys(chunk):
+            duals = _bases_through(kit, h, 2, chunk)
+            shown = earlier[t.hclass_table()[bulk.combine(kit, probe, duals)]]
+            return _keys(t, duals=duals[~shown.any(axis=1)])
+
+        return _histogram(t, 4, _through_chunks(q, 2), pencil_keys, jobs)
+    pc = point_class(F, c)
+    label, sizes, reps = pc.quotient_orbits
+    x = bulk.decode(pc.codes[:1], q, 6)[0]
+    y = bulk.decode(reps, q, 5)
+    lead = np.argmax(y != 0, axis=1)
+    u_by_lead = np.stack([np.insert(t.coeffs(4), l, 0, axis=1) for l in range(5)])
+    per_orbit = 1 if k == 2 else len(t.coeffs(4))
 
     def keys_of(chunk):
-        bases = _bases_through(t.kit, x, d, chunk)
-        if earlier.any():
-            shown = earlier[classes[bulk.combine(t.kit, probe, bases)]]
-            bases = bases[~shown.any(axis=1)]
-        return _keys(t, duals=bases) if k == 4 else _keys(t, bases)
+        orbit, i = np.divmod(np.arange(*chunk), per_orbit)
+        U, share = y[orbit, None], np.ones(len(orbit), dtype=np.int64)
+        if k == 3:
+            u = u_by_lead[lead[orbit], i]
+            # the orbits of the q+1 points u + a y and y of the quotient line
+            seen = label[bulk.combine(kit, t.coeffs(2), np.stack([u, U[:, 0]], axis=1))]
+            first = (seen >= orbit[:, None]).all(axis=1)
+            orbit, share = orbit[first], (seen[first] == orbit[first, None]).sum(axis=1)
+            U = _span_rref(kit, U[first, 0], u[first, None])
+        bases = _span_rref(kit, x, np.insert(U, int(np.argmax(x != 0)), 0, axis=2))
+        kept = ~earlier[t.class_code[bulk.combine(kit, probe, bases)]].any(axis=1)
+        return np.column_stack([_keys(t, bases[kept]), orbit[kept], share[kept]])
 
-    return _histogram(t, k, _through_chunks(F.q, d), keys_of, jobs)
+    block, end = _block_size(q, k), len(reps) * per_orbit
+    out: dict[tuple, int] = {}
+    for row, m in _histogram(t, k, [(s, min(s + block, end)) for s in range(0, end, block)],
+                             keys_of, jobs).items():
+        key, i, share = row[:-2], row[-2], row[-1]
+        if _first_class(k, key) != c:
+            continue
+        if sizes[i] * m % share:
+            raise RuntimeError(f"{sizes[i]} * {m} planes through the point of quotient orbit "
+                               f"{i} with key {key} is not a multiple of {share}")
+        out[key] = out.get(key, 0) + int(sizes[i]) * m // share
+    return dict(sorted(out.items()))
 
 
 def _counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
@@ -395,7 +432,7 @@ def _counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
         got = _cached(("through", k, c, id(F)), lambda: _through(F, k, c, jobs))
         size, col = _class_size(F, k, c), _class_column(k, c)
         for key, n in got.items():
-            if next(d for d in _CLASS_ORDER if key[_class_column(k, d)]) != c:
+            if _first_class(k, key) != c:
                 continue
             if size * n % key[col]:
                 raise RuntimeError(f"{size} * {n} {k}-subspaces through {through} of class "
@@ -408,30 +445,6 @@ def _counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
                            f"{'more' if total > everything else 'fewer'} than the "
                            f"{everything} there are")
     return out
-
-
-def _sample_counts(F: FieldCtx, k: int, jobs: int = 1) -> dict[tuple, int]:
-    """{key row: how many} over one seeded sample of SAMPLE_SIZE
-    k-subspaces, cached per field: T3.7 and C4 read the same plane
-    sample."""
-    def build():
-        t = tables(F)
-        sample = bulk.sample_subspaces(t.kit, 5, k - 1, SAMPLE_SIZE, seed=_SEED)
-        block = _block_size(F.q, k)
-        chunks = [(s, s + block) for s in range(0, len(sample), block)]
-        return _histogram(t, k, chunks, lambda chunk: _keys(t, sample[slice(*chunk)]), jobs)
-
-    return _cached(("sample", k, id(F)), build)
-
-
-def _table(F: FieldCtx, k: int, jobs: int = 1) -> tuple[dict[tuple, int], bool]:
-    """The {key row: how many} table of the k-subspaces and whether it is
-    sampled: exact (_counts) for q <= EXACT_MAX_Q, and over the seeded
-    sample (_sample_counts) above it; either way every subspace has a
-    row.  The plane checks read it; the solid counts are always exact."""
-    if F.q > EXACT_MAX_Q:
-        return _sample_counts(F, k, jobs), True
-    return _counts(F, k, jobs), False
 
 
 def _tally(counts: dict[tuple, int], keep) -> dict[tuple, int]:
@@ -702,11 +715,10 @@ def verify_solids(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
 def verify_plane_orbits(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """Planes with distributions [0,q+1,0,q^2] and [0,1,0,q^2+q] each form a
     single orbit with hyperplane distributions [q+1,0,0,q^2] / [1,0,0,q^2+q].
-    Up to EXACT_MAX_Q the check is exhaustive: the planes with each of the
-    two od0 rows are counted, and each family must hold its representative
-    and have its orbit's size, |PGL(3,q)| / |Stab|; od4 is read on the
-    members through x_c, which every member is equivalent to.  Above it the
-    representatives and a sample of their images are checked instead."""
+    The planes with each of the two od0 rows are counted, and each family
+    must hold its representative and have its orbit's size, |PGL(3,q)| /
+    |Stab|; od4 is read on the members through x_c, which every member is
+    equivalent to."""
     from srd3.atlas import representative
     from srd3.pg import canonicalize
     if F.p != 2 or F.q < 4:
@@ -720,17 +732,6 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
              "[0,1,0,q^2+q]", "[1,0,0,q^2+q]")):
         t0 = time.perf_counter()
         W = representative(rid, F)
-        if q > EXACT_MAX_Q:
-            got0, got4 = od0(W), od4(W)
-            img_ok = _random_images_keep_od0(W, d0, n=25)
-            out.append(make_report(
-                check_id, F.spec,
-                f"planes with point distribution {list(d0)} form one orbit "
-                f"with hyperplane distribution {list(d4)}",
-                {"od0": d0, "od4": d4, "images_consistent": True},
-                {"od0": got0, "od4": got4, "images_consistent": img_ok},
-                sampled=True, seconds=time.perf_counter() - t0))
-            continue
         members = {key: n for key, n in _counts(F, 3, jobs).items() if key[:4] == d0}
         hits = sum(members.values())
         od4_all = all(key[_OD4] == d4 for key in members)
@@ -750,30 +751,13 @@ def verify_plane_orbits(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     return out
 
 
-def _random_images_keep_od0(W: Subspace, want, n: int = 25) -> bool:
-    import random
-    from srd3.pg import matrix_rank
-    from srd3.veronese import k_action
-    F = W.F
-    rng = random.Random(_SEED)
-    for _ in range(n):
-        while True:
-            A = tuple(tuple(rng.randrange(F.q) for _ in range(3)) for _ in range(3))
-            if matrix_rank(F, A) == 3:
-                break
-        if od0(k_action(F, A, W)) != tuple(want):
-            return False
-    return True
-
-
 def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     """For every plane, the rank-2 points inside the nucleus plane are as
     many as the double-line hyperplanes through it (q even >= 4)."""
     if F.p != 2 or F.q < 4:
         raise VerifyError("r2n = h1 needs q even, q >= 4")
     t0 = time.perf_counter()
-    # every plane; exact counts add up to the Grassmannian
-    counts, sampled = _table(F, 3, jobs)
+    counts = _counts(F, 3, jobs)
     # r2n, the P2n column, is the number of points of W meet N, N the
     # nucleus plane (every point of N is a P2n point), so it gives dim(W
     # meet N); h1 is the H1 column
@@ -786,17 +770,11 @@ def verify_r2n_equals_h1(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
             hist[dim[r2n]] += n
         if r2n not in dim or r2n != key[_OD4.start]:
             mism += n
-    expected, computed = {"mismatches": 0}, {"mismatches": mism}
-    details = {"intersection_dim_histogram": hist}
-    if sampled:
-        details = {"planes_checked": SAMPLE_SIZE, **details}
-    else:
-        expected["planes"] = gaussian_binomial(6, 3, F.q)
-        computed["planes"] = sum(hist)
     return [make_report(
         "T3.7", F.spec, "r2n(plane) = h1(plane) for every plane",
-        expected, computed, sampled=sampled, seconds=time.perf_counter() - t0,
-        details=details)]
+        {"mismatches": 0, "planes": gaussian_binomial(6, 3, F.q)},
+        {"mismatches": mism, "planes": sum(hist)}, seconds=time.perf_counter() - t0,
+        details={"intersection_dim_histogram": hist})]
 
 
 def verify_completeness_dichotomy(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
@@ -937,22 +915,13 @@ def verify_net_corollaries(F: FieldCtx, jobs: int = 1) -> list[CheckReport]:
     from srd3.atlas import rep_spec, representative, sigma_gf_plane
     t0 = time.perf_counter()
     q = F.q
-    counts, sampled = _table(F, 3, jobs)
+    counts = _counts(F, 3, jobs)
 
     def line_pair(key):  # a hyperplane of class H2r or H2i
         return _rank1_free(key) and key[_OD4][1] + key[_OD4][2] > 0
 
     target = _count(counts, line_pair)
     n_viol = _count(counts, lambda key: line_pair(key) and key[_COMPLETE] == 1)
-    if sampled:
-        return [make_report(
-            "C4", F.spec,
-            "planes with no rank-1 point and a line-pair hyperplane lie in a "
-            "minimum-rank-2 solid",
-            {"violations": 0}, {"violations": n_viol}, sampled=True,
-            seconds=time.perf_counter() - t0,
-            details={"sampled_planes": SAMPLE_SIZE, "checked": target})]
-
     spot_expected = {}
     spot_computed = {}
     if F.p != 2:
@@ -1034,24 +1003,22 @@ def _q2_flags(F: FieldCtx) -> list[str]:
 # Registry
 # ---------------------------------------------------------------------------
 
-# check id -> (driver, (parity, largest q it runs at or None)).  The
-# ceilings are the one definition of each driver's range: the counts behind
-# T3.10/T3.12/T3.14/T3.21 have no sampled form, so they stop at EXACT_MAX_Q.
+# check id -> (driver, the fields it applies to, as _applies reads them)
 DRIVERS = {
-    "censuses": (verify_censuses, ("any", None)),
-    "tables": (verify_tables, ("any", None)),
-    "T3.2": (verify_solids, ("odd", None)),
-    "T3.3": (verify_solids, ("even", None)),
-    "T3.4": (verify_plane_orbits, ("even4", None)),
-    "T3.8": (verify_plane_orbits, ("even4", None)),
-    "T3.7": (verify_r2n_equals_h1, ("even4", None)),
-    "T3.10": (verify_completeness_dichotomy, ("any", EXACT_MAX_Q)),
-    "T3.12": (verify_class_counts, ("odd", EXACT_MAX_Q)),
-    "T3.14": (verify_class_counts, ("even", EXACT_MAX_Q)),
-    "T3.21": (verify_class_counts, ("any", EXACT_MAX_Q)),
-    "C4": (verify_net_corollaries, ("min3", None)),
-    "Y03q": (verify_schmidt, ("any", None)),
-    "CR3-OD4": (verify_rank3_od4, ("any", None)),
+    "censuses": (verify_censuses, "any"),
+    "tables": (verify_tables, "any"),
+    "T3.2": (verify_solids, "odd"),
+    "T3.3": (verify_solids, "even"),
+    "T3.4": (verify_plane_orbits, "even4"),
+    "T3.8": (verify_plane_orbits, "even4"),
+    "T3.7": (verify_r2n_equals_h1, "even4"),
+    "T3.10": (verify_completeness_dichotomy, "any"),
+    "T3.12": (verify_class_counts, "odd"),
+    "T3.14": (verify_class_counts, "even"),
+    "T3.21": (verify_class_counts, "any"),
+    "C4": (verify_net_corollaries, "min3"),
+    "Y03q": (verify_schmidt, "any"),
+    "CR3-OD4": (verify_rank3_od4, "any"),
 }
 
 
@@ -1081,14 +1048,10 @@ def run_checks(F: FieldCtx, ids: list[str] | None = None, jobs: int = 1) -> list
     seen_drivers = set()
     reports: list[CheckReport] = []
     for cid in wanted:
-        fn, (parity, max_q) = DRIVERS[cid]
+        fn, parity = DRIVERS[cid]
         if not _applies(parity, F):
             if ids is not None:
                 raise VerifyError(f"check {cid} does not apply to q={F.q}")
-            continue
-        if max_q is not None and F.q > max_q:
-            if ids is not None:
-                raise VerifyError(f"check {cid} runs only for q <= {max_q}, got q={F.q}")
             continue
         if fn in seen_drivers:
             continue

@@ -25,6 +25,8 @@ planes named by id, which the package reads from the same counts, the
 k-subspaces through a point by elimination, which the package writes in
 RREF directly, and the key row of every subspace through x_c, where the
 package's pass drops those that show a point of an earlier class, the
+probed passes of lines and planes through x_c, which the package counts
+through the orbits of a subgroup of Stab(x_c) on the quotient F^6/<x_c>, the
 solids through a point of each class, which the package counts through
 the pencils through a conic of each class instead, every
 subspace of PG(n,q) or of a given subspace by pivot pattern, which the
@@ -52,7 +54,7 @@ from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors
 from srd3.veronese import (as_matrix, double_line_dual, kernel_point, lift, mat_mul,
                            pg2_points, point_rank, veronese)
 from srd3.verify import (_CLASS_ORDER, _COMPLETE, PROBE_POINTS, _bases_through, _block_size,
-                         _histogram, _keys, _pmap, _through_chunks)
+                         _earlier, _first_class, _histogram, _keys, _pmap, _through_chunks)
 
 
 def nucleus_plane(F: FieldCtx) -> Subspace:
@@ -395,6 +397,25 @@ def through_unfiltered(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple
     x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
     return _histogram(t, k, _through_chunks(F.q, k),
                       lambda chunk: _keys(t, _bases_through(t.kit, x, k, chunk)), jobs)
+
+
+def through_one_level(F: FieldCtx, k: int, c: int, jobs: int = 1) -> dict[tuple, int]:
+    """verify._through(F, k, c) for lines and planes as it counted before
+    the quotient orbits: every k-subspace through x_c, the class-c point of
+    smallest code, in the blocks of _through_chunks, less those that show a
+    class before c among the PROBE_POINTS probed points, each key row whose
+    first class is c counted once per subspace."""
+    t = tables(F)
+    x = bulk.decode(point_class(F, c).codes[:1], F.q, 6)[0]
+    earlier, probe = _earlier(c), t.coeffs(k)[-PROBE_POINTS:]
+
+    def keys_of(chunk):
+        bases = _bases_through(t.kit, x, k, chunk)
+        shown = earlier[t.class_code[bulk.combine(t.kit, probe, bases)]]
+        return _keys(t, bases[~shown.any(axis=1)])
+
+    got = _histogram(t, k, _through_chunks(F.q, k), keys_of, jobs)
+    return {key: n for key, n in got.items() if _first_class(k, key) == c}
 
 
 def pencils_unfiltered(F: FieldCtx, c: int, jobs: int = 1) -> dict[tuple, int]:

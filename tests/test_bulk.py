@@ -260,12 +260,3 @@ def test_transform_matches_scalar_action():
         got = normalize_rows(kit, out[i:i + 1])[0]
         assert tuple(int(x) for x in got) == want
 
-
-def test_sample_subspaces_deterministic():
-    F = make_field(2, 2)
-    kit = bulk.kit_for(F)
-    a = bulk.sample_subspaces(kit, 5, 2, 100, seed=7)
-    b = bulk.sample_subspaces(kit, 5, 2, 100, seed=7)
-    assert (a == b).all()
-    _, rk = bulk.rref_batch(kit, a)
-    assert (rk == 3).all()

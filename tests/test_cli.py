@@ -227,26 +227,31 @@ def _stub_drivers(monkeypatch, calls, fail=None):
         monkeypatch.setitem(V.DRIVERS, cid, (stubs[fn], scope))
 
 
-def test_default_checks_skip_drivers_above_their_ceiling(monkeypatch, capsys):
+def test_default_checks_run_every_driver_at_q9(monkeypatch, capsys):
+    # every check is exact at every q with point tables, so q = 9 runs
+    # every driver that applies to odd q, the dichotomy and class counts too
     calls = []
     _stub_drivers(monkeypatch, calls)
     assert main(["verify", "--field", "9", "--format", "json"]) == 0
     ran = {r["check_id"] for r in json.loads(capsys.readouterr().out)}
     assert ran == {"verify_censuses", "verify_tables", "verify_solids",
+                   "verify_completeness_dichotomy", "verify_class_counts",
                    "verify_net_corollaries", "verify_schmidt", "verify_rank3_od4"}
     calls.clear()
     assert main(["acceptance", "--fields", "9", "--format", "json"]) == 0
-    # no verify_completeness_dichotomy, no verify_class_counts
     assert set(calls) == ran
 
 
-def test_explicit_check_above_its_ceiling_exit_2(monkeypatch, capsys):
+def test_explicit_check_at_q9_runs_and_parity_refusal_exit_2(monkeypatch, capsys):
     calls = []
     _stub_drivers(monkeypatch, calls)
-    assert main(["verify", "--field", "9", "--theorem", "T3.10"]) == 2
+    assert main(["verify", "--field", "9", "--theorem", "T3.10"]) == 0
+    assert calls == ["verify_completeness_dichotomy"]
+    capsys.readouterr()
+    assert main(["verify", "--field", "9", "--theorem", "T3.4"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "q <= 8" in err
-    assert calls == []
+    assert err.count("\n") == 1 and "does not apply to q=9" in err
+    assert calls == ["verify_completeness_dichotomy"]
 
 
 def test_acceptance_verify_error_exit_2(monkeypatch, capsys):
@@ -261,7 +266,7 @@ def test_internal_error_exit_3(monkeypatch, capsys):
 
     def broken(F, jobs=1):
         raise RuntimeError("kernel fault")
-    monkeypatch.setitem(V.DRIVERS, "censuses", (broken, ("any", None)))
+    monkeypatch.setitem(V.DRIVERS, "censuses", (broken, "any"))
     assert main(["verify", "--field", "3", "--theorem", "censuses"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1

@@ -246,6 +246,16 @@ def test_point_class_that_is_not_one_orbit_raises(monkeypatch):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_schreier_generators_that_fall_short_raise(monkeypatch):
+    # with the identity for every Schreier generator the closure stays at
+    # one element, short of |Stab(x_P3)|
+    pc = invariants.PointClass(tables(make_field(3, 1)), 4)
+    monkeypatch.setattr(pc, "schreier_generators",
+                        lambda lo, hi: np.eye(3, dtype=np.uint8)[None])
+    with pytest.raises(invariants.ClassificationError, match="fall short"):
+        pc.stabilizer
+
+
 def test_orbit_of_nucleus_point():
     F = make_field(2, 2)
     P = canonicalize(F, [(0, 1, 0, 0, 0, 0)])

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from srd3 import bulk
 from srd3.gf import make_field, parse_field_spec
-from srd3.invariants import (ClassificationError, GeomTables, hyperplane_census, pgl3_order,
-                             point_class, stabilizer_order, tables)
+from srd3.invariants import (ClassificationError, GeomTables, hyperplane_census, k_generators,
+                             pgl3_order, point_class, quotient_orbits, stabilizer_order, tables)
 from srd3.pg import gaussian_binomial
-from srd3.report import DISCREPANCY, PASS, SAMPLED, render
+from srd3.report import DISCREPANCY, PASS, render
 from srd3.verify import (_CLASS_ORDER, _COMPLETE, _OD4, VerifyError, _bases_through,
                          _class_column, _class_size, _counts, _histogram, _ids_where,
                          _is_orbit, _keys, _min_rank2_solid_sigs, _rank1_free,
@@ -27,7 +27,7 @@ from srd3.verify import (_CLASS_ORDER, _COMPLETE, _OD4, VerifyError, _bases_thro
 from oracles import (keys_filtered, line_sweep_union, on_line_pair, pencils_unfiltered,
                      r2n_h1_sweep, rank1_free_groups_unfiltered,
                      solid_counts_through_points, solids_through_point,
-                     spans_through_eliminate, through_unfiltered)
+                     spans_through_eliminate, through_one_level, through_unfiltered)
 
 
 def _ok(reports):
@@ -97,25 +97,10 @@ def test_t321_disjoint_needs_different_extension_counts(monkeypatch):
     assert not d3.ok
 
 
-def _sampled_above(monkeypatch, q):
-    """Lower verify.EXACT_MAX_Q to q, so that larger fields are sampled."""
-    import srd3.verify as V
-    monkeypatch.setattr(V, "EXACT_MAX_Q", q)
-
-
-def test_r2n_h1_full_q4_and_sampled(monkeypatch):
-    F = make_field(2, 2)
-    r, = _ok(verify_r2n_equals_h1(F))
+def test_r2n_h1_full_q4():
+    r, = _ok(verify_r2n_equals_h1(make_field(2, 2)))
     assert r.status == PASS
     assert r.computed == {"mismatches": 0, "planes": 376805}
-    _sampled_above(monkeypatch, 2)
-    s, = _ok(verify_r2n_equals_h1(F))
-    assert s.status == SAMPLED
-    # the sample runs in two _block_size(4, 3) blocks; the figures are
-    # those of the earlier one-batch run
-    assert s.computed == {"mismatches": 0}
-    assert s.details == {"planes_checked": 100000,
-                         "intersection_dim_histogram": [69505, 30016, 478, 1]}
 
 
 def test_r2n_h1_rejects_odd():
@@ -125,25 +110,11 @@ def test_r2n_h1_rejects_odd():
 
 @pytest.mark.parametrize("spec", ["9", "3^2/1,2"])
 def test_solids_exact_golden_q9(spec):
-    # counted, not sampled, above EXACT_MAX_Q: |G| / 160, / 8 and / 4
+    # |G| / 160, / 8 and / 4
     r, = _ok(verify_solids(parse_field_spec(spec)))
     assert r.status == PASS
     assert sorted(r.details["group_sizes"].values()) == [265356, 5307120, 10614240]
     assert r.details["total_solids"] == gaussian_binomial(6, 4, 9)
-
-
-def test_solids_read_no_sample(monkeypatch):
-    import srd3.verify as V
-    sample = V._sample_counts
-
-    def no_solid_sample(F, k, jobs=1):
-        assert k != 4, "a solid sample was drawn"
-        return sample(F, k, jobs)
-
-    monkeypatch.setattr(V, "_sample_counts", no_solid_sample)
-    monkeypatch.setattr(V, "_sweep_cache", {})
-    r, = _ok(verify_solids(make_field(3, 2)))
-    assert r.status == PASS
 
 
 def test_dichotomy_q3():
@@ -250,54 +221,6 @@ def test_nets_q3():
     r, = _ok(verify_net_corollaries(make_field(3, 1)))
     assert r.computed["violations"] == 0
     assert r.computed["spot"]["o8_2"] == (0, 14, 2, 24)
-
-
-def test_sampled_c4_golden_q5(monkeypatch):
-    _sampled_above(monkeypatch, 2)
-    r, = _ok(verify_net_corollaries(make_field(5, 1)))
-    assert r.status == SAMPLED
-    assert r.computed == {"violations": 0}
-    assert r.details == {"sampled_planes": 100000, "checked": 77681}
-
-
-def test_sampled_c4_golden_q8(monkeypatch):
-    # 100000 sampled planes are four _block_size(8, 3) blocks
-    _sampled_above(monkeypatch, 2)
-    r, = _ok(verify_net_corollaries(make_field(2, 3)))
-    assert r.status == SAMPLED
-    assert r.computed == {"violations": 0}
-    assert r.details == {"sampled_planes": 100000, "checked": 86708}
-
-
-def test_sampled_c4_q13(monkeypatch):
-    # 13^18 > 2^63: a plane written as 18 base-q digits does not fit int64,
-    # its id does
-    import srd3.verify as V
-    monkeypatch.setattr(V, "SAMPLE_SIZE", 3000)
-    monkeypatch.setattr(V, "_sweep_cache", {})  # no sample of another size
-    _sampled_above(monkeypatch, 2)
-    r, = _ok(verify_net_corollaries(make_field(13, 1)))
-    assert r.status == SAMPLED
-    assert r.details["sampled_planes"] == 3000
-    assert 0 < r.details["checked"] < 3000
-
-
-def test_checks_share_one_sample_per_dimension(monkeypatch):
-    # T3.7 and C4 read one plane sample; T3.3 is exact and draws none
-    import srd3.verify as V
-    drawn = []
-    draw = bulk.sample_subspaces
-
-    def counting(kit, n, projdim, count, seed):
-        drawn.append(projdim + 1)
-        return draw(kit, n, projdim, count, seed)
-
-    monkeypatch.setattr(bulk, "sample_subspaces", counting)
-    monkeypatch.setattr(V, "_sweep_cache", {})
-    _sampled_above(monkeypatch, 2)
-    reports = _ok(run_checks(make_field(2, 2), ids=["T3.3", "T3.7", "C4"]))
-    assert [r.status for r in reports] == [PASS, SAMPLED, SAMPLED]
-    assert drawn == [3]
 
 
 def test_schmidt_all_small_q():
@@ -532,6 +455,56 @@ def test_probed_passes_count_as_unfiltered(p, h, monkeypatch):
     for c in _CLASS_ORDER:
         want = _counted(F, c, through_unfiltered(F, 4, c))
         assert _counted(F, c, solids_through_point(F, c)) == want, c
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "2^3/101", "3^2/1,2"])
+def test_quotient_passes_match_the_one_level_oracle(spec):
+    # the counts through the orbits of the quotient against the probed
+    # pass over every line or plane through x_c, for every class
+    F = parse_field_spec(spec)
+    for k in (2, 3):
+        for c in _CLASS_ORDER:
+            assert _through(F, k, c) == through_one_level(F, k, c), (k, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(["2", "3", "4", "5"]), k=st.sampled_from([2, 3]),
+       c=st.sampled_from([4, 2, 3]), n=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_quotient_counts_do_not_depend_on_the_group(spec, k, c, n, seed):
+    # H generated by n random elements of Stab(x_c) counts the same as the
+    # Schreier generators' group; with none, every point is its own orbit
+    F = parse_field_spec(spec)
+    pc = point_class(F, c)
+    want = _through(F, k, c)
+    stab = pc.stabilizer
+    gens = stab[np.random.default_rng(seed).integers(0, len(stab), n)]
+    orbits = quotient_orbits(tables(F).kit, _point(F, c), gens)
+    label, sizes, reps = orbits
+    assert int(sizes.sum()) == len(label[1:]) // (F.q - 1) == gaussian_binomial(5, 1, F.q)
+    assert np.array_equal(label[reps], np.arange(len(reps)))
+    if n == 0:
+        assert (sizes == 1).all()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(vars(pc), "quotient_orbits", orbits)
+        assert _through(F, k, c) == want
+
+
+def test_quotient_orbits_need_generators_that_fix_the_point():
+    F = make_field(3, 1)
+    gens = np.array(k_generators(F), dtype=np.uint8)
+    with pytest.raises(ClassificationError):
+        quotient_orbits(tables(F).kit, _point(F, 4), gens)
+
+
+def test_quotient_count_not_a_multiple_is_an_internal_error(monkeypatch):
+    # orbits claimed to hold one point each, where a plane meets its first
+    # orbit in s > 1 points: |O| m is then not a multiple of s
+    F = make_field(3, 1)
+    pc = point_class(F, 4)
+    label, sizes, reps = pc.quotient_orbits
+    monkeypatch.setitem(vars(pc), "quotient_orbits", (label, np.ones_like(sizes), reps))
+    with pytest.raises(RuntimeError, match="not a multiple"):
+        _through(F, 3, 4)
 
 
 @pytest.mark.parametrize("p,h", [(2, 2), (5, 1)], ids=["q4", "q5"])
@@ -864,9 +837,10 @@ def test_empty_block_contributes_nothing():
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2)], ids=["q3", "q4"])
 def test_small_blocks_fork_and_count_the_same(p, h, monkeypatch):
     # default blocks hold a whole pass at q <= 4, so _pmap never forks; with
-    # small blocks the chunks cross the pivot patterns of U, or of the
-    # points u of the pencils, and jobs=2 forks.  Every pencil of a block
-    # gets one key row
+    # small blocks the chunks of the plane passes run from one quotient
+    # orbit into the next, those of the pencils cross the pivot patterns of
+    # the points u, and jobs=2 forks.  Every pencil of a block gets one key
+    # row
     import srd3.verify as V
     F = make_field(p, h)
     want = {k: _counts(F, k) for k in (2, 3, 4)}
@@ -892,14 +866,11 @@ def test_small_blocks_fork_and_count_the_same(p, h, monkeypatch):
             assert _counts(F, k, jobs) == want[k], (k, jobs)
         if jobs == 1:
             assert pencil_blocks and all(n == rows for n, rows in pencil_blocks)
-    # the blocks of lines and planes are ranges of U's ids, those of the
-    # pencils ranges of u's
-    cuts = {k: [hi for _, hi in bulk.id_chunks(F.q, d, gaussian_binomial(6, d, F.q))]
-            for k, d in ((2, 1), (3, 2), (4, 1))}
-    for k in (2, 3, 4):
-        crossing = [(lo, hi) for kk, (lo, hi) in chunks if kk == k
-                    and any(lo < cut < hi for cut in cuts[k])]
-        assert crossing, k
+    # a plane block is a range of (orbit, u) pairs, [4 choose 1]_q per orbit
+    per_orbit = gaussian_binomial(4, 1, F.q)
+    assert [(lo, hi) for k, (lo, hi) in chunks if k == 3 and lo // per_orbit != (hi - 1) // per_orbit]
+    cuts = [hi for _, hi in bulk.id_chunks(F.q, 1, gaussian_binomial(6, 1, F.q))]
+    assert [(lo, hi) for k, (lo, hi) in chunks if k == 4 and any(lo < cut < hi for cut in cuts)]
 
 
 def test_golden_counts_q5():
@@ -944,6 +915,34 @@ def test_exact_goldens_q8():
     assert r["T3.7"].details["intersection_dim_histogram"] == [134217728, 21827584, 42632, 1]
     assert r["T3.10"].details["complete_planes"] == r["T3.10"].details["family_size"] == 86360
     assert r["T3.21"].details["min_rank3_planes"] == 75264
+
+
+@pytest.mark.parametrize("spec", ["9", "3^2/1,2"])
+def test_exact_goldens_q9(spec):
+    # the line and plane checks run above q = 8 too, every row exact
+    r = _exact_run(parse_field_spec(spec))
+    assert set(r) == {"censuses", "tables", "T3.2", "T3.10", "T3.12", "T3.21",
+                      "C4", "Y03q", "CR3-OD4"}
+    # 2 |G| / 273
+    assert r["T3.21"].details["min_rank3_planes"] == 311040 == 2 * pgl3_order(9) // 273
+    assert r["T3.21"].details["orbit_sizes"] == [155520, 155520]
+    assert r["T3.10"].details["min_rank2_lines"] == 34212087
+    assert r["T3.10"].details["min_rank2_planes"] == 389682657
+    assert r["C4"].details == {"planes_r1zero_with_line_pair": 389682657,
+                               "total_planes": 441826660}
+
+
+def test_exact_goldens_q16():
+    r = _exact_run(make_field(2, 4))
+    assert set(r) == {"censuses", "tables", "T3.3", "T3.4", "T3.8", "T3.7", "T3.10",
+                      "T3.14", "T3.21", "C4", "Y03q", "CR3-OD4"}
+    assert r["T3.7"].details["intersection_dim_histogram"] == [
+        68719476736, 4884332544, 1192464, 1]
+    assert r["T3.7"].computed["planes"] == 73605001745
+    for cid, n in (("T3.4", 4095), ("T3.8", 5569200)):
+        assert r[cid].details["matching_planes"] == r[cid].details["orbit_size"] == n
+    assert r["T3.10"].details["complete_planes"] == r["T3.10"].details["family_size"] == 5573296
+    assert r["T3.21"].details["min_rank3_planes"] == 5222400
 
 
 def test_render_formats():

@@ -24,8 +24,9 @@ label is the one whose formula gives its number of rank-3 points.
 The two constant-rank-3 planes (q odd) are told apart by the rank-1 points
 of their scalar extension to GF(q^3): 3 for the trace-form plane Sigma_GF,
 0 for its polar image Sigma_TF.  rank1_points_over_cubic_extension counts
-them as the common zeros in PG(2, q^3) of the dual net of conics, one
-numpy block of points at a time.
+them as the common zeros in PG(2, q^3) of the dual net of conics, found on
+one conic of the net with no y^2 term: O(q^3) candidates, tested by one
+combine over GF(q), where PG(2, q^3) has O(q^6) points.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srd3.gf import FieldCtx, cubic_extension, is_square, trace2
-from srd3.invariants import od0, od4
-from srd3.pg import Subspace, canonicalize, nullspace
-from srd3.veronese import polarity_rho
+from srd3 import bulk
+from srd3.gf import (FieldCtx, cubic_extension, ext_basis, is_square, power_coordinates,
+                     trace2)
+from srd3.invariants import tables
+from srd3.pg import Subspace, canonicalize, dual_basis
+from srd3.veronese import conic_eval, pg2_points, polarity_rho
 
 
 class AtlasError(ValueError):
@@ -51,13 +54,7 @@ class AtlasError(ValueError):
 def _rootless(F: FieldCtx, coeffs: tuple[int, ...]) -> bool:
     """The polynomial sum_i coeffs[i] * l^i, constant term first, has no
     root l in F."""
-    for lam in F.elements():
-        val = 0
-        for c in reversed(coeffs):
-            val = F.add(F.mul(val, lam), c)
-        if val == 0:
-            return False
-    return True
+    return all(_peval(F, coeffs, lam) for lam in F.elements())
 
 
 def find_params(condition: str, F: FieldCtx) -> dict[str, int]:
@@ -212,7 +209,7 @@ def sigma_gf_plane(F: FieldCtx) -> Subspace:
     """
     ext = cubic_extension(F)
     E = ext.ext
-    basis = _ext_basis(ext)
+    basis = ext_basis(ext)
     rows = []
     for c in basis:
         gram = []
@@ -225,15 +222,6 @@ def sigma_gf_plane(F: FieldCtx) -> Subspace:
     if W.projdim != 2:
         raise AtlasError("trace-form plane is degenerate")
     return W
-
-
-def _ext_basis(ext) -> tuple[int, int, int]:
-    """A GF(q)-basis 1, z, z^2 of GF(q^3), z the first element outside the
-    embedded GF(q).  Such a z has degree 3 over GF(q), because the degree
-    divides [GF(q^3):GF(q)] = 3, a prime."""
-    emb = set(ext.embed_table)
-    z = next(z for z in range(ext.ext.q) if z not in emb)
-    return (1, z, ext.ext.mul(z, z))
 
 
 def sigma_tf_plane(F: FieldCtx) -> Subspace:
@@ -532,61 +520,113 @@ def representative(rep_id: str, F: FieldCtx) -> Subspace:
 def rank1_points_over_cubic_extension(F: FieldCtx, W: Subspace) -> int:
     """Number of rank-1 points of the scalar extension of W to GF(q^3).
 
-    The rank-1 points of PG(5, q^3) are the Veronese images nu(u) of the
-    points u of PG(2, q^3), and nu(u) lies in W (x) GF(q^3) iff it lies on
-    every hyperplane through W.  So the count is the number of common
-    zeros in PG(2, q^3) of the conics c . nu(u), c running over a basis of
-    W's dual: the affine chart (1, x, y) in blocks of x, then the line
-    (0, 1, y), then the point (0, 0, 1).
+    The rank-1 points of PG(5, Q), Q = q^3, are the Veronese images nu(u)
+    of the points u of PG(2, Q), and nu(u) lies in W (x) GF(Q) iff every
+    dual vector d of W vanishes there.  So the count is the number of
+    common zeros in PG(2, Q) of the dual net of conics d . nu(u), and they
+    all lie on any one conic R of the net.  Take R with no y^2 term (a
+    combination of two duals cancels it), and the other duals so that with
+    R they span the net.  On the chart u = (1, x, y), R reads B(x) y + A(x),
+    with B and A over GF(q) of degree at most 1 and 2.  The candidates are
+    its zeros, and a candidate counts iff every other dual vanishes there:
+
+      (1, x, -A/B) for each x with B(x) != 0: there d . B^2 nu is a
+          polynomial in x over GF(q) of degree <= 4;
+      (1, x0, y) for every y, at each x0 with B(x0) = A(x0) = 0: at most
+          two, all in GF(q), since a root in GF(Q) of a polynomial over
+          GF(q) of degree <= 2 has degree 1 or 2 over GF(q), and 2 does not
+          divide 3; there d . nu is a quadratic in y;
+      on the line u0 = 0, where R reads r3 + r4 y: (0, 0, 1), one more
+          point (0, 1, -r3/r4) of PG(2, q) if r4 != 0, and every (0, 1, y)
+          if r3 = r4 = 0, where d . nu is a quadratic in y.
+
+    The points of PG(2, q) are tested one by one.  Everywhere else the x or
+    y in GF(Q) that count are those at which every other dual's polynomial
+    vanishes: one combine of their coefficients with the coordinates over
+    GF(q) of the powers of every element of GF(Q) (gf.power_coordinates).
+    A hyperplane (one dual) whose conic keeps its y^2 term keeps its type
+    over GF(Q), an odd-degree extension, so its count follows from its
+    number of GF(q)-points: 1, q + 1 or 2q + 1 give 1, Q + 1 or 2Q + 1.
     """
-    ext = cubic_extension(F)
-    Q = ext.ext.q
-    duals = nullspace(F, W.rows)
+    q = F.q
+    Q = q ** 3
+    duals = dual_basis(W)
     if not duals:
         return Q * Q + Q + 1
-    # the embedded conics, with a zero coefficient appended at index 6
-    C = np.zeros((len(duals), 7), dtype=np.int64)
-    C[:, :6] = np.array(ext.embed_table)[np.array(duals)]
-    every, zero = np.arange(Q), np.zeros(1, dtype=np.int64)
-    return (_chart_zeros(ext.ext, C[:, :6], every, every)
-            + _chart_zeros(ext.ext, C[:, [3, 6, 4, 6, 6, 5]], zero, every)
-            + _chart_zeros(ext.ext, C[:, [5, 6, 6, 6, 6, 6]], zero, zero))
-
-
-# points of one (x-chunk, y) block of _chart_zeros
-CHART_BLOCK = 1 << 16
-
-
-def _chart_zeros(E: FieldCtx, C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int:
-    """Number of (x, y) in xs * ys at which every conic
-    c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2 of C (m, 6) vanishes.  The
-    first conic is evaluated on blocks of CHART_BLOCK points, the others
-    only at its zeros; products go through E's log/exp tables."""
-    LOG, EXP = E.np_table('log'), E.np_table('exp')
-    ADD = None if E.p == 2 else E.np_table('add')
-
-    def add(a, b):
-        return a ^ b if ADD is None else ADD[a, b]
-
-    def mul(a, b):
-        return EXP[LOG[a] + LOG[b]]
-
-    def value(c, x, y):
-        const = add(add(c[0], mul(c[1], x)), mul(c[3], mul(x, x)))
-        slope = add(c[2], mul(c[4], x))
-        return add(add(const, mul(slope, y)), mul(c[5], mul(y, y)))
-
-    rows = max(1, CHART_BLOCK // len(ys))
-    count = 0
-    for s in range(0, len(xs), rows):
-        x = xs[s:s + rows, None]
-        i, j = np.nonzero(value(C[0], x, ys[None, :]) == 0)
-        x, y = x[i, 0], ys[j]
-        for c in C[1:]:
-            keep = value(c, x, y) == 0
-            x, y = x[keep], y[keep]
-        count += len(x)
+    i = next((i for i, d in enumerate(duals) if d[5] == 0), None)
+    if i is None and len(duals) == 1:
+        zeros = sum(conic_eval(F, duals[0], u) == 0 for u in pg2_points(F))
+        return {1: 1, q + 1: Q + 1, 2 * q + 1: 2 * Q + 1}[zeros]
+    if i is None:
+        d, e = duals[:2]
+        s = F.mul(d[5], F.inv(e[5]))
+        red, others = tuple(F.sub(a, F.mul(s, b)) for a, b in zip(d, e)), duals[1:]
+    else:
+        # a hyperplane keeps R as its own other dual, zero wherever R is
+        red, others = duals[i], duals[:i] + duals[i + 1:] or duals
+    r0, r1, r2, r3, r4, _ = red
+    A, B = (r0, r1, r3), (r2, r4)
+    count = all(d[5] == 0 for d in others)
+    if r4:
+        y = F.neg(F.mul(r3, F.inv(r4)))
+        count += all(_peval(F, d[3:], y) == 0 for d in others)
+        root = F.neg(F.mul(r2, F.inv(r4)))
+        special = [root] if _peval(F, A, root) == 0 else []
+    else:
+        special = [] if r2 else [x for x in F.elements() if _peval(F, A, x) == 0]
+    # each block: the six entries of (a multiple of) nu as polynomials in x or y
+    blocks = []
+    if r2 or r4:
+        BB, AB = _pmul(F, B, B), tuple(F.neg(c) for c in _pmul(F, A, B))
+        blocks.append((BB, (0,) + BB, AB, (0, 0) + BB, (0,) + AB, _pmul(F, A, A)))
+    for x in special:
+        blocks.append(((1,), (x,), (0, 1), (F.mul(x, x),), (0, x), (0, 0, 1)))
+    if not (r3 or r4):
+        blocks.append(((), (), (), (1,), (0, 1), (0, 0, 1)))
+    if not blocks:
+        return count
+    nb, m = len(blocks), len(others)
+    # column b m + k: the polynomial of the k-th other dual in block b
+    coef = np.array([_combination(F, d, block) for block in blocks for d in others],
+                    dtype=np.uint8).T
+    # its values' coordinates c at every element of GF(Q): (Q, 3) codes of
+    # nb m digits, block by block
+    vals = bulk.combine(bulk.kit_for(F), power_coordinates(F), coef)
+    shift = q ** (m * np.arange(nb - 1, -1, -1))
+    hits = ~(vals[:, :, None] // shift % q ** m).any(axis=1)
+    count += int(hits.sum())
+    if r4:
+        # the root of B is no chart point of the first block
+        count -= int(hits[cubic_extension(F).embed_table[root], 0])
     return count
+
+
+def _combination(F: FieldCtx, d: tuple[int, ...], polys: tuple) -> list[int]:
+    """sum_j d[j] polys[j] for polynomials of degree <= 4, constant terms
+    first: its five coefficients."""
+    out = [0] * 5
+    for dj, poly in zip(d, polys):
+        if dj:
+            for t, c in enumerate(poly):
+                out[t] = F.add(out[t], F.mul(dj, c))
+    return out
+
+
+def _peval(F: FieldCtx, poly: tuple[int, ...], x: int) -> int:
+    """poly (constant term first) at x."""
+    acc = 0
+    for c in reversed(poly):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def _pmul(F: FieldCtx, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two polynomials, constant terms first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -595,32 +635,46 @@ def _chart_zeros(E: FieldCtx, C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> 
 
 def atlas_entry(rep_id: str, F: FieldCtx) -> dict:
     """Representative with parameters, basis and computed distributions."""
-    W = representative(rep_id, F)
-    q = F.q
-    entry = {
-        "id": rep_id,
-        "field": F.spec,
-        "kind": {1: "line", 2: "plane", 3: "solid"}[W.projdim],
-        "basis": [list(r) for r in W.rows],
-        "od0": list(od0(W)),
-        "od4": list(od4(W)),
-    }
-    spec = rep_spec(rep_id, F)
-    params = rep_params(rep_id, F)
-    if params:
-        entry["params"] = params
-    if spec.od0_formula is not None:
-        entry["expected_od0"] = list(spec.od0_formula(q))
-    if spec.od4_formula is not None:
-        entry["expected_od4"] = list(spec.od4_formula(q))
-    if spec.ambiguous_with:
-        entry["ambiguous_with"] = spec.ambiguous_with
-    if "expected_od0" in entry:
-        entry["od0_match"] = entry["od0"] == entry["expected_od0"]
-    if "expected_od4" in entry:
-        entry["od4_match"] = entry["od4"] == entry["expected_od4"]
-    return entry
+    return _entries(F, [rep_id])[0]
 
 
 def emit_atlas(F: FieldCtx) -> list[dict]:
-    return [atlas_entry(rid, F) for rid in rep_ids(F)]
+    return _entries(F, rep_ids(F))
+
+
+def _entries(F: FieldCtx, ids: list[str]) -> list[dict]:
+    """atlas_entry of each id, with one od0_batch and one od4_batch over
+    the representatives of each dimension."""
+    reps = [representative(rid, F) for rid in ids]
+    t = tables(F)
+    dists = {}
+    for k in sorted({W.k for W in reps}):
+        at = [i for i, W in enumerate(reps) if W.k == k]
+        bases = np.array([reps[i].rows for i in at], dtype=np.uint8)
+        dists.update(zip(at, zip(t.od0_batch(bases).tolist(), t.od4_batch(bases).tolist())))
+    out = []
+    for i, (rep_id, W) in enumerate(zip(ids, reps)):
+        spec = rep_spec(rep_id, F)
+        entry = {
+            "id": rep_id,
+            "field": F.spec,
+            "kind": {1: "line", 2: "plane", 3: "solid"}[W.projdim],
+            "basis": [list(r) for r in W.rows],
+            "od0": dists[i][0],
+            "od4": dists[i][1],
+        }
+        params = rep_params(rep_id, F)
+        if params:
+            entry["params"] = params
+        if spec.od0_formula is not None:
+            entry["expected_od0"] = list(spec.od0_formula(F.q))
+        if spec.od4_formula is not None:
+            entry["expected_od4"] = list(spec.od4_formula(F.q))
+        if spec.ambiguous_with:
+            entry["ambiguous_with"] = spec.ambiguous_with
+        if "expected_od0" in entry:
+            entry["od0_match"] = entry["od0"] == entry["expected_od0"]
+        if "expected_od4" in entry:
+            entry["od4_match"] = entry["od4"] == entry["expected_od4"]
+        out.append(entry)
+    return out

@@ -19,8 +19,10 @@ distribution signatures, which separate all classes; the d = 3 split into
 field-type and twisted-type is decided by counting rank-1 points after
 scalar extension to GF(q^3) (3 for field type, 0 for twisted type).  That
 count is the number of common zeros in PG(2, q^3) of the conics of the
-code's dual (atlas.rank1_points_over_cubic_extension), so it needs no
-point tables and no walk over the extended code.
+code's dual (atlas.rank1_points_over_cubic_extension), which lie on one
+conic of the dual net: the O(q^3) points of that conic are its candidates,
+so it needs no point tables, no walk over the extended code and no scan of
+PG(2, q^3).
 """
 
 from __future__ import annotations

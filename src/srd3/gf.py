@@ -500,3 +500,38 @@ def cubic_extension(F: FieldCtx) -> CubicExt:
     if fixed != set(emb):
         raise FieldError("Frobenius fixed field mismatch")
     return ext
+
+
+def ext_basis(ext: CubicExt) -> tuple[int, int, int]:
+    """A GF(q)-basis 1, z, z^2 of GF(q^3), z the first element outside the
+    embedded GF(q).  Such a z has degree 3 over GF(q), because the degree
+    divides [GF(q^3):GF(q)] = 3, a prime."""
+    emb = set(ext.embed_table)
+    z = next(z for z in range(ext.ext.q) if z not in emb)
+    return (1, z, ext.ext.mul(z, z))
+
+
+@lru_cache(maxsize=None)
+def power_coordinates(F: FieldCtx) -> np.ndarray:
+    """(q^3, 3, 5) uint8 of F-codes: entry [x, c, t] is the c-th coordinate
+    of x^t (x a GF(q^3) code, t = 0..4) in the basis of ext_basis.  Built
+    once per field, next to cubic_extension; GF(q^3)-polynomials with
+    coefficients in F are evaluated at every x as one F-linear combination
+    of these rows."""
+    ext = cubic_extension(F)
+    E, q = ext.ext, F.q
+    emb = np.array(ext.embed_table, dtype=np.int64)
+    # the code of a + b z + c z^2 for every (a, b, c), added digit by digit
+    terms = [np.array([E.mul(e, w) for e in ext.embed_table], dtype=np.int64)
+             for w in ext_basis(ext)[1:]]
+    digits = [d.reshape(-1) for d in np.meshgrid(emb, *terms, indexing='ij')]
+    code = np.zeros(E.q, dtype=np.int64)
+    for i in range(E.h):
+        code += sum(d // E.p ** i for d in digits) % E.p * E.p ** i
+    coords = np.empty((E.q, 3), dtype=np.uint8)
+    coords[code] = np.stack(np.meshgrid(*[np.arange(q)] * 3, indexing='ij'), -1).reshape(-1, 3)
+    LOG, EXP = E.np_table('log'), E.np_table('exp')
+    powers = [np.ones(E.q, dtype=np.int64), np.arange(E.q)]
+    for _ in range(3):
+        powers.append(EXP[LOG[powers[-1]] + LOG[powers[1]]])
+    return coords[np.stack(powers, -1)].transpose(0, 2, 1).copy()

@@ -577,6 +577,12 @@ class PointClass:
                         _mat_mul(kit, self._gens[:, None], h).reshape(-1, 3, 3))
 
     @cached_property
+    def first_block(self) -> np.ndarray:
+        """schreier_generators(0, SCHREIER_BLOCK), which both stabilizer and
+        quotient_orbits start from."""
+        return self.schreier_generators(0, SCHREIER_BLOCK)
+
+    @cached_property
     def stabilizer(self) -> np.ndarray:
         """The elements (g, 3, 3) of Stab(x_c), one matrix each."""
         kit = self._kit
@@ -585,7 +591,8 @@ class PointClass:
         seen = _element_codes(kit, elems)
         used: list[np.ndarray] = []
         for lo in range(0, len(self.codes), SCHREIER_BLOCK):
-            schreier = self.schreier_generators(lo, lo + SCHREIER_BLOCK)
+            schreier = (self.first_block if lo == 0
+                        else self.schreier_generators(lo, lo + SCHREIER_BLOCK))
             gen_codes, first = np.unique(_element_codes(kit, schreier), return_index=True)
             new = ~np.isin(gen_codes, seen, assume_unique=True)
             while len(seen) < order and new.any():
@@ -610,10 +617,12 @@ class PointClass:
         non-identity Schreier generators of the first block, spread across
         it: those of its first points lie in small subgroups."""
         kit = self._kit
-        gens = self.schreier_generators(0, SCHREIER_BLOCK)
+        gens = self.first_block
         codes, first = np.unique(_element_codes(kit, gens), return_index=True)
         first = np.sort(first[codes != _element_codes(kit, np.eye(3, dtype=np.uint8))])
-        pick = np.unique(np.linspace(0, len(first) - 1, QUOTIENT_GENERATORS).astype(int))
+        # ascending, so dict.fromkeys drops the repeats that len(first) < 4 makes
+        pick = list(dict.fromkeys(np.linspace(0, len(first) - 1,
+                                              QUOTIENT_GENERATORS).astype(int).tolist()))
         return quotient_orbits(kit, bulk.decode(self.codes[:1], kit.q, 6)[0],
                                gens[first[pick]] if len(first) else gens[:0])
 
@@ -643,14 +652,18 @@ def quotient_orbits(kit: bulk.Kit, x: np.ndarray,
     act = kit.sub(rows, kit.mul(rows[:, :, j, None], x))[:, :, off]
     img = np.searchsorted(pts, norm[bulk.combine(kit, bulk.decode(pts, q, 5), act)])
     label = np.full(len(pts), -1, dtype=np.int32)
+    # the next frontier, marked point by point: np.unique would import numpy.ma
+    mark = np.zeros(len(pts), dtype=bool)
     sizes = []
     while (label < 0).any():
         frontier = np.argmax(label < 0)[None]
         label[frontier] = len(sizes)
         sizes.append(1)
         while len(frontier):
-            frontier = np.unique(img[:, frontier])
-            frontier = frontier[label[frontier] < 0]
+            step = img[:, frontier].ravel()
+            mark[step[label[step] < 0]] = True
+            frontier = np.flatnonzero(mark)
+            mark[frontier] = False
             label[frontier] = len(sizes) - 1
             sizes[-1] += len(frontier)
     reps = pts[np.unique(label, return_index=True)[1]]

@@ -184,25 +184,30 @@ def incident(F: FieldCtx, point: Iterable[int], dual: Iterable[int]) -> bool:
     return s == 0
 
 
+def dual_basis(W: Subspace) -> tuple[tuple[int, ...], ...]:
+    """A basis of {d : w . d = 0 for every w in W}, read off W's RREF rows
+    without elimination: for each free column f, the vector with 1 at f,
+    -row[f] at each row's pivot and 0 elsewhere.  Not itself reduced."""
+    F, rows = W.F, W.rows
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    basis = []
+    for f in range(len(rows[0])):
+        if f in pivots:
+            continue
+        v = [0] * len(rows[0])
+        v[f] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = F.neg(row[f])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
 def nullspace(F: FieldCtx, rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """Basis (RREF) of {d : M d = 0} for the row matrix M."""
     red, rank = rref(F, rows)
     if not red:
         raise ValueError("empty matrix")
-    ncols = len(red[0])
-    pivots = []
-    for row in red:
-        pivots.append(next(j for j, x in enumerate(row) if x))
-    pset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pset:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = F.neg(red[i][f])
-        basis.append(tuple(v))
+    basis = dual_basis(Subspace(F, red))
     if not basis:
         return ()
     return rref(F, basis)[0]

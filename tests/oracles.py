@@ -13,7 +13,9 @@ classes one vector at a time, which the package reads from the dense
 tables of invariants.GeomTables, linear combinations over GF(q) by
 MUL/ADD table gathers, which bulk.combine computes as codes by a digit
 matmul or XOR, the rank-1 points over GF(q^3) by walking the scalar
-extension, which the package counts as common zeros of the dual conics,
+extension and by scanning every point of PG(2, q^3) for the common zeros
+of the dual conics, which the package finds on one reduced conic of the
+net,
 quotient images by row elimination, which bulk.quotient_codes reads as
 the values of the dual vectors, the rank-1-free sweep with od0_batch over
 every subspace, the key rows of planes and solids by the rank-1 filter,
@@ -571,6 +573,57 @@ def rank1_points_over_cubic_extension_scalar(F: FieldCtx, W: Subspace) -> int:
                         v[j] = E.add(v[j], E.mul(c, x))
         if point_rank(E, v) == 1:
             count += 1
+    return count
+
+
+def rank1_points_over_cubic_extension_chart(F: FieldCtx, W: Subspace) -> int:
+    """atlas.rank1_points_over_cubic_extension by scanning every point of
+    PG(2, q^3) for the common zeros of W's dual conics: the affine chart
+    (1, x, y) in blocks of x, then the line (0, 1, y), then the point
+    (0, 0, 1)."""
+    ext = cubic_extension(F)
+    Q = ext.ext.q
+    duals = nullspace(F, W.rows)
+    if not duals:
+        return Q * Q + Q + 1
+    # the embedded conics, with a zero coefficient appended at index 6
+    C = np.zeros((len(duals), 7), dtype=np.int64)
+    C[:, :6] = np.array(ext.embed_table)[np.array(duals)]
+    every, zero = np.arange(Q), np.zeros(1, dtype=np.int64)
+    return (_chart_zeros(ext.ext, C[:, :6], every, every)
+            + _chart_zeros(ext.ext, C[:, [3, 6, 4, 6, 6, 5]], zero, every)
+            + _chart_zeros(ext.ext, C[:, [5, 6, 6, 6, 6, 6]], zero, zero))
+
+
+def _chart_zeros(E: FieldCtx, C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> int:
+    """Number of (x, y) in xs * ys at which every conic
+    c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2 of C (m, 6) vanishes.  The
+    first conic is evaluated on blocks of 2^16 points, the others only at
+    its zeros; products go through E's log/exp tables."""
+    LOG, EXP = E.np_table('log'), E.np_table('exp')
+    ADD = None if E.p == 2 else E.np_table('add')
+
+    def add(a, b):
+        return a ^ b if ADD is None else ADD[a, b]
+
+    def mul(a, b):
+        return EXP[LOG[a] + LOG[b]]
+
+    def value(c, x, y):
+        const = add(add(c[0], mul(c[1], x)), mul(c[3], mul(x, x)))
+        slope = add(c[2], mul(c[4], x))
+        return add(add(const, mul(slope, y)), mul(c[5], mul(y, y)))
+
+    rows = max(1, (1 << 16) // len(ys))
+    count = 0
+    for s in range(0, len(xs), rows):
+        x = xs[s:s + rows, None]
+        i, j = np.nonzero(value(C[0], x, ys[None, :]) == 0)
+        x, y = x[i, 0], ys[j]
+        for c in C[1:]:
+            keep = value(c, x, y) == 0
+            x, y = x[keep], y[keep]
+        count += len(x)
     return count
 
 

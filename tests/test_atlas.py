@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srd3 import bulk, invariants
-from srd3.gf import cubic_extension, make_field, parse_field_spec, trace2
-from srd3.atlas import (AtlasError, _ext_basis, atlas_entry, emit_atlas, find_params,
+from srd3.gf import cubic_extension, ext_basis, make_field, parse_field_spec, trace2
+from srd3.atlas import (AtlasError, atlas_entry, emit_atlas, find_params,
                         rep_ids, representative,
                         rank1_points_over_cubic_extension,
                         sigma_gf_plane, sigma_tf_plane)
@@ -16,8 +16,9 @@ from srd3.invariants import od0, od4, orbit_of, rank_distribution
 from srd3.pg import canonicalize, gaussian_binomial, nullspace
 from srd3.veronese import veronese
 
-from oracles import (ext_basis_by_independence, rank1_points_over_cubic_extension_scalar,
-                     sigma18_search)
+from oracles import (all_subspaces, ext_basis_by_independence,
+                     rank1_points_over_cubic_extension_chart,
+                     rank1_points_over_cubic_extension_scalar, sigma18_search)
 
 
 def test_find_params_delta_q3():
@@ -128,7 +129,7 @@ def test_sigma18_entry_equals_line_search(spec):
 @pytest.mark.parametrize("spec", ["2", "3", "4", "5", "9"])
 def test_ext_basis_equals_independence_scan(spec):
     ext = cubic_extension(parse_field_spec(spec))
-    assert _ext_basis(ext) == ext_basis_by_independence(ext)
+    assert ext_basis(ext) == ext_basis_by_independence(ext)
 
 
 @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2)])
@@ -243,6 +244,24 @@ def test_emit_atlas_counts():
     assert len(entries4) == 35
 
 
+def test_emit_atlas_batches_each_dimension(monkeypatch):
+    # one od0_batch and one od4_batch over the lines, planes and solids,
+    # and atlas_entry is the same entry from a batch of one
+    F = make_field(2, 2)
+    want = emit_atlas(F)
+    batches = []
+    G = invariants.GeomTables
+    for name in ("od0_batch", "od4_batch"):
+        def counted(self, bases, name=name, orig=getattr(G, name)):
+            batches.append((name, bases.shape[1]))
+            return orig(self, bases)
+        monkeypatch.setattr(G, name, counted)
+    assert emit_atlas(F) == want
+    assert sorted(batches) == [(name, k) for name in ("od0_batch", "od4_batch")
+                               for k in (2, 3, 4)]
+    assert [atlas_entry(e["id"], F) for e in want] == want
+
+
 # ---------------------------------------------------------------------------
 # Rank-1 points over GF(q^3)
 # ---------------------------------------------------------------------------
@@ -250,16 +269,22 @@ def test_emit_atlas_counts():
 @st.composite
 def _subspaces(draw, specs, dims):
     """A random subspace of PG(5,q) as (F, W).  Each spanning row is a
-    random vector or the Veronese image of a random point, so rank-1 and
-    rank-2 points turn up as well as constant-rank-3 ones."""
+    random vector, the Veronese image of a random point or of a point of
+    the line u0 = 0, or e5 = nu(0, 0, 1), so rank-1 and rank-2 points turn
+    up as well as constant-rank-3 ones, and common zeros of the dual
+    conics off the chart u0 = 1."""
     spec, k = draw(st.sampled_from([(s, k) for s in specs for k in dims(s)]))
     F = parse_field_spec(spec)
     elem = st.integers(0, F.q - 1)
     rows = []
     while len(rows) < k:
-        if draw(st.booleans()):
-            u = draw(st.tuples(elem, elem, elem).filter(any))
-            v = veronese(F, u)
+        kind = draw(st.sampled_from(["vector", "point", "line", "e5"]))
+        if kind == "point":
+            v = veronese(F, draw(st.tuples(elem, elem, elem).filter(any)))
+        elif kind == "line":
+            v = veronese(F, (0,) + draw(st.tuples(elem, elem).filter(any)))
+        elif kind == "e5":
+            v = (0, 0, 0, 0, 0, 1)
         else:
             v = draw(st.tuples(*[elem] * 6).filter(any))
         if canonicalize(F, rows + [v]).k == len(rows) + 1:
@@ -280,6 +305,38 @@ def test_cubic_extension_count_matches_scalar_walk(case):
     F, W = case
     assert (rank1_points_over_cubic_extension(F, W)
             == rank1_points_over_cubic_extension_scalar(F, W))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_cubic_extension_count_matches_chart_oracle_q2(k):
+    # every subspace of PG(5, 2): the reduced-conic pass against the scan
+    # of every point of PG(2, 8)
+    F = make_field(2, 1)
+    for W in all_subspaces(5, 2, k - 1, F=F):
+        assert (rank1_points_over_cubic_extension(F, W)
+                == rank1_points_over_cubic_extension_chart(F, W)), W
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subspaces(["3", "4", "5", "7", "8", "9", "2^3/101", "3^2/1,2"],
+                  lambda spec: range(1, 6)))
+def test_cubic_extension_count_matches_chart_oracle(case):
+    F, W = case
+    assert (rank1_points_over_cubic_extension(F, W)
+            == rank1_points_over_cubic_extension_chart(F, W))
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "9", "16"])
+def test_cubic_extension_count_off_the_chart(spec):
+    # spans of nu(0, 0, 1) = e5 and nu(0, 1, 0) = e3: no dual has a y^2
+    # term, and every common zero lies on the line u0 = 0
+    F = parse_field_spec(spec)
+    Q = F.q ** 3
+    e3, e4, e5 = (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)
+    assert rank1_points_over_cubic_extension(F, canonicalize(F, [e5])) == 1
+    assert rank1_points_over_cubic_extension(F, canonicalize(F, [e3, e5])) == 2
+    # the conic plane of the line u0 = 0: its Q + 1 points
+    assert rank1_points_over_cubic_extension(F, canonicalize(F, [e3, e4, e5])) == Q + 1
 
 
 @pytest.mark.parametrize("spec", ["2", "3", "4", "5", "7", "8"])

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +276,15 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     assert "RuntimeError: kernel fault" in err and "--debug" in err
     with pytest.raises(RuntimeError, match="kernel fault"):
         main(["verify", "--field", "3", "--theorem", "censuses", "--debug"])
+
+
+def test_verify_does_not_import_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma, about 10 ms of a q = 4 run
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); from srd3.cli import main; "
+              "code = main(['verify', '--field', '4', '--format', 'json', '--out', sys.argv[2]]); "
+              "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, str(src), str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

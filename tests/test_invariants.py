@@ -399,6 +399,22 @@ def test_stabilizer_blocks_match_all_points(spec):
         assert len(got) * len(pc.codes) == pgl3_order(F.q), c
 
 
+@pytest.mark.parametrize("spec", ["4", "5"])
+def test_first_schreier_block_is_formed_once(spec, monkeypatch):
+    # stabilizer and quotient_orbits both start from the first block
+    F = parse_field_spec(spec)
+    calls = []
+    form = invariants.PointClass.schreier_generators
+
+    def counted(self, lo, hi):
+        calls.append(lo)
+        return form(self, lo, hi)
+    monkeypatch.setattr(invariants.PointClass, "schreier_generators", counted)
+    pc = invariants.PointClass(tables(F), 4)
+    pc.quotient_orbits, pc.stabilizer
+    assert calls.count(0) == 1
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(["2", "3", "4", "5", "2^3/101", "3^2/1,2"]), st.integers(0, 2 ** 32 - 1))
 def test_lift_batch_matches_lift(spec, seed):

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from srd3.gf import make_field
-from srd3.pg import (BudgetExceeded, canonicalize, coefficient_vectors,
+from srd3.pg import (BudgetExceeded, canonicalize, coefficient_vectors, dual_basis,
                      gaussian_binomial, incident, matrix_rank, normalize_vec,
                      nullspace, rref, subspace_points)
 
@@ -137,6 +137,18 @@ def test_nullspace():
         for r in rows:
             assert sum(F.mul(a, b) for a, b in zip(r, v)) % 5 == 0 or \
                 _dot(F, r, v) == 0
+
+
+@pytest.mark.parametrize("q,projdim", [(2, 0), (2, 2), (3, 1), (3, 3), (4, 4)])
+def test_dual_basis_spans_the_nullspace(q, projdim):
+    # read off the RREF rows, it spans what nullspace eliminates for
+    F = make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    for i, W in enumerate(all_subspaces(5, q, projdim, F=F)):
+        if i % 7:
+            continue
+        duals = dual_basis(W)
+        assert len(duals) == 6 - W.k
+        assert canonicalize(F, duals).rows == nullspace(F, W.rows)
 
 
 def _dot(F, a, b):

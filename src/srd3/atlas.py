@@ -38,7 +38,7 @@ import numpy as np
 from srd3 import bulk
 from srd3.gf import (FieldCtx, cubic_extension, ext_basis, is_square, power_coordinates,
                      trace2)
-from srd3.invariants import tables
+from srd3.invariants import require_tables, tables
 from srd3.pg import Subspace, canonicalize, dual_basis
 from srd3.veronese import conic_eval, pg2_points, polarity_rho
 
@@ -639,6 +639,10 @@ def atlas_entry(rep_id: str, F: FieldCtx) -> dict:
 
 
 def emit_atlas(F: FieldCtx) -> list[dict]:
+    """The atlas entry of every representative of GF(q), once q is checked
+    against the point tables' range: the planes over GF(q^3) would
+    otherwise fail first, on the field arithmetic's ceiling."""
+    require_tables(F.q)
     return _entries(F, rep_ids(F))
 
 

@@ -199,6 +199,8 @@ def _range_error(args) -> str | None:
         return f"--budget must be at least 1, got {args.budget}"
     if args.verb == "enumerate" and not 0 <= args.dim <= 4:
         return f"--dim must be a projective dimension in 0..4, got {args.dim}"
+    if args.verb == "acceptance" and not args.fields.replace(",", "").strip():
+        return f"--fields must name at least one field, got {args.fields!r}"
     if args.verb == "enumerate" and args.limit < 0:
         return f"--limit must be at least 0, got {args.limit}"
     return None

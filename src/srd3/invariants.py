@@ -28,21 +28,12 @@ conic in PG(2,q), i.e. the number of Veronese points on the hyperplane:
 1 zero is H2i, 2q+1 zeros is H2r, and q+1 zeros is H1 when the dual is a
 double-line dual (veronese.h1_duals) and H3 otherwise.  The rule runs once
 per field, vectorised, to build GeomTables.hclass_table; the censuses, od4,
-od4_batch, the solid counts and the C4 checks all read that table.  Each
-hyperplane class is one orbit of G acting on the duals, which the solid
-counts rely on: GeomTables.conic_orbits walks all four classes at once
-and checks it, as PointClass does for each point class.
+od4_batch, the solid counts and the C4 checks all read that table.
 
-A per-field cache (tables) holds dense code-indexed class tables so the
-enumeration drivers can classify millions of points via numpy gathers.
-The point table is class_code alone: each class has one rank (CLASS_RANK),
-so a reader that needs ranks maps the class codes through that constant.
-
-A subspace has a rank-1 point iff some Veronese point is orthogonal to
-every vector of its dual, i.e. iff the conics of the dual (a pencil for a
-solid, a net for a plane) have a common zero in PG(2,q).  That is a
-Veronese point whose quotient image (bulk.quotient_codes, the values of
-the dual vectors) is 0.
+Each point class and each hyperplane class is one orbit of G, which the
+counts rely on: one breadth-first walk per class table labels every
+normalized vector (orbit_labels) and checks that the labels are the classes
+(GeomTables.class_orbits).
 
 A solid's whole od0 row is read off its pencil Q1, Q2 (pencil_od0), never
 off its q^3+q^2+q+1 points.  Every rank-2 point lies on exactly one conic
@@ -67,7 +58,7 @@ vanish.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -162,7 +153,6 @@ class GeomTables:
             self.class_code[lo:hi] = self._build_classes(vecs)
         self.v6 = np.array([veronese(F, u) for u in pg2_points(F)], dtype=np.uint8)
         self.h1 = np.array(h1_duals(F), dtype=np.uint8)
-        self._coeffs: dict[int, np.ndarray] = {}
         # point class -> PointClass, filled by point_class on first use
         self.point_class_data: dict[int, "PointClass"] = {}
 
@@ -190,13 +180,8 @@ class GeomTables:
         return cls
 
     def coeffs(self, k: int) -> np.ndarray:
-        """Normalized coefficient vectors of F_q^k as one (m, k) array."""
-        arr = self._coeffs.get(k)
-        if arr is None:
-            from srd3.pg import coefficient_vectors
-            arr = np.array(list(coefficient_vectors(self.F.q, k)), dtype=np.uint8)
-            self._coeffs[k] = arr
-        return arr
+        """The normalized coefficient vectors of F_q^k, ascending: (m, k)."""
+        return bulk.decode(normalized_codes(self.F.q, k), self.F.q, k)
 
     def od0_batch(self, bases: np.ndarray) -> np.ndarray:
         """Point-orbit distributions of a batch of subspaces: (N,k,6) -> (N,4)."""
@@ -242,41 +227,39 @@ class GeomTables:
         cls = self.hclass_table()[bulk.combine(self.kit, self.coeffs(duals.shape[1]), duals)]
         return _value_counts(cls, range(1, 5))
 
+    def class_orbits(self, table: np.ndarray, lifts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """orbit_labels over the normalized vectors of F^6 under lifts (g, 6,
+        6), y -> y L, from the vector of smallest code of each class 1..4 of
+        the code-indexed table.  Each class is one orbit of the group the
+        lifts generate iff every vector has label class - 1, else
+        ClassificationError."""
+        norm = normalized_codes(self.F.q, 6)
+        cls = table[norm]
+        walk = orbit_labels(image_table(self.kit, norm, lifts),
+                            [int(np.argmax(cls == c)) for c in range(1, 5)])
+        if (walk[0] + 1 != cls).any():
+            raise ClassificationError("the classes of the table are not the orbits of "
+                                      "the generators")
+        return walk
+
+    @cached_property
+    def point_orbits(self) -> tuple[np.ndarray, ...]:
+        """class_orbits of class_code under k_generators, y -> y L(A): the
+        Schreier tree of every point class (PointClass)."""
+        gens = np.array(k_generators(self.F), dtype=np.uint8)
+        return self.class_orbits(self.class_code, lift_batch(self.kit, gens))
+
     @cached_property
     def conic_orbits(self) -> tuple[np.ndarray, list[int]]:
         """h_c, the dual vector of smallest code of each hyperplane class c
-        (row c-1, classes as in HYPERPLANE_CLASSES), and the size of each
-        class, once one breadth-first walk has shown that each class is one
-        orbit of G on the duals: from all four h_c at once, under the dual
-        action of k_generators, d -> d L(adj A)^T (a point y goes to y L(A),
-        and L(adj A) is L(A)^-1 up to a scalar), every image keeps its
-        source's class and the walk reaches each class's census."""
+        (row c-1, as in HYPERPLANE_CLASSES), and the size of each class,
+        each one orbit (class_orbits) under the dual action d -> d L(adj
+        A)^T: L(adj A) is L(A)^-1 up to a scalar."""
         kit, q = self.kit, self.F.q
-        hclass = self.hclass_table()
-        gens = np.array(k_generators(self.F), dtype=np.uint8)
-        lifts = lift_batch(kit, bulk.adjugate(kit, gens)).transpose(0, 2, 1)
-        # a scalar multiple has a larger code, so the smallest is normalized
-        first = np.array([np.argmax(hclass == c) for c in range(1, 5)])
-        reps = pts = bulk.decode(first, q, 6)
-        # one flag per code, as hclass_table has one class per code
-        seen = np.zeros(q ** 6, dtype=bool)
-        seen[first] = True
-        while len(pts):
-            # the images of the frontier under every generator, lift-major
-            img = _normalized(kit, _moved(kit, pts, lifts))
-            codes = bulk.encode(img, q)
-            if (hclass[codes] != np.tile(hclass[bulk.encode(pts, q)], len(gens))).any():
-                raise ClassificationError("a generator moves a conic to another class")
-            new = np.flatnonzero(~seen[codes])
-            codes, first = np.unique(codes[new], return_index=True)
-            seen[codes] = True
-            pts = img[new[first]]
-        census = list(_census(q, hclass, HYPERPLANE_CLASSES).values())
-        reached = np.bincount(hclass[seen], minlength=5)[1:].tolist()
-        if reached != census:
-            raise ClassificationError(f"the walk reaches {reached} conics of the classes, "
-                                      f"not the census {census}")
-        return reps, census
+        gens = bulk.adjugate(kit, np.array(k_generators(self.F), dtype=np.uint8))
+        label = self.class_orbits(self.hclass_table(), lift_batch(kit, gens).transpose(0, 2, 1))[0]
+        first = [int(np.argmax(label == c)) for c in range(4)]
+        return bulk.decode(normalized_codes(q, 6)[first], q, 6), np.bincount(label).tolist()
 
     def conic_table(self) -> np.ndarray:
         """Pencil-value code -> MEET type of a solid's meet with a conic
@@ -392,8 +375,7 @@ def tables(F: FieldCtx) -> GeomTables:
 
 def od0(W: Subspace) -> tuple[int, int, int, int]:
     """[r1, r2a, r2b, r3] with (a,b) = (n,s) for q even, (e,i) for q odd."""
-    t = tables(W.F)
-    out = t.od0_batch(np.array([W.rows], dtype=np.uint8))[0]
+    out = tables(W.F).od0_batch(np.array([W.rows], dtype=np.uint8))[0]
     return tuple(int(x) for x in out)
 
 
@@ -412,13 +394,9 @@ def od4(W: Subspace) -> tuple[int, int, int, int]:
 
 def _census(q: int, table: np.ndarray, names) -> dict[str, int]:
     """How many projective points have each class 1..4 of a code-indexed
-    class table, by name.  np.bincount casts its input to intp, so it runs
-    on TABLE_BLOCK slices: a cast of the whole uint8 table would take eight
-    times its memory."""
-    counts = sum(np.bincount(table[lo:lo + TABLE_BLOCK], minlength=5)
-                 for lo in range(0, len(table), TABLE_BLOCK))
-    # the table indexes every vector; each projective point has q-1 nonzero codes
-    return {name: int(counts[i + 1]) // (q - 1) for i, name in enumerate(names)}
+    class table, by name: the classes of the normalized vectors."""
+    counts = np.bincount(table[normalized_codes(q, 6)], minlength=5)
+    return {name: int(counts[i + 1]) for i, name in enumerate(names)}
 
 
 def point_census(F: FieldCtx) -> dict[str, int]:
@@ -439,14 +417,9 @@ def hyperplane_census(F: FieldCtx) -> dict[str, int]:
 # that G maps to itself is the orbit of W iff it holds W and has that many
 # members.  The families the verify drivers compare are invariant because
 # they are cut out by invariants: od0 (each point class is an orbit), the
-# absence of rank-1 points, completeness, constant rank.
-#
-# stabilizer_order counts Stab(W) through one point class at a time: the
-# class-c points form one orbit, so every element of G that moves a
-# class-c point x of W to a class-c point y of W is h_y s h_x^-1 with s in
-# Stab(x_c), and only those s_c |G| / N_c elements need testing.
-# orbit_of walks the whole orbit instead; only the tests and the
-# benchmark's span recorder use it.
+# absence of rank-1 points, completeness, constant rank.  stabilizer_order
+# counts Stab(W) through one point class; orbit_of walks the whole orbit
+# instead, and only the tests and the benchmark's span recorder use it.
 # ---------------------------------------------------------------------------
 
 def pgl3_order(q: int) -> int:
@@ -489,9 +462,10 @@ _CJ, _CK = _SYM[None, :, 0], _SYM[None, :, 1]
 
 
 def _moved(kit: bulk.Kit, pts: np.ndarray, lifts: np.ndarray) -> np.ndarray:
-    """The images y L of the points (n, 6) under each lift (g, 6, 6), as
-    (g n, 6) vectors, lift-major."""
-    return bulk.decode(bulk.combine(kit, pts, lifts), kit.q, 6).reshape(-1, 6)
+    """The images y L of the points (n, m) under each matrix (g, m, m), as
+    (g n, m) vectors, lift-major."""
+    m = lifts.shape[-1]
+    return bulk.decode(bulk.combine(kit, pts, lifts), kit.q, m).reshape(-1, m)
 
 
 def lift_batch(kit: bulk.Kit, A: np.ndarray) -> np.ndarray:
@@ -502,6 +476,61 @@ def lift_batch(kit: bulk.Kit, A: np.ndarray) -> np.ndarray:
     cross = kit.mul(A[:, _CJ, _RB], A[:, _CK, _RA])
     cross[:, _SYM[:, 0] == _SYM[:, 1]] = 0
     return kit.add(L, cross)
+
+
+@lru_cache(maxsize=None)
+def normalized_codes(q: int, m: int) -> np.ndarray:
+    """The codes of the normalized vectors of F_q^m, the points of
+    PG(m-1,q), ascending: those with their leading 1 at digit e are the
+    range [q^e, 2 q^e).  Cached and shared, so read-only."""
+    codes = np.concatenate([np.arange(q ** e, 2 * q ** e, dtype=bulk.code_dtype(q, m))
+                            for e in range(m)])
+    codes.setflags(write=False)
+    return codes
+
+
+def image_table(kit: bulk.Kit, codes: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The image y M, normalized, of each point y of codes (normalized,
+    ascending) under each matrix M of mats (g, m, m), as an index into
+    codes: (g, len(codes)) int32, one matrix at a time."""
+    pts = bulk.decode(codes, kit.q, mats.shape[-1])
+    img = np.empty((len(mats), len(codes)), dtype=np.int32)
+    for i in range(len(mats)):
+        moved = _normalized(kit, _moved(kit, pts, mats[i:i + 1]))
+        img[i] = np.searchsorted(codes, bulk.encode(moved, kit.q))
+    return img
+
+
+def orbit_labels(img: np.ndarray, seeds) -> tuple[np.ndarray, ...]:
+    """Breadth-first walks over an index permutation table img (g, n),
+    img[i, y] the image of point y under generator i: one from all the
+    seeds at once, then one from each smallest unlabelled point.  Returns
+    (label, parent, gen): the walk that reached each point (the seeds' in
+    their order, then the later walks'), the point it was reached from and
+    the generator that took it there, img[gen[y], parent[y]] == y, both -1
+    at a root.  Each step's frontier ascends, and a point hit twice in one
+    step keeps its first hit in generator-major order."""
+    n = img.shape[1]
+    label, parent = np.full((2, n), -1, dtype=np.int32)
+    gen = np.full(n, -1, dtype=np.int8)
+    frontier = np.asarray(seeds, dtype=np.int32)
+    label[frontier] = np.arange(len(frontier))
+    walks, start = len(frontier), 0
+    while True:
+        while len(frontier):
+            step = img[:, frontier].ravel()
+            hit = np.flatnonzero(label[step] < 0)
+            new, first = np.unique(step[hit], return_index=True)
+            g, at = np.divmod(hit[first], len(frontier))
+            gen[new], parent[new] = g, frontier[at]
+            label[new] = label[parent[new]]
+            frontier = new
+        rest = label[start:] < 0
+        if not rest.any():
+            return label, parent, gen
+        start += int(np.argmax(rest))
+        frontier = np.array([start], dtype=np.int32)
+        label[start], walks = walks, walks + 1
 
 
 # points whose Schreier generators PointClass.stabilizer forms at a time: the
@@ -519,62 +548,52 @@ def _merged(seen: np.ndarray, fresh: np.ndarray) -> np.ndarray:
 
 class PointClass:
     """One point class c, as the group sees it: the class-c point codes
-    (normalized, ascending), an element h_y with h_y x_c = y for each point
-    y (aligned with the codes), and every element of Stab(x_c), where x_c
-    is the class-c point of smallest code.
+    (normalized, ascending), an element h_y with h_y x_c = y for each of
+    them (transversal), and every element of Stab(x_c), where x_c is the
+    class-c point of smallest code.
 
-    The h_y come from a Schreier tree: a breadth-first walk from x_c under
-    k_generators.  It must reach every class-c point of point_census, i.e.
-    the class is one orbit, or ClassificationError is raised; the
-    constructor builds only the tree.  The stabiliser, which only
-    stabilizer_order reads, is built on first use from the Schreier
-    generators h_{g y}^-1 g h_y of SCHREIER_BLOCK points y at a time: each
-    one not yet in the group is added and the group closed under right
-    multiplication, until it has |PGL(3,q)| / N_c elements, which makes it
-    all of Stab(x_c).  The orbits on the quotient F^6/<x_c> that the line
-    and plane counts go through take a few Schreier generators and no
-    closure (quotient_orbits)."""
+    The codes and the h_y come from the Schreier tree of
+    GeomTables.point_orbits, kept as a parent and a generator per point.
+    The stabiliser, which only stabilizer_order reads, is built on first
+    use from the Schreier generators h_{g y}^-1 g h_y of SCHREIER_BLOCK
+    points y at a time: each one not yet in the group is added and the
+    group closed under right multiplication, until it has |PGL(3,q)| / N_c
+    elements, which makes it all of Stab(x_c).  The orbits on the quotient
+    F^6/<x_c> that the line and plane counts go through take a few
+    Schreier generators and no closure (quotient_orbits)."""
 
     def __init__(self, t: GeomTables, c: int):
-        F, kit, q = t.F, t.kit, t.F.q
-        size = point_census(F)[point_classes(F)[c - 1]]
-        gens = np.array(k_generators(F), dtype=np.uint8)
-        lifts = lift_batch(kit, gens)
-        pts = bulk.decode(np.array([np.argmax(t.class_code == c)]), q, 6)
-        mats = np.eye(3, dtype=np.uint8)[None]
-        seen = bulk.encode(pts, q)
-        all_codes, all_mats = [seen], [mats]
-        while len(pts):
-            # images of every frontier point under every generator, and for
-            # the new ones the elements that carry x_c there: g h
-            img = _moved(kit, pts, lifts)
-            codes, first = np.unique(bulk.encode(_normalized(kit, img), q),
-                                     return_index=True)
-            fresh = ~np.isin(codes, seen, assume_unique=True)
-            seen = _merged(seen, codes[fresh])
-            g, h = np.divmod(first[fresh], len(pts))
-            pts, mats = img[first[fresh]], _mat_mul(kit, gens[g], mats[h])
-            all_codes.append(codes[fresh])
-            all_mats.append(mats)
-        codes = np.concatenate(all_codes)
-        if len(codes) != size:
-            raise ClassificationError(f"the walk from the point of class {c} reaches "
-                                      f"{len(codes)} points, not the census {size}")
-        order = np.argsort(codes)
-        self.codes = codes[order]
-        self.transversal = np.concatenate(all_mats)[order]
-        self._kit, self._gens, self._lifts = kit, gens, lifts
+        self._kit = t.kit
+        self._gens = np.array(k_generators(t.F), dtype=np.uint8)
+        self._lifts = lift_batch(t.kit, self._gens)
+        label, self._parent, self._gen = t.point_orbits
+        self.codes = normalized_codes(t.F.q, 6)[label == c - 1]
+        # the code of r g for every row vector r of F^3 and generator g
+        self._times = bulk.combine(t.kit, bulk.decode(np.arange(t.F.q ** 3), t.F.q, 3), self._gens)
+
+    def transversal(self, codes: np.ndarray) -> np.ndarray:
+        """h_y for each class-c point code y, (N, 3, 3): g h_p for y's parent
+        p and the generator g that took p to y, multiplied out by row codes."""
+        q, parent = self._kit.q, self._parent
+        at = np.searchsorted(normalized_codes(q, 6), codes)
+        rows = np.tile(bulk.encode(np.eye(3, dtype=np.uint8), q), (len(at), 1))
+        live = np.flatnonzero(parent[at] >= 0)
+        while len(live):
+            rows[live] = self._times[self._gen[at[live]][:, None], rows[live]]
+            at[live] = parent[at[live]]
+            live = live[parent[at[live]] >= 0]
+        return bulk.decode(rows, q, 3)
 
     def schreier_generators(self, lo: int, hi: int) -> np.ndarray:
         """The Schreier generators h_{g y}^-1 g h_y of Stab(x_c) of the
         class-c points y = codes[lo:hi], g in k_generators: (3 (hi - lo), 3,
         3), generator-major."""
         kit, q = self._kit, self._kit.q
-        y, h = self.codes[lo:hi], self.transversal[lo:hi]
+        y = self.codes[lo:hi]
         img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(y, q, 6), self._lifts)), q)
-        h_img = self.transversal[np.searchsorted(self.codes, img)]
-        return _mat_mul(kit, bulk.adjugate(kit, h_img),
-                        _mat_mul(kit, self._gens[:, None], h).reshape(-1, 3, 3))
+        h = self.transversal(np.concatenate([img, y]))
+        return _mat_mul(kit, bulk.adjugate(kit, h[:len(img)]),
+                        _mat_mul(kit, self._gens[:, None], h[len(img):]).reshape(-1, 3, 3))
 
     @cached_property
     def first_block(self) -> np.ndarray:
@@ -635,50 +654,30 @@ def quotient_orbits(kit: bulk.Kit, x: np.ndarray,
                     gens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The orbits of the group that gens (g, 3, 3) generate, elements of
     Stab(x), on the quotient PG(4,q) = F^6/<x>, x normalized with its
-    leading 1 at column j, one walk per orbit from its smallest point.  The
-    class of v is named by the coordinates off column j of v - v_j x, and g
-    maps it to the class of v L(g); ClassificationError if g moves x.
-    Returns (label, sizes, reps): the orbit of every nonzero code of F^5,
-    scalar multiples filled, numbered as their smallest codes reps ascend,
-    and each orbit's size."""
+    leading 1 at column j, by orbit_labels with no seed.  The class of v is
+    named by the coordinates off column j of v - v_j x, and g maps it to
+    the class of v L(g); ClassificationError if g moves x.  Returns (label,
+    sizes, reps): the orbit of every code of F^5, scalar multiples filled,
+    numbered as their smallest codes reps ascend, and each orbit's size."""
     q, j = kit.q, int(np.argmax(x != 0))
     off = np.delete(np.arange(6), j)
     lifts = lift_batch(kit, gens)
     if (_normalized(kit, _moved(kit, x[None], lifts)) != x).any():
         raise ClassificationError("a generator of the quotient group moves its point")
     rows = lifts[:, off]
-    norm = bulk.normal_codes(kit, 5)
-    pts = np.flatnonzero(norm == np.arange(q ** 5))[1:]
     act = kit.sub(rows, kit.mul(rows[:, :, j, None], x))[:, :, off]
-    img = np.searchsorted(pts, norm[bulk.combine(kit, bulk.decode(pts, q, 5), act)])
-    label = np.full(len(pts), -1, dtype=np.int32)
-    # the next frontier, marked point by point: np.unique would import numpy.ma
-    mark = np.zeros(len(pts), dtype=bool)
-    sizes = []
-    while (label < 0).any():
-        frontier = np.argmax(label < 0)[None]
-        label[frontier] = len(sizes)
-        sizes.append(1)
-        while len(frontier):
-            step = img[:, frontier].ravel()
-            mark[step[label[step] < 0]] = True
-            frontier = np.flatnonzero(mark)
-            mark[frontier] = False
-            label[frontier] = len(sizes) - 1
-            sizes[-1] += len(frontier)
-    reps = pts[np.unique(label, return_index=True)[1]]
-    return label[np.searchsorted(pts, norm)], np.array(sizes, dtype=np.int64), reps
+    pts = normalized_codes(q, 5)
+    label, parent, _ = orbit_labels(image_table(kit, pts, act), [])
+    return label[np.searchsorted(pts, bulk.normal_codes(kit, 5))], np.bincount(label), pts[parent < 0]
 
 
 def point_class(F: FieldCtx, c: int) -> PointClass:
-    """The transversal of class c (1..4, as in point_classes), built on
-    first use and cached with the field's tables; its point stabiliser is
-    built when first read."""
+    """The PointClass of class c (1..4, as in point_classes), cached with
+    the field's tables; its point stabiliser is built when first read."""
     t = tables(F)
-    got = t.point_class_data.get(c)
-    if got is None:
-        got = t.point_class_data[c] = PointClass(t, c)
-    return got
+    if c not in t.point_class_data:
+        t.point_class_data[c] = PointClass(t, c)
+    return t.point_class_data[c]
 
 
 # image rows tested per block in stabilizer_order
@@ -716,7 +715,7 @@ def stabilizer_order(W: Subspace) -> int:
     count = np.bincount(cls, minlength=5)
     c = max((census[name], c) for c, name in enumerate(point_classes(F), start=1) if count[c])[1]
     pc = point_class(F, c)
-    h = pc.transversal[np.searchsorted(pc.codes, pts[cls == c])]
+    h = pc.transversal(pts[cls == c])
     w_x = bulk.decode(bulk.combine(kit, basis[0], lift_batch(kit, bulk.adjugate(kit, h[:1]))), q, 6)
     img = bulk.decode(bulk.combine(kit, w_x[0], lift_batch(kit, pc.stabilizer)), q, 6).reshape(-1, 6)
     duals_y = bulk.decode(bulk.combine(kit, lift_batch(kit, h), duals_t), q, duals_t.shape[1])

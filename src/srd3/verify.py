@@ -23,10 +23,10 @@ row (_keys) that G preserves:
                (H2r or H2i) is read from it.
 
 Each point class c is one orbit of N_c points.  That is the prerequisite:
-invariants.PointClass checks it when its Schreier tree reaches every
-class-c point.  So every class-c point lies on the same number n_c(k) of
-subspaces with key row k, and counting the pairs (x, W), x a class-c
-point of W, gives
+invariants.GeomTables.class_orbits checks it when one walk from the
+smallest point of each class labels every point with its own class.  So
+every class-c point lies on the same number n_c(k) of subspaces with key
+row k, and counting the pairs (x, W), x a class-c point of W, gives
 
     #{W with key row k} = N_c n_c(k) / s_c(k),
 
@@ -44,9 +44,9 @@ through 26 orbits, where 605242 planes pass through x_P3.
 
 Solids are counted from the dual side.  The dual of a solid W is a pencil
 of conics, the q+1 hyperplanes through W, and each hyperplane class c is
-one orbit of N_{H_c} conics under the dual action of G: the walk behind
-invariants.GeomTables.conic_orbits checks it.  Counting the pairs (h, W),
-h a class-c conic of W's pencil, gives
+one orbit of N_{H_c} conics under the dual action of G: the same walk
+checks it for the conics (GeomTables.conic_orbits).  Counting the pairs
+(h, W), h a class-c conic of W's pencil, gives
 
     #{W with key row k} = N_{H_c} m_c(k) / t_c(k),
 

@@ -5,7 +5,10 @@ without computing it: that k_generators generate PGL(3,q) (orbit_of walks
 orbits under those generators), orbits as sets of RREF row tuples, stabilisers
 counted over every group element, orbit-stabiliser counts, point
 stabilisers from the Schreier generators of every point of the class,
-which the package forms a block of points at a time, the polar
+which the package forms a block of points at a time, the orbit walks one
+class at a time with a stored element per point, a dense seen array and
+label propagation, and the orbit walk one point at a time, which the
+package runs as one kernel over an index table (orbit_labels), the polar
 hyperplane of a point under the trace form, completeness as the exact
 union of the spans <W, v> over the low-rank points v, which the package
 decides in the quotient F^6/W instead, and the point and hyperplane
@@ -48,8 +51,9 @@ from srd3 import bulk
 from srd3.codes import SrdCode, min_distance
 from srd3.gf import FieldCtx, FieldError, cubic_extension, is_square, parse_field_spec
 from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, _element_codes,
-                             _mat_mul, _merged, _moved, _normalized, k_generators,
-                             orbit_of, pgl3_order, point_class, tables)
+                             _census, _mat_mul, _merged, _moved, _normalized,
+                             k_generators, lift_batch, orbit_of, pgl3_order, point_census,
+                             point_class, point_classes, tables)
 from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
                      free_positions, gaussian_binomial, matrix_rank, normalize_vec,
                      nullspace, pivot_patterns, subspace_points)
@@ -303,8 +307,8 @@ def stabilizer_all_points(pc) -> np.ndarray:
     q = kit.q
     order = pgl3_order(q) // len(pc.codes)
     img = bulk.encode(_normalized(kit, _moved(kit, bulk.decode(pc.codes, q, 6), lifts)), q)
-    h_img = pc.transversal[np.searchsorted(pc.codes, img)]
-    g_h = _mat_mul(kit, gens[:, None], pc.transversal).reshape(-1, 3, 3)
+    h_img = pc.transversal(img)
+    g_h = _mat_mul(kit, gens[:, None], pc.transversal(pc.codes)).reshape(-1, 3, 3)
     schreier = _mat_mul(kit, bulk.adjugate(kit, h_img), g_h)
     gen_codes, first = np.unique(_element_codes(kit, schreier), return_index=True)
     schreier = schreier[first]
@@ -325,6 +329,131 @@ def stabilizer_all_points(pc) -> np.ndarray:
             elems = np.concatenate([elems, frontier])
             step = used
     return elems
+
+
+def point_class_walk(t, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """invariants.PointClass's codes and transversal as one breadth-first
+    walk from x_c alone built them, before GeomTables.point_orbits walked
+    every class at once: sorted code sets grown with np.isin and _merged,
+    a stored 3x3 element g h per point, the first image of each new point
+    in generator-major order, and a compare with point_census.  Returns
+    (codes ascending, (N_c, 3, 3) transversal aligned with them)."""
+    F, kit, q = t.F, t.kit, t.F.q
+    size = point_census(F)[point_classes(F)[c - 1]]
+    gens = np.array(k_generators(F), dtype=np.uint8)
+    lifts = lift_batch(kit, gens)
+    pts = bulk.decode(np.array([np.argmax(t.class_code == c)]), q, 6)
+    mats = np.eye(3, dtype=np.uint8)[None]
+    seen = bulk.encode(pts, q)
+    all_codes, all_mats = [seen], [mats]
+    while len(pts):
+        img = _moved(kit, pts, lifts)
+        codes, first = np.unique(bulk.encode(_normalized(kit, img), q), return_index=True)
+        fresh = ~np.isin(codes, seen, assume_unique=True)
+        seen = _merged(seen, codes[fresh])
+        g, h = np.divmod(first[fresh], len(pts))
+        pts, mats = img[first[fresh]], _mat_mul(kit, gens[g], mats[h])
+        all_codes.append(codes[fresh])
+        all_mats.append(mats)
+    codes = np.concatenate(all_codes)
+    if len(codes) != size:
+        raise ClassificationError(f"the walk from the point of class {c} reaches "
+                                  f"{len(codes)} points, not the census {size}")
+    order = np.argsort(codes)
+    return codes[order], np.concatenate(all_mats)[order]
+
+
+def conic_walk(t) -> tuple[np.ndarray, list[int]]:
+    """GeomTables.conic_orbits as a breadth-first walk over a dense q^6
+    seen array computed it: from all four h_c at once under the dual action
+    of k_generators, checking that every image keeps its source's class
+    and that the walk reaches each class's census."""
+    kit, q = t.kit, t.F.q
+    hclass = t.hclass_table()
+    gens = np.array(k_generators(t.F), dtype=np.uint8)
+    lifts = lift_batch(kit, bulk.adjugate(kit, gens)).transpose(0, 2, 1)
+    first = np.array([np.argmax(hclass == c) for c in range(1, 5)])
+    reps = pts = bulk.decode(first, q, 6)
+    seen = np.zeros(q ** 6, dtype=bool)
+    seen[first] = True
+    while len(pts):
+        img = _normalized(kit, _moved(kit, pts, lifts))
+        codes = bulk.encode(img, q)
+        if (hclass[codes] != np.tile(hclass[bulk.encode(pts, q)], len(gens))).any():
+            raise ClassificationError("a generator moves a conic to another class")
+        new = np.flatnonzero(~seen[codes])
+        codes, first = np.unique(codes[new], return_index=True)
+        seen[codes] = True
+        pts = img[new[first]]
+    census = list(_census(q, hclass, HYPERPLANE_CLASSES).values())
+    reached = np.bincount(hclass[seen], minlength=5)[1:].tolist()
+    if reached != census:
+        raise ClassificationError(f"the walk reaches {reached} conics of the classes, "
+                                  f"not the census {census}")
+    return reps, census
+
+
+def quotient_orbits_propagate(kit: bulk.Kit, x: np.ndarray,
+                              gens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """invariants.quotient_orbits by label propagation over the image
+    table read through bulk.normal_codes, one walk per orbit from its
+    smallest point, the next frontier marked point by point."""
+    q, j = kit.q, int(np.argmax(x != 0))
+    off = np.delete(np.arange(6), j)
+    lifts = lift_batch(kit, gens)
+    if (_normalized(kit, _moved(kit, x[None], lifts)) != x).any():
+        raise ClassificationError("a generator of the quotient group moves its point")
+    rows = lifts[:, off]
+    norm = bulk.normal_codes(kit, 5)
+    pts = np.flatnonzero(norm == np.arange(q ** 5))[1:]
+    act = kit.sub(rows, kit.mul(rows[:, :, j, None], x))[:, :, off]
+    img = np.searchsorted(pts, norm[bulk.combine(kit, bulk.decode(pts, q, 5), act)])
+    label = np.full(len(pts), -1, dtype=np.int32)
+    mark = np.zeros(len(pts), dtype=bool)
+    sizes = []
+    while (label < 0).any():
+        frontier = np.argmax(label < 0)[None]
+        label[frontier] = len(sizes)
+        sizes.append(1)
+        while len(frontier):
+            step = img[:, frontier].ravel()
+            mark[step[label[step] < 0]] = True
+            frontier = np.flatnonzero(mark)
+            mark[frontier] = False
+            label[frontier] = len(sizes) - 1
+            sizes[-1] += len(frontier)
+    reps = pts[np.unique(label, return_index=True)[1]]
+    return label[np.searchsorted(pts, norm)], np.array(sizes, dtype=np.int64), reps
+
+
+def orbit_labels_scalar(img: np.ndarray, seeds) -> tuple[list[int], list[int], list[int]]:
+    """invariants.orbit_labels one point at a time: for each generator in
+    turn and each frontier point in order, an unlabelled image takes the
+    point as its parent; the next frontier is sorted."""
+    g, n = img.shape
+    label, parent, gen = [-1] * n, [-1] * n, [-1] * n
+
+    def walk(frontier):
+        while frontier:
+            new = []
+            for i in range(g):
+                for y in frontier:
+                    z = int(img[i, y])
+                    if label[z] < 0:
+                        label[z], parent[z], gen[z] = label[y], y, i
+                        new.append(z)
+            frontier = sorted(new)
+
+    for i, s in enumerate(seeds):
+        label[s] = i
+    walk(list(seeds))
+    walks = len(seeds)
+    for y in range(n):
+        if label[y] < 0:
+            label[y] = walks
+            walks += 1
+            walk([y])
+    return label, parent, gen
 
 
 def rho_point(F: FieldCtx, y: Iterable[int]) -> tuple[int, ...]:

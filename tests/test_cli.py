@@ -174,6 +174,14 @@ def test_field_above_table_range_exit_2(tmp_path, capsys):
     assert want in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("q", [17, 32])
+def test_atlas_above_table_range_exit_2(capsys, q):
+    # the table range, not the ceiling of GF(q^3) that the planes over the
+    # cubic extension would reach first
+    assert main(["atlas", "--field", str(q), "--format", "md"]) == 2
+    assert f"point tables support q <= 16, got q={q}" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("q", [27, 32])
 @pytest.mark.parametrize("argv", [
     ["verify", "--theorem", "Y03q"], ["verify", "--theorem", "CR3-OD4"], ["verify"],
@@ -204,10 +212,12 @@ def test_checks_above_table_range_name_q(capsys, monkeypatch, q, argv):
     ["verify", "--field", "2^x"],
     ["verify", "--field", ""],
     ["acceptance", "--fields", "3,abc"],
+    ["acceptance", "--fields", ","],
 ], ids=["verify_jobs_0", "acceptance_jobs_negative", "enumerate_dim_7",
         "enumerate_dim_negative", "enumerate_limit_negative", "enumerate_budget_0",
         "enumerate_budget_negative", "verify_field_abc", "verify_field_float",
-        "verify_field_exponent_x", "verify_field_empty", "acceptance_field_abc"])
+        "verify_field_exponent_x", "verify_field_empty", "acceptance_field_abc",
+        "acceptance_fields_empty"])
 def test_out_of_range_options_exit_2(capsys, argv):
     assert main(argv) == 2
     _one_line_error(capsys)

@@ -16,9 +16,10 @@ from srd3.invariants import (HYPERPLANE_CLASSES, exterior_by_tangents,
                              tables)
 from srd3.veronese import point_rank, veronese
 
-from oracles import (classify_hyperplane, classify_point, group_order_bfs, nucleus_plane,
-                     od4_scalar, orbit_rows, stabilizer_all_points, stabilizer_by_group,
-                     stabilizer_order_by_orbit, veronese_points)
+from oracles import (classify_hyperplane, classify_point, conic_walk, group_order_bfs,
+                     nucleus_plane, od4_scalar, orbit_labels_scalar, orbit_rows,
+                     point_class_walk, quotient_orbits_propagate, stabilizer_all_points,
+                     stabilizer_by_group, stabilizer_order_by_orbit, veronese_points)
 
 
 def _members(W, ids):
@@ -397,6 +398,75 @@ def test_stabilizer_blocks_match_all_points(spec):
         want = np.sort(invariants._element_codes(kit, stabilizer_all_points(pc)))
         assert np.array_equal(got, want), c
         assert len(got) * len(pc.codes) == pgl3_order(F.q), c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.data())
+def test_orbit_labels_match_the_scalar_walk(g, n, seed, data):
+    # random permutation tables, with no generator at all and with seeds
+    # that may share an orbit, against the walk one point at a time; every
+    # tree edge is a generator step inside one walk
+    rng = np.random.default_rng(seed)
+    img = np.array([rng.permutation(n) for _ in range(g)], dtype=np.int32).reshape(g, n)
+    seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    label, parent, gen = invariants.orbit_labels(img, seeds)
+    assert (label.tolist(), parent.tolist(), gen.tolist()) == orbit_labels_scalar(img, seeds)
+    assert label[seeds].tolist() == list(range(len(seeds)))
+    y = np.flatnonzero(parent >= 0)
+    assert np.array_equal(img[gen[y], parent[y]], y)
+    assert np.array_equal(label[parent[y]], label[y])
+    if g == 0:
+        assert len(y) == 0
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "4", "5", "7", "8", "9", "2^3/101", "3^2/1,2"])
+def test_orbit_walks_match_the_oracles(spec, monkeypatch):
+    # the one walk over every class against the walks it replaced: the
+    # codes and every h_y of each point class, the quotient orbits of
+    # each class's Schreier generators, and the conic classes
+    F = parse_field_spec(spec)
+    t = tables(F)
+    walked = invariants.quotient_orbits
+    same = []
+
+    def both(kit, x, gens):
+        got = walked(kit, x, gens)
+        want = quotient_orbits_propagate(kit, x, gens)
+        same.append(all(np.array_equal(a, b) for a, b in zip(got, want)))
+        return got
+    monkeypatch.setattr(invariants, "quotient_orbits", both)
+    for c in range(1, 5):
+        pc = invariants.PointClass(t, c)
+        codes, transversal = point_class_walk(t, c)
+        assert np.array_equal(pc.codes, codes), c
+        assert np.array_equal(pc.transversal(pc.codes), transversal), c
+        pc.quotient_orbits
+    assert same == [True] * 4
+    # every edge of the point tree is a generator step inside one class
+    gens = invariants.lift_batch(t.kit, np.array(invariants.k_generators(F), dtype=np.uint8))
+    img = invariants.image_table(t.kit, invariants.normalized_codes(F.q, 6), gens)
+    label, parent, gen = t.point_orbits
+    y = np.flatnonzero(parent >= 0)
+    assert np.array_equal(img[gen[y], parent[y]], y) and np.array_equal(label[parent[y]], label[y])
+    reps, sizes = t.conic_orbits
+    want_reps, want_sizes = conic_walk(t)
+    assert np.array_equal(reps, want_reps) and sizes == want_sizes
+
+
+def test_point_walk_rejects_a_relabelled_point(monkeypatch):
+    # one exterior point and its scalar multiples read as rank 3: the walk
+    # from x_P2e then reaches a point the table puts in P3, and raises
+    F = make_field(3, 1)
+    t = invariants.GeomTables(F)
+    bad = t.class_code.copy()
+    code = np.flatnonzero(bad == 2)[-1]
+    vec = bulk.decode(np.array([code]), 3, 6)
+    bad[bulk.encode(t.kit.mul(np.arange(1, 3)[:, None], vec), 3)] = 4
+    monkeypatch.setattr(t, "class_code", bad)
+    with pytest.raises(invariants.ClassificationError):
+        t.point_orbits
+    with pytest.raises(invariants.ClassificationError):
+        invariants.PointClass(t, 4)
 
 
 @pytest.mark.parametrize("spec", ["4", "5"])

@@ -148,19 +148,17 @@ def _pivots(bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return piv, is_piv, np.nonzero(~is_piv)[1].reshape(N, c - k)
 
 
-def quotient_codes(kit: Kit, bases: np.ndarray, points: np.ndarray) -> np.ndarray:
+def quotient_codes(kit: Kit, duals: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Images of points in the quotient F^c / W for each subspace W.
 
-    bases: (N, k, c) full-rank RREF bases, pivot patterns may differ;
-    points: (P, c).  Returns (N, P) codes of the images scaled to a leading
-    1, and 0 for a point inside W.  The image of v is its values v.d_t at
-    the c - k dual vectors of W (nullspace_batch): v -> (v.d_t)_t is linear
-    with kernel W, so it maps F^c / W onto F^(c-k), and two points span the
-    same subspace with W iff their images are proportional.  With d_t = 1 at
-    the t-th free column and 0 at the others, it is v - sum_i v[piv_i]
-    row_i read on the free columns.
-    """
-    duals = nullspace_batch(kit, bases)
+    duals: (N, c-k, c) dual bases of the W, read off their RREF bases
+    (nullspace_batch, or pg.dual_basis for one W); points: (P, c).  Returns
+    (N, P) codes of the images scaled to a leading 1, and 0 for a point in
+    W.  The image of v is its values v.d_t at the dual vectors: v ->
+    (v.d_t)_t is linear with kernel W, so it maps F^c / W onto F^(c-k), and
+    two points span the same subspace with W iff their images are
+    proportional.  With d_t = 1 at the t-th free column and 0 at the others,
+    it is v - sum_i v[piv_i] row_i read on the free columns."""
     return normal_codes(kit, duals.shape[1])[combine(kit, points, duals.transpose(0, 2, 1))]
 
 

@@ -12,7 +12,10 @@ image in F^6/W: the spans <W, v> pairwise meet only in W.  So W is complete
 iff the images of the points of rank < d cover PG(5-k, q), and the
 extension points are the points whose image is not one of theirs.  The
 image of a point is the vector of its values at the 6-k dual vectors of
-W (bulk.quotient_codes), one combine over all the points at once.
+W, read off W's RREF basis with no elimination (pg.dual_basis), and one
+bulk.quotient_codes combine maps all the points at once.  One pass per
+code: describe computes the point ranks (invariants.rank_distribution),
+the distance and completeness once each and labels the code from them.
 
 Classification of complete codes into equivalence classes goes by rank
 distribution signatures, which separate all classes; the d = 3 split into
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Integral
 from typing import Iterable
 
@@ -38,8 +41,9 @@ import numpy as np
 from srd3 import bulk
 from srd3.atlas import d2_classes, rank1_points_over_cubic_extension
 from srd3.gf import FieldCtx, parse_field_spec
-from srd3.invariants import CLASS_RANK, rank_distribution, tables
-from srd3.pg import Subspace, canonicalize, rref
+from srd3.invariants import (CLASS_RANK, normalized_codes, normalized_vectors,
+                             rank_distribution, tables)
+from srd3.pg import Subspace, canonicalize, dual_basis, rref
 from srd3.veronese import as_matrix, coords_of_matrix
 
 
@@ -62,23 +66,19 @@ class SrdCode:
         for i, M in enumerate(mats):
             if len(M) != 3 or any(len(r) != 3 for r in M):
                 raise CodeFormatError(f"matrix {i} is not 3x3")
-            for r in range(3):
-                for c in range(3):
-                    if not 0 <= M[r][c] < F.q:
-                        raise CodeFormatError(
-                            f"matrix {i} entry {M[r][c]} outside [0, {F.q})")
-            if any(M[r][c] != M[c][r] for r in range(3) for c in range(3)):
+            if min(map(min, M)) < 0 or max(map(max, M)) >= F.q:
+                bad = next(x for r in M for x in r if not 0 <= x < F.q)
+                raise CodeFormatError(f"matrix {i} entry {bad} outside [0, {F.q})")
+            if M[0][1] != M[1][0] or M[0][2] != M[2][0] or M[1][2] != M[2][1]:
                 raise CodeFormatError(f"matrix {i} not symmetric")
-        rows = [coords_of_matrix(M) for M in mats]
-        red, rank = rref(F, rows)
+        red, rank = rref(F, [coords_of_matrix(M) for M in mats])
         if rank != len(mats):
             raise CodeFormatError("basis matrices are linearly dependent")
         return cls(F, mats, Subspace(F, red))
 
     @classmethod
     def from_subspace(cls, W: Subspace) -> "SrdCode":
-        mats = tuple(as_matrix(r) for r in W.rows)
-        return cls(W.F, mats, W)
+        return cls(W.F, tuple(as_matrix(r) for r in W.rows), W)
 
     @property
     def dim(self) -> int:
@@ -103,21 +103,19 @@ def _int_matrix(i: int, M) -> tuple[tuple[int, ...], ...]:
         if not isinstance(row, (list, tuple)):
             raise CodeFormatError(f"matrix {i} row {r} is not a list")
         for x in row:
-            if isinstance(x, bool) or not isinstance(x, Integral):
+            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Integral)):
                 raise CodeFormatError(f"matrix {i} entry {x!r} is not an integer")
-        out.append(tuple(int(x) for x in row))
+        out.append(tuple(map(int, row)))
     return tuple(out)
 
 
 def min_distance(C: SrdCode) -> int:
-    r = C.point_ranks
-    return next(i + 1 for i, c in enumerate(r) if c)
+    return next(i + 1 for i, c in enumerate(C.point_ranks) if c)
 
 
 def code_rank_distribution(C: SrdCode) -> tuple[int, int, int, int]:
     """(r0, r1, r2, r3) over all q^k codewords."""
-    s = C.point_ranks
-    m = C.F.q - 1
+    s, m = C.point_ranks, C.F.q - 1
     return (1, m * s[0], m * s[1], m * s[2])
 
 
@@ -135,46 +133,48 @@ def is_msrd(C: SrdCode) -> bool:
     return C.dim == dim_bound(3, min_distance(C))
 
 
-_points_cache: dict[tuple[int, int], np.ndarray] = {}
+def _point_ranks(F: FieldCtx) -> np.ndarray:
+    """The rank of each point of PG(5,q), in lexicographic order."""
+    return CLASS_RANK[tables(F).class_code[normalized_codes(F.q, 6)]]
 
 
+@lru_cache(maxsize=None)
 def points_of_rank_below(F: FieldCtx, d: int) -> np.ndarray:
     """The points of PG(5,q) of rank < d as normalized vectors (P, 6), in
-    lexicographic order; d = 4 gives every point."""
-    key = (id(F), d)
-    pts = _points_cache.get(key)
-    if pts is None:
-        below = (CLASS_RANK >= 1) & (CLASS_RANK < d)
-        vecs = bulk.decode(np.flatnonzero(below[tables(F).class_code]), F.q, 6)
-        lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
-        pts = _points_cache[key] = vecs[lead == 1]
+    lexicographic order; d = 4 gives every point.  Cached and shared, so read-only."""
+    pts = normalized_vectors(F.q, 6)[_point_ranks(F) < d]
+    pts.setflags(write=False)
     return pts
+
+
+def _images(C: SrdCode, pts: np.ndarray) -> np.ndarray:
+    """The quotient images (P,) of the points (P, 6) by C's duals, read off its RREF."""
+    duals = np.array([dual_basis(C.subspace)], dtype=np.uint8)
+    return bulk.quotient_codes(bulk.kit_for(C.F), duals, pts)[0]
 
 
 def is_complete(C: SrdCode) -> bool:
     """No point of PG(5,q) extends the code at its minimum distance: the
-    images of the points of rank < d cover the quotient PG(5-k, q)."""
+    images of the points of rank < d cover the quotient PG(5-k, q).  No
+    such point lies in the code, so none has the image 0."""
     d = min_distance(C)
     if d == 1:
         return C.dim == 6
-    W = np.array([C.subspace.rows], dtype=np.uint8)
-    img = bulk.quotient_codes(bulk.kit_for(C.F), W, points_of_rank_below(C.F, d))
-    return bool(bulk.covers_quotient(C.F.q, 6 - C.dim, img)[0])
+    q, img = C.F.q, _images(C, points_of_rank_below(C.F, d))
+    return int(np.count_nonzero(np.bincount(img))) == (q ** (6 - C.dim) - 1) // (q - 1)
 
 
 def extension_points(C: SrdCode) -> list[tuple[int, ...]]:
     """Points Q whose adjunction preserves the minimum distance, in
-    lexicographic order: those outside the code whose image in the
-    quotient is no image of a point of rank < d."""
+    lexicographic order: those outside the code whose image in the quotient
+    is no image of a point of rank < d, one combine mapping every point."""
     if C.dim == 6:
         return []
-    kit = bulk.kit_for(C.F)
-    W = np.array([C.subspace.rows], dtype=np.uint8)
-    pts = points_of_rank_below(C.F, 4)
-    img = bulk.quotient_codes(kit, W, pts)[0]
-    low = bulk.quotient_codes(kit, W, points_of_rank_below(C.F, min_distance(C)))[0]
-    keep = (img != 0) & ~np.isin(img, low)
-    return [tuple(int(x) for x in v) for v in pts[keep]]
+    pts = normalized_vectors(C.F.q, 6)
+    img = _images(C, pts)
+    low = np.bincount(img[_point_ranks(C.F) < min_distance(C)], minlength=img.max() + 1) > 0
+    low[0] = True
+    return [tuple(v) for v in pts[~low[img]].tolist()]
 
 
 def extend_to_complete(C: SrdCode) -> SrdCode:
@@ -203,33 +203,26 @@ def classify(C: SrdCode) -> str:
     for solids; 0, q^2, q^2+q for planes, q even); d=3 codes by the rank-1
     count of the scalar extension to GF(q^3).
     """
-    return _label(C, is_complete(C))
+    return _label(C, min_distance(C), is_complete(C))
 
 
-def _label(C: SrdCode, complete: bool) -> str:
-    """classify(C), given whether C is complete."""
-    F = C.F
-    q = F.q
-    d = min_distance(C)
+def _label(C: SrdCode, d: int, complete: bool) -> str:
+    """classify(C), given its minimum distance and whether it is complete."""
     if not complete:
         return "NotComplete"
     if d == 1:
         return "WholeSpace"
-    r1, r2, r3 = C.point_ranks
     if d == 2:
         kind = {3: "plane", 4: "solid"}.get(C.dim)
-        for spec in d2_classes(F):
-            if spec.kind == kind and spec.od0_formula(q)[3] == r3:
+        for spec in d2_classes(C.F):
+            if spec.kind == kind and spec.od0_formula(C.F.q)[3] == C.point_ranks[2]:
                 return spec.rep_id
         raise ClassSignatureError(C)
     # d == 3: complete implies a plane (the bound is saturated)
-    if C.dim == 3:
-        n = rank1_points_over_cubic_extension(F, C.subspace)
-        if n == 3:
-            return "GF_type"
-        if n == 0:
-            return "TF_type"
-    raise ClassSignatureError(C)
+    n = rank1_points_over_cubic_extension(C.F, C.subspace) if C.dim == 3 else None
+    if n not in (0, 3):
+        raise ClassSignatureError(C)
+    return "GF_type" if n == 3 else "TF_type"
 
 
 class ClassSignatureError(RuntimeError):
@@ -240,7 +233,7 @@ class ClassSignatureError(RuntimeError):
 
 
 def describe(C: SrdCode) -> dict:
-    """All cached invariants of a code, JSON-ready."""
+    """All cached invariants of a code, JSON-ready; d and completeness decided once."""
     d = min_distance(C)
     complete = is_complete(C)
     return {
@@ -249,9 +242,9 @@ def describe(C: SrdCode) -> dict:
         "size": C.F.q ** C.dim,
         "min_distance": d,
         "rank_distribution": list(code_rank_distribution(C)),
-        "is_msrd": is_msrd(C),
+        "is_msrd": C.dim == dim_bound(3, d),
         "is_complete": complete,
-        "label": _label(C, complete),
+        "label": _label(C, d, complete),
     }
 
 

@@ -180,8 +180,8 @@ class GeomTables:
         return cls
 
     def coeffs(self, k: int) -> np.ndarray:
-        """The normalized coefficient vectors of F_q^k, ascending: (m, k)."""
-        return bulk.decode(normalized_codes(self.F.q, k), self.F.q, k)
+        """The normalized coefficient vectors of F_q^k: normalized_vectors."""
+        return normalized_vectors(self.F.q, k)
 
     def od0_batch(self, bases: np.ndarray) -> np.ndarray:
         """Point-orbit distributions of a batch of subspaces: (N,k,6) -> (N,4)."""
@@ -380,10 +380,11 @@ def od0(W: Subspace) -> tuple[int, int, int, int]:
 
 
 def rank_distribution(W: Subspace) -> tuple[int, int, int]:
-    """[r1, r2, r3] over the points of W: od0 with its two rank-2 columns
-    added."""
-    r1, r2a, r2b, r3 = od0(W)
-    return (r1, r2a + r2b, r3)
+    """[r1, r2, r3] over the points of W: one combine of the cached coefficient
+    vectors with W's basis (a batch of one), CLASS_RANK and one bincount."""
+    t = tables(W.F)
+    pts = bulk.combine(t.kit, t.coeffs(W.k), np.array([W.rows], dtype=np.uint8))[0]
+    return tuple(np.bincount(CLASS_RANK[t.class_code[pts]], minlength=4)[1:].tolist())
 
 
 def od4(W: Subspace) -> tuple[int, int, int, int]:
@@ -487,6 +488,14 @@ def normalized_codes(q: int, m: int) -> np.ndarray:
                             for e in range(m)])
     codes.setflags(write=False)
     return codes
+
+
+@lru_cache(maxsize=None)
+def normalized_vectors(q: int, m: int) -> np.ndarray:
+    """normalized_codes(q, m) decoded, (n, m).  Cached and shared, so read-only."""
+    vecs = bulk.decode(normalized_codes(q, m), q, m)
+    vecs.setflags(write=False)
+    return vecs
 
 
 def image_table(kit: bulk.Kit, codes: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -11,7 +11,10 @@ label propagation, and the orbit walk one point at a time, which the
 package runs as one kernel over an index table (orbit_labels), the polar
 hyperplane of a point under the trace form, completeness as the exact
 union of the spans <W, v> over the low-rank points v, which the package
-decides in the quotient F^6/W instead, and the point and hyperplane
+decides in the quotient F^6/W instead, the invariants of one code by the
+path describe took before it read them in one pass (od0, duals by
+nullspace_batch, sorted images, a second quotient pass for the extension
+points), and the point and hyperplane
 classes one vector at a time, which the package reads from the dense
 tables of invariants.GeomTables, linear combinations over GF(q) by
 MUL/ADD table gathers, which bulk.combine computes as codes by a digit
@@ -48,12 +51,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from srd3 import bulk
-from srd3.codes import SrdCode, min_distance
+from srd3.atlas import d2_classes, rank1_points_over_cubic_extension
+from srd3.codes import SrdCode, dim_bound, min_distance
 from srd3.gf import FieldCtx, FieldError, cubic_extension, is_square, parse_field_spec
-from srd3.invariants import (HYPERPLANE_CLASSES, ClassificationError, _element_codes,
-                             _census, _mat_mul, _merged, _moved, _normalized,
-                             k_generators, lift_batch, orbit_of, pgl3_order, point_census,
-                             point_class, point_classes, tables)
+from srd3.invariants import (CLASS_RANK, HYPERPLANE_CLASSES, ClassificationError,
+                             _element_codes, _census, _mat_mul, _merged, _moved,
+                             _normalized, k_generators, lift_batch, od0, orbit_of,
+                             pgl3_order, point_census, point_class, point_classes, tables)
 from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors,
                      free_positions, gaussian_binomial, matrix_rank, normalize_vec,
                      nullspace, pivot_patterns, subspace_points)
@@ -684,6 +688,67 @@ def extension_points_union(C: SrdCode) -> list[tuple[int, ...]]:
     """codes.extension_points by the point-set union."""
     covered = _covered(C)
     return [v for v in coefficient_vectors(C.F.q, 6) if v not in covered]
+
+
+def _points_below_reference(F: FieldCtx, d: int) -> np.ndarray:
+    """The points of rank < d off the whole class table: every vector of
+    rank 1 .. d-1, decoded, then those with a leading 1."""
+    below = (CLASS_RANK >= 1) & (CLASS_RANK < d)
+    vecs = bulk.decode(np.flatnonzero(below[tables(F).class_code]), F.q, 6)
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    return vecs[lead == 1]
+
+
+def _images_reference(C: SrdCode, pts: np.ndarray) -> np.ndarray:
+    """Quotient images of pts under the duals of nullspace_batch."""
+    kit = bulk.kit_for(C.F)
+    duals = bulk.nullspace_batch(kit, np.array([C.subspace.rows], dtype=np.uint8))
+    return bulk.quotient_codes(kit, duals, pts)[0]
+
+
+def _ranks_reference(C: SrdCode) -> tuple[int, tuple[int, int, int]]:
+    """The minimum distance and [r1, r2, r3] of C, from od0."""
+    r1, r2a, r2b, r3 = od0(C.subspace)
+    ranks = (r1, r2a + r2b, r3)
+    return next(i + 1 for i, c in enumerate(ranks) if c), ranks
+
+
+def extension_points_reference(C: SrdCode) -> list[tuple[int, ...]]:
+    """codes.extension_points with two quotient passes and np.isin."""
+    if C.dim == 6:
+        return []
+    pts = _points_below_reference(C.F, 4)
+    img = _images_reference(C, pts)
+    low = _images_reference(C, _points_below_reference(C.F, _ranks_reference(C)[0]))
+    keep = (img != 0) & ~np.isin(img, low)
+    return [tuple(int(x) for x in v) for v in pts[keep]]
+
+
+def describe_reference(C: SrdCode) -> dict:
+    """codes.describe by the path it took before its one-pass form: the
+    point ranks from od0, completeness by sorting the images of the points
+    of rank < d under the duals of nullspace_batch (bulk.covers_quotient),
+    and the label from the od0 formulas or the rank-1 count over GF(q^3)."""
+    F, q, k = C.F, C.F.q, C.dim
+    d, ranks = _ranks_reference(C)
+    if d == 1:
+        complete = k == 6
+    else:
+        img = _images_reference(C, _points_below_reference(F, d))
+        complete = bool(bulk.covers_quotient(q, 6 - k, img[None])[0])
+    if not complete:
+        label = "NotComplete"
+    elif d == 1:
+        label = "WholeSpace"
+    elif d == 2:
+        kind = {3: "plane", 4: "solid"}.get(k)
+        label = next(spec.rep_id for spec in d2_classes(F)
+                     if spec.kind == kind and spec.od0_formula(q)[3] == ranks[2])
+    else:
+        label = {3: "GF_type", 0: "TF_type"}[rank1_points_over_cubic_extension(F, C.subspace)]
+    return {"field": F.spec, "dim": k, "size": q ** k, "min_distance": d,
+            "rank_distribution": [1] + [(q - 1) * r for r in ranks],
+            "is_msrd": k == dim_bound(3, d), "is_complete": complete, "label": label}
 
 
 def rank1_points_over_cubic_extension_scalar(F: FieldCtx, W: Subspace) -> int:

@@ -49,7 +49,7 @@ def test_quotient_codes_match_spans(p, h):
     for k in (1, 2, 3, 4, 5):
         red, rk = bulk.rref_batch(kit, rng.integers(0, F.q, (3, k, 6), dtype=np.uint8))
         red = red[rk == k]
-        codes = bulk.quotient_codes(kit, red, pts)
+        codes = bulk.quotient_codes(kit, bulk.nullspace_batch(kit, red), pts)
         for W, row in zip(red, codes):
             rows = tuple(tuple(int(x) for x in r) for r in W)
             span_of = {}
@@ -84,14 +84,14 @@ def test_quotient_codes_match_elimination_oracle(spec, k, n_in, n_ver, n_any, se
         if len(red) else np.empty((0, 6), np.uint8)
     pts = np.concatenate([inside, t.v6[rng.integers(0, len(t.v6), n_ver)],
                           rng.integers(0, F.q, (n_any, 6), dtype=np.uint8)]).astype(np.uint8)
-    got = bulk.quotient_codes(t.kit, red, pts)
+    got = bulk.quotient_codes(t.kit, bulk.nullspace_batch(t.kit, red), pts)
     want = quotient_codes_eliminate(t.kit, red, pts)
     assert got.shape == want.shape == (len(red), len(pts))
     assert np.array_equal(got, want)
     if len(red):
         assert (got[0, :len(inside)] == 0).all()
     none = pts[:0]
-    assert np.array_equal(bulk.quotient_codes(t.kit, red, none),
+    assert np.array_equal(bulk.quotient_codes(t.kit, bulk.nullspace_batch(t.kit, red), none),
                           quotient_codes_eliminate(t.kit, red, none))
 
 

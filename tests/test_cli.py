@@ -156,7 +156,11 @@ def _one_line_error(capsys) -> str:
     ('"3"', '[[[1,0,0],[0,1.5,0],[0,0,1]]]', "1.5 is not an integer"),
     ('"x"', '[[[1,0,0],[0,1,0],[0,0,1]]]', "'x' is not an integer"),
     ('3.5', '[[[1,0,0],[0,1,0],[0,0,1]]]', "'3.5' is not an integer"),
-], ids=["string_entry", "bare_number_matrix", "float_entry", "string_field", "float_field"])
+    ('"3"', '[[[1,0,0],[0,true,0],[0,0,1]]]', "True is not an integer"),
+    ('"3"', '[[[1,0,0],[0,-1,0],[0,0,1]]]', "entry -1 outside [0, 3)"),
+    ('"3"', '[[[1,0,0],[0,1,0]]]', "matrix 0 is not 3x3"),
+], ids=["string_entry", "bare_number_matrix", "float_entry", "string_field", "float_field",
+        "bool_entry", "negative_entry", "two_by_three"])
 def test_classify_rejects_non_integer_json(tmp_path, capsys, field, basis, what):
     f = tmp_path / "bad.json"
     f.write_text('{"field": %s, "basis": %s}' % (field, basis))

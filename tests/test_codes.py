@@ -5,18 +5,21 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srd3.gf import make_field
-from srd3.atlas import d2_classes, representative, sigma_gf_plane, sigma_tf_plane
+from srd3.gf import make_field, parse_field_spec
+from srd3.atlas import d2_classes, rep_ids, representative, sigma_gf_plane, sigma_tf_plane
 from srd3.codes import (CodeFormatError, SrdCode, classify, code_from_json,
                         code_rank_distribution, code_to_json, describe,
                         dim_bound, extend_to_complete, extension_points,
                         is_complete, is_msrd, min_distance)
-from srd3.pg import rref, Subspace
+from srd3.pg import matrix_rank, rref, Subspace
+from srd3.veronese import k_action
 
-from oracles import extension_points_union, is_complete_union, nucleus_plane
+from oracles import (describe_reference, extension_points_reference, extension_points_union,
+                     is_complete_union, nucleus_plane)
 
 
 def _code(F, *mats):
@@ -230,6 +233,20 @@ def test_parse_errors():
         code_from_json('{"field": "3^1", "basis": [[[1,0],[0,1]]]}')
 
 
+def test_from_matrices_entry_types():
+    # numpy integers are integers; numpy floats and bools are not, even
+    # where they equal an integer
+    F = make_field(3, 1)
+    C = SrdCode.from_matrices(F, [[[np.int64(x) for x in r] for r in I3]])
+    assert C.basis == (I3,) and all(type(x) is int for r in C.basis[0] for x in r)
+    assert C.subspace == _code(F, I3).subspace
+    for bad in (np.float64(1.0), True, np.bool_(True)):
+        M = [list(r) for r in I3]
+        M[1][1] = bad
+        with pytest.raises(CodeFormatError, match="is not an integer"):
+            SrdCode.from_matrices(F, [M])
+
+
 def test_describe_identity_span_f3():
     C = code_from_json('{"field": "3^1", "basis": [[[1,0,0],[0,1,0],[0,0,1]]]}')
     d = describe(C)
@@ -238,11 +255,22 @@ def test_describe_identity_span_f3():
     assert d["label"] == "NotComplete"
 
 
+# the fields with point tables up to q = 9, GF(8) and GF(9) each also with
+# a non-default modulus
+CODE_FIELDS = ("2", "3", "4", "5", "7", "8", "9", "2^3/101", "3^2/1,2")
+
+
 @st.composite
-def _random_codes(draw):
-    p, h = draw(st.sampled_from([(2, 1), (3, 1)]))
-    F = make_field(p, h)
-    k = draw(st.integers(1, 4))
+def _random_codes(draw, specs=CODE_FIELDS):
+    """A code of dimension 1-6 over one of the fields: the span of random
+    rows, or a congruence image of an atlas representative, so that the
+    complete codes of every class come up too."""
+    F = parse_field_spec(draw(st.sampled_from(specs)))
+    if draw(st.booleans()):
+        W = representative(draw(st.sampled_from(rep_ids(F))), F)
+        A = tuple(tuple(draw(st.integers(0, F.q - 1)) for _ in range(3)) for _ in range(3))
+        return SrdCode.from_subspace(k_action(F, A, W) if matrix_rank(F, A) == 3 else W)
+    k = draw(st.integers(1, 6))
     gens = draw(st.lists(st.lists(st.integers(0, F.q - 1), min_size=6, max_size=6),
                          min_size=k, max_size=k))
     rows, rank = rref(F, gens)
@@ -252,10 +280,26 @@ def _random_codes(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_random_codes())
+@given(_random_codes(("2", "3")))
 def test_completeness_matches_union_oracle(C):
     assert is_complete(C) == is_complete_union(C)
     assert extension_points(C) == extension_points_union(C)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_random_codes())
+def test_one_pass_matches_reference(C):
+    # the point ranks, the read-off duals and the one quotient pass against
+    # the path describe took before, and against the point-set union where
+    # it is cheap
+    want = describe_reference(C)
+    assert describe(C) == want
+    assert classify(C) == want["label"]
+    assert is_complete(C) == want["is_complete"]
+    assert extension_points(C) == extension_points_reference(C)
+    if C.F.q <= 3:
+        assert want["is_complete"] == is_complete_union(C)
+        assert extension_points(C) == extension_points_union(C)
 
 
 @pytest.mark.parametrize("q", [(3, 1), (2, 2)], ids=["q3", "q4"])

@@ -337,7 +337,7 @@ def test_rank1_free_batch_matches_od0(spec, k, seed):
     bases = red[rk == k]
     want = t.od0_batch(bases)[:, 0] == 0
     # a Veronese point lies in W iff its quotient image is 0
-    on = bulk.quotient_codes(t.kit, bases, t.v6) == 0
+    on = bulk.quotient_codes(t.kit, bulk.nullspace_batch(t.kit, bases), t.v6) == 0
     assert np.array_equal(~on.any(axis=1), want)
 
 

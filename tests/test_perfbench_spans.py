@@ -36,6 +36,42 @@ def test_spans_install_finds_every_traced_name():
     assert calls == {"codes.describe": 1, "codes.is_complete": 1}
 
 
+_DESCRIBE_SCRIPT = """
+import json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from srd3 import codes
+from srd3.atlas import rep_ids, representative
+from srd3.gf import parse_field_spec
+from srd3.pg import Subspace
+labels = []
+for spec in ("3", "4", "5", "2^3/101"):
+    F = parse_field_spec(spec)
+    units = [Subspace(F, tuple(tuple(int(i == j) for j in range(6)) for i in range(k)))
+             for k in range(1, 7)]
+    for W in units + [representative(rid, F) for rid in rep_ids(F)]:
+        labels.append(codes.describe(codes.SrdCode.from_subspace(W))["label"])
+summary = tracer.summary()
+print(json.dumps({{"describe": summary["codes.describe"]["calls"], "labels": sorted(set(labels))}}))
+"""
+
+
+def test_traced_describe_every_dimension():
+    # every dimension 1-6 and every atlas representative at q = 3, 4, 5 and
+    # on GF(8) with a non-default modulus: each combine of the one-pass
+    # path (the points of the code, the images under its duals, the count
+    # over GF(q^3)) is at least 2-D, as the combine wrapper needs
+    script = _DESCRIBE_SCRIPT.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["describe"] == 4 * 6 + 32 + 35 + 32 + 35
+    assert {"GF_type", "TF_type", "WholeSpace", "NotComplete"} <= set(out["labels"])
+
+
 _VERIFY_SCRIPT = """
 import json, sys
 sys.path[:0] = [{src!r}, {perfbench!r}]

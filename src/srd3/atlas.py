@@ -604,28 +604,33 @@ def rank1_points_over_cubic_extension(F: FieldCtx, W: Subspace) -> int:
 def _combination(F: FieldCtx, d: tuple[int, ...], polys: tuple) -> list[int]:
     """sum_j d[j] polys[j] for polynomials of degree <= 4, constant terms
     first: its five coefficients."""
+    add, mul = F.scalar_tables[:2]
     out = [0] * 5
     for dj, poly in zip(d, polys):
         if dj:
+            m = mul[dj]
             for t, c in enumerate(poly):
-                out[t] = F.add(out[t], F.mul(dj, c))
+                out[t] = add[out[t]][m[c]]
     return out
 
 
 def _peval(F: FieldCtx, poly: tuple[int, ...], x: int) -> int:
     """poly (constant term first) at x."""
+    add, times_x = F.scalar_tables.add, F.scalar_tables.mul[x]
     acc = 0
     for c in reversed(poly):
-        acc = F.add(F.mul(acc, x), c)
+        acc = add[times_x[acc]][c]
     return acc
 
 
 def _pmul(F: FieldCtx, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product of two polynomials, constant terms first."""
+    add, mul = F.scalar_tables[:2]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
+        m = mul[x]
         for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
+            out[i + j] = add[out[i + j]][m[y]]
     return tuple(out)
 
 

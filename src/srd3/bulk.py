@@ -22,20 +22,44 @@ combine(points, duals^T).  Two implementations, chosen by characteristic:
 
   p odd: write each element of A as its h base-p digits and each element
       b of B as the h x h matrix of x -> x b over GF(p); then one integer
-      matmul (for prime q plainly A @ B), one % p and a Horner over the
-      c*h base-p digits give the codes.  The accumulator is uint8, uint16
-      or uint32, whichever holds k*h*(p-1)^2.
+      matmul (for prime q plainly A @ B) and one % p give the c*h base-p
+      digits of each code.  The accumulator is uint8, uint16 or uint32,
+      whichever holds k*h*(p-1)^2.
   p = 2: the code of a sum is the XOR of the codes of its terms, so the
-      codes of a * (row t of B) are built for every a, one scalar at a
-      time: a 1-D MUL gather for a = x^i, the XOR of two earlier ones for
-      the others.  A row's code is then the XOR of k gathers from them.
-      The digit matmul would need h*h products per field product and
-      measured slower than the XOR at q = 8 and 16.
+      codes of a * (row t of B) are built for every a (the row codes),
+      and a row's code is the XOR of k gathers from them.  The digit
+      matmul would need h*h products per field product and measured
+      slower than the XOR at q = 8 and 16.
 
-rref_batch and nullspace_batch eliminate row by row and keep the MUL/ADD
-table gathers of Kit; rank3 reads the rank of a 3x3 matrix off its
-adjugate instead.  quotient_codes is one combine of the points with the
-dual vectors of each subspace, then one lookup in normal_codes.
+Each has a small path, chosen by the size of the operand the step works
+on, never by the caller: a single-code call (rank_distribution, the
+quotient images of one code, the GF(q^3) count) builds its codes in a
+constant number of numpy calls instead of one or more per digit or per
+field element.
+
+  p odd, the product has at most SMALL_ROWS rows: the digits become codes
+      by one matmul with the weights p^(ch-1), ..., p, 1; larger products
+      take a Horner loop of 2*c*h in-place passes.
+  p = 2, B has at most SMALL_B entries: the row codes are one gather from
+      a per-(kit, c) table of the codes of a b at each coordinate (the
+      shifted products) and one XOR over the coordinates; larger B builds
+      them a = x^i by one MUL gather and Horner encode each, and the other
+      a by one XOR of two earlier ones.
+
+The limits sit at or below the sizes where the two paths cost the same,
+measured over shapes at q = 2 to 16 on a 2-core x86-64 machine (numpy
+2.4): the weighted matmul falls behind Horner at 1100-3000 rows for
+c*h <= 6, and the table gather behind the loop at 500-1500 entries of B
+for q <= 8, as it copies q codes per entry.  Past them the small paths
+fall behind fast: at 4096 rows and c*h = 2 the matmul took 1.7 times as
+long as Horner, and for B of 4608 entries at q = 2 the gather five times
+as long as the loop.
+
+rref_batch eliminates column by column and keeps the MUL/ADD table
+gathers of Kit; nullspace_batch eliminates nothing and reads the duals off
+the RREF bases, like pg.dual_basis; rank3 reads the rank of a 3x3 matrix
+off its adjugate instead.  quotient_codes is one combine of the points
+with the dual vectors of each subspace, then one lookup in normal_codes.
 """
 
 from __future__ import annotations
@@ -44,16 +68,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from srd3.gf import FieldCtx, FieldError
+from srd3.gf import DENSE_MAX_Q, FieldCtx, FieldError
 from srd3.pg import free_positions, pivot_patterns
 
 
 class Kit:
-    """Per-field bundle of numpy lookup tables (q <= 256)."""
+    """Per-field bundle of numpy lookup tables (q <= DENSE_MAX_Q = 256)."""
 
     def __init__(self, F: FieldCtx):
-        if F.q > 256:
-            raise ValueError(f"bulk kernels support q <= 256, got q={F.q}")
+        if F.q > DENSE_MAX_Q:
+            raise ValueError(f"bulk kernels support q <= {DENSE_MAX_Q}, got q={F.q}")
         self.F = F
         self.q = F.q
         self.p = F.p
@@ -245,6 +269,13 @@ def rank3(kit: Kit, A: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return rank
 
 
+# combine's small path runs on operands up to these sizes: at most SMALL_B
+# entries of B (p = 2) and at most SMALL_ROWS rows of the digit product (p
+# odd).  See "Linear combinations" in the module docstring.
+SMALL_B = 512
+SMALL_ROWS = 1024
+
+
 def combine(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Base-q codes of the rows of A B over GF(q), with np.matmul
     broadcasting: (..., m, k) x (..., k, c) -> (...) + (m,), dtype
@@ -252,6 +283,14 @@ def combine(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if kit.char2:
         return _combine_xor(kit, A, B)
     return _combine_digits(kit, A, B)
+
+
+@lru_cache(maxsize=None)
+def _digit_weights(kit: Kit, c: int) -> np.ndarray:
+    """p^(ch-1), ..., p, 1: the weights of the c h base-p digits of a code
+    of F^c, leading digit first."""
+    n = c * kit.h
+    return (kit.p ** np.arange(n - 1, -1, -1, dtype=np.int64)).astype(code_dtype(kit.q, c))
 
 
 def _combine_digits(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -266,27 +305,51 @@ def _combine_digits(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         Bm = kit.MAT[B].swapaxes(-3, -2).reshape(B.shape[:-2] + (k * h, c * h))
         prod = np.matmul(Ad, Bm.astype(dt, copy=False))
     np.remainder(prod, p, out=prod)
-    out = np.zeros(prod.shape[:-1], dtype=code_dtype(kit.q, c))
+    cd = code_dtype(kit.q, c)
+    if prod.size <= SMALL_ROWS * c * h:
+        return np.matmul(prod, _digit_weights(kit, c), dtype=cd, casting="unsafe")
+    out = np.zeros(prod.shape[:-1], dtype=cd)
     for j in range(c * h):
         out *= p
         out += prod[..., j]
     return out
 
 
-def _combine_xor(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    q, k = kit.q, B.shape[-2]
-    # codes[t][..., a]: the code of a * (row t of B).  a -> a * row is
-    # additive, so only a = x^i takes a MUL gather; every other a is the
-    # XOR of the powers of x in its bits
+@lru_cache(maxsize=None)
+def _shifted_products(kit: Kit, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c q, q) codes: row j q + b holds the code of a b at coordinate j of
+    F^c for every a, and the row offsets j q of the c coordinates."""
+    q = kit.q
+    shift = (q ** np.arange(c - 1, -1, -1, dtype=np.int64)).astype(code_dtype(q, c))
+    table = kit.MUL.T.astype(shift.dtype)[None] * shift[:, None, None]
+    return table.reshape(c * q, q), np.arange(c) * q
+
+
+def _row_codes(kit: Kit, B: np.ndarray) -> np.ndarray:
+    """codes[..., t, a]: the code of a * (row t of B), (..., k, q)."""
+    q = kit.q
+    if B.size <= SMALL_B:
+        # the XOR over the coordinates of their shifted products
+        table, offsets = _shifted_products(kit, B.shape[-1])
+        return np.bitwise_xor.reduce(table[B + offsets], axis=-2)
+    # a -> a * row is additive, so only a = x^i takes a MUL gather; every
+    # other a is the XOR of the powers of x in its bits.  Row t's codes
+    # are built contiguous, the layout the gathers of combine read fastest
     rows = np.moveaxis(B, -2, 0)
     codes = np.zeros(rows.shape[:-1] + (q,), dtype=code_dtype(q, B.shape[-1]))
     for a in range(1, q):
         low = a & -a
         codes[..., a] = (encode(kit.MUL[a][rows], q) if a == low
                          else codes[..., low] ^ codes[..., a ^ low])
+    return np.moveaxis(codes, 0, -2)
+
+
+def _combine_xor(kit: Kit, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    q, k = kit.q, B.shape[-2]
+    codes = _row_codes(kit, B)
     out = None
     for t in range(k):
-        table, idx = codes[t], A[..., t]
+        table, idx = codes[..., t, :], A[..., t]
         if B.ndim == 2:
             term = table[idx]
         elif A.ndim == 2:

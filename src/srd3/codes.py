@@ -64,7 +64,7 @@ class SrdCode:
         if not mats:
             raise CodeFormatError("empty basis")
         for i, M in enumerate(mats):
-            if len(M) != 3 or any(len(r) != 3 for r in M):
+            if tuple(map(len, M)) != (3, 3, 3):
                 raise CodeFormatError(f"matrix {i} is not 3x3")
             if min(map(min, M)) < 0 or max(map(max, M)) >= F.q:
                 bad = next(x for r in M for x in r if not 0 <= x < F.q)

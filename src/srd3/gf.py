@@ -6,7 +6,8 @@ least significant digit.  For p = 2 this is the usual bit encoding and
 addition is XOR.
 
 Each field carries exp/log tables for O(1) multiplication and, lazily, dense
-q x q addition/multiplication grids used by the vectorised numpy kernels.
+q x q addition/multiplication grids: numpy arrays for the vectorised
+kernels (np_table) and Python lists for the scalar loops (scalar_tables).
 The workloads in this package are enumeration-heavy (millions of point-rank
 computations per run), which is why everything is table-driven.
 """
@@ -14,12 +15,16 @@ computations per run), which is why everything is table-driven.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import random
+from typing import NamedTuple
 
 import numpy as np
 
 ORDER_CEILING = 4096
+# the largest field given dense q x q tables: the list tables of
+# FieldCtx.scalar_tables and the numpy kits of bulk
+DENSE_MAX_Q = 256
 
 
 class FieldError(ValueError):
@@ -328,6 +333,20 @@ class FieldCtx:
         self._np_cache[kind] = t
         return t
 
+    @cached_property
+    def scalar_tables(self) -> "ScalarTables":
+        """add, mul, neg and inv as Python lists, built once per field, for
+        scalar loops that read an entry where they would call a method:
+        add[a][b] = a + b, mul[a][b] = a b, neg[a] = -a and inv[a] = 1/a
+        (inv[0] = 0, never valid).  add and mul are q x q lists for
+        q <= DENSE_MAX_Q; above it each row is made when first read, so no
+        larger field holds a q x q table."""
+        if self.q <= DENSE_MAX_Q:
+            add, mul = self.np_table('add').tolist(), self.np_table('mul').tolist()
+        else:
+            add, mul = _LazyRows(self.add, self.q), _LazyRows(self.mul, self.q)
+        return ScalarTables(add, mul, self._neg, self._inv)
+
     # -- misc --------------------------------------------------------------
 
     @property
@@ -345,6 +364,26 @@ class FieldCtx:
     def __reduce__(self):
         # pickling rebuilds through the cache so identity is preserved
         return (_rebuild_field, (self.p, self.h, self.modulus))
+
+
+class ScalarTables(NamedTuple):
+    """FieldCtx.scalar_tables: rows are indexed like lists."""
+    add: list
+    mul: list
+    neg: list[int]
+    inv: list[int]
+
+
+class _LazyRows(dict):
+    """The rows of the q x q table of op, each made when first read."""
+
+    def __init__(self, op, q: int):
+        super().__init__()
+        self._op, self._q = op, q
+
+    def __missing__(self, a: int) -> list[int]:
+        row = self[a] = [self._op(a, b) for b in range(self._q)]
+        return row
 
 
 @lru_cache(maxsize=None)

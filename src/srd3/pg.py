@@ -6,7 +6,9 @@ row space and therefore doubles as hash key during orbit searches.
 
 The routines here are the scalar reference implementations.  The numpy
 batch kernels in :mod:`srd3.bulk` mirror them and are cross-checked against
-them in the test suite.
+them in the test suite.  rref, dual_basis and normalize_vec look each entry
+up in the field's list tables (FieldCtx.scalar_tables) instead of calling a
+field method per entry.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ def normalize_vec(F: FieldCtx, v: Iterable[int]) -> tuple[int, ...]:
         if c:
             if c == 1:
                 return v
-            inv = F.inv(c)
-            return tuple(F.mul(inv, x) for x in v)
+            T = F.scalar_tables
+            m = T.mul[T.inv[c]]
+            return tuple([m[x] for x in v])
     raise ValueError("cannot normalize the zero vector")
 
 
@@ -44,22 +47,26 @@ def rref(F: FieldCtx, rows: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, .
     mat = [list(r) for r in rows]
     if not mat:
         return (), 0
-    ncols = len(mat[0])
+    add, mul, neg, inv = F.scalar_tables
+    n, ncols = len(mat), len(mat[0])
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        piv = next((i for i in range(r, n) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = F.inv(mat[r][c])
-        if inv != 1:
-            mat[r] = [F.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        row = mat[r]
+        if row[c] != 1:
+            m = mul[inv[row[c]]]
+            row = mat[r] = [m[x] for x in row]
+        for i in range(n):
+            f = mat[i][c]
+            if f and i != r:
+                # row i - f * row r, as row i + (-f) * row r
+                m = mul[neg[f]]
+                mat[i] = [add[x][m[y]] for x, y in zip(mat[i], row)]
         r += 1
-        if r == len(mat):
+        if r == n:
             break
     return tuple(tuple(row) for row in mat[:r]), r
 
@@ -188,7 +195,7 @@ def dual_basis(W: Subspace) -> tuple[tuple[int, ...], ...]:
     """A basis of {d : w . d = 0 for every w in W}, read off W's RREF rows
     without elimination: for each free column f, the vector with 1 at f,
     -row[f] at each row's pivot and 0 elsewhere.  Not itself reduced."""
-    F, rows = W.F, W.rows
+    rows, neg = W.rows, W.F.scalar_tables.neg
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     basis = []
     for f in range(len(rows[0])):
@@ -197,7 +204,7 @@ def dual_basis(W: Subspace) -> tuple[tuple[int, ...], ...]:
         v = [0] * len(rows[0])
         v[f] = 1
         for row, p in zip(rows, pivots):
-            v[p] = F.neg(row[f])
+            v[p] = neg[row[f]]
         basis.append(tuple(v))
     return tuple(basis)
 

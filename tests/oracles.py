@@ -39,9 +39,11 @@ solids through a point of each class, which the package counts through
 the pencils through a conic of each class instead, every
 subspace of PG(n,q) or of a given subspace by pivot pattern, which the
 package names by bulk's subspace ids, the Sigma_18 plane by a line search,
-which the atlas writes in closed form, and a basis of GF(q^3) by testing
+which the atlas writes in closed form, a basis of GF(q^3) by testing
 independence over GF(q), which the atlas reads off the first element
-outside GF(q).
+outside GF(q), and the scalar RREF, dual basis and polynomial arithmetic
+by one FieldCtx method call per entry, which pg and the atlas read from
+the field's list tables (FieldCtx.scalar_tables).
 """
 
 from __future__ import annotations
@@ -920,3 +922,66 @@ def ext_basis_by_independence(ext) -> tuple[int, int, int]:
                for c in range(ext.base.q) if (a, b, c) != (0, 0, 0)):
             return vecs
     raise AssertionError("no degree-3 element found")
+
+
+def rref_calls(F: FieldCtx, rows: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """pg.rref by F.mul / F.sub / F.inv calls: (nonzero rows, rank)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return (), 0
+    ncols = len(mat[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = F.inv(mat[r][c])
+        if inv != 1:
+            mat[r] = [F.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r]), r
+
+
+def dual_basis_calls(W: Subspace) -> tuple[tuple[int, ...], ...]:
+    """pg.dual_basis by F.neg calls: for each free column f, 1 at f and
+    -row[f] at each row's pivot."""
+    F, rows = W.F, W.rows
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    basis = []
+    for f in range(len(rows[0])):
+        if f in pivots:
+            continue
+        v = [0] * len(rows[0])
+        v[f] = 1
+        for row, p in zip(rows, pivots):
+            v[p] = F.neg(row[f])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def combination_calls(F: FieldCtx, d: tuple[int, ...], polys: tuple) -> list[int]:
+    """atlas._combination by F.add / F.mul calls: the five coefficients of
+    sum_j d[j] polys[j]."""
+    out = [0] * 5
+    for dj, poly in zip(d, polys):
+        if dj:
+            for t, c in enumerate(poly):
+                out[t] = F.add(out[t], F.mul(dj, c))
+    return out
+
+
+def pmul_calls(F: FieldCtx, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """atlas._pmul by F.add / F.mul calls: the product of two polynomials,
+    constant terms first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return tuple(out)

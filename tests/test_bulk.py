@@ -202,25 +202,77 @@ KERNEL_FIELDS = ["2", "4", "8", "16", "2^3/101", "256",
                  "3", "5", "7", "9", "3^2/1,2", "11", "13", "49", "251"]
 
 
+def _combine_shapes(kind: str, k: int, c: int, big: bool, rng) -> tuple[tuple, tuple]:
+    """Operand shapes (A, B) of one combine call of src.  The small ones
+    run up to the size rule's limits, the big ones past them, on the side
+    each kernel measures (see test_combine_shapes_reach_both_paths)."""
+    rows, entries = bulk.SMALL_ROWS, bulk.SMALL_B
+
+    def n(top, big_range=None):
+        return int(rng.integers(*(big_range or (top + 1, top + 60)) if big else (1, top + 1)))
+
+    if kind == "rank_distribution":   # coefficient vectors x one basis
+        return (n(rows), k), (1, k, 6)
+    if kind == "quotient_codes":      # points x one code's duals, transposed
+        return (n(rows), 6), (1, 6, min(c, 5))
+    if kind == "cubic":               # power coordinates x polynomial coefficients
+        return (n(rows // 3), 3, 5), (5, c)
+    if kind == "moved":               # points x lifted group elements
+        g = n(entries // 36)
+        return (n(rows // g, (70, 90)), 6), (g, 6, 6)
+    if kind == "stabilizer":          # moved bases x transposed duals
+        return (n(rows // k), k, 6), (6, c)
+    if kind == "matrix":              # 2-D x 2-D
+        return (n(rows), k), (k, c)
+    if kind == "combine":             # coefficients x bases
+        return (9, k), (n(entries // (k * c)), k, c)
+    if kind == "transform":           # bases x lift
+        return (7, k, 6), (6, 6)
+    return (3, 1, 4, k), (5, k, c)    # batched on both sides
+
+
+COMBINE_KINDS = ["rank_distribution", "quotient_codes", "cubic", "moved", "stabilizer",
+                 "matrix", "combine", "transform", "batched"]
+
+
 @pytest.mark.parametrize("spec", KERNEL_FIELDS)
 @settings(max_examples=15, deadline=None)
 @given(k=st.integers(1, 6), c=st.integers(1, 6),
-       kind=st.sampled_from(["combine", "transform", "batched"]),
+       kind=st.sampled_from(COMBINE_KINDS), big=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_combine_matches_gather_oracle(spec, k, c, kind, seed):
+def test_combine_matches_gather_oracle(spec, k, c, kind, big, seed):
+    # every operand shape src passes to combine, on both sides of the size
+    # rule, against MUL/ADD table gathers
     F = parse_field_spec(spec)
     kit = bulk.kit_for(F)
     rng = np.random.default_rng(seed)
-    shapes = {"combine": ((9, k), (7, k, c)),     # coefficients x bases
-              "transform": ((7, k, 6), (6, 6)),   # bases x lift
-              "batched": ((3, 1, 4, k), (5, k, c))}[kind]
-    A, B = (rng.integers(0, F.q, s).astype(np.uint8) for s in shapes)
+    A, B = (rng.integers(0, F.q, s).astype(np.uint8)
+            for s in _combine_shapes(kind, k, c, big, rng))
     got = bulk.combine(kit, A, B)
     cols = B.shape[-1]
     assert got.dtype == (np.int32 if F.q ** cols < 2 ** 31 else np.int64)
     want = bulk.encode(combine_vectors(kit, A, B), F.q)
-    assert got.shape == want.shape
+    assert got.ndim == want.ndim and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def test_combine_shapes_reach_both_paths():
+    # the size rule measures B's entries at p = 2 and the product's rows at
+    # odd p; the shapes above land on both sides of it, at p = 2 through
+    # moved and combine, and at odd p through every kind with a size
+    rng = np.random.default_rng(0)
+    for kind in COMBINE_KINDS:
+        for big in (False, True):
+            for _ in range(20):
+                k, c = (int(x) for x in rng.integers(1, 7, 2))
+                sa, sb = _combine_shapes(kind, k, c, big, rng)
+                rows = int(np.prod(np.broadcast_shapes(sa[:-2], sb[:-2]))) * sa[-2]
+                if kind in ("moved", "combine"):
+                    assert (int(np.prod(sb)) > bulk.SMALL_B) == big
+                else:
+                    assert int(np.prod(sb)) <= bulk.SMALL_B
+                if kind not in ("combine", "transform", "batched"):
+                    assert (rows > bulk.SMALL_ROWS) == big
 
 
 def test_nullspace_fixed_matches_scalar():

@@ -6,8 +6,11 @@ import random
 
 import pytest
 
-from srd3.gf import (FieldError, cubic_extension, default_modulus, is_square,
+from srd3.gf import (DENSE_MAX_Q, FieldError, cubic_extension, default_modulus, is_square,
                      make_field, parse_field_spec, poly_is_irreducible, trace2)
+from srd3.pg import rref
+
+from oracles import rref_calls
 
 
 def brute_irreducible(coeffs, p):
@@ -217,3 +220,28 @@ def test_parse_field_spec():
 def test_field_identity_cached():
     assert make_field(2, 2) is make_field(2, 2)
     assert parse_field_spec("4") is make_field(2, 2)
+
+
+@pytest.mark.parametrize("spec", ["2^8", "3^5", "2^9", "3^6"])
+def test_scalar_tables_dense_only_up_to_256(spec):
+    # q x q lists up to DENSE_MAX_Q; above it a row is made when first read,
+    # and rref over such a field (a code's field above the point tables)
+    # still matches the method calls
+    F = parse_field_spec(spec)
+    T = F.scalar_tables
+    if F.q <= DENSE_MAX_Q:
+        assert isinstance(T.mul, list) and len(T.mul) == F.q
+        assert all(len(row) == F.q for row in T.add)
+    else:
+        assert len(T.mul) == len(T.add) == 0
+    rng = random.Random(F.q)
+    rows = [[rng.randrange(F.q) for _ in range(6)] for _ in range(3)]
+    rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])
+    assert rref(F, rows) == rref_calls(F, rows)
+    if F.q > DENSE_MAX_Q:
+        assert 0 < len(T.mul) <= 12
+    for a in (0, 1, F.q - 1):
+        assert T.mul[a] == [F.mul(a, b) for b in range(F.q)]
+        assert T.add[a] == [F.add(a, b) for b in range(F.q)]
+    assert T.neg == [F.neg(a) for a in range(F.q)]
+    assert T.inv[1:] == [F.inv(a) for a in range(1, F.q)]

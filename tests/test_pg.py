@@ -4,14 +4,18 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from srd3.gf import make_field
-from srd3.pg import (BudgetExceeded, canonicalize, coefficient_vectors, dual_basis,
+from srd3.atlas import _combination, _peval, _pmul
+from srd3.gf import make_field, parse_field_spec
+from srd3.pg import (BudgetExceeded, Subspace, canonicalize, coefficient_vectors, dual_basis,
                      gaussian_binomial, incident, matrix_rank, normalize_vec,
                      nullspace, rref, subspace_points)
 
-from oracles import all_subspaces, duals_through, subspaces_within
+from oracles import (all_subspaces, combination_calls, dual_basis_calls, duals_through,
+                     pmul_calls, rref_calls, subspaces_within)
 
 
 def test_matrix_rank_basics():
@@ -181,3 +185,55 @@ def test_normalize_vec():
     assert normalize_vec(F, normalize_vec(F, (3, 1, 4))) == normalize_vec(F, (3, 1, 4))
     with pytest.raises(ValueError):
         normalize_vec(F, (0, 0, 0))
+
+
+TABLE_FIELDS = ["2", "3", "4", "5", "7", "8", "9", "16", "2^3/101", "3^2/1,2"]
+
+
+def _random_rows(F, k: int, rank: int, rng) -> list[list[int]]:
+    """k rows of F^6 spanning a space of dimension at most rank: the rows
+    past the first rank are random combinations of them (zero when rank is
+    0), and the rows are then shuffled."""
+    rows = [[int(x) for x in rng.integers(0, F.q, 6)] for _ in range(rank)]
+    for _ in range(k - rank):
+        v = [0] * 6
+        for row in rows:
+            a = int(rng.integers(0, F.q))
+            v = [F.add(x, F.mul(a, y)) for x, y in zip(v, row)]
+        rows.append(v)
+    return [rows[i] for i in rng.permutation(k)]
+
+
+@pytest.mark.parametrize("spec", TABLE_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_scalar_tables_match_method_calls(spec, k, data, seed):
+    # rref, dual_basis, normalize_vec and the atlas polynomial helpers read
+    # the field's list tables; the method-call versions are the oracles
+    F = parse_field_spec(spec)
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(0, k))
+    M = _random_rows(F, k, rank, rng)
+    red, r = rref(F, M)
+    assert (red, r) == rref_calls(F, M)
+    assert r <= rank
+    if r:
+        W = Subspace(F, red)
+        assert dual_basis(W) == dual_basis_calls(W)
+    for v in M:
+        if any(v):
+            lead = next(x for x in v if x)
+            assert normalize_vec(F, v) == tuple(F.mul(F.inv(lead), x) for x in v)
+    # the atlas helpers: a row as the weights of six polynomials of degree
+    # <= 4, and products and values of polynomials of degree <= 2
+    polys = tuple(tuple(int(x) for x in rng.integers(0, F.q, int(rng.integers(0, 6))))
+                  for _ in range(6))
+    assert _combination(F, tuple(M[0]), polys) == combination_calls(F, tuple(M[0]), polys)
+    a, b = (tuple(int(x) for x in rng.integers(0, F.q, int(rng.integers(1, 4))))
+            for _ in range(2))
+    assert _pmul(F, a, b) == pmul_calls(F, a, b)
+    x = int(rng.integers(0, F.q))
+    want = 0
+    for i, c in enumerate(a):
+        want = F.add(want, F.mul(c, F.pow(x, i)))
+    assert _peval(F, a, x) == want
